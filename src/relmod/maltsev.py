@@ -1,6 +1,7 @@
 """Directed Gumm and Day term systems: decision by shortest-path search in
-free algebras, exhaustive verifiers, the exponent bounds, and constructive
-witness chains replaying the inclusion proofs step by step.
+free algebras restricted to the argument tuples their conditions read,
+exhaustive verifiers, the exponent bounds, and constructive witness chains
+replaying the inclusion proofs step by step.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from .algebras import (
     CapExceeded,
     DEFAULT_CAP,
     FiniteAlgebra,
+    FreeElement,
     Term,
     Variable,
-    free_algebra,
-    projection,
+    generate_subuniverse,
     term_table,
 )
 from .relations import (
@@ -60,26 +61,12 @@ class SearchStatus(Enum):
 
 
 @dataclass(frozen=True)
-class GummSearchResult:
+class SearchResult:
     status: SearchStatus
-    system: DirectedGummSystem | None
+    system: DirectedGummSystem | DaySystem | None
     max_k: int
     node_count: int
     definitive: bool  # True when no path of any length exists
-    cap_error: CapExceeded | None = None
-
-    @property
-    def found(self):
-        return self.status is SearchStatus.FOUND
-
-
-@dataclass(frozen=True)
-class DaySearchResult:
-    status: SearchStatus
-    system: DaySystem | None
-    max_k: int
-    node_count: int
-    definitive: bool
     cap_error: CapExceeded | None = None
 
     @property
@@ -171,47 +158,81 @@ class _Node:
         self.sig_b = sig_b
 
 
-def find_directed_gumm(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> GummSearchResult:
+def _restricted_free(alg, g, codes, cap):
+    """The g-ary term functions of alg restricted to the argument tuples
+    with mixed-radix codes in codes: the subpower of A^len(codes) generated
+    by the restricted projections, in generate_subuniverse order.
+
+    Returns the elements and the code -> column map.  Callers pass codes on
+    which the g projections differ pairwise, so generator i keeps position i
+    and the term Variable(i).  cap bounds both the width len(codes) and the
+    closure size.
+    """
+    n = alg.size
+    codes = sorted(set(codes))
+    if len(codes) > cap:
+        raise CapExceeded("vector-length", cap, len(codes))
+    gens = [
+        FreeElement(tuple(code // n ** (g - 1 - i) % n for code in codes), Variable(i))
+        for i in range(g)
+    ]
+    free = generate_subuniverse(alg, len(codes), gens, cap)
+    return free, {code: column for column, code in enumerate(codes)}
+
+
+def _values(vec, columns):
+    return tuple(vec[i] for i in columns)
+
+
+def find_directed_gumm(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> SearchResult:
     """Shortest directed Gumm system for the variety generated by alg.
 
-    Searches the graph on F(3) whose vertices satisfy j(x,y,x)=x, with an
-    edge f->g when f(a,c,c)=g(a,a,c) everywhere; a vertex is a source when
-    some q in F(3) plays p for it, and the target is the third projection.
-    The returned k is minimal; the graph is finite, so a missing path is a
-    definitive no for every k.
+    Searches the graph on ternary term functions whose vertices satisfy
+    j(x,y,x)=x, with an edge f->g when f(a,c,c)=g(a,a,c) everywhere; a vertex
+    is a source when some q with q(x,z,z)=x plays p for it, and the target is
+    the third projection.  The returned k is minimal; the graph is finite, so
+    a missing path is a definitive no for every k.
+
+    The term functions are restricted to the argument tuples (a,b,a), (a,c,c)
+    and (a,a,c), a subpower of width 3n^2-2n instead of F(3)'s n^3.  This is
+    exact: every vertex, edge and p condition reads only those tuples, so
+    the restricted graph is the full one with vertices of equal restriction
+    merged, and it has a path of length k exactly when the full graph does.
+    The target is the generator z, which keeps its term Variable(2), so the
+    last j is the projection on every tuple.  cap bounds the restricted
+    width and the closure size; node_count counts restricted vertices.
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
     n = alg.size
     if n == 1:
         system = DirectedGummSystem(1, Variable(2), (Variable(2),))
-        return GummSearchResult(SearchStatus.FOUND, system, max_k, 1, False)
-    try:
-        free = free_algebra(alg, 3, cap)
-    except CapExceeded as e:
-        return GummSearchResult(SearchStatus.CAP_EXCEEDED, None, max_k, 0, False, e)
-
+        return SearchResult(SearchStatus.FOUND, system, max_k, 1, False)
     rng = range(n)
+    aba = [(a * n + b) * n + a for a in rng for b in rng]
+    acc = [(a * n + c) * n + c for a in rng for c in rng]
+    aac = [(a * n + a) * n + c for a in rng for c in rng]
+    try:
+        free, column = _restricted_free(alg, 3, aba + acc + aac, cap)
+    except CapExceeded as e:
+        return SearchResult(SearchStatus.CAP_EXCEEDED, None, max_k, 0, False, e)
+    aba, acc, aac = ([column[code] for code in codes] for codes in (aba, acc, aac))
 
-    def aac_sig(vec):
-        return tuple(vec[(a * n + a) * n + c] for a in rng for c in rng)
-
-    def acc_sig(vec):
-        return tuple(vec[(a * n + c) * n + c] for a in rng for c in rng)
+    # the first projection's values at (a,b,a), (a,c,c): a for every pair
+    first_sig = tuple(a for a in rng for _ in rng)
 
     # vertices: j(x,y,x) = x everywhere
     nodes = []
     for pos, e in enumerate(free):
         v = e.vector
-        if all(v[(a * n + b) * n + a] == a for a in rng for b in rng):
-            nodes.append(_Node(pos, e, aac_sig(v), acc_sig(v)))
+        if _values(v, aba) == first_sig:
+            nodes.append(_Node(pos, e, _values(v, aac), _values(v, acc)))
 
     # p candidates: q(a,c,c) = a everywhere, keyed by their (a,a,c) behaviour
-    first_sig = tuple(a for a in rng for _ in rng)
     p_by_sig = {}
     for e in free:
-        if acc_sig(e.vector) == first_sig:
-            p_by_sig.setdefault(aac_sig(e.vector), e)
+        if _values(e.vector, acc) == first_sig:
+            p_by_sig.setdefault(_values(e.vector, aac), e)
 
     by_aac = {}
     by_acc = {}
@@ -219,8 +240,7 @@ def find_directed_gumm(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_C
         by_aac.setdefault(node.sig_a, []).append(node)
         by_acc.setdefault(node.sig_b, []).append(node)
 
-    z_vec = projection(n, 3, 2).vector
-    target = next(node for node in nodes if node.elem.vector == z_vec)
+    target = next(node for node in nodes if node.pos == 2)  # the generator z
     sources = [node for node in nodes if node.sig_a in p_by_sig]
 
     # backward BFS from the target: rdist counts edges to the target
@@ -235,10 +255,10 @@ def find_directed_gumm(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_C
 
     reachable = [s for s in sources if s.pos in rdist]
     if not reachable:
-        return GummSearchResult(SearchStatus.NOT_UP_TO, None, max_k, len(nodes), True)
+        return SearchResult(SearchStatus.NOT_UP_TO, None, max_k, len(nodes), True)
     k_star = min(rdist[s.pos] for s in reachable) + 1
     if k_star > max_k:
-        return GummSearchResult(SearchStatus.NOT_UP_TO, None, max_k, len(nodes), False)
+        return SearchResult(SearchStatus.NOT_UP_TO, None, max_k, len(nodes), False)
 
     # lexicographically least shortest path in free-element canonical order
     cur = next(s for s in nodes if s in reachable and rdist[s.pos] == k_star - 1)
@@ -252,36 +272,49 @@ def find_directed_gumm(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_C
     )
     if not verify_directed_gumm(alg, system):
         raise RuntimeError("internal error: directed Gumm search produced an invalid system")
-    return GummSearchResult(SearchStatus.FOUND, system, max_k, len(nodes), False)
+    return SearchResult(SearchStatus.FOUND, system, max_k, len(nodes), False)
 
 
-def find_day(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> DaySearchResult:
-    """Minimal Day system via layered BFS over F(4), alternating the even
-    (x,x,w,w) and odd (x,y,y,w) agreement conditions."""
+def find_day(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> SearchResult:
+    """Minimal Day system via layered BFS over quaternary term functions,
+    from the first projection to the last, alternating the even (x,x,w,w)
+    and odd (x,y,y,w) agreement conditions among the vertices d with
+    d(x,y,y,x)=x.
+
+    The term functions are restricted to the argument tuples (a,b,b,c) and
+    (a,a,c,c), which cover the vertex tuples (a,b,b,a): a subpower of width
+    n^3+n^2-n instead of F(4)'s n^4.  This is exact: every vertex and edge
+    condition reads only those tuples, so the restricted graph is the full
+    one with vertices of equal restriction merged, and it has a path of
+    length k exactly when the full graph does.  The endpoints are the
+    generators x and w, which keep their terms Variable(0) and Variable(3),
+    so d_0 and d_k are projections on every tuple.  cap bounds the
+    restricted width and the closure size; node_count counts restricted
+    vertices.
+    """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
     n = alg.size
     if n == 1:
         system = DaySystem(0, (Variable(0),))
-        return DaySearchResult(SearchStatus.FOUND, system, max_k, 1, False)
-    try:
-        free = free_algebra(alg, 4, cap)
-    except CapExceeded as e:
-        return DaySearchResult(SearchStatus.CAP_EXCEEDED, None, max_k, 0, False, e)
-
+        return SearchResult(SearchStatus.FOUND, system, max_k, 1, False)
     rng = range(n)
+    odd = [((a * n + b) * n + b) * n + c for a in rng for b in rng for c in rng]
+    even = [((a * n + a) * n + c) * n + c for a in rng for c in rng]
+    abba = [((a * n + b) * n + b) * n + a for a in rng for b in rng]
+    try:
+        free, column = _restricted_free(alg, 4, odd + even, cap)
+    except CapExceeded as e:
+        return SearchResult(SearchStatus.CAP_EXCEEDED, None, max_k, 0, False, e)
+    odd, even, abba = ([column[code] for code in codes] for codes in (odd, even, abba))
 
-    def even_sig(vec):
-        return tuple(vec[((a * n + a) * n + c) * n + c] for a in rng for c in rng)
-
-    def odd_sig(vec):
-        return tuple(vec[((a * n + b) * n + b) * n + c] for a in rng for b in rng for c in rng)
-
+    # vertices: d(x,y,y,x) = x everywhere
+    first_sig = tuple(a for a in rng for _ in rng)
     nodes = []
     for pos, e in enumerate(free):
         v = e.vector
-        if all(v[((a * n + b) * n + b) * n + a] == a for a in rng for b in rng):
-            nodes.append(_Node(pos, e, even_sig(v), odd_sig(v)))
+        if _values(v, abba) == first_sig:
+            nodes.append(_Node(pos, e, _values(v, even), _values(v, odd)))
 
     groups = ({}, {})  # by even sig, by odd sig
     for node in nodes:
@@ -291,10 +324,8 @@ def find_day(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> Day
     def sig(node, parity):
         return node.sig_a if parity == 0 else node.sig_b
 
-    x_vec = projection(n, 4, 0).vector
-    w_vec = projection(n, 4, 3).vector
-    x_node = next(node for node in nodes if node.elem.vector == x_vec)
-    w_node = next(node for node in nodes if node.elem.vector == w_vec)
+    x_node = next(node for node in nodes if node.pos == 0)  # the generator x
+    w_node = next(node for node in nodes if node.pos == 3)  # the generator w
 
     seen = {(x_node.pos, 0)}
     frontier = [x_node]
@@ -316,9 +347,9 @@ def find_day(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> Day
         level += 1
 
     if found_k is None:
-        return DaySearchResult(SearchStatus.NOT_UP_TO, None, max_k, len(nodes), True)
+        return SearchResult(SearchStatus.NOT_UP_TO, None, max_k, len(nodes), True)
     if found_k > max_k:
-        return DaySearchResult(SearchStatus.NOT_UP_TO, None, max_k, len(nodes), False)
+        return SearchResult(SearchStatus.NOT_UP_TO, None, max_k, len(nodes), False)
 
     # exact-length reachability sets, then greedy least-position choices
     can = [None] * (found_k + 1)
@@ -340,7 +371,7 @@ def find_day(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> Day
     system = DaySystem(found_k, tuple(node.elem.term for node in path))
     if not verify_day(alg, system):
         raise RuntimeError("internal error: Day search produced an invalid system")
-    return DaySearchResult(SearchStatus.FOUND, system, max_k, len(nodes), False)
+    return SearchResult(SearchStatus.FOUND, system, max_k, len(nodes), False)
 
 
 class ModularityStatus(Enum):
@@ -362,8 +393,12 @@ class ModularityVerdict:
 
 def decide_modularity(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> ModularityVerdict:
     """Congruence modularity of the generated variety, via directed Gumm
-    terms.  A NO is definitive once the finite node set admits no path at
-    all, or once max_k reaches the node count (paths never need repeats)."""
+    terms found by find_directed_gumm, which searches ternary term functions
+    restricted to the tuples (a,b,a), (a,c,c) and (a,a,c); that restriction
+    is exact, since the conditions read nothing else.  A NO is definitive
+    once the finite node set admits no path at all, or once max_k reaches
+    the node count, which counts restricted vertices: a shortest path in the
+    restricted graph visits distinct vertices."""
     res = find_directed_gumm(alg, max_k, cap)
     if res.status is SearchStatus.CAP_EXCEEDED:
         return ModularityVerdict(

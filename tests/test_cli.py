@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from relmod.corpus import builtin_json
 
 
@@ -126,8 +128,9 @@ def test_find_terms_definitive_no():
     assert "definitive" in res.stdout
 
 
-def test_find_terms_day():
-    res = run_cli("find-terms", "--algebra", "l2", "--family", "day")
+@pytest.mark.parametrize("name", ["l2", "m3"])
+def test_find_terms_day(name):
+    res = run_cli("find-terms", "--algebra", name, "--family", "day")
     assert res.returncode == 0
     assert "FOUND k=3" in res.stdout
 

@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from relmod.algebras import FiniteAlgebra, projection, term_table
+from relmod.algebras import CapExceeded, FiniteAlgebra, free_algebra, projection, term_table
 from relmod.maltsev import (
     DaySystem,
     DirectedGummSystem,
@@ -144,6 +145,56 @@ def test_find_day_one_element():
     res = find_day(one_element_algebra(), max_k=4)
     assert res.found and res.system.k == 0
     assert verify_day(one_element_algebra(), res.system)
+
+
+def test_find_day_m3(m3):
+    # the full F(4) of the 5-element lattice M3 is too large to search; the
+    # restricted search finds k=3 at the default cap
+    res = find_day(m3)
+    assert res.found and res.system.k == 3
+    assert verify_day(m3, res.system)
+
+
+@st.composite
+def small_algebras(draw):
+    n = draw(st.integers(2, 3))
+    entries = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        table = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    else:
+        # an isotope of the cyclic group: random tables on 3 elements almost
+        # never have a small free algebra, quasigroups do
+        s, t, u = (draw(st.permutations(range(n))) for _ in range(3))
+        table = [u[(s[x] + t[y]) % n] for x in range(n) for y in range(n)]
+    ops = [("f", 2, table)]
+    if draw(st.booleans()):
+        ops.append(("g", 1, draw(st.lists(entries, min_size=n, max_size=n))))
+    return FiniteAlgebra("r", n, ops)
+
+
+# the oracles compare every pair of full free-algebra elements by term
+# evaluation, so only algebras with a small F(4) stay fast
+ORACLE_CAP = 100
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_algebras())
+def test_restricted_search_matches_oracles(alg):
+    try:
+        free_algebra(alg, 4, cap=ORACLE_CAP)
+    except CapExceeded:
+        assume(False)
+    for find, oracle, verify in (
+        (find_directed_gumm, _dg_shortest, verify_directed_gumm),
+        (find_day, _day_shortest, verify_day),
+    ):
+        res = find(alg)
+        want = oracle(alg)
+        if want is None:
+            assert res.status is SearchStatus.NOT_UP_TO and res.definitive
+        else:
+            assert res.found and res.system.k == want
+            assert verify(alg, res.system)
 
 
 # --- verifiers -------------------------------------------------------------------
