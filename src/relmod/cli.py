@@ -156,7 +156,10 @@ def _cmd_check(args, alg):
         label = "(inline)"
     elif args.identity:
         label = _normalize_label(args.identity)
-        stmt = catalog_entry(label, **params)
+        try:
+            stmt = catalog_entry(label, **params)
+        except KeyError as e:
+            raise UsageError(e.args[0]) from None
     else:
         raise UsageError("check requires --identity or --identity-text")
     if overrides:
@@ -167,7 +170,6 @@ def _cmd_check(args, alg):
         mode=args.mode,
         seed=args.seed,
         samples=args.samples,
-        jobs=args.jobs,
         cap=args.cap,
     )
     item = {
@@ -324,7 +326,6 @@ def build_parser():
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--assert-holds", action="store_true")
 
     p = sub.add_parser("enumerate", help="enumerate a relation lattice")
@@ -377,12 +378,9 @@ def main(argv=None) -> int:
                 results, code = _cmd_find_terms(args, alg)
             else:
                 results, code = _cmd_witness(args, alg)
-    except (AlgebraError, ParseError, UsageError, KeyError, ValueError) as e:
-        if isinstance(e, PreconditionError):
-            print(f"error: {e}", file=sys.stderr)
-            return 1
+    except (AlgebraError, ParseError, UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, PreconditionError) else 2
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from math import prod
 
 from .algebras import DEFAULT_CAP, FiniteAlgebra
@@ -285,23 +285,14 @@ def parse_identity(text: str) -> IdentityStatement:
     return _Parser(text).parse_statement()
 
 
-_FREE_VARS = {}
-
-
 def free_vars(expr) -> frozenset:
-    out = _FREE_VARS.get(expr)
-    if out is not None:
-        return out
     if isinstance(expr, Var):
-        out = frozenset((expr.name,))
-    elif isinstance(expr, (Delta, Nabla)):
-        out = frozenset()
-    elif isinstance(expr, (Power, Converse, Star, Overline, ToleranceOf)):
-        out = free_vars(expr.arg)
-    else:
-        out = free_vars(expr.lhs) | free_vars(expr.rhs)
-    _FREE_VARS[expr] = out
-    return out
+        return frozenset((expr.name,))
+    if isinstance(expr, (Delta, Nabla)):
+        return frozenset()
+    if isinstance(expr, (Power, Converse, Star, Overline, ToleranceOf)):
+        return free_vars(expr.arg)
+    return free_vars(expr.lhs) | free_vars(expr.rhs)
 
 
 _PLUS_PREC, _COMP_PREC, _AND_PREC, _ATOM_PREC = 1, 2, 3, 4
@@ -442,7 +433,6 @@ def check_identity(
     mode: str = "exhaustive",
     seed: int = 0,
     samples: int = 1000,
-    jobs: int = 1,
     cap: int = DEFAULT_CAP,
 ) -> Verdict:
     """Quantify the statement over alg's relation lattices.
@@ -457,40 +447,14 @@ def check_identity(
         lattices = [
             rel.enumerate_relations(alg, kind, cap=cap).members for _, kind in stmt.quantifiers
         ]
-        sizes = [len(lat) for lat in lattices]
-        total = prod(sizes)
-
-        def assignment_at(idx):
-            out = []
-            for size, lattice in zip(reversed(sizes), reversed(lattices)):
-                out.append(lattice[idx % size])
-                idx //= size
-            return list(reversed(out))
-
-        def scan(start, stop):
-            memo = {}
-            for idx in range(start, stop):
-                values = assignment_at(idx)
-                env = dict(zip(names, values))
-                memo.clear()
-                witness = _violation(alg, stmt, env, memo)
-                if witness is not None:
-                    return (idx, tuple(zip(names, values)), witness)
-            return None
-
-        if jobs <= 1 or total <= 1:
-            hit = scan(0, total)
-        else:
-            chunk = -(-total // jobs)
-            ranges = [(i * chunk, min((i + 1) * chunk, total)) for i in range(jobs)]
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda r: scan(*r), ranges))
-            hits = [h for h in results if h is not None]
-            hit = min(hits, key=lambda h: h[0]) if hits else None
-        if hit is None:
-            return Verdict(True, total, None)
-        idx, assignment, witness = hit
-        return Verdict(False, idx + 1, Counterexample(assignment, witness))
+        memo = {}
+        for idx, values in enumerate(product(*lattices)):
+            env = dict(zip(names, values))
+            memo.clear()
+            witness = _violation(alg, stmt, env, memo)
+            if witness is not None:
+                return Verdict(False, idx + 1, Counterexample(tuple(zip(names, values)), witness))
+        return Verdict(True, prod(len(lat) for lat in lattices), None)
 
     if mode == "sample":
         rng = random.Random(seed)

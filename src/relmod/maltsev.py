@@ -1,14 +1,18 @@
-"""Directed Gumm and Day term systems: decision by shortest-path search in
-free algebras restricted to the argument tuples their conditions read,
-exhaustive verifiers, the exponent bounds, and constructive witness chains
-replaying the inclusion proofs step by step.
+"""Directed Gumm and Day term systems, the exponent bounds, and
+constructive witness chains replaying the inclusion proofs step by step.
+
+Both term conditions are chains t_0..t_k whose links are identities between
+neighbours, so one engine decides both: each is a _PathCondition record,
+_search finds a shortest chain among the term functions restricted to the
+argument tuples the record reads, and _verify checks a chain against the
+record over every tuple of the algebra.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from operator import itemgetter
 
 from .algebras import (
     CapExceeded,
@@ -86,76 +90,156 @@ def r_bound(h: int, k: int) -> int:
     return 1 + (2 ** (h + 1) - 2) * (k - 1)
 
 
+# The variables of the argument patterns below; pattern variable i is also
+# generator i, Variable(i).
+_VARS = "xyzw"
+
+
+@dataclass(frozen=True)
+class _PathCondition:
+    """A linear Maltsev condition on a chain of terms t_0..t_k of one arity,
+    written with argument patterns over the variables x, y, z, w.
+
+    An identity (P, v) says t(P) = v; a link (L, R) says t_i(L) = t_{i+1}(R).
+    Link i is links[i] while there is one, then links[cycle:] repeat.  t_0
+    is the generator start or, when start is None, any term satisfying the
+    head identity; t_1..t_k satisfy the vertex identity; t_k is the
+    generator end.
+    """
+
+    arity: int
+    start: int | None
+    head: tuple | None
+    vertex: tuple
+    links: tuple
+    cycle: int
+    end: int
+
+
+# p(x,z,z)=x; j_i(x,y,x)=x; p(x,x,z)=j_1(x,x,z), then j_i(x,z,z)=j_{i+1}(x,x,z); j_k=z
+_DGUMM = _PathCondition(3, None, ("xzz", "x"), ("xyx", "x"), (("xxz", "xxz"), ("xzz", "xxz")), 1, 2)
+# d_0=x; d_i(x,y,y,x)=x; d_i and d_{i+1} agree on (x,x,w,w) for even i and
+# on (x,y,y,w) for odd i; d_k=w
+_DAY = _PathCondition(4, 0, None, ("xyyx", "x"), (("xxww", "xxww"), ("xyyw", "xyyw")), 0, 3)
+
+
+def _phase(cond, i):
+    """The index in cond.links of link i."""
+    if i < len(cond.links):
+        return i
+    return cond.cycle + (i - cond.cycle) % (len(cond.links) - cond.cycle)
+
+
+def _read(n, law):
+    """The mixed-radix codes of the argument tuples each side of law spells,
+    one per assignment of elements to the left side's variables, in
+    lexicographic order.  A side that is one variable spells its value."""
+    sides = ([0], [0])
+    for name in sorted(set(law[0]), key=_VARS.index):
+        # a code is linear in the values: name weighs the place values of
+        # its positions
+        weights = [sum(n ** (len(p) - 1 - i) for i, v in enumerate(p) if v == name) for p in law]
+        sides = tuple([c + w * a for c in codes for a in range(n)] for codes, w in zip(sides, weights))
+    return sides
+
+
+def _verify(cond, alg, terms):
+    """Check every law of cond on the chain terms = (t_0..t_k) over every
+    tuple of alg, from the full term tables."""
+    every = _VARS[: cond.arity]
+    tables = [term_table(alg, t, cond.arity).vector for t in terms]
+    value = range(alg.size)  # an identity t(P) = v is a link to v's value
+    checks = [
+        (cond.head or (every, _VARS[cond.start]), tables[0], value),
+        ((every, _VARS[cond.end]), tables[-1], value),
+    ]
+    checks += [(cond.vertex, t, value) for t in tables[1:]]
+    checks += [(cond.links[_phase(cond, i)], tables[i], tables[i + 1]) for i in range(len(terms) - 1)]
+    reads = {law: _read(alg.size, law) for law, _, _ in checks}
+    return all(t[a] == u[b] for law, t, u in checks for a, b in zip(*reads[law]))
+
+
+def _search(cond, alg, max_k, cap):
+    """Shortest chain for cond among the term functions of alg restricted to
+    the argument tuples its laws read.  The result's system is the tuple of
+    terms t_0..t_k; node_count counts the restricted vertices.
+
+    The restriction is exact: every law reads only those tuples, so the
+    restricted graph is the full one with vertices of equal restriction
+    merged, and it has a chain of length k exactly when the full graph does.
+    The endpoints are generators, which keep their terms Variable(i).
+    """
+    identities = [cond.vertex] + ([cond.head] if cond.head else [])
+    reads = {law: _read(alg.size, law) for law in identities + list(cond.links)}
+    codes = [c for law in identities for c in reads[law][0]]
+    codes += [c for law in cond.links for side in reads[law] for c in side]
+    try:
+        free, column = _restricted_free(alg, cond.arity, codes, cap)
+    except CapExceeded as e:
+        return SearchResult(SearchStatus.CAP_EXCEEDED, None, max_k, 0, False, e)
+
+    vec = [e.vector for e in free]
+
+    def reader(codes):
+        return itemgetter(*[column[c] for c in codes])
+
+    def satisfying(law):
+        get, want = reader(reads[law][0]), tuple(reads[law][1])
+        return [pos for pos, v in enumerate(vec) if get(v) == want]
+
+    vertices = satisfying(cond.vertex)
+    heads = satisfying(cond.head) if cond.head else [cond.start]
+    sides = [tuple(map(reader, reads[law])) for law in cond.links]
+    into = [{} for _ in cond.links]  # per link: vertices by their right side
+    for index, (_, right) in zip(into, sides):
+        for v in vertices:
+            index.setdefault(right(vec[v]), []).append(v)
+
+    def linked(pos, phase):
+        return into[phase].get(sides[phase][0](vec[pos]), ())
+
+    # 1. layered BFS over (vertex, phase of its outgoing link) for the least k
+    firsts = {v for h in heads for v in linked(h, 0)}
+    frontier = {(v, _phase(cond, 1)) for v in firsts}
+    seen = set(frontier)
+    k = 1
+    while frontier and cond.end not in {v for v, _ in frontier}:
+        frontier = {(u, _phase(cond, p + 1)) for v, p in frontier for u in linked(v, p)} - seen
+        seen |= frontier
+        k += 1
+    if not frontier or k > max_k:
+        return SearchResult(SearchStatus.NOT_UP_TO, None, max_k, len(vertices), not frontier)
+
+    # 2. exact-length backward sets: from can[i], links i..k-1 reach the end
+    can = {k: {cond.end}}
+    for i in range(k - 1, 0, -1):
+        left, right = sides[_phase(cond, i)]
+        keys = {right(vec[v]) for v in can[i + 1]}
+        can[i] = {v for v in vertices if left(vec[v]) in keys}
+
+    # 3. greedy: the least t_1..t_k in closure order, then the least head
+    # linked to t_1
+    path = [min(firsts & can[1])]
+    for i in range(1, k):
+        path.append(next(v for v in linked(path[-1], _phase(cond, i)) if v in can[i + 1]))
+    left, right = sides[0]
+    head = next(h for h in heads if left(vec[h]) == right(vec[path[0]]))
+    terms = tuple(free[pos].term for pos in [head] + path)
+    return SearchResult(SearchStatus.FOUND, terms, max_k, len(vertices), False)
+
+
 def verify_directed_gumm(alg: FiniteAlgebra, system: DirectedGummSystem) -> bool:
     """Check the five defining identities over every tuple of the algebra."""
-    n = alg.size
-    p = term_table(alg, system.p, 3).vector
-    js = [term_table(alg, t, 3).vector for t in system.j]
-    if system.k != len(js) or system.k < 1:
+    if system.k != len(system.j) or system.k < 1:
         return False
-
-    def at(v, x, y, z):
-        return v[(x * n + y) * n + z]
-
-    for x in range(n):
-        for z in range(n):
-            if at(p, x, z, z) != x:
-                return False
-            if at(p, x, x, z) != at(js[0], x, x, z):
-                return False
-            for i in range(len(js) - 1):
-                if at(js[i], x, z, z) != at(js[i + 1], x, x, z):
-                    return False
-        for y in range(n):
-            for i in range(len(js)):
-                if at(js[i], x, y, x) != x:
-                    return False
-            for z in range(n):
-                if at(js[-1], x, y, z) != z:
-                    return False
-    return True
+    return _verify(_DGUMM, alg, (system.p,) + tuple(system.j))
 
 
 def verify_day(alg: FiniteAlgebra, system: DaySystem) -> bool:
     """Check the Day linking conditions over every tuple of the algebra."""
-    n = alg.size
-    ds = [term_table(alg, t, 4).vector for t in system.d]
-    if len(ds) != system.k + 1 or system.k < 0:
+    if system.k != len(system.d) - 1 or system.k < 0:
         return False
-
-    def at(v, x, y, z, w):
-        return v[((x * n + y) * n + z) * n + w]
-
-    for x in range(n):
-        for y in range(n):
-            for i in range(len(ds)):
-                if at(ds[i], x, y, y, x) != x:
-                    return False
-            for z in range(n):
-                for w in range(n):
-                    if at(ds[0], x, y, z, w) != x:
-                        return False
-                    if at(ds[-1], x, y, z, w) != w:
-                        return False
-            for w in range(n):
-                for i in range(len(ds) - 1):
-                    if i % 2 == 0:
-                        if at(ds[i], x, x, w, w) != at(ds[i + 1], x, x, w, w):
-                            return False
-                    else:
-                        if at(ds[i], x, y, y, w) != at(ds[i + 1], x, y, y, w):
-                            return False
-    return True
-
-
-class _Node:
-    __slots__ = ("pos", "elem", "sig_a", "sig_b")
-
-    def __init__(self, pos, elem, sig_a, sig_b):
-        self.pos = pos
-        self.elem = elem
-        self.sig_a = sig_a
-        self.sig_b = sig_b
+    return _verify(_DAY, alg, tuple(system.d))
 
 
 def _restricted_free(alg, g, codes, cap):
@@ -180,198 +264,47 @@ def _restricted_free(alg, g, codes, cap):
     return free, {code: column for column, code in enumerate(codes)}
 
 
-def _values(vec, columns):
-    return tuple(vec[i] for i in columns)
-
-
 def find_directed_gumm(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> SearchResult:
-    """Shortest directed Gumm system for the variety generated by alg.
-
-    Searches the graph on ternary term functions whose vertices satisfy
-    j(x,y,x)=x, with an edge f->g when f(a,c,c)=g(a,a,c) everywhere; a vertex
-    is a source when some q with q(x,z,z)=x plays p for it, and the target is
-    the third projection.  The returned k is minimal; the graph is finite, so
-    a missing path is a definitive no for every k.
-
-    The term functions are restricted to the argument tuples (a,b,a), (a,c,c)
-    and (a,a,c), a subpower of width 3n^2-2n instead of F(3)'s n^3.  This is
-    exact: every vertex, edge and p condition reads only those tuples, so
-    the restricted graph is the full one with vertices of equal restriction
-    merged, and it has a path of length k exactly when the full graph does.
-    The target is the generator z, which keeps its term Variable(2), so the
-    last j is the projection on every tuple.  cap bounds the restricted
-    width and the closure size; node_count counts restricted vertices.
-    """
+    """Shortest directed Gumm system for the variety generated by alg: the
+    _DGUMM chain p, j_1..j_k, found by _search among the ternary term
+    functions restricted to (a,b,a), (a,c,c) and (a,a,c), a subpower of
+    width 3n^2-2n instead of F(3)'s n^3.  The returned k is minimal; the
+    graph is finite, so a missing path is a definitive no for every k.  cap
+    bounds the restricted width and the closure size."""
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    n = alg.size
-    if n == 1:
+    if alg.size == 1:
         system = DirectedGummSystem(1, Variable(2), (Variable(2),))
         return SearchResult(SearchStatus.FOUND, system, max_k, 1, False)
-    rng = range(n)
-    aba = [(a * n + b) * n + a for a in rng for b in rng]
-    acc = [(a * n + c) * n + c for a in rng for c in rng]
-    aac = [(a * n + a) * n + c for a in rng for c in rng]
-    try:
-        free, column = _restricted_free(alg, 3, aba + acc + aac, cap)
-    except CapExceeded as e:
-        return SearchResult(SearchStatus.CAP_EXCEEDED, None, max_k, 0, False, e)
-    aba, acc, aac = ([column[code] for code in codes] for codes in (aba, acc, aac))
-
-    # the first projection's values at (a,b,a), (a,c,c): a for every pair
-    first_sig = tuple(a for a in rng for _ in rng)
-
-    # vertices: j(x,y,x) = x everywhere
-    nodes = []
-    for pos, e in enumerate(free):
-        v = e.vector
-        if _values(v, aba) == first_sig:
-            nodes.append(_Node(pos, e, _values(v, aac), _values(v, acc)))
-
-    # p candidates: q(a,c,c) = a everywhere, keyed by their (a,a,c) behaviour
-    p_by_sig = {}
-    for e in free:
-        if _values(e.vector, acc) == first_sig:
-            p_by_sig.setdefault(_values(e.vector, aac), e)
-
-    by_aac = {}
-    by_acc = {}
-    for node in nodes:
-        by_aac.setdefault(node.sig_a, []).append(node)
-        by_acc.setdefault(node.sig_b, []).append(node)
-
-    target = next(node for node in nodes if node.pos == 2)  # the generator z
-    sources = [node for node in nodes if node.sig_a in p_by_sig]
-
-    # backward BFS from the target: rdist counts edges to the target
-    rdist = {target.pos: 0}
-    queue = deque([target])
-    while queue:
-        v = queue.popleft()
-        for u in by_acc.get(v.sig_a, ()):
-            if u.pos not in rdist:
-                rdist[u.pos] = rdist[v.pos] + 1
-                queue.append(u)
-
-    reachable = [s for s in sources if s.pos in rdist]
-    if not reachable:
-        return SearchResult(SearchStatus.NOT_UP_TO, None, max_k, len(nodes), True)
-    k_star = min(rdist[s.pos] for s in reachable) + 1
-    if k_star > max_k:
-        return SearchResult(SearchStatus.NOT_UP_TO, None, max_k, len(nodes), False)
-
-    # lexicographically least shortest path in free-element canonical order
-    cur = next(s for s in nodes if s in reachable and rdist[s.pos] == k_star - 1)
-    path = [cur]
-    while rdist[cur.pos] > 0:
-        cur = next(v for v in by_aac[cur.sig_b] if rdist.get(v.pos) == rdist[cur.pos] - 1)
-        path.append(cur)
-
-    system = DirectedGummSystem(
-        k_star, p_by_sig[path[0].sig_a].term, tuple(node.elem.term for node in path)
-    )
+    res = _search(_DGUMM, alg, max_k, cap)
+    if not res.found:
+        return res
+    p, *j = res.system
+    system = DirectedGummSystem(len(j), p, tuple(j))
     if not verify_directed_gumm(alg, system):
         raise RuntimeError("internal error: directed Gumm search produced an invalid system")
-    return SearchResult(SearchStatus.FOUND, system, max_k, len(nodes), False)
+    return replace(res, system=system)
 
 
 def find_day(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> SearchResult:
-    """Minimal Day system via layered BFS over quaternary term functions,
-    from the first projection to the last, alternating the even (x,x,w,w)
-    and odd (x,y,y,w) agreement conditions among the vertices d with
-    d(x,y,y,x)=x.
-
-    The term functions are restricted to the argument tuples (a,b,b,c) and
-    (a,a,c,c), which cover the vertex tuples (a,b,b,a): a subpower of width
-    n^3+n^2-n instead of F(4)'s n^4.  This is exact: every vertex and edge
-    condition reads only those tuples, so the restricted graph is the full
-    one with vertices of equal restriction merged, and it has a path of
-    length k exactly when the full graph does.  The endpoints are the
-    generators x and w, which keep their terms Variable(0) and Variable(3),
-    so d_0 and d_k are projections on every tuple.  cap bounds the
-    restricted width and the closure size; node_count counts restricted
-    vertices.
-    """
+    """Minimal Day system for the variety generated by alg: the _DAY chain
+    d_0..d_k, found by _search among the quaternary term functions
+    restricted to (a,b,b,c) and (a,a,c,c), which cover the vertex tuples
+    (a,b,b,a): a subpower of width n^3+n^2-n instead of F(4)'s n^4.  The
+    returned k is minimal; a missing path is a definitive no.  cap bounds
+    the restricted width and the closure size."""
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    n = alg.size
-    if n == 1:
+    if alg.size == 1:
         system = DaySystem(0, (Variable(0),))
         return SearchResult(SearchStatus.FOUND, system, max_k, 1, False)
-    rng = range(n)
-    odd = [((a * n + b) * n + b) * n + c for a in rng for b in rng for c in rng]
-    even = [((a * n + a) * n + c) * n + c for a in rng for c in rng]
-    abba = [((a * n + b) * n + b) * n + a for a in rng for b in rng]
-    try:
-        free, column = _restricted_free(alg, 4, odd + even, cap)
-    except CapExceeded as e:
-        return SearchResult(SearchStatus.CAP_EXCEEDED, None, max_k, 0, False, e)
-    odd, even, abba = ([column[code] for code in codes] for codes in (odd, even, abba))
-
-    # vertices: d(x,y,y,x) = x everywhere
-    first_sig = tuple(a for a in rng for _ in rng)
-    nodes = []
-    for pos, e in enumerate(free):
-        v = e.vector
-        if _values(v, abba) == first_sig:
-            nodes.append(_Node(pos, e, _values(v, even), _values(v, odd)))
-
-    groups = ({}, {})  # by even sig, by odd sig
-    for node in nodes:
-        groups[0].setdefault(node.sig_a, []).append(node)
-        groups[1].setdefault(node.sig_b, []).append(node)
-
-    def sig(node, parity):
-        return node.sig_a if parity == 0 else node.sig_b
-
-    x_node = next(node for node in nodes if node.pos == 0)  # the generator x
-    w_node = next(node for node in nodes if node.pos == 3)  # the generator w
-
-    seen = {(x_node.pos, 0)}
-    frontier = [x_node]
-    level = 0
-    found_k = None
-    while frontier:
-        if any(v.pos == w_node.pos for v in frontier):
-            found_k = level
-            break
-        parity = level % 2
-        nxt = []
-        for u in frontier:
-            for v in groups[parity][sig(u, parity)]:
-                state = (v.pos, (level + 1) % 2)
-                if state not in seen:
-                    seen.add(state)
-                    nxt.append(v)
-        frontier = nxt
-        level += 1
-
-    if found_k is None:
-        return SearchResult(SearchStatus.NOT_UP_TO, None, max_k, len(nodes), True)
-    if found_k > max_k:
-        return SearchResult(SearchStatus.NOT_UP_TO, None, max_k, len(nodes), False)
-
-    # exact-length reachability sets, then greedy least-position choices
-    can = [None] * (found_k + 1)
-    can[found_k] = {w_node.pos}
-    node_by_pos = {node.pos: node for node in nodes}
-    for i in range(found_k - 1, -1, -1):
-        parity = i % 2
-        sigs = {sig(node_by_pos[p], parity) for p in can[i + 1]}
-        can[i] = {node.pos for node in nodes if sig(node, parity) in sigs}
-    if x_node.pos not in can[0]:
-        raise RuntimeError("internal error: Day reconstruction lost the start node")
-    path = [x_node]
-    cur = x_node
-    for i in range(found_k):
-        parity = i % 2
-        cur = next(v for v in groups[parity][sig(cur, parity)] if v.pos in can[i + 1])
-        path.append(cur)
-
-    system = DaySystem(found_k, tuple(node.elem.term for node in path))
+    res = _search(_DAY, alg, max_k, cap)
+    if not res.found:
+        return res
+    system = DaySystem(len(res.system) - 1, res.system)
     if not verify_day(alg, system):
         raise RuntimeError("internal error: Day search produced an invalid system")
-    return SearchResult(SearchStatus.FOUND, system, max_k, len(nodes), False)
+    return replace(res, system=system)
 
 
 class ModularityStatus(Enum):
@@ -393,12 +326,12 @@ class ModularityVerdict:
 
 def decide_modularity(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> ModularityVerdict:
     """Congruence modularity of the generated variety, via directed Gumm
-    terms found by find_directed_gumm, which searches ternary term functions
-    restricted to the tuples (a,b,a), (a,c,c) and (a,a,c); that restriction
-    is exact, since the conditions read nothing else.  A NO is definitive
-    once the finite node set admits no path at all, or once max_k reaches
-    the node count, which counts restricted vertices: a shortest path in the
-    restricted graph visits distinct vertices."""
+    terms found by find_directed_gumm: the path-condition engine run on the
+    directed Gumm record, over ternary term functions restricted to the
+    tuples (a,b,a), (a,c,c) and (a,a,c) that record reads.  A NO is
+    definitive once the finite node set admits no path at all, or once
+    max_k reaches the node count, which counts restricted vertices: a
+    shortest path in the restricted graph visits distinct vertices."""
     res = find_directed_gumm(alg, max_k, cap)
     if res.status is SearchStatus.CAP_EXCEEDED:
         return ModularityVerdict(

@@ -1,6 +1,7 @@
 """Independent reference implementations used to cross-check the package:
-pairs-set relation semantics, brute-force lattice filters, and term-level
-graph searches recomputed without the production signatures."""
+pairs-set relation semantics, brute-force lattice filters, term-level
+graph searches recomputed without the production signatures, and term
+system certificates written straight from the defining identities."""
 
 from itertools import product
 
@@ -156,3 +157,47 @@ def day_shortest(alg):
         frontier = nxt
         level += 1
     return None
+
+
+# --- term system certificates ------------------------------------------------------
+
+
+def dg_system_holds(alg, system):
+    """The directed Gumm identities for p, j_1..j_k, by term evaluation at
+    every tuple."""
+    n, p, j = alg.size, system.p, system.j
+    if system.k != len(j) or not j:
+        return False
+
+    def ev(t, *args):
+        return eval_term(alg, t, args)
+
+    for x, y, z in product(range(n), repeat=3):
+        if ev(p, x, z, z) != x or ev(p, x, x, z) != ev(j[0], x, x, z):
+            return False
+        if any(ev(t, x, y, x) != x for t in j) or ev(j[-1], x, y, z) != z:
+            return False
+        if any(ev(j[i], x, z, z) != ev(j[i + 1], x, x, z) for i in range(len(j) - 1)):
+            return False
+    return True
+
+
+def day_system_holds(alg, system):
+    """The Day identities for d_0..d_k, by term evaluation at every tuple."""
+    n, d = alg.size, system.d
+    if system.k != len(d) - 1 or not d:
+        return False
+
+    def ev(t, *args):
+        return eval_term(alg, t, args)
+
+    for x, y, z, w in product(range(n), repeat=4):
+        if ev(d[0], x, y, z, w) != x or ev(d[-1], x, y, z, w) != w:
+            return False
+        if any(ev(t, x, y, y, x) != x for t in d):
+            return False
+        for i in range(len(d) - 1):
+            args = (x, x, w, w) if i % 2 == 0 else (x, y, y, w)
+            if ev(d[i], *args) != ev(d[i + 1], *args):
+                return False
+    return True

@@ -39,17 +39,6 @@ def test_check_counterexample_exit_codes():
     assert res.returncode == 4
 
 
-def test_check_jobs_flag_deterministic():
-    args = (
-        "check", "--algebra", "z2xz2", "--identity", "(dist)",
-        "--sort", "Theta=CON", "--sort", "S=CON", "--sort", "T=CON",
-    )
-    plain = run_cli(*args)
-    jobs = run_cli(*args, "--jobs", "3")
-    # the command line differs only in the echoed command; compare verdict lines
-    assert plain.stdout.splitlines()[2:] == jobs.stdout.splitlines()[2:]
-
-
 def test_check_label_without_parens():
     res = run_cli("check", "--algebra", "l2", "--identity", "1.1")
     assert res.returncode == 0
@@ -244,3 +233,16 @@ def test_one_element_algebra_day(tmp_path):
     res = run_cli("find-terms", "--algebra", str(path), "--family", "day")
     assert res.returncode == 0
     assert "FOUND k=0" in res.stdout
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    # only user mistakes exit 2; a KeyError from inside a command is a bug
+    # and must surface as one
+    from relmod import cli
+
+    def broken(args, alg):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "_cmd_enumerate", broken)
+    with pytest.raises(KeyError):
+        cli.main(["enumerate", "--algebra", "l2", "--kind", "refl"])

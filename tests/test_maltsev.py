@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from relmod.algebras import CapExceeded, FiniteAlgebra, free_algebra, projection, term_table
+from relmod import corpus
+from relmod.algebras import CapExceeded, FiniteAlgebra, format_term, free_algebra, projection, term_table
 from relmod.maltsev import (
     DaySystem,
     DirectedGummSystem,
@@ -46,7 +47,12 @@ def test_bounds_match_closed_forms():
         r_bound(1, 1)
 
 
-from oracles import day_shortest as _day_shortest, dg_shortest as _dg_shortest
+from oracles import (
+    day_shortest as _day_shortest,
+    day_system_holds,
+    dg_shortest as _dg_shortest,
+    dg_system_holds,
+)
 
 # --- directed Gumm search -------------------------------------------------------
 
@@ -184,9 +190,9 @@ def test_restricted_search_matches_oracles(alg):
         free_algebra(alg, 4, cap=ORACLE_CAP)
     except CapExceeded:
         assume(False)
-    for find, oracle, verify in (
-        (find_directed_gumm, _dg_shortest, verify_directed_gumm),
-        (find_day, _day_shortest, verify_day),
+    for find, oracle, verify, holds in (
+        (find_directed_gumm, _dg_shortest, verify_directed_gumm, dg_system_holds),
+        (find_day, _day_shortest, verify_day, day_system_holds),
     ):
         res = find(alg)
         want = oracle(alg)
@@ -195,6 +201,7 @@ def test_restricted_search_matches_oracles(alg):
         else:
             assert res.found and res.system.k == want
             assert verify(alg, res.system)
+            assert holds(alg, res.system)
 
 
 # --- verifiers -------------------------------------------------------------------
@@ -204,17 +211,71 @@ def test_verify_rejects_reversed_j(l2):
     sys_ = find_directed_gumm(l2, max_k=8).system
     reversed_sys = DirectedGummSystem(sys_.k, sys_.p, tuple(reversed(sys_.j)))
     assert not verify_directed_gumm(l2, reversed_sys)
+    assert not dg_system_holds(l2, reversed_sys)
 
 
 def test_verify_rejects_wrong_day(l2):
     sys_ = find_day(l2, max_k=8).system
     broken = DaySystem(sys_.k, tuple(reversed(sys_.d)))
     assert not verify_day(l2, broken)
+    assert not day_system_holds(l2, broken)
 
 
 def test_verify_wrong_k(l2):
     sys_ = find_directed_gumm(l2, max_k=8).system
     assert not verify_directed_gumm(l2, DirectedGummSystem(sys_.k + 1, sys_.p, sys_.j))
+    day = find_day(l2, max_k=8).system
+    for k in (day.k - 1, day.k + 1):
+        assert not verify_day(l2, DaySystem(k, day.d))
+        assert not day_system_holds(l2, DaySystem(k, day.d))
+
+
+# status, k, node_count, definitive and the printed terms (p, j_1..j_k or
+# d_0..d_k) of the default search on every corpus algebra: the tie-break
+# picks the least term functions in closure order
+CORPUS_TERMS = {
+    ("l2", "dgumm"): ("found", 2, 9, False, ["x", "meet(meet(join(x,y),join(x,z)),join(y,z))", "z"]),
+    ("l2", "day"): ("found", 3, 16, False, [
+        "x",
+        "meet(meet(join(x,y),join(x,w)),join(y,w))",
+        "meet(meet(join(x,z),join(x,w)),join(z,w))",
+        "w",
+    ]),
+    ("m3", "dgumm"): ("found", 2, 9, False, ["x", "meet(meet(join(x,y),join(x,z)),join(y,z))", "z"]),
+    ("m3", "day"): ("found", 3, 40, False, [
+        "x",
+        "meet(meet(join(x,y),join(x,w)),join(y,w))",
+        "meet(meet(join(x,z),join(x,w)),join(z,w))",
+        "w",
+    ]),
+    ("sl2", "dgumm"): ("not-up-to", None, 3, True, None),
+    ("sl2", "day"): ("not-up-to", None, 3, True, None),
+    ("sl3", "dgumm"): ("not-up-to", None, 3, True, None),
+    ("sl3", "day"): ("not-up-to", None, 3, True, None),
+    ("z2", "dgumm"): ("found", 1, 2, False, ["xor(xor(x,y),z)", "z"]),
+    ("z2", "day"): ("found", 2, 4, False, ["x", "xor(xor(y,z),w)", "w"]),
+    ("z2xz2", "dgumm"): ("found", 1, 2, False, ["xor(xor(x,y),z)", "z"]),
+    ("z2xz2", "day"): ("found", 2, 4, False, ["x", "xor(xor(y,z),w)", "w"]),
+}
+
+
+@pytest.mark.parametrize("family", ["dgumm", "day"])
+@pytest.mark.parametrize("name", corpus.builtin_names())
+def test_corpus_terms_pinned(name, family):
+    if family == "dgumm":
+        res = find_directed_gumm(corpus.builtin(name))
+        terms = (res.system.p,) + res.system.j if res.found else None
+    else:
+        res = find_day(corpus.builtin(name))
+        terms = res.system.d if res.found else None
+    got = (
+        res.status.value,
+        res.system.k if res.found else None,
+        res.node_count,
+        res.definitive,
+        [format_term(t) for t in terms] if terms else None,
+    )
+    assert got == CORPUS_TERMS[name, family]
 
 
 # --- modularity decision ------------------------------------------------------------
@@ -252,6 +313,7 @@ def test_two_element_binary_spectrum():
         if res.found:
             key = res.system.k
             assert verify_directed_gumm(alg, res.system)
+            assert dg_system_holds(alg, res.system)
         else:
             assert res.definitive
             key = "no"
