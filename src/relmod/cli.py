@@ -118,7 +118,7 @@ def _render_text(report):
                 extra = " (definitive)" if item.get("definitive") else ""
                 lines.append(
                     f"[find-terms] {item['family']}: {item['status'].upper()}"
-                    f" max_k={item['max_k']} nodes={item['node_count']}{extra}"
+                    f" nodes={item['node_count']}{extra}"
                 )
         elif kind == "witness":
             lines.append(
@@ -202,7 +202,7 @@ def _cmd_enumerate(args, alg):
 
 def _cmd_find_terms(args, alg):
     if args.family == "dgumm":
-        res = find_directed_gumm(alg, max_k=args.max_k, cap=args.cap)
+        res = find_directed_gumm(alg, cap=args.cap)
 
         def term_names(system):
             out = {"p": format_term(system.p)}
@@ -210,7 +210,7 @@ def _cmd_find_terms(args, alg):
             return out
 
     else:
-        res = find_day(alg, max_k=args.max_k, cap=args.cap)
+        res = find_day(alg, cap=args.cap)
 
         def term_names(system):
             return {f"d{i}": format_term(t) for i, t in enumerate(system.d)}
@@ -218,13 +218,13 @@ def _cmd_find_terms(args, alg):
         "_kind": "find-terms",
         "family": args.family,
         "status": res.status.value,
-        "max_k": res.max_k,
         "node_count": res.node_count,
         "definitive": res.definitive,
         "k": res.system.k if res.found else None,
         "terms": term_names(res.system) if res.found else None,
     }
     if res.status is SearchStatus.CAP_EXCEEDED:
+        print(f"error: {res.cap_error}", file=sys.stderr)
         return [item], 3
     return [item], 0 if res.found else 1
 
@@ -242,6 +242,16 @@ def _witness_relations(args, n, needed):
     return rels
 
 
+def _found(res, family):
+    """The system a search found; its cap error, or a precondition error
+    when there is none."""
+    if res.cap_error is not None:
+        raise res.cap_error
+    if not res.found:
+        raise PreconditionError(f"no {family} system found for this algebra")
+    return res.system
+
+
 def _cmd_witness(args, alg):
     n = alg.size
     if args.theorem in ("turt", "turtt"):
@@ -257,13 +267,11 @@ def _cmd_witness(args, alg):
         if not s_names:
             raise UsageError("turt/turtt witnesses need --rel S1=... (S2=..., ...)")
         rels = _witness_relations(args, n, ["R", "V", "W"] + s_names)
-        res = find_directed_gumm(alg, max_k=args.max_k, cap=args.cap)
-        if not res.found:
-            raise PreconditionError("no directed Gumm system found for this algebra")
+        system = _found(find_directed_gumm(alg, cap=args.cap), "directed Gumm")
         build = witness_turt if args.theorem == "turt" else witness_turtt
         chain_obj = build(
             alg,
-            res.system,
+            system,
             rels["R"],
             rels["V"],
             rels["W"],
@@ -272,20 +280,16 @@ def _cmd_witness(args, alg):
             args.b,
             chain,
         )
-        k = res.system.k
     else:
         if args.a is None or args.b is None or args.c is None:
             raise UsageError("day witnesses need --a, --b and --c")
         rels = _witness_relations(args, n, ["Theta", "S"])
-        res = find_day(alg, max_k=args.max_k, cap=args.cap)
-        if not res.found:
-            raise PreconditionError("no Day system found for this algebra")
-        chain_obj = witness_day(alg, res.system, rels["Theta"], rels["S"], args.a, args.b, args.c)
-        k = res.system.k
+        system = _found(find_day(alg, cap=args.cap), "Day")
+        chain_obj = witness_day(alg, system, rels["Theta"], rels["S"], args.a, args.b, args.c)
     item = {
         "_kind": "witness",
         "theorem": args.theorem,
-        "k": k,
+        "k": system.k,
         "start": chain_obj.start,
         "end": chain_obj.end,
         "lam_blocks": chain_obj.lam_blocks,
@@ -335,7 +339,6 @@ def build_parser():
     p = sub.add_parser("find-terms", help="search for directed Gumm or Day terms")
     common(p)
     p.add_argument("--family", choices=("dgumm", "day"), required=True)
-    p.add_argument("--max-k", type=int, default=16)
 
     p = sub.add_parser("witness", help="emit a witness chain for one instance")
     common(p)
@@ -345,7 +348,6 @@ def build_parser():
     p.add_argument("--b", type=int)
     p.add_argument("--c", type=int)
     p.add_argument("--chain", help="comma-separated elements a_0..a_l")
-    p.add_argument("--max-k", type=int, default=16)
 
     p = sub.add_parser("catalog", help="print every catalog identity")
     p.add_argument("--format", choices=("text", "structured"), default="text")

@@ -60,7 +60,7 @@ class DaySystem:
 
 class SearchStatus(Enum):
     FOUND = "found"
-    NOT_UP_TO = "not-up-to"
+    NOT_UP_TO = "not-up-to"  # no chain of any length exists
     CAP_EXCEEDED = "cap-exceeded"
 
 
@@ -68,14 +68,17 @@ class SearchStatus(Enum):
 class SearchResult:
     status: SearchStatus
     system: DirectedGummSystem | DaySystem | None
-    max_k: int
     node_count: int
-    definitive: bool  # True when no path of any length exists
     cap_error: CapExceeded | None = None
 
     @property
     def found(self):
         return self.status is SearchStatus.FOUND
+
+    @property
+    def definitive(self):
+        """True when no chain of any length exists."""
+        return self.status is SearchStatus.NOT_UP_TO
 
 
 def q_bound(h: int, k: int) -> int:
@@ -159,7 +162,7 @@ def _verify(cond, alg, terms):
     return all(t[a] == u[b] for law, t, u in checks for a, b in zip(*reads[law]))
 
 
-def _search(cond, alg, max_k, cap):
+def _search(cond, alg, cap):
     """Shortest chain for cond among the term functions of alg restricted to
     the argument tuples its laws read.  The result's system is the tuple of
     terms t_0..t_k; node_count counts the restricted vertices.
@@ -176,7 +179,7 @@ def _search(cond, alg, max_k, cap):
     try:
         free, column = _restricted_free(alg, cond.arity, codes, cap)
     except CapExceeded as e:
-        return SearchResult(SearchStatus.CAP_EXCEEDED, None, max_k, 0, False, e)
+        return SearchResult(SearchStatus.CAP_EXCEEDED, None, 0, e)
 
     vec = [e.vector for e in free]
 
@@ -207,8 +210,8 @@ def _search(cond, alg, max_k, cap):
         frontier = {(u, _phase(cond, p + 1)) for v, p in frontier for u in linked(v, p)} - seen
         seen |= frontier
         k += 1
-    if not frontier or k > max_k:
-        return SearchResult(SearchStatus.NOT_UP_TO, None, max_k, len(vertices), not frontier)
+    if not frontier:
+        return SearchResult(SearchStatus.NOT_UP_TO, None, len(vertices))
 
     # 2. exact-length backward sets: from can[i], links i..k-1 reach the end
     can = {k: {cond.end}}
@@ -225,7 +228,7 @@ def _search(cond, alg, max_k, cap):
     left, right = sides[0]
     head = next(h for h in heads if left(vec[h]) == right(vec[path[0]]))
     terms = tuple(free[pos].term for pos in [head] + path)
-    return SearchResult(SearchStatus.FOUND, terms, max_k, len(vertices), False)
+    return SearchResult(SearchStatus.FOUND, terms, len(vertices))
 
 
 def verify_directed_gumm(alg: FiniteAlgebra, system: DirectedGummSystem) -> bool:
@@ -264,19 +267,17 @@ def _restricted_free(alg, g, codes, cap):
     return free, {code: column for column, code in enumerate(codes)}
 
 
-def find_directed_gumm(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> SearchResult:
+def find_directed_gumm(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
     """Shortest directed Gumm system for the variety generated by alg: the
     _DGUMM chain p, j_1..j_k, found by _search among the ternary term
     functions restricted to (a,b,a), (a,c,c) and (a,a,c), a subpower of
     width 3n^2-2n instead of F(3)'s n^3.  The returned k is minimal; the
-    graph is finite, so a missing path is a definitive no for every k.  cap
+    graph is finite, so NOT_UP_TO means no chain of any length exists.  cap
     bounds the restricted width and the closure size."""
-    if max_k < 1:
-        raise ValueError("max_k must be >= 1")
     if alg.size == 1:
         system = DirectedGummSystem(1, Variable(2), (Variable(2),))
-        return SearchResult(SearchStatus.FOUND, system, max_k, 1, False)
-    res = _search(_DGUMM, alg, max_k, cap)
+        return SearchResult(SearchStatus.FOUND, system, 1)
+    res = _search(_DGUMM, alg, cap)
     if not res.found:
         return res
     p, *j = res.system
@@ -286,19 +287,17 @@ def find_directed_gumm(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_C
     return replace(res, system=system)
 
 
-def find_day(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> SearchResult:
+def find_day(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
     """Minimal Day system for the variety generated by alg: the _DAY chain
     d_0..d_k, found by _search among the quaternary term functions
     restricted to (a,b,b,c) and (a,a,c,c), which cover the vertex tuples
     (a,b,b,a): a subpower of width n^3+n^2-n instead of F(4)'s n^4.  The
-    returned k is minimal; a missing path is a definitive no.  cap bounds
-    the restricted width and the closure size."""
-    if max_k < 1:
-        raise ValueError("max_k must be >= 1")
+    returned k is minimal; NOT_UP_TO means no chain of any length exists.
+    cap bounds the restricted width and the closure size."""
     if alg.size == 1:
         system = DaySystem(0, (Variable(0),))
-        return SearchResult(SearchStatus.FOUND, system, max_k, 1, False)
-    res = _search(_DAY, alg, max_k, cap)
+        return SearchResult(SearchStatus.FOUND, system, 1)
+    res = _search(_DAY, alg, cap)
     if not res.found:
         return res
     system = DaySystem(len(res.system) - 1, res.system)
@@ -307,44 +306,11 @@ def find_day(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> Sea
     return replace(res, system=system)
 
 
-class ModularityStatus(Enum):
-    MODULAR = "modular"
-    NO_TERMS_UP_TO = "no-terms-up-to"
-    CAP_EXCEEDED = "cap-exceeded"
-
-
-@dataclass(frozen=True)
-class ModularityVerdict:
-    status: ModularityStatus
-    k: int | None
-    system: DirectedGummSystem | None
-    max_k: int
-    node_count: int
-    definitive: bool
-    cap_error: CapExceeded | None = None
-
-
-def decide_modularity(alg: FiniteAlgebra, max_k: int = 16, cap: int = DEFAULT_CAP) -> ModularityVerdict:
-    """Congruence modularity of the generated variety, via directed Gumm
-    terms found by find_directed_gumm: the path-condition engine run on the
-    directed Gumm record, over ternary term functions restricted to the
-    tuples (a,b,a), (a,c,c) and (a,a,c) that record reads.  A NO is
-    definitive once the finite node set admits no path at all, or once
-    max_k reaches the node count, which counts restricted vertices: a
-    shortest path in the restricted graph visits distinct vertices."""
-    res = find_directed_gumm(alg, max_k, cap)
-    if res.status is SearchStatus.CAP_EXCEEDED:
-        return ModularityVerdict(
-            ModularityStatus.CAP_EXCEEDED, None, None, max_k, 0, False, res.cap_error
-        )
-    if res.status is SearchStatus.FOUND:
-        return ModularityVerdict(
-            ModularityStatus.MODULAR, res.system.k, res.system, max_k, res.node_count, True
-        )
-    definitive = res.definitive or max_k >= res.node_count
-    return ModularityVerdict(
-        ModularityStatus.NO_TERMS_UP_TO, None, None, max_k, res.node_count, definitive
-    )
+def decide_modularity(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
+    """Congruence modularity of the generated variety, decided by directed
+    Gumm terms: find_directed_gumm's result.  FOUND means modular; NOT_UP_TO
+    means no chain of any length exists, so the variety is not modular."""
+    return find_directed_gumm(alg, cap)
 
 
 @dataclass(frozen=True)

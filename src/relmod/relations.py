@@ -172,25 +172,11 @@ def is_transitive(r: BinRel) -> bool:
 
 def is_admissible(alg: FiniteAlgebra, r: BinRel) -> bool:
     """True iff r is closed under every operation applied componentwise,
-    i.e. r is a subuniverse of A x A."""
+    i.e. r is a subuniverse of A x A: closing it adds no pair."""
     if r.n != alg.size:
         raise ValueError(f"relation size {r.n} does not match algebra size {alg.size}")
-    n = alg.size
-    prs = r.pairs()
-    for op in alg.operations:
-        if op.arity == 0:
-            c = op.table[0]
-            if not r.has(c, c):
-                return False
-            continue
-        for args in product(prs, repeat=op.arity):
-            i = j = 0
-            for x, y in args:
-                i = i * n + x
-                j = j * n + y
-            if not r.has(op.table[i], op.table[j]):
-                return False
-    return True
+    pairs = set(r.pairs())
+    return _pair_closure(alg, pairs) == pairs
 
 
 def is_tolerance(alg: FiniteAlgebra, r: BinRel) -> bool:
@@ -297,19 +283,9 @@ _CLOSERS = {
     RelKind.CONGRUENCE: congruence_generated,
 }
 
-_PREDICATES = {
-    RelKind.REFL_ADM: lambda alg, r: is_reflexive(r) and is_admissible(alg, r),
-    RelKind.TOLERANCE: is_tolerance,
-    RelKind.CONGRUENCE: is_congruence,
-}
-
 
 def close_to_kind(alg: FiniteAlgebra, kind: RelKind, r: BinRel) -> BinRel:
     return _CLOSERS[kind](alg, r)
-
-
-def satisfies_kind(alg: FiniteAlgebra, kind: RelKind, r: BinRel) -> bool:
-    return _PREDICATES[kind](alg, r)
 
 
 @dataclass(frozen=True)

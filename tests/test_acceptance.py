@@ -61,16 +61,16 @@ def _report(num, text):
 
 def test_criterion_1_term_search_ground_truth(z2, l2, sl2, sl3):
     # directed Gumm: k=1 on Z2, k=2 on L2, definitive NO on both semilattices
-    res_z2 = find_directed_gumm(z2, max_k=8)
+    res_z2 = find_directed_gumm(z2)
     assert res_z2.found and res_z2.system.k == 1
     assert verify_directed_gumm(z2, res_z2.system)
 
-    res_l2 = find_directed_gumm(l2, max_k=8)
+    res_l2 = find_directed_gumm(l2)
     assert res_l2.found and res_l2.system.k == 2
     assert verify_directed_gumm(l2, res_l2.system)
 
     for alg in (sl2, sl3):
-        res = find_directed_gumm(alg, max_k=8)
+        res = find_directed_gumm(alg)
         assert res.status is SearchStatus.NOT_UP_TO and res.definitive
         assert dg_shortest(alg) is None
 
@@ -80,11 +80,11 @@ def test_criterion_1_term_search_ground_truth(z2, l2, sl2, sl3):
 
     # Day terms: definitive NO on semilattices, FOUND on Z2 and L2
     for alg in (sl2, sl3):
-        res = find_day(alg, max_k=10)
+        res = find_day(alg)
         assert res.status is SearchStatus.NOT_UP_TO and res.definitive
         assert day_shortest(alg) is None
-    day_z2 = find_day(z2, max_k=10)
-    day_l2 = find_day(l2, max_k=10)
+    day_z2 = find_day(z2)
+    day_l2 = find_day(l2)
     assert day_z2.found and verify_day(z2, day_z2.system)
     assert day_l2.found and verify_day(l2, day_l2.system)
     assert day_shortest(z2) == day_z2.system.k == 2
@@ -95,7 +95,7 @@ def test_criterion_1_term_search_ground_truth(z2, l2, sl2, sl3):
 def test_criterion_2_modular_positive_suite(z2, l2, z2xz2, m3):
     algebras = (z2, l2, z2xz2, m3)
     for alg in algebras:
-        assert find_directed_gumm(alg, max_k=8).found
+        assert find_directed_gumm(alg).found
     checks = 0
     for alg in algebras:
         for label in ("(1.1)", "(1.2)", "(1.3)", "(1.4)", "(1.5)"):
@@ -211,7 +211,7 @@ def test_criterion_5_tut_catalog(l2, z2xz2):
 
 
 def test_criterion_6_witness_replay(z2, l2):
-    gsys = find_directed_gumm(l2, max_k=8).system
+    gsys = find_directed_gumm(l2).system
     assert gsys.k == 2
     lattice = enumerate_relations(l2, RelKind.REFL_ADM).members
     chains = 0
@@ -236,7 +236,7 @@ def test_criterion_6_witness_replay(z2, l2):
 
     day_chains = 0
     for alg in (z2, l2):
-        dsys = find_day(alg, max_k=8).system
+        dsys = find_day(alg).system
         tols = enumerate_relations(alg, RelKind.TOLERANCE).members
         refl = enumerate_relations(alg, RelKind.REFL_ADM).members
         for theta, s in itertools.product(tols, refl):
@@ -252,7 +252,7 @@ def test_criterion_6_witness_replay(z2, l2):
 def test_criterion_7_permutability_corollary(z2, z2xz2):
     # k=1 algebras: every reflexive admissible relation is a congruence
     for alg in (z2, z2xz2):
-        assert find_directed_gumm(alg, max_k=4).system.k == 1
+        assert find_directed_gumm(alg).system.k == 1
         refl = enumerate_relations(alg, RelKind.REFL_ADM).members
         cons = enumerate_relations(alg, RelKind.CONGRUENCE).members
         assert refl == cons

@@ -1,9 +1,12 @@
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+from relmod import cli
 from relmod.corpus import builtin_json
 
 
@@ -127,6 +130,15 @@ def test_find_terms_day(name):
 def test_find_terms_cap_exit_three():
     res = run_cli("find-terms", "--algebra", "l2", "--family", "dgumm", "--cap", "3")
     assert res.returncode == 3
+    assert "vector-length cap exceeded" in res.stderr
+    assert "CAP-EXCEEDED" in res.stdout
+
+
+@pytest.mark.parametrize("name, family", [("z2", "dgumm"), ("sl2", "day"), ("l2", "dgumm")])
+def test_find_terms_structured_keys(name, family):
+    res = run_cli("find-terms", "--algebra", name, "--family", family, "--format", "structured")
+    (item,) = json.loads(res.stdout)["results"]
+    assert set(item) == {"family", "status", "node_count", "definitive", "k", "terms"}
 
 
 def test_witness_turt():
@@ -139,6 +151,17 @@ def test_witness_turt():
     assert res.returncode == 0
     assert "valid: true" in res.stdout
     assert "lam_blocks=1" in res.stdout
+
+
+def test_witness_cap_exit_three():
+    res = run_cli(
+        "witness", "--algebra", "l2", "--theorem", "turt",
+        "--rel", "R=nabla", "--rel", "V=nabla", "--rel", "W=nabla",
+        "--rel", "S1=delta+0-1", "--rel", "S2=nabla",
+        "--a", "0", "--b", "1", "--chain", "0,1,1", "--cap", "3",
+    )
+    assert res.returncode == 3
+    assert "vector-length cap exceeded" in res.stderr
 
 
 def test_witness_day():
@@ -246,3 +269,14 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "_cmd_enumerate", broken)
     with pytest.raises(KeyError):
         cli.main(["enumerate", "--algebra", "l2", "--kind", "refl"])
+
+
+def test_readme_cli_commands_parse():
+    # every relmod command the README shows, backslash-continued lines joined,
+    # is accepted by the parser, so a deleted flag cannot linger in the docs
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = text.replace("\\\n", " ").splitlines()
+    commands = [line for line in lines if line.startswith("relmod ")]
+    assert len(commands) >= 10
+    for line in commands:
+        cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])

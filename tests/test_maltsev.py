@@ -8,7 +8,6 @@ from relmod.algebras import CapExceeded, FiniteAlgebra, format_term, free_algebr
 from relmod.maltsev import (
     DaySystem,
     DirectedGummSystem,
-    ModularityStatus,
     PreconditionError,
     SearchStatus,
     decide_modularity,
@@ -58,7 +57,7 @@ from oracles import (
 
 
 def test_find_directed_gumm_z2(z2):
-    res = find_directed_gumm(z2, max_k=8)
+    res = find_directed_gumm(z2)
     assert res.found and res.system.k == 1
     assert verify_directed_gumm(z2, res.system)
     # p is the parity function and j_1 the third projection
@@ -69,7 +68,7 @@ def test_find_directed_gumm_z2(z2):
 
 
 def test_find_directed_gumm_l2(l2):
-    res = find_directed_gumm(l2, max_k=8)
+    res = find_directed_gumm(l2)
     assert res.found and res.system.k == 2
     assert verify_directed_gumm(l2, res.system)
     # p behaves as the first projection, j_1 as the majority function
@@ -83,27 +82,20 @@ def test_find_directed_gumm_l2(l2):
 @pytest.mark.parametrize("name", ["sl2", "sl3"])
 def test_find_directed_gumm_semilattices_definitive_no(name, request):
     alg = request.getfixturevalue(name)
-    for max_k in (1, 3, 7):
-        res = find_directed_gumm(alg, max_k=max_k)
-        assert res.status is SearchStatus.NOT_UP_TO
-        assert res.definitive
-        assert res.node_count == 3
+    res = find_directed_gumm(alg)
+    assert res.status is SearchStatus.NOT_UP_TO
+    assert res.definitive
+    assert res.node_count == 3
     assert _dg_shortest(alg) is None
 
 
 def test_find_directed_gumm_z2xz2_and_m3(z2xz2, m3):
-    assert find_directed_gumm(z2xz2, max_k=8).system.k == 1
-    assert find_directed_gumm(m3, max_k=8).system.k == 2
-
-
-def test_find_directed_gumm_not_up_to_when_max_k_too_small(l2):
-    res = find_directed_gumm(l2, max_k=1)
-    assert res.status is SearchStatus.NOT_UP_TO
-    assert not res.definitive  # a longer path exists
+    assert find_directed_gumm(z2xz2).system.k == 1
+    assert find_directed_gumm(m3).system.k == 2
 
 
 def test_find_directed_gumm_one_element():
-    res = find_directed_gumm(one_element_algebra(), max_k=4)
+    res = find_directed_gumm(one_element_algebra())
     assert res.found and res.system.k == 1
     assert verify_directed_gumm(one_element_algebra(), res.system)
 
@@ -111,28 +103,28 @@ def test_find_directed_gumm_one_element():
 def test_find_directed_gumm_cap():
     from relmod import corpus
 
-    res = find_directed_gumm(corpus.builtin("l2"), max_k=4, cap=3)
+    res = find_directed_gumm(corpus.builtin("l2"), cap=3)
     assert res.status is SearchStatus.CAP_EXCEEDED
     assert res.cap_error is not None
 
 
 def test_search_deterministic(l2, sl2):
-    assert find_directed_gumm(l2, max_k=6) == find_directed_gumm(l2, max_k=6)
-    assert find_directed_gumm(sl2, max_k=6) == find_directed_gumm(sl2, max_k=6)
+    assert find_directed_gumm(l2) == find_directed_gumm(l2)
+    assert find_directed_gumm(sl2) == find_directed_gumm(sl2)
 
 
 # --- Day search ------------------------------------------------------------------
 
 
 def test_find_day_z2(z2):
-    res = find_day(z2, max_k=8)
+    res = find_day(z2)
     assert res.found and res.system.k == 2
     assert verify_day(z2, res.system)
     assert _day_shortest(z2) == 2
 
 
 def test_find_day_l2(l2):
-    res = find_day(l2, max_k=8)
+    res = find_day(l2)
     assert res.found and res.system.k == 3
     assert verify_day(l2, res.system)
     assert _day_shortest(l2) == 3
@@ -141,14 +133,14 @@ def test_find_day_l2(l2):
 @pytest.mark.parametrize("name", ["sl2", "sl3"])
 def test_find_day_semilattices_definitive_no(name, request):
     alg = request.getfixturevalue(name)
-    res = find_day(alg, max_k=10)
+    res = find_day(alg)
     assert res.status is SearchStatus.NOT_UP_TO
     assert res.definitive
     assert _day_shortest(alg) is None
 
 
 def test_find_day_one_element():
-    res = find_day(one_element_algebra(), max_k=4)
+    res = find_day(one_element_algebra())
     assert res.found and res.system.k == 0
     assert verify_day(one_element_algebra(), res.system)
 
@@ -208,23 +200,23 @@ def test_restricted_search_matches_oracles(alg):
 
 
 def test_verify_rejects_reversed_j(l2):
-    sys_ = find_directed_gumm(l2, max_k=8).system
+    sys_ = find_directed_gumm(l2).system
     reversed_sys = DirectedGummSystem(sys_.k, sys_.p, tuple(reversed(sys_.j)))
     assert not verify_directed_gumm(l2, reversed_sys)
     assert not dg_system_holds(l2, reversed_sys)
 
 
 def test_verify_rejects_wrong_day(l2):
-    sys_ = find_day(l2, max_k=8).system
+    sys_ = find_day(l2).system
     broken = DaySystem(sys_.k, tuple(reversed(sys_.d)))
     assert not verify_day(l2, broken)
     assert not day_system_holds(l2, broken)
 
 
 def test_verify_wrong_k(l2):
-    sys_ = find_directed_gumm(l2, max_k=8).system
+    sys_ = find_directed_gumm(l2).system
     assert not verify_directed_gumm(l2, DirectedGummSystem(sys_.k + 1, sys_.p, sys_.j))
-    day = find_day(l2, max_k=8).system
+    day = find_day(l2).system
     for k in (day.k - 1, day.k + 1):
         assert not verify_day(l2, DaySystem(k, day.d))
         assert not day_system_holds(l2, DaySystem(k, day.d))
@@ -282,23 +274,17 @@ def test_corpus_terms_pinned(name, family):
 
 
 def test_decide_modularity(z2, l2, sl2):
-    v = decide_modularity(z2, max_k=8)
-    assert v.status is ModularityStatus.MODULAR and v.k == 1 and v.definitive
-    v = decide_modularity(l2, max_k=8)
-    assert v.status is ModularityStatus.MODULAR and v.k == 2
-    v = decide_modularity(sl2, max_k=8)
-    assert v.status is ModularityStatus.NO_TERMS_UP_TO and v.definitive
-
-
-def test_decide_modularity_definitive_via_node_count(sl2):
-    # even at max_k=1 the no is definitive: no path exists at all
-    v = decide_modularity(sl2, max_k=1)
-    assert v.definitive
+    v = decide_modularity(z2)
+    assert v.found and v.system.k == 1
+    v = decide_modularity(l2)
+    assert v.found and v.system.k == 2
+    v = decide_modularity(sl2)
+    assert v.status is SearchStatus.NOT_UP_TO and v.definitive
 
 
 def test_decide_modularity_one_element():
-    v = decide_modularity(one_element_algebra(), max_k=2)
-    assert v.status is ModularityStatus.MODULAR and v.k == 1
+    v = decide_modularity(one_element_algebra())
+    assert v.found and v.system.k == 1
 
 
 def test_two_element_binary_spectrum():
@@ -309,7 +295,7 @@ def test_two_element_binary_spectrum():
     for bits in range(16):
         table = [(bits >> i) & 1 for i in range(4)]
         alg = FiniteAlgebra(f"b{bits}", 2, [("f", 2, table)])
-        res = find_directed_gumm(alg, max_k=8)
+        res = find_directed_gumm(alg)
         if res.found:
             key = res.system.k
             assert verify_directed_gumm(alg, res.system)
@@ -335,7 +321,7 @@ def test_found_k_implies_basic_identity():
         if rng.random() < 0.5:
             ops.append(("g", 1, [rng.randrange(2) for _ in range(2)]))
         alg = FiniteAlgebra("r", 2, ops)
-        res = find_directed_gumm(alg, max_k=8)
+        res = find_directed_gumm(alg)
         if res.found:
             found += 1
             assert check_identity(alg, catalog_entry("(1.1)")).holds
@@ -346,10 +332,10 @@ def test_bare_set_has_no_terms():
     # no operations at all: the only ternary term functions are projections,
     # and the variety of bare sets is as far from modular as it gets
     bare = FiniteAlgebra("set2", 2, [])
-    res = find_directed_gumm(bare, max_k=5)
+    res = find_directed_gumm(bare)
     assert res.status is SearchStatus.NOT_UP_TO and res.definitive
     assert res.node_count == 2  # first and third projections
-    day = find_day(bare, max_k=5)
+    day = find_day(bare)
     assert day.status is SearchStatus.NOT_UP_TO and day.definitive
 
 
@@ -357,14 +343,14 @@ def test_bare_set_has_no_terms():
 
 
 def test_witness_rejects_maltsev_system(z2):
-    sys_ = find_directed_gumm(z2, max_k=4).system
+    sys_ = find_directed_gumm(z2).system
     nb = nabla(2)
     with pytest.raises(PreconditionError, match="k >= 2"):
         witness_turt(z2, sys_, nb, nb, nb, [nb], 0, 0, [0, 0])
 
 
 def test_witness_precondition_messages(l2):
-    sys_ = find_directed_gumm(l2, max_k=4).system
+    sys_ = find_directed_gumm(l2).system
     dl, nb = delta(2), nabla(2)
     with pytest.raises(PreconditionError, match="in R fails"):
         witness_turt(l2, sys_, dl, nb, nb, [nb], 0, 0, [0, 1])
@@ -381,7 +367,7 @@ def test_witness_precondition_messages(l2):
 def test_witness_requires_admissible_relations(m3):
     # on the two-element algebras every reflexive relation is admissible,
     # so the admissibility check needs a bigger carrier
-    sys_ = find_directed_gumm(m3, max_k=4).system
+    sys_ = find_directed_gumm(m3).system
     nb = nabla(5)
     bad = union(delta(5), BinRel.from_pairs(5, [(1, 2)]))  # meet with (1,1) escapes
     with pytest.raises(PreconditionError, match="not admissible"):
@@ -389,7 +375,7 @@ def test_witness_requires_admissible_relations(m3):
 
 
 def test_witness_turt_degenerate_delta(l2):
-    sys_ = find_directed_gumm(l2, max_k=4).system
+    sys_ = find_directed_gumm(l2).system
     dl = delta(2)
     chain = witness_turt(l2, sys_, dl, dl, dl, [dl], 1, 1, [1, 1])
     assert chain.validate()
@@ -398,7 +384,7 @@ def test_witness_turt_degenerate_delta(l2):
 
 
 def test_witness_turt_all_nabla(l2):
-    sys_ = find_directed_gumm(l2, max_k=4).system
+    sys_ = find_directed_gumm(l2).system
     nb = nabla(2)
     chain = witness_turt(l2, sys_, nb, nb, nb, [nb, nb], 0, 1, [0, 1, 1])
     assert chain.validate()
@@ -407,7 +393,7 @@ def test_witness_turt_all_nabla(l2):
 
 
 def test_witness_turtt_all_nabla(l2):
-    sys_ = find_directed_gumm(l2, max_k=4).system
+    sys_ = find_directed_gumm(l2).system
     nb = nabla(2)
     chain = witness_turtt(l2, sys_, nb, nb, nb, [nb, nb], 0, 1, [0, 1, 1])
     assert chain.validate()
@@ -415,7 +401,7 @@ def test_witness_turtt_all_nabla(l2):
 
 
 def test_witness_turt_property_sweep_l1(l2):
-    sys_ = find_directed_gumm(l2, max_k=4).system
+    sys_ = find_directed_gumm(l2).system
     lattice = enumerate_relations(l2, RelKind.REFL_ADM).members
     count = 0
     for R, V, W, S1 in itertools.product(lattice, repeat=4):
@@ -428,14 +414,14 @@ def test_witness_turt_property_sweep_l1(l2):
 
 
 def test_witness_day_degenerate(l2):
-    sys_ = find_day(l2, max_k=8).system
+    sys_ = find_day(l2).system
     chain = witness_day(l2, sys_, delta(2), delta(2), 1, 1, 1)
     assert chain.validate()
     assert len(chain.steps) <= sys_.k - 1
 
 
 def test_witness_day_l2_instance(l2):
-    sys_ = find_day(l2, max_k=8).system
+    sys_ = find_day(l2).system
     s = union(delta(2), BinRel.from_pairs(2, [(0, 1)]))
     chain = witness_day(l2, sys_, nabla(2), s, 0, 1, 1)
     assert chain.validate()
@@ -445,21 +431,14 @@ def test_witness_day_l2_instance(l2):
 
 def test_witness_day_degenerate_one_element():
     alg = one_element_algebra()
-    sys_ = find_day(alg, max_k=2).system
+    sys_ = find_day(alg).system
     chain = witness_day(alg, sys_, delta(1), delta(1), 0, 0, 0)
     assert chain.validate()
     assert chain.steps == ()
 
 
-def test_search_rejects_bad_max_k(l2):
-    with pytest.raises(ValueError):
-        find_directed_gumm(l2, max_k=0)
-    with pytest.raises(ValueError):
-        find_day(l2, max_k=0)
-
-
 def test_witness_day_precondition(l2):
-    sys_ = find_day(l2, max_k=8).system
+    sys_ = find_day(l2).system
     with pytest.raises(PreconditionError, match="in Theta fails"):
         witness_day(l2, sys_, delta(2), nabla(2), 0, 0, 1)
     with pytest.raises(PreconditionError, match="not a tolerance"):
@@ -468,7 +447,7 @@ def test_witness_day_precondition(l2):
 
 
 def test_witness_turt_on_m3(m3):
-    sys_ = find_directed_gumm(m3, max_k=4).system
+    sys_ = find_directed_gumm(m3).system
     nb = nabla(5)
     le = enumerate_relations(m3, RelKind.REFL_ADM).members[1]  # an order relation
     a, c = next((a, c) for a, c in le.pairs() if a != c)
@@ -478,7 +457,7 @@ def test_witness_turt_on_m3(m3):
 
 
 def test_witness_day_on_z2xz2(z2xz2):
-    sys_ = find_day(z2xz2, max_k=8).system
+    sys_ = find_day(z2xz2).system
     nb = nabla(4)
     for a, b, c in [(0, 3, 2), (1, 1, 1), (0, 0, 3)]:
         chain = witness_day(z2xz2, sys_, nb, nb, a, b, c)
@@ -489,7 +468,7 @@ def test_witness_day_on_z2xz2(z2xz2):
 def _padded_gumm(alg, extra):
     """A valid system with a larger k: appending copies of the last term
     (the third projection) preserves all five defining identities."""
-    base = find_directed_gumm(alg, max_k=4).system
+    base = find_directed_gumm(alg).system
     sys_ = DirectedGummSystem(base.k + extra, base.p, base.j + (base.j[-1],) * extra)
     assert verify_directed_gumm(alg, sys_)
     return sys_
@@ -517,7 +496,7 @@ def test_witness_turt_deep_blocks(l2):
 def test_witness_day_deep_chain(l2):
     # padding a Day system with copies of the last projection stays valid
     # and drives longer alternating chains
-    base = find_day(l2, max_k=8).system
+    base = find_day(l2).system
     for extra in (1, 2):
         sys_ = DaySystem(base.k + extra, base.d + (base.d[-1],) * extra)
         assert verify_day(l2, sys_)
@@ -536,7 +515,7 @@ def test_found_systems_imply_inclusion_identities(l2, m3):
     from relmod.identities import catalog_entry, check_identity
 
     for alg in (l2, m3):
-        k = find_directed_gumm(alg, max_k=8).system.k
+        k = find_directed_gumm(alg).system.k
         assert k == 2
         for label in ("(turt)", "(turtt)"):
             for ell in (1, 2):
@@ -548,7 +527,7 @@ def test_found_systems_imply_inclusion_identities(l2, m3):
 def test_found_systems_imply_inclusions_sampled(m3):
     from relmod.identities import catalog_entry, check_identity
 
-    k = find_directed_gumm(m3, max_k=8).system.k
+    k = find_directed_gumm(m3).system.k
     verdict = check_identity(m3, catalog_entry("(turt)", k=k, l=2), mode="sample", seed=2, samples=1000)
     assert verdict.holds and verdict.checked == 1000
 
@@ -557,5 +536,5 @@ def test_day_k_implies_day_identity(z2, l2, z2xz2):
     from relmod.identities import catalog_entry, check_identity
 
     for alg in (z2, l2, z2xz2):
-        k = find_day(alg, max_k=8).system.k
+        k = find_day(alg).system.k
         assert check_identity(alg, catalog_entry("(day)", k=k)).holds

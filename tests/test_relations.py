@@ -41,7 +41,7 @@ def rels(n):
     )
 
 
-from oracles import naive_compose, naive_plus, naive_star
+from oracles import naive_admissible, naive_compose, naive_plus, naive_star
 
 # --- basic operators ---------------------------------------------------------
 
@@ -201,6 +201,32 @@ def test_admissible_checks_constants():
     alg = FiniteAlgebra("pointed", 2, [("one", 0, [1])])
     assert not is_admissible(alg, rel_of(2, (0, 0)))
     assert is_admissible(alg, rel_of(2, (0, 0), (1, 1)))
+
+
+def test_admissible_matches_oracle(sl2, z2, l2, z2xz2, sl3, m3):
+    # random relations of several densities, the empty relation, and the
+    # refl-adm lattice members with their diagonal removed, none of them
+    # reflexive in general, against the product-loop oracle
+    mixed = FiniteAlgebra(
+        "mixed", 3, [("c", 0, [1]), ("g", 1, [1, 2, 1]), ("f", 2, [0, 0, 0, 0, 1, 1, 0, 1, 2])]
+    )
+    rng = random.Random(11)
+    verdicts = []
+    for alg in (sl2, z2, l2, z2xz2, sl3, m3, mixed):
+        n = alg.size
+        cases = [BinRel(n, (0,) * n)]
+        cases += [
+            BinRel.from_pairs(n, [(a, b) for a in range(n) for b in range(n) if rng.random() < p])
+            for p in (0.1, 0.3, 0.6, 0.9)
+            for _ in range(25)
+        ]
+        off = BinRel(n, tuple(((1 << n) - 1) ^ (1 << a) for a in range(n)))
+        cases += [intersect(r, off) for r in enumerate_relations(alg, RelKind.REFL_ADM)]
+        for r in cases:
+            want = naive_admissible(alg, set(r.pairs()))
+            assert is_admissible(alg, r) == want, (alg.name, format_rel_literal(r))
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
 
 
 def test_refl_adm_closure_fixpoint(sl2, z2, l2):
