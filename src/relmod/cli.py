@@ -39,7 +39,6 @@ from .maltsev import (
 from .relations import RelKind, enumerate_relations, format_rel_literal, parse_rel_literal
 
 _KINDS = {"refl": RelKind.REFL_ADM, "tol": RelKind.TOLERANCE, "con": RelKind.CONGRUENCE}
-_SORTS = {"REFL": RelKind.REFL_ADM, "TOL": RelKind.TOLERANCE, "CON": RelKind.CONGRUENCE}
 
 
 class UsageError(ValueError):
@@ -76,9 +75,10 @@ def _parse_sorts(pairs):
         if "=" not in pair:
             raise UsageError(f"bad --sort {pair!r}, expected NAME=REFL|TOL|CON")
         name, value = pair.split("=", 1)
-        if value not in _SORTS:
-            raise UsageError(f"bad sort {value!r}, expected REFL, TOL or CON")
-        out[name] = _SORTS[value]
+        try:
+            out[name] = RelKind(value)
+        except ValueError:
+            raise UsageError(f"bad sort {value!r}, expected REFL, TOL or CON") from None
     return out
 
 
@@ -115,11 +115,10 @@ def _render_text(report):
                 for name, text in item["terms"].items():
                     lines.append(f"  {name} = {text}")
             else:
+                nodes = "" if item["node_count"] is None else f" nodes={item['node_count']}"
                 extra = " (definitive)" if item.get("definitive") else ""
-                lines.append(
-                    f"[find-terms] {item['family']}: {item['status'].upper()}"
-                    f" nodes={item['node_count']}{extra}"
-                )
+                status = item["status"].upper()
+                lines.append(f"[find-terms] {item['family']}: {status}{nodes}{extra}")
         elif kind == "witness":
             lines.append(
                 f"[witness] {item['theorem']}: k={item['k']} steps={len(item['steps'])}"
@@ -214,16 +213,18 @@ def _cmd_find_terms(args, alg):
 
         def term_names(system):
             return {f"d{i}": format_term(t) for i, t in enumerate(system.d)}
+    capped = res.status is SearchStatus.CAP_EXCEEDED
     item = {
         "_kind": "find-terms",
         "family": args.family,
         "status": res.status.value,
-        "node_count": res.node_count,
+        # a capped search built no graph, so it has no node count to report
+        "node_count": None if capped else res.node_count,
         "definitive": res.definitive,
         "k": res.system.k if res.found else None,
         "terms": term_names(res.system) if res.found else None,
     }
-    if res.status is SearchStatus.CAP_EXCEEDED:
+    if capped:
         print(f"error: {res.cap_error}", file=sys.stderr)
         return [item], 3
     return [item], 0 if res.found else 1

@@ -1,6 +1,10 @@
 """Relation-identity DSL: AST, parser, pretty-printer, evaluator, exhaustive
 and sampled checking, and the built-in catalog of inclusion identities.
 
+The catalog is written in the grammar below: each entry is one statement
+template, instantiated for the parameters k, h, m, l and parsed on demand;
+`relmod catalog` prints every entry back in the same grammar.
+
 Grammar (EBNF)::
 
     stmt  := quants "|-" expr ("<=" | "=") expr
@@ -24,7 +28,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from math import prod
 
 from .algebras import DEFAULT_CAP, FiniteAlgebra
 from .maltsev import q_bound, r_bound
@@ -125,10 +128,8 @@ class IdentityStatement:
     rhs: object
 
 
-_SORT_NAMES = {"REFL": RelKind.REFL_ADM, "TOL": RelKind.TOLERANCE, "CON": RelKind.CONGRUENCE}
-_SORT_TEXT = {v: k for k, v in _SORT_NAMES.items()}
 _FUNCS = ("conv", "star", "cl", "tol", "pow")
-_RESERVED = set(_FUNCS) | set(_SORT_NAMES) | {"delta", "nabla", "inf"}
+_RESERVED = set(_FUNCS) | {kind.value for kind in RelKind} | {"delta", "nabla", "inf"}
 
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
@@ -213,10 +214,11 @@ class _Parser:
         if name in _RESERVED:
             raise ParseError(f"{name!r} is reserved and cannot be quantified", pos)
         self.expect_sym(":")
-        kind, sort, pos = self.next()
-        if kind != "name" or sort not in _SORT_NAMES:
-            raise ParseError(f"expected REFL, TOL or CON, found {sort!r}", pos)
-        return (name, _SORT_NAMES[sort])
+        _, sort, pos = self.next()
+        try:
+            return (name, RelKind(sort))
+        except ValueError:
+            raise ParseError(f"expected REFL, TOL or CON, found {sort!r}", pos) from None
 
     def parse_expr(self):
         e = self.parse_comp()
@@ -345,7 +347,7 @@ def _pp(expr, context):
 
 
 def print_statement(stmt: IdentityStatement) -> str:
-    quants = ", ".join(f"{name}:{_SORT_TEXT[kind]}" for name, kind in stmt.quantifiers)
+    quants = ", ".join(f"{name}:{kind.value}" for name, kind in stmt.quantifiers)
     return f"{quants} |- {print_expr(stmt.lhs)} {stmt.relation.value} {print_expr(stmt.rhs)}"
 
 
@@ -439,40 +441,40 @@ def check_identity(
 
     Exhaustive mode iterates the full product of the sorted lattices in
     canonical order (declaration order outermost) and reports the least
-    counterexample; sample mode draws each assignment by closing a random
-    relation to its sort, reproducibly from the seed.
+    counterexample; sample mode draws `samples` >= 1 assignments, each by
+    closing a random relation to its sort, reproducibly from the seed.
     """
     names = [name for name, _ in stmt.quantifiers]
+    kinds = [kind for _, kind in stmt.quantifiers]
     if mode == "exhaustive":
-        lattices = [
-            rel.enumerate_relations(alg, kind, cap=cap).members for _, kind in stmt.quantifiers
-        ]
-        memo = {}
-        for idx, values in enumerate(product(*lattices)):
-            env = dict(zip(names, values))
-            memo.clear()
-            witness = _violation(alg, stmt, env, memo)
-            if witness is not None:
-                return Verdict(False, idx + 1, Counterexample(tuple(zip(names, values)), witness))
-        return Verdict(True, prod(len(lat) for lat in lattices), None)
+        lattices = (rel.enumerate_relations(alg, kind, cap=cap).members for kind in kinds)
+        assignments = product(*lattices)
+    elif mode == "sample":
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
+        assignments = _draws(alg, kinds, seed, samples)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    checked = 0
+    memo = {}
+    for checked, values in enumerate(assignments, 1):
+        memo.clear()
+        witness = _violation(alg, stmt, dict(zip(names, values)), memo)
+        if witness is not None:
+            return Verdict(False, checked, Counterexample(tuple(zip(names, values)), witness))
+    return Verdict(True, checked, None)
 
-    if mode == "sample":
-        rng = random.Random(seed)
-        n = alg.size
-        memo = {}
-        for i in range(samples):
-            values = []
-            for _, kind in stmt.quantifiers:
-                raw = BinRel(n, tuple(rng.getrandbits(n) for _ in range(n)))
-                values.append(rel.close_to_kind(alg, kind, raw))
-            env = dict(zip(names, values))
-            memo.clear()
-            witness = _violation(alg, stmt, env, memo)
-            if witness is not None:
-                return Verdict(False, i + 1, Counterexample(tuple(zip(names, values)), witness))
-        return Verdict(True, samples, None)
 
-    raise ValueError(f"unknown mode {mode!r}")
+def _draws(alg, kinds, seed, samples):
+    """`samples` assignments, each a random relation per quantifier closed to
+    its sort, drawn lazily from one seeded generator."""
+    rng = random.Random(seed)
+    n = alg.size
+    for _ in range(samples):
+        yield tuple(
+            rel.close_to_kind(alg, kind, BinRel(n, tuple(rng.getrandbits(n) for _ in range(n))))
+            for kind in kinds
+        )
 
 
 def with_sorts(stmt: IdentityStatement, overrides) -> IdentityStatement:
@@ -487,21 +489,61 @@ def with_sorts(stmt: IdentityStatement, overrides) -> IdentityStatement:
     return IdentityStatement(quants, stmt.relation, stmt.lhs, stmt.rhs)
 
 
-def _chain(node, *exprs):
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = node(out, e)
-    return out
+# The paper's identities, written in the statement language.  A field in
+# braces is named after the expression it stands for and is filled in by
+# _fields.  (dist) and (perm) are the stricter variations used as separating
+# tests: they are equivalent to distributivity and to m-permutability.
+_CATALOG = {
+    "(1.1)": "Theta:TOL, S:REFL |- Theta & (S ; S) <= star(Theta & S)",
+    "(1.2)": "Theta:TOL, S:REFL |- Theta & star(S) <= star(Theta & S)",
+    "(1.3)": "Theta:TOL, S:REFL |- Theta & (S ; conv(S)) <= star(Theta & S ; Theta & conv(S))",
+    "(1.4)": "Theta:TOL, S:REFL, T:REFL |- Theta & star(S ; T)"
+    " <= Theta & cl(S | T) ; star(Theta & S ; Theta & T)",
+    "(1.5)": "Theta:TOL, S:REFL, T:REFL |- Theta & (S ; T)"
+    " <= Theta & cl(conv(S) | T) ; star(Theta & S ; Theta & T)",
+    "(dist)": "Theta:TOL, S:REFL, T:REFL |- Theta & (S ; conv(T))"
+    " <= star(Theta & S ; Theta & conv(T))",
+    "(perm)": "Theta:TOL, S:REFL |- Theta & (S ; S) <= star(Theta & conv(S))",
+    "(turt)": "R:REFL, V:REFL, W:REFL, {S_quants} |- R & (V ; W) & ({S_chain})"
+    " <= R & cl(V | W) ; pow({lam}, {2k-3})",
+    "(turtt)": "R:REFL, V:REFL, W:REFL, {S_quants} |- R & (V ; W) & ({S_chain})"
+    " <= R & conv(R) & cl(conv(V) | W) ; pow({lam}, {k-1})",
+    "(a1)": "Theta:TOL, S:REFL |- Theta & (S ;^{2^h} S) <= pow(Theta & S, {q+1})",
+    "(a2)": "R:REFL, S:REFL, T:REFL |- R & (S ;^{2^h} T)"
+    " <= R & cl(S | T) ; (tol(R) & S ;^{q} tol(R) & T)",
+    "(a3)": "Theta:TOL, S:REFL |- Theta & (S ;^{2^h} conv(S)) <= Theta & conv(S) ;^{r} Theta & S",
+    "(A1)": "Theta:TOL, S:REFL |- Theta & (S ;^{m} S) <= star(Theta & S)",
+    "(A2)": "Theta:TOL, S:REFL |- Theta & (S ;^{m} S) <= Theta & S + Theta & conv(S)",
+    "(A3)": "Theta:TOL, S:REFL |- Theta & (S ;^{m} S) <= star(Theta & (conv(S) ; S))",
+    "(B1)": "Theta:TOL, S:REFL |- Theta & (S ;^{m} conv(S)) <= Theta & S + Theta & conv(S)",
+    "(B2)": "Theta:TOL, S:REFL |- Theta & (S ;^{m} conv(S)) <= star(Theta & (conv(S) ; S))",
+    "(C1)": "R:REFL, S:REFL, T:REFL |- R & (S ;^{m} T)"
+    " <= R & cl(S | T) ; (tol(R) & S + tol(R) & T)",
+    "(C2)": "Theta:TOL, S:REFL, T:REFL |- Theta & (S ;^{m} T) <= star(Theta & cl(S | T))",
+    "(C3)": "R:REFL, S:REFL, T:REFL |- R & (S ;^{m} T)"
+    " <= R & (T ; cl(S | T)) ; (tol(R) & S + tol(R) & T)",
+    "(C4)": "Theta:TOL, S:REFL, T:REFL |- Theta & (S ;^{m} T) <= star(Theta & (T ; S))",
+    "(D1)": "R:REFL, S:REFL, T:REFL |- R & (S ;^{m} T)"
+    " <= R & cl(conv(S) | T) ; (tol(R) & S + tol(R) & T)",
+    "(D2)": "R:REFL, S:REFL, T:REFL |- R & (S ;^{m} T)"
+    " <= R & cl(S | T) & cl(conv(S) | T) & cl(S | conv(T)) & cl(conv(S) | conv(T))"
+    " ; (tol(R) & S + tol(R) & T)",
+    "(D3)": "R:REFL, S:REFL, T:REFL |- R & (S ;^{m} T)"
+    " <= R & cl(S | conv(S) | T | conv(T))"
+    " ; (tol(R) & S + tol(R) & T + tol(R) & conv(S) + tol(R) & conv(T))",
+    "(D4)": "Theta:TOL, S:REFL, T:REFL |- Theta & (S ;^{m} T)"
+    " <= Theta & (T ; S) + Theta & (T ; conv(T)) + Theta & (conv(S) ; S)"
+    " + Theta & (conv(S) ; T) + Theta & (conv(S) ; conv(T))"
+    " + Theta & (conv(T) ; S) + Theta & (conv(T) ; T)",
+    "(D5)": "Theta:TOL, S:REFL, T:REFL |- Theta & (S ;^{m} T)"
+    " <= Theta & ((T + conv(T)) ; S) + Theta & (conv(S) ; S)"
+    " + Theta & (conv(S) ; (T + conv(T)))",
+    "(day)": "Theta:TOL, S:REFL |- Theta & (S ; conv(S)) <= Theta & S ;^{k-1} Theta & conv(S)",
+}
 
 
-def catalog(k: int = 2, h: int = 1, m=2, l: int = 2):
-    """Every built-in identity, fully instantiated for the given parameters.
-
-    k >= 2 sizes the directed Gumm system, h >= 1 the doubling exponent,
-    m >= 2 (or INF) the alternation length, l >= 1 the S-chain length.
-    Labels follow the source tags; (dist) and (perm) are the two stricter
-    variations used as separating tests.
-    """
+def _fields(k, h, m, l):
+    """Validate the catalog parameters and derive the template fields."""
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
     if not isinstance(h, int) or h < 1:
@@ -510,214 +552,39 @@ def catalog(k: int = 2, h: int = 1, m=2, l: int = 2):
         raise ValueError(f"m must be an integer >= 2 or INF, got {m!r}")
     if not isinstance(l, int) or l < 1:
         raise ValueError(f"l must be an integer >= 1, got {l!r}")
-
-    REFL, TOL = RelKind.REFL_ADM, RelKind.TOLERANCE
-    Theta, S, T, R, V, W = Var("Theta"), Var("S"), Var("T"), Var("R"), Var("V"), Var("W")
-    Sc, Tc = Converse(S), Converse(T)
     q = q_bound(h, k)
-    r = r_bound(h, k)
-    two_h = 2 ** h
+    s_vars = [f"S{i}" for i in range(1, l + 1)]
+    return {
+        "k-1": k - 1,
+        "2k-3": 2 * k - 3,
+        "2^h": 2**h,
+        "q": q,
+        "q+1": q + 1,
+        "r": r_bound(h, k),
+        "m": "inf" if m == INF else m,
+        "S_quants": ", ".join(f"{s}:REFL" for s in s_vars),
+        "S_chain": " ; ".join(s_vars),
+        "lam": " ; ".join(f"tol(R) & {s}" for s in s_vars),
+    }
 
-    def inc(label, quants, lhs, rhs):
-        entries.append((label, IdentityStatement(tuple(quants), StmtRel.INCLUDED_IN, lhs, rhs)))
 
-    entries = []
-    ts = [(Theta, TOL), (S, REFL)]
-    tst = [(Theta, TOL), (S, REFL), (T, REFL)]
+def catalog(k: int = 2, h: int = 1, m=2, l: int = 2):
+    """Every built-in identity, fully instantiated for the given parameters.
 
-    def qs(pairs):
-        return [(v.name, kind) for v, kind in pairs]
-
-    inc("(1.1)", qs(ts), Intersect(Theta, Compose(S, S)), Star(Intersect(Theta, S)))
-    inc("(1.2)", qs(ts), Intersect(Theta, Star(S)), Star(Intersect(Theta, S)))
-    inc(
-        "(1.3)",
-        qs(ts),
-        Intersect(Theta, Compose(S, Sc)),
-        Star(Compose(Intersect(Theta, S), Intersect(Theta, Sc))),
-    )
-    inc(
-        "(1.4)",
-        qs(tst),
-        Intersect(Theta, Star(Compose(S, T))),
-        Compose(
-            Intersect(Theta, Overline(Union(S, T))),
-            Star(Compose(Intersect(Theta, S), Intersect(Theta, T))),
-        ),
-    )
-    inc(
-        "(1.5)",
-        qs(tst),
-        Intersect(Theta, Compose(S, T)),
-        Compose(
-            Intersect(Theta, Overline(Union(Sc, T))),
-            Star(Compose(Intersect(Theta, S), Intersect(Theta, T))),
-        ),
-    )
-    # stricter variations: equivalent to distributivity / to m-permutability
-    inc(
-        "(dist)",
-        qs(tst),
-        Intersect(Theta, Compose(S, Tc)),
-        Star(Compose(Intersect(Theta, S), Intersect(Theta, Tc))),
-    )
-    inc("(perm)", qs(ts), Intersect(Theta, Compose(S, S)), Star(Intersect(Theta, Sc)))
-
-    s_vars = [Var(f"S{i}") for i in range(1, l + 1)]
-    turt_quants = [("R", REFL), ("V", REFL), ("W", REFL)] + [(v.name, REFL) for v in s_vars]
-    s_chain = _chain(Compose, *s_vars)
-    lam = _chain(Compose, *[Intersect(ToleranceOf(R), v) for v in s_vars])
-    turt_lhs = Intersect(Intersect(R, Compose(V, W)), s_chain)
-    inc(
-        "(turt)",
-        turt_quants,
-        turt_lhs,
-        Compose(Intersect(R, Overline(Union(V, W))), Power(lam, 2 * k - 3)),
-    )
-    inc(
-        "(turtt)",
-        turt_quants,
-        turt_lhs,
-        Compose(
-            Intersect(Intersect(R, Converse(R)), Overline(Union(Converse(V), W))),
-            Power(lam, k - 1),
-        ),
-    )
-
-    inc(
-        "(a1)",
-        qs(ts),
-        Intersect(Theta, ComposeM(S, S, two_h)),
-        Power(Intersect(Theta, S), q + 1),
-    )
-    inc(
-        "(a2)",
-        [("R", REFL), ("S", REFL), ("T", REFL)],
-        Intersect(R, ComposeM(S, T, two_h)),
-        Compose(
-            Intersect(R, Overline(Union(S, T))),
-            ComposeM(Intersect(ToleranceOf(R), S), Intersect(ToleranceOf(R), T), q),
-        ),
-    )
-    inc(
-        "(a3)",
-        qs(ts),
-        Intersect(Theta, ComposeM(S, Sc, two_h)),
-        ComposeM(Intersect(Theta, Sc), Intersect(Theta, S), r),
-    )
-
-    theta_s = Intersect(Theta, S)
-    theta_sc = Intersect(Theta, Sc)
-    theta_t = Intersect(Theta, T)
-    theta_tc = Intersect(Theta, Tc)
-    tr_s = Intersect(ToleranceOf(R), S)
-    tr_t = Intersect(ToleranceOf(R), T)
-    tr_sc = Intersect(ToleranceOf(R), Sc)
-    tr_tc = Intersect(ToleranceOf(R), Tc)
-    rst = [("R", REFL), ("S", REFL), ("T", REFL)]
-
-    inc("(A1)", qs(ts), Intersect(Theta, ComposeM(S, S, m)), Star(theta_s))
-    inc("(A2)", qs(ts), Intersect(Theta, ComposeM(S, S, m)), Plus(theta_s, theta_sc))
-    inc("(A3)", qs(ts), Intersect(Theta, ComposeM(S, S, m)), Star(Intersect(Theta, Compose(Sc, S))))
-    inc("(B1)", qs(ts), Intersect(Theta, ComposeM(S, Sc, m)), Plus(theta_s, theta_sc))
-    inc("(B2)", qs(ts), Intersect(Theta, ComposeM(S, Sc, m)), Star(Intersect(Theta, Compose(Sc, S))))
-    inc(
-        "(C1)",
-        rst,
-        Intersect(R, ComposeM(S, T, m)),
-        Compose(Intersect(R, Overline(Union(S, T))), Plus(tr_s, tr_t)),
-    )
-    inc(
-        "(C2)",
-        qs(tst),
-        Intersect(Theta, ComposeM(S, T, m)),
-        Star(Intersect(Theta, Overline(Union(S, T)))),
-    )
-    inc(
-        "(C3)",
-        rst,
-        Intersect(R, ComposeM(S, T, m)),
-        Compose(Intersect(R, Compose(T, Overline(Union(S, T)))), Plus(tr_s, tr_t)),
-    )
-    inc(
-        "(C4)",
-        qs(tst),
-        Intersect(Theta, ComposeM(S, T, m)),
-        Star(Intersect(Theta, Compose(T, S))),
-    )
-    inc(
-        "(D1)",
-        rst,
-        Intersect(R, ComposeM(S, T, m)),
-        Compose(Intersect(R, Overline(Union(Sc, T))), Plus(tr_s, tr_t)),
-    )
-    inc(
-        "(D2)",
-        rst,
-        Intersect(R, ComposeM(S, T, m)),
-        Compose(
-            _chain(
-                Intersect,
-                R,
-                Overline(Union(S, T)),
-                Overline(Union(Sc, T)),
-                Overline(Union(S, Tc)),
-                Overline(Union(Sc, Tc)),
-            ),
-            Plus(tr_s, tr_t),
-        ),
-    )
-    inc(
-        "(D3)",
-        rst,
-        Intersect(R, ComposeM(S, T, m)),
-        Compose(
-            Intersect(R, Overline(_chain(Union, S, Sc, T, Tc))),
-            _chain(Plus, tr_s, tr_t, tr_sc, tr_tc),
-        ),
-    )
-    inc(
-        "(D4)",
-        qs(tst),
-        Intersect(Theta, ComposeM(S, T, m)),
-        _chain(
-            Plus,
-            Intersect(Theta, Compose(T, S)),
-            Intersect(Theta, Compose(T, Tc)),
-            Intersect(Theta, Compose(Sc, S)),
-            Intersect(Theta, Compose(Sc, T)),
-            Intersect(Theta, Compose(Sc, Tc)),
-            Intersect(Theta, Compose(Tc, S)),
-            Intersect(Theta, Compose(Tc, T)),
-        ),
-    )
-    t_sym = Plus(T, Tc)
-    inc(
-        "(D5)",
-        qs(tst),
-        Intersect(Theta, ComposeM(S, T, m)),
-        _chain(
-            Plus,
-            Intersect(Theta, Compose(t_sym, S)),
-            Intersect(Theta, Compose(Sc, S)),
-            Intersect(Theta, Compose(Sc, t_sym)),
-        ),
-    )
-    inc(
-        "(day)",
-        qs(ts),
-        Intersect(Theta, Compose(S, Sc)),
-        ComposeM(theta_s, theta_sc, k - 1),
-    )
-    return entries
+    k >= 2 sizes the directed Gumm system, h >= 1 the doubling exponent,
+    m >= 2 (or INF) the alternation length, l >= 1 the S-chain length.
+    Labels follow the source tags.
+    """
+    fields = _fields(k, h, m, l)
+    return [(label, parse_identity(text.format_map(fields))) for label, text in _CATALOG.items()]
 
 
 def catalog_labels():
-    return [label for label, _ in catalog()]
+    return list(_CATALOG)
 
 
 def catalog_entry(label: str, k: int = 2, h: int = 1, m=2, l: int = 2) -> IdentityStatement:
-    for tag, stmt in catalog(k=k, h=h, m=m, l=l):
-        if tag == label:
-            return stmt
-    raise KeyError(f"unknown identity label {label!r}")
+    fields = _fields(k, h, m, l)
+    if label not in _CATALOG:
+        raise KeyError(f"unknown identity label {label!r}")
+    return parse_identity(_CATALOG[label].format_map(fields))

@@ -68,7 +68,7 @@ class SearchStatus(Enum):
 class SearchResult:
     status: SearchStatus
     system: DirectedGummSystem | DaySystem | None
-    node_count: int
+    node_count: int  # 0 when the cap stopped the search before the graph was built
     cap_error: CapExceeded | None = None
 
     @property

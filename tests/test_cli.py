@@ -75,6 +75,23 @@ def test_check_sample_mode():
     assert "FAILS" in res.stdout
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_check_sample_count_must_be_positive(samples):
+    res = run_cli(
+        "check", "--algebra", "l2", "--identity", "(B1)", "--param", "m=inf",
+        "--mode", "sample", "--samples", samples,
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert f"samples must be >= 1, got {samples}" in res.stderr
+
+
+def test_check_bad_sort_exit_two():
+    res = run_cli("check", "--algebra", "l2", "--identity", "(1.1)", "--sort", "Theta=XX")
+    assert res.returncode == 2
+    assert "bad sort 'XX', expected REFL, TOL or CON" in res.stderr
+
+
 def test_structured_output_is_json():
     res = run_cli(
         "check", "--algebra", "l2", "--identity", "(1.1)", "--format", "structured"
@@ -131,7 +148,19 @@ def test_find_terms_cap_exit_three():
     res = run_cli("find-terms", "--algebra", "l2", "--family", "dgumm", "--cap", "3")
     assert res.returncode == 3
     assert "vector-length cap exceeded" in res.stderr
-    assert "CAP-EXCEEDED" in res.stdout
+    assert "[find-terms] dgumm: CAP-EXCEEDED\n" in res.stdout
+    assert "nodes=" not in res.stdout
+
+
+def test_find_terms_cap_structured_has_no_node_count():
+    res = run_cli(
+        "find-terms", "--algebra", "l2", "--family", "day", "--cap", "3", "--format", "structured"
+    )
+    assert res.returncode == 3
+    (item,) = json.loads(res.stdout)["results"]
+    assert set(item) == {"family", "status", "node_count", "definitive", "k", "terms"}
+    assert item["status"] == "cap-exceeded"
+    assert item["node_count"] is None
 
 
 @pytest.mark.parametrize("name, family", [("z2", "dgumm"), ("sl2", "day"), ("l2", "dgumm")])

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,6 +80,13 @@ def test_parse_duplicate_quantifier():
 def test_parse_reports_position():
     with pytest.raises(ParseError, match="position"):
         parse_identity("S:REFL |- S <= )")
+
+
+def test_parse_bad_sort():
+    with pytest.raises(ParseError, match="expected REFL, TOL or CON, found 'EQ'"):
+        parse_identity("S:EQ |- S <= S")
+    with pytest.raises(ParseError, match="expected REFL, TOL or CON, found 3"):
+        parse_identity("S:3 |- S <= S")
 
 
 def test_parse_reserved_names():
@@ -288,6 +297,12 @@ def test_sample_mode_draws_sorted_relations(sl3):
     assert verdict.holds and verdict.checked == 50
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sample_count_must_be_positive(l2, samples):
+    with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+        check_identity(l2, catalog_entry("(B1)", m=INF), mode="sample", samples=samples)
+
+
 def test_sort_weakening(z2, l2, z2xz2, m3):
     # TOL-exhaustive success implies CON-exhaustive success
     for alg in (z2, l2, z2xz2, m3):
@@ -306,6 +321,29 @@ def test_catalog_labels_stable():
         "(C1)", "(C2)", "(C3)", "(C4)", "(D1)", "(D2)", "(D3)", "(D4)", "(D5)",
         "(day)",
     ]
+
+
+def test_catalog_digest_pinned():
+    # every entry over the parameter grid, printed; the digest was taken from
+    # the hand-built ASTs the statement templates replaced
+    lines = [
+        f"{label} {print_statement(stmt)}"
+        for k in (2, 3, 4)
+        for h in (1, 2, 3)
+        for m in (2, 3, 5, INF)
+        for l in (1, 2, 3, 4)
+        for label, stmt in catalog(k, h, m, l)
+    ]
+    assert len(lines) == 3888
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9e8527eecafd0c29bd54881dd6da831deef04fee4337fc9fab76985d2e892347"
+
+
+def test_catalog_entry_matches_catalog():
+    for params in ({}, {"k": 3, "h": 2, "m": INF, "l": 1}):
+        assert [(label, catalog_entry(label, **params)) for label in catalog_labels()] == catalog(
+            **params
+        )
 
 
 def test_catalog_1_2_shape():
