@@ -65,7 +65,13 @@ def _parse_params(pairs):
         name, value = pair.split("=", 1)
         if name not in params:
             raise UsageError(f"unknown parameter {name!r}, expected one of k,h,m,l")
-        params[name] = INF if value == "inf" else int(value)
+        if value == "inf":
+            params[name] = INF
+            continue
+        try:
+            params[name] = int(value)
+        except ValueError:
+            raise UsageError(f"bad --param {pair!r}: {name} must be an integer or inf") from None
     return params
 
 

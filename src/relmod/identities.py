@@ -27,7 +27,9 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import product
+from operator import itemgetter
 
 from .algebras import DEFAULT_CAP, FiniteAlgebra
 from .maltsev import q_bound, r_bound
@@ -163,6 +165,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.declared = {}  # name -> RelKind, filled before the expressions are read
 
     def peek(self):
         return self.tokens[self.i]
@@ -182,14 +185,17 @@ class _Parser:
         return kind == "sym" and value in syms
 
     def parse_statement(self):
-        quantifiers = [self.parse_binding()]
-        while self.at_sym(","):
+        quantifiers = {}
+        while True:
+            pos = self.peek()[2]
+            name, kind = self.parse_binding()
+            if name in quantifiers:
+                raise ParseError(f"duplicate quantifier {name!r}", pos)
+            quantifiers[name] = kind
+            if not self.at_sym(","):
+                break
             self.next()
-            quantifiers.append(self.parse_binding())
-        names = [name for name, _ in quantifiers]
-        for name in names:
-            if names.count(name) > 1:
-                raise ParseError(f"duplicate quantifier {name!r}", 0)
+        self.declared = quantifiers
         self.expect_sym("|-")
         lhs = self.parse_expr()
         kind, value, pos = self.next()
@@ -200,12 +206,7 @@ class _Parser:
         kind, value, pos = self.next()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {value!r}", pos)
-        declared = set(names)
-        for side in (lhs, rhs):
-            for name in sorted(free_vars(side)):
-                if name not in declared:
-                    raise ParseError(f"unquantified variable {name!r}", 0)
-        return IdentityStatement(tuple(quantifiers), relation, lhs, rhs)
+        return IdentityStatement(tuple(quantifiers.items()), relation, lhs, rhs)
 
     def parse_binding(self):
         kind, name, pos = self.next()
@@ -280,21 +281,13 @@ class _Parser:
             return {"conv": Converse, "star": Star, "cl": Overline, "tol": ToleranceOf}[value](arg)
         if value in _RESERVED:
             raise ParseError(f"{value!r} cannot be used here", pos)
+        if value not in self.declared:
+            raise ParseError(f"unquantified variable {value!r}", pos)
         return Var(value)
 
 
 def parse_identity(text: str) -> IdentityStatement:
     return _Parser(text).parse_statement()
-
-
-def free_vars(expr) -> frozenset:
-    if isinstance(expr, Var):
-        return frozenset((expr.name,))
-    if isinstance(expr, (Delta, Nabla)):
-        return frozenset()
-    if isinstance(expr, (Power, Converse, Star, Overline, ToleranceOf)):
-        return free_vars(expr.arg)
-    return free_vars(expr.lhs) | free_vars(expr.rhs)
 
 
 _PLUS_PREC, _COMP_PREC, _AND_PREC, _ATOM_PREC = 1, 2, 3, 4
@@ -351,54 +344,6 @@ def print_statement(stmt: IdentityStatement) -> str:
     return f"{quants} |- {print_expr(stmt.lhs)} {stmt.relation.value} {print_expr(stmt.rhs)}"
 
 
-def eval_expr(alg: FiniteAlgebra, expr, env, memo=None) -> BinRel:
-    """Compositional evaluation; each node delegates to the relations module.
-
-    `memo` (optional dict) caches node values, valid for a single fixed env.
-    """
-    if memo is not None:
-        hit = memo.get(expr)
-        if hit is not None:
-            return hit
-    if isinstance(expr, Var):
-        out = env.get(expr.name)
-        if out is None:
-            raise ValueError(f"unbound variable {expr.name!r}")
-        if out.n != alg.size:
-            raise ValueError(f"size mismatch: {expr.name} has n={out.n}, algebra n={alg.size}")
-    elif isinstance(expr, Delta):
-        out = rel.delta(alg.size)
-    elif isinstance(expr, Nabla):
-        out = rel.nabla(alg.size)
-    elif isinstance(expr, Intersect):
-        out = rel.intersect(eval_expr(alg, expr.lhs, env, memo), eval_expr(alg, expr.rhs, env, memo))
-    elif isinstance(expr, Union):
-        out = rel.union(eval_expr(alg, expr.lhs, env, memo), eval_expr(alg, expr.rhs, env, memo))
-    elif isinstance(expr, Compose):
-        out = rel.compose(eval_expr(alg, expr.lhs, env, memo), eval_expr(alg, expr.rhs, env, memo))
-    elif isinstance(expr, ComposeM):
-        lhs = eval_expr(alg, expr.lhs, env, memo)
-        rhs = eval_expr(alg, expr.rhs, env, memo)
-        out = rel.plus(lhs, rhs) if expr.m == INF else rel.m_compose(lhs, rhs, expr.m)
-    elif isinstance(expr, Plus):
-        out = rel.plus(eval_expr(alg, expr.lhs, env, memo), eval_expr(alg, expr.rhs, env, memo))
-    elif isinstance(expr, Power):
-        out = rel.power(eval_expr(alg, expr.arg, env, memo), expr.h)
-    elif isinstance(expr, Converse):
-        out = rel.converse(eval_expr(alg, expr.arg, env, memo))
-    elif isinstance(expr, Star):
-        out = rel.star(eval_expr(alg, expr.arg, env, memo))
-    elif isinstance(expr, Overline):
-        out = rel.refl_adm_closure(alg, eval_expr(alg, expr.arg, env, memo))
-    elif isinstance(expr, ToleranceOf):
-        out = rel.tolerance_of(alg, eval_expr(alg, expr.arg, env, memo))
-    else:
-        raise TypeError(f"not a relation expression: {expr!r}")
-    if memo is not None:
-        memo[expr] = out
-    return out
-
-
 @dataclass(frozen=True)
 class Counterexample:
     assignment: tuple  # ((name, BinRel), ...) in quantifier order
@@ -412,6 +357,166 @@ class Verdict:
     counterexample: Counterexample | None
 
 
+# The most values one compiled program keeps cached, summed over its slots
+# and its verdicts.  A full cache is emptied and refills from the next
+# assignment, so a check never holds more than this many.
+_CACHE_CAP = 1 << 16
+
+
+class _Program:
+    """Relation expressions over the quantifiers `names`, compiled once for
+    one algebra into interned slots.
+
+    Every distinct subterm is one slot.  Slots are interned bottom-up by
+    (node type, child slots, parameter), so nothing is hashed recursively
+    and a subterm met twice, in one statement or in several, is one slot.
+    Each slot records the positions of its free variables in `names`, and
+    its value is cached under their values, so it is computed once for each
+    combination of them, however many assignments it is run on.  A slot
+    with no free variables is computed when it is compiled; one that
+    depends on every quantifier is not cached, since its key would be the
+    whole assignment.  All the caches together hold at most `_CACHE_CAP`
+    entries.
+
+    An assignment is a tuple of relations in the order of `names`.  The
+    relation operators are looked up through `rel.` when a slot is made.
+    """
+
+    def __init__(self, alg: FiniteAlgebra, names):
+        self.alg = alg
+        self.names = tuple(names)
+        self._position = {name: p for p, name in enumerate(self.names)}
+        self._slots = {}  # (node type, child slots, parameter) -> slot
+        self.free = []  # slot -> ascending positions of its free variables
+        self.run = []  # slot -> function from an assignment to the slot's value
+        self._memos = []
+        self._size = 0
+
+    def slot(self, expr) -> int:
+        """Compile expr and its subterms; return expr's slot."""
+        node = type(expr)
+        if node is Var:
+            p = self._position.get(expr.name)
+            if p is None:
+                raise ValueError(f"unbound variable {expr.name!r}")
+            key = (Var, (), p)
+        elif node is Delta or node is Nabla:
+            key = (node, (), None)
+        elif node in (Intersect, Union, Compose, ComposeM, Plus):
+            param = expr.m if node is ComposeM else None
+            key = (node, (self.slot(expr.lhs), self.slot(expr.rhs)), param)
+        elif node in (Power, Converse, Star, Overline, ToleranceOf):
+            param = expr.h if node is Power else None
+            key = (node, (self.slot(expr.arg),), param)
+        else:
+            raise TypeError(f"not a relation expression: {expr!r}")
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = self._add(*key)
+        return slot
+
+    def _add(self, node, kids, param):
+        if node is Var:
+            free = (param,)
+            run = itemgetter(param)
+        else:
+            free = tuple(sorted({p for k in kids for p in self.free[k]}))
+            run = _apply(self._operator(node, param), [self.run[k] for k in kids])
+            if not free:
+                run = _constant(run(()))
+            elif len(free) < len(self.names):
+                run = self._cached(run, free)
+        self.free.append(free)
+        self.run.append(run)
+        return len(self.run) - 1
+
+    def _operator(self, node, param):
+        alg = self.alg
+        if node is Delta:
+            return partial(rel.delta, alg.size)
+        if node is Nabla:
+            return partial(rel.nabla, alg.size)
+        if node is Intersect:
+            return rel.intersect
+        if node is Union:
+            return rel.union
+        if node is Compose:
+            return rel.compose
+        if node is Plus or (node is ComposeM and param == INF):
+            return rel.plus
+        if node is ComposeM:
+            return partial(rel.m_compose, m=param)
+        if node is Power:
+            return partial(rel.power, h=param)
+        if node is Converse:
+            return rel.converse
+        if node is Star:
+            return rel.star
+        if node is Overline:
+            return partial(rel.refl_adm_closure, alg)
+        return partial(rel.tolerance_of, alg)
+
+    def memo(self) -> dict:
+        """A new cache whose entries count toward the program's cap."""
+        memo = {}
+        self._memos.append(memo)
+        return memo
+
+    def store(self, memo, key, value):
+        if self._size >= _CACHE_CAP:
+            for m in self._memos:
+                m.clear()
+            self._size = 0
+        memo[key] = value
+        self._size += 1
+
+    def _cached(self, run, free):
+        memo = self.memo()
+        key_of = itemgetter(*free)
+        store = self.store
+
+        def cached(values):
+            key = key_of(values)
+            value = memo.get(key)
+            if value is None:
+                value = run(values)
+                store(memo, key, value)
+            return value
+
+        return cached
+
+    def violation(self, stmt: IdentityStatement):
+        """Compile a statement whose quantifiers are among `names`.  Returns a
+        function from an assignment to the least pair of lhs outside rhs
+        (then, for "=", of rhs outside lhs), or None if the statement holds."""
+        lhs = self.run[self.slot(stmt.lhs)]
+        rhs = self.run[self.slot(stmt.rhs)]
+        both_ways = stmt.relation is StmtRel.EQUALS
+
+        def violation(values):
+            left, right = lhs(values), rhs(values)
+            witness = _first_missing_pair(left, right)
+            if witness is None and both_ways:
+                witness = _first_missing_pair(right, left)
+            return witness
+
+        return violation
+
+
+def _constant(value):
+    return lambda values: value
+
+
+def _apply(fn, args):
+    if not args:
+        return lambda values: fn()
+    if len(args) == 1:
+        (arg,) = args
+        return lambda values: fn(arg(values))
+    lhs, rhs = args
+    return lambda values: fn(lhs(values), rhs(values))
+
+
 def _first_missing_pair(lhs: BinRel, rhs: BinRel):
     for a in range(lhs.n):
         extra = lhs.rows[a] & ~rhs.rows[a]
@@ -420,13 +525,16 @@ def _first_missing_pair(lhs: BinRel, rhs: BinRel):
     return None
 
 
-def _violation(alg, stmt, env, memo):
-    lhs = eval_expr(alg, stmt.lhs, env, memo)
-    rhs = eval_expr(alg, stmt.rhs, env, memo)
-    witness = _first_missing_pair(lhs, rhs)
-    if witness is None and stmt.relation is StmtRel.EQUALS:
-        witness = _first_missing_pair(rhs, lhs)
-    return witness
+def eval_expr(alg: FiniteAlgebra, expr, env) -> BinRel:
+    """The value of expr on alg with its variables bound by `env` (name ->
+    BinRel): one run of the compiled program that `check_identity` uses."""
+    program = _Program(alg, env)
+    slot = program.slot(expr)
+    values = tuple(env.values())
+    for p in program.free[slot]:
+        if values[p].n != alg.size:
+            raise ValueError(f"size mismatch: {program.names[p]} has n={values[p].n}, algebra n={alg.size}")
+    return program.run[slot](values)
 
 
 def check_identity(
@@ -443,6 +551,11 @@ def check_identity(
     canonical order (declaration order outermost) and reports the least
     counterexample; sample mode draws `samples` >= 1 assignments, each by
     closing a random relation to its sort, reproducibly from the seed.
+
+    The statement is compiled once into a `_Program`, so each subterm is
+    evaluated once per distinct value of its own free variables, not once
+    per assignment.  In sample mode a draw seen before is not evaluated
+    again, but it still counts toward `checked`.
     """
     names = [name for name, _ in stmt.quantifiers]
     kinds = [kind for _, kind in stmt.quantifiers]
@@ -455,11 +568,17 @@ def check_identity(
         assignments = _draws(alg, kinds, seed, samples)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    program = _Program(alg, names)
+    violation = program.violation(stmt)
+    # draws that held; exhaustive assignments never repeat
+    held = program.memo() if mode == "sample" else None
     checked = 0
-    memo = {}
     for checked, values in enumerate(assignments, 1):
-        memo.clear()
-        witness = _violation(alg, stmt, dict(zip(names, values)), memo)
+        if held is not None:
+            if values in held:
+                continue
+            program.store(held, values, True)
+        witness = violation(values)
         if witness is not None:
             return Verdict(False, checked, Counterexample(tuple(zip(names, values)), witness))
     return Verdict(True, checked, None)

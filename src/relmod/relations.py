@@ -19,14 +19,16 @@ from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra
 class BinRel:
     """n x n boolean matrix; rows[a] has bit b set iff (a, b) is related.
 
-    Immutable by convention; hashable, so relations can key caches.
+    Immutable by convention; hashable, so relations can key caches.  The
+    hash is computed on first use and kept.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_hash")
 
     def __init__(self, n, rows):
         self.n = n
         self.rows = tuple(rows)
+        self._hash = None
 
     @staticmethod
     def from_pairs(n, pairs):
@@ -55,7 +57,9 @@ class BinRel:
         return isinstance(other, BinRel) and self.n == other.n and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.n, self.rows))
+        if self._hash is None:
+            self._hash = hash((self.n, self.rows))
+        return self._hash
 
     def __repr__(self):
         return f"BinRel({self.n}, {format_rel_literal(self)!r})"

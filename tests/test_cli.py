@@ -92,6 +92,13 @@ def test_check_bad_sort_exit_two():
     assert "bad sort 'XX', expected REFL, TOL or CON" in res.stderr
 
 
+def test_check_bad_param_value_exit_two():
+    res = run_cli("check", "--algebra", "l2", "--identity", "(1.1)", "--param", "k=x")
+    assert res.returncode == 2
+    assert "bad --param 'k=x': k must be an integer or inf" in res.stderr
+    assert "int()" not in res.stderr
+
+
 def test_structured_output_is_json():
     res = run_cli(
         "check", "--algebra", "l2", "--identity", "(1.1)", "--format", "structured"

@@ -1,13 +1,17 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relmod import corpus, identities
 from relmod.identities import (
     INF,
     Compose,
     ComposeM,
     Converse,
+    Counterexample,
     Delta,
     IdentityStatement,
     Intersect,
@@ -21,6 +25,7 @@ from relmod.identities import (
     ToleranceOf,
     Union,
     Var,
+    Verdict,
     catalog,
     catalog_entry,
     catalog_labels,
@@ -34,11 +39,13 @@ from relmod.maltsev import q_bound
 from relmod.relations import (
     BinRel,
     RelKind,
+    close_to_kind,
     compose,
     converse,
     delta,
     enumerate_relations,
     intersect,
+    m_compose,
     nabla,
     plus,
     power,
@@ -75,6 +82,18 @@ def test_parse_unquantified_variable():
 def test_parse_duplicate_quantifier():
     with pytest.raises(ParseError, match="duplicate quantifier"):
         parse_identity("S:REFL, S:TOL |- S <= S")
+
+
+def test_parse_unquantified_variable_position():
+    # the first unquantified occurrence, not position 0
+    with pytest.raises(ParseError, match=r"unquantified variable 'T' \(at position 14\)"):
+        parse_identity("S:REFL |- S ; T <= T")
+
+
+def test_parse_duplicate_quantifier_position():
+    # the second binding of the name
+    with pytest.raises(ParseError, match=r"duplicate quantifier 'S' \(at position 16\)"):
+        parse_identity("S:REFL, T:REFL, S:TOL |- S <= T")
 
 
 def test_parse_reports_position():
@@ -153,46 +172,123 @@ def _rels(n):
     )
 
 
+def _reference(alg, e, env):
+    """e's value, evaluated from scratch straight from the relation operators."""
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Delta):
+        return delta(alg.size)
+    if isinstance(e, Nabla):
+        return nabla(alg.size)
+    if isinstance(e, (Power, Converse, Star, Overline, ToleranceOf)):
+        arg = _reference(alg, e.arg, env)
+        if isinstance(e, Power):
+            return power(arg, e.h)
+        if isinstance(e, Converse):
+            return converse(arg)
+        if isinstance(e, Star):
+            return star(arg)
+        if isinstance(e, Overline):
+            return refl_adm_closure(alg, arg)
+        return tolerance_of(alg, arg)
+    lhs, rhs = _reference(alg, e.lhs, env), _reference(alg, e.rhs, env)
+    if isinstance(e, Intersect):
+        return intersect(lhs, rhs)
+    if isinstance(e, Union):
+        return union(lhs, rhs)
+    if isinstance(e, Compose):
+        return compose(lhs, rhs)
+    if isinstance(e, ComposeM) and e.m != INF:
+        return m_compose(lhs, rhs, e.m)
+    return plus(lhs, rhs)
+
+
 @settings(deadline=None, max_examples=80)
 @given(_exprs(), _rels(2), _rels(2))
 def test_eval_is_compositional(expr, rs, rt):
-    from relmod import corpus
-
     alg = corpus.builtin("sl2")
     env = {"S": rs, "T": rt}
+    assert eval_expr(alg, expr, env) == _reference(alg, expr, env)
 
-    def reference(e):
-        if isinstance(e, Var):
-            return env[e.name]
-        if isinstance(e, Delta):
-            return delta(2)
-        if isinstance(e, Nabla):
-            return nabla(2)
-        if isinstance(e, Intersect):
-            return intersect(reference(e.lhs), reference(e.rhs))
-        if isinstance(e, Union):
-            return union(reference(e.lhs), reference(e.rhs))
-        if isinstance(e, Compose):
-            return compose(reference(e.lhs), reference(e.rhs))
-        if isinstance(e, ComposeM):
-            if e.m == INF:
-                return plus(reference(e.lhs), reference(e.rhs))
-            from relmod.relations import m_compose
 
-            return m_compose(reference(e.lhs), reference(e.rhs), e.m)
-        if isinstance(e, Plus):
-            return plus(reference(e.lhs), reference(e.rhs))
-        if isinstance(e, Power):
-            return power(reference(e.arg), e.h)
-        if isinstance(e, Converse):
-            return converse(reference(e.arg))
-        if isinstance(e, Star):
-            return star(reference(e.arg))
-        if isinstance(e, Overline):
-            return refl_adm_closure(alg, reference(e.arg))
-        return tolerance_of(alg, reference(e.arg))
+def _reference_check(alg, stmt, assignments):
+    """check_identity's verdict, from a loop that evaluates every assignment
+    from scratch and scans every pair."""
+    names = [name for name, _ in stmt.quantifiers]
+    pairs = [(a, c) for a in range(alg.size) for c in range(alg.size)]
+    checked = 0
+    for checked, values in enumerate(assignments, 1):
+        env = dict(zip(names, values))
+        lhs, rhs = _reference(alg, stmt.lhs, env), _reference(alg, stmt.rhs, env)
+        missing = [p for p in pairs if lhs.has(*p) and not rhs.has(*p)]
+        if not missing and stmt.relation is StmtRel.EQUALS:
+            missing = [p for p in pairs if rhs.has(*p) and not lhs.has(*p)]
+        if missing:
+            return Verdict(False, checked, Counterexample(tuple(zip(names, values)), missing[0]))
+    return Verdict(True, checked, None)
 
-    assert eval_expr(alg, expr, env, {}) == reference(expr)
+
+def _reference_draws(alg, kinds, seed, samples):
+    rng = random.Random(seed)
+    n = alg.size
+    for _ in range(samples):
+        yield tuple(
+            close_to_kind(alg, kind, BinRel(n, tuple(rng.getrandbits(n) for _ in range(n))))
+            for kind in kinds
+        )
+
+
+@st.composite
+def _statements(draw):
+    names = ("S", "T", "U")[: draw(st.integers(2, 3))]
+    kinds = draw(st.lists(st.sampled_from(list(RelKind)), min_size=len(names), max_size=len(names)))
+    return IdentityStatement(
+        tuple(zip(names, kinds)),
+        draw(st.sampled_from(list(StmtRel))),
+        draw(_exprs(names)),
+        draw(_exprs(names)),
+    )
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.sampled_from(["sl2", "l2", "z2"]),
+    _statements(),
+    st.integers(0, 2**16),
+    st.integers(1, 40),
+)
+def test_check_matches_reference_loop(name, stmt, seed, samples):
+    alg = corpus.builtin(name)
+    kinds = [kind for _, kind in stmt.quantifiers]
+    lattices = [enumerate_relations(alg, kind).members for kind in kinds]
+    assert check_identity(alg, stmt) == _reference_check(alg, stmt, itertools.product(*lattices))
+    assert check_identity(alg, stmt, mode="sample", seed=seed, samples=samples) == _reference_check(
+        alg, stmt, _reference_draws(alg, kinds, seed, samples)
+    )
+
+
+def test_cache_cap_keeps_verdicts(l2, sl3, monkeypatch):
+    stmts = [catalog_entry(label, m=m) for label in ("(B1)", "(D3)") for m in (2, INF)]
+    runs = [(l2, "exhaustive"), (l2, "sample"), (sl3, "sample")]
+
+    def verdicts():
+        return [
+            check_identity(alg, stmt, mode=mode, seed=5, samples=300)
+            for alg, mode in runs
+            for stmt in stmts
+        ]
+
+    normal = verdicts()
+    assert not all(v.holds for v in normal)  # sl3 is not modular
+    monkeypatch.setattr(identities, "_CACHE_CAP", 1)
+    assert verdicts() == normal
+    # the cap bounds what a program holds
+    program = identities._Program(l2, ("R", "S", "T"))
+    violation = program.violation(stmts[-1])
+    lattice = enumerate_relations(l2, RelKind.REFL_ADM).members
+    for values in itertools.product(lattice, repeat=3):
+        assert violation(values) is None
+        assert sum(len(memo) for memo in program._memos) <= 1
 
 
 def test_eval_examples(z2xz2):
