@@ -357,9 +357,8 @@ class Verdict:
     counterexample: Counterexample | None
 
 
-# The most values one compiled program keeps cached, summed over its slots
-# and its verdicts.  A full cache is emptied and refills from the next
-# assignment, so a check never holds more than this many.
+# The most values one compiled program keeps cached.  A full cache is
+# emptied and refills, so a check never holds more than this many.
 _CACHE_CAP = 1 << 16
 
 
@@ -371,12 +370,12 @@ class _Program:
     (node type, child slots, parameter), so nothing is hashed recursively
     and a subterm met twice, in one statement or in several, is one slot.
     Each slot records the positions of its free variables in `names`, and
-    its value is cached under their values, so it is computed once for each
-    combination of them, however many assignments it is run on.  A slot
-    with no free variables is computed when it is compiled; one that
-    depends on every quantifier is not cached, since its key would be the
-    whole assignment.  All the caches together hold at most `_CACHE_CAP`
-    entries.
+    its value is cached under (slot, their values), so it is computed once
+    for each combination of them, however many assignments it is run on.
+    A slot with no free variables is computed when it is compiled.  One
+    that depends on every quantifier keeps only its value for the last
+    assignment, since a key made of the whole assignment would not repeat.
+    The one cache holds at most `_CACHE_CAP` entries.
 
     An assignment is a tuple of relations in the order of `names`.  The
     relation operators are looked up through `rel.` when a slot is made.
@@ -389,8 +388,7 @@ class _Program:
         self._slots = {}  # (node type, child slots, parameter) -> slot
         self.free = []  # slot -> ascending positions of its free variables
         self.run = []  # slot -> function from an assignment to the slot's value
-        self._memos = []
-        self._size = 0
+        self._cache = {}  # (slot, values of its free variables) -> value
 
     def slot(self, expr) -> int:
         """Compile expr and its subterms; return expr's slot."""
@@ -416,6 +414,7 @@ class _Program:
         return slot
 
     def _add(self, node, kids, param):
+        slot = len(self.run)
         if node is Var:
             free = (param,)
             run = itemgetter(param)
@@ -425,10 +424,12 @@ class _Program:
             if not free:
                 run = _constant(run(()))
             elif len(free) < len(self.names):
-                run = self._cached(run, free)
+                run = self._cached(run, slot, free)
+            else:
+                run = _last(run)
         self.free.append(free)
         self.run.append(run)
-        return len(self.run) - 1
+        return slot
 
     def _operator(self, node, param):
         alg = self.alg
@@ -456,31 +457,18 @@ class _Program:
             return partial(rel.refl_adm_closure, alg)
         return partial(rel.tolerance_of, alg)
 
-    def memo(self) -> dict:
-        """A new cache whose entries count toward the program's cap."""
-        memo = {}
-        self._memos.append(memo)
-        return memo
-
-    def store(self, memo, key, value):
-        if self._size >= _CACHE_CAP:
-            for m in self._memos:
-                m.clear()
-            self._size = 0
-        memo[key] = value
-        self._size += 1
-
-    def _cached(self, run, free):
-        memo = self.memo()
+    def _cached(self, run, slot, free):
+        cache = self._cache
         key_of = itemgetter(*free)
-        store = self.store
 
         def cached(values):
-            key = key_of(values)
-            value = memo.get(key)
+            key = (slot, key_of(values))
+            value = cache.get(key)
             if value is None:
                 value = run(values)
-                store(memo, key, value)
+                if len(cache) >= _CACHE_CAP:
+                    cache.clear()
+                cache[key] = value
             return value
 
         return cached
@@ -505,6 +493,20 @@ class _Program:
 
 def _constant(value):
     return lambda values: value
+
+
+def _last(run):
+    """run, keeping its value for the last assignment it was given: a slot
+    can be reached twice within one assignment."""
+    last = [None, None]  # assignment, value
+
+    def cached(values):
+        if values is not last[0]:
+            last[1] = run(values)
+            last[0] = values
+        return last[1]
+
+    return cached
 
 
 def _apply(fn, args):
@@ -553,9 +555,9 @@ def check_identity(
     closing a random relation to its sort, reproducibly from the seed.
 
     The statement is compiled once into a `_Program`, so each subterm is
-    evaluated once per distinct value of its own free variables, not once
-    per assignment.  In sample mode a draw seen before is not evaluated
-    again, but it still counts toward `checked`.
+    evaluated once per distinct value of its own free variables (while the
+    bounded cache keeps it), not once per assignment; only a subterm that
+    depends on every quantifier is evaluated for every assignment.
     """
     names = [name for name, _ in stmt.quantifiers]
     kinds = [kind for _, kind in stmt.quantifiers]
@@ -568,16 +570,9 @@ def check_identity(
         assignments = _draws(alg, kinds, seed, samples)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    program = _Program(alg, names)
-    violation = program.violation(stmt)
-    # draws that held; exhaustive assignments never repeat
-    held = program.memo() if mode == "sample" else None
+    violation = _Program(alg, names).violation(stmt)
     checked = 0
     for checked, values in enumerate(assignments, 1):
-        if held is not None:
-            if values in held:
-                continue
-            program.store(held, values, True)
         witness = violation(values)
         if witness is not None:
             return Verdict(False, checked, Counterexample(tuple(zip(names, values)), witness))

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relmod import corpus, identities
+from relmod import corpus, identities, relations
 from relmod.identities import (
     INF,
     Compose,
@@ -288,7 +288,26 @@ def test_cache_cap_keeps_verdicts(l2, sl3, monkeypatch):
     lattice = enumerate_relations(l2, RelKind.REFL_ADM).members
     for values in itertools.product(lattice, repeat=3):
         assert violation(values) is None
-        assert sum(len(memo) for memo in program._memos) <= 1
+        assert len(program._cache) <= 1
+
+
+
+def test_subterm_over_every_quantifier_is_computed_once_per_assignment(l2, monkeypatch):
+    # S ; T depends on both quantifiers, so no assignment can reuse another's
+    # value of it, but its three uses within one assignment share one compose
+    stmt = parse_identity("S:REFL, T:REFL |- (S ; T) & (S ; T) <= S ; T")
+    calls = []
+
+    def counting_compose(r, s):
+        calls.append((r, s))
+        return compose(r, s)
+
+    monkeypatch.setattr(relations, "compose", counting_compose)
+    verdict = check_identity(l2, stmt)
+    assert verdict.holds and len(calls) == verdict.checked
+    calls.clear()
+    verdict = check_identity(l2, stmt, mode="sample", seed=3, samples=50)
+    assert verdict.holds and len(calls) == 50
 
 
 def test_eval_examples(z2xz2):
