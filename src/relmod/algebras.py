@@ -4,6 +4,13 @@ closure with term provenance.
 Elements are the integers 0..n-1.  Argument tuples are encoded mixed-radix
 with the first argument most significant, both in operation tables and in
 the vectors of induced term functions.
+
+Subpower closure and term tables keep vectors byte-packed, one byte per
+coordinate, and apply an operation to whole vectors at once: the argument
+vectors are folded into one int whose bytes are the coordinates' argument
+codes, and one bytes.translate through the padded table gives the result.
+Operations with more than 256 argument codes, and universes of more than
+256 elements, are applied one coordinate at a time.
 """
 
 from __future__ import annotations
@@ -70,8 +77,9 @@ class FiniteAlgebra:
         self.size = size
         self.operations = tuple(ops)
         self._by_symbol = {op.symbol: op for op in ops}
-        # lazily filled by the relations module (closures, lattices)
-        self._caches = {}
+        # lazily filled by the relations module
+        self._closures = {}  # (closer, relation) -> closed relation, bounded
+        self._lattices = {}  # RelKind -> RelLattice
 
     def operation(self, symbol: str) -> Operation:
         op = self._by_symbol.get(symbol)
@@ -147,17 +155,23 @@ def format_term(t: Term) -> str:
     return t.symbol + "(" + ",".join(format_term(c) for c in t.children) + ")"
 
 
+def _operation_of(alg: FiniteAlgebra, t: Apply) -> Operation:
+    """The operation t applies, once t is checked to have its arity."""
+    op = alg.operation(t.symbol)
+    if len(t.children) != op.arity:
+        raise TermError(
+            f"arity mismatch for {t.symbol!r}: got {len(t.children)} arguments, want {op.arity}"
+        )
+    return op
+
+
 def eval_term(alg: FiniteAlgebra, t: Term, env) -> int:
     """Value of t under env, computed bottom-up from the tables."""
     if isinstance(t, Variable):
         if t.index >= len(env):
             raise TermError(f"variable index {t.index} out of range for env of length {len(env)}")
         return env[t.index]
-    op = alg.operation(t.symbol)
-    if len(t.children) != op.arity:
-        raise TermError(
-            f"arity mismatch for {t.symbol!r}: got {len(t.children)} arguments, want {op.arity}"
-        )
+    op = _operation_of(alg, t)
     idx = 0
     for child in t.children:
         idx = idx * alg.size + eval_term(alg, child, env)
@@ -187,15 +201,67 @@ class FreeElement:
         return f"FreeElement({format_term(self.term)})"
 
 
+def _translation(op: Operation, n: int):
+    """op's table padded to a 256-byte bytes.translate table, or None when
+    an argument code can exceed a byte (n**arity > 256)."""
+    if n > 256 or n ** op.arity > 256:
+        return None
+    return bytes(op.table).ljust(256, b"\0")
+
+
+def _apply(op: Operation, n: int, width: int, args, tab):
+    """op applied coordinatewise to the width-vectors args, all bytes (n <=
+    256) or all tuples; tab is _translation(op, n).
+
+    With a table the arguments are packed into one int, one byte per
+    coordinate with the first argument most significant, so each byte of
+    (U*n + V)*n + W is the coordinate's argument code and one translate
+    reads the whole result.  No byte carries: every code is below
+    n**arity <= 256.  Otherwise the codes are built one coordinate at a
+    time.
+    """
+    if tab is not None:
+        code = 0
+        for a in args:
+            code = code * n + int.from_bytes(a, "big")
+        return code.to_bytes(width, "big").translate(tab)
+    table = op.table
+    out = []
+    for column in zip(*args) if args else [()] * width:
+        code = 0
+        for x in column:
+            code = code * n + x
+        out.append(table[code])
+    return bytes(out) if n <= 256 else tuple(out)
+
+
 def term_table(alg: FiniteAlgebra, t: Term, g: int, cap: int = DEFAULT_CAP) -> FreeElement:
-    """Tabulate t over all argument tuples in mixed-radix order."""
-    width = alg.size ** g
+    """Tabulate t over all argument tuples in mixed-radix order.
+
+    The term is evaluated bottom-up on whole vectors, from the projections,
+    with each shared subterm evaluated once; errors are eval_term's.
+    """
+    n = alg.size
+    width = n ** g
     if width > cap:
         raise CapExceeded("vector-length", cap, width)
-    vec = [0] * width
-    for i, env in enumerate(product(range(alg.size), repeat=g)):
-        vec[i] = eval_term(alg, t, env)
-    return FreeElement(vec, t)
+    memo = {}  # id of a subterm of t -> its vector
+
+    def value(s):
+        vec = memo.get(id(s))
+        if vec is None:
+            if isinstance(s, Variable):
+                if s.index >= g:
+                    raise TermError(f"variable index {s.index} out of range for env of length {g}")
+                vec = projection(n, g, s.index).vector
+                vec = bytes(vec) if n <= 256 else vec
+            else:
+                op = _operation_of(alg, s)
+                vec = _apply(op, n, width, [value(c) for c in s.children], _translation(op, n))
+            memo[id(s)] = vec
+        return vec
+
+    return FreeElement(value(t), t)
 
 
 def generate_subuniverse(alg: FiniteAlgebra, width: int, generators, cap: int = DEFAULT_CAP):
@@ -205,60 +271,79 @@ def generate_subuniverse(alg: FiniteAlgebra, width: int, generators, cap: int = 
     Returns the elements in deterministic breadth-first discovery order;
     each carries the first (shortest-discovered) term over the generators
     that produces it, with Variable(i) naming generator i.
+
+    Vectors are kept as bytes (tuples when n > 256) beside their big-endian
+    ints, and an operation with n**arity <= 256 is applied to whole vectors
+    at once, as in _apply.
     """
     n = alg.size
-    elems = []
-    index = {}
+    vecs, ints, terms = [], [], []
+    seen = set()
+
+    def add(vec, term):
+        seen.add(vec)
+        vecs.append(vec)
+        ints.append(int.from_bytes(vec, "big") if n <= 256 else None)
+        terms.append(term)
+
     for i, gen in enumerate(generators):
         vec = tuple(gen.vector)
         if len(vec) != width:
             raise ValueError(f"generator {i} has width {len(vec)}, want {width}")
-        if vec not in index:
-            index[vec] = len(elems)
-            elems.append(FreeElement(vec, Variable(i)))
-
-    def add(vec, term):
-        if vec not in index:
-            if len(elems) >= cap:
-                raise CapExceeded("closure-size", cap, len(elems) + 1)
-            index[vec] = len(elems)
-            elems.append(FreeElement(vec, term))
+        for v in vec:
+            if not 0 <= v < n:
+                raise ValueError(f"generator {i} has entry {v} outside 0..{n - 1}")
+        vec = bytes(vec) if n <= 256 else vec
+        if vec not in seen:
+            add(vec, Variable(i))
 
     frontier_start = 0
     first_round = True
     while True:
-        round_len = len(elems)
+        round_len = len(vecs)
         for op in alg.operations:
-            ar, tab = op.arity, op.table
+            ar, tab = op.arity, _translation(op, n)
             if ar == 0:
-                if first_round:
-                    add((tab[0],) * width, Apply(op.symbol, ()))
+                out = _apply(op, n, width, [], tab)
+                if first_round and out not in seen:
+                    if len(vecs) >= cap:
+                        raise CapExceeded("closure-size", cap, len(vecs) + 1)
+                    add(out, Apply(op.symbol, ()))
                 continue
-            # tuples over the pre-round elements with >=1 coordinate in the frontier
+            # tuples over the pre-round elements with >=1 coordinate in the
+            # frontier, in product order: each head of ar-1 arguments, then
+            # every last argument
             for r in range(ar):
-                pools = (
+                *pools, last = (
                     [range(frontier_start)] * r
                     + [range(frontier_start, round_len)]
                     + [range(round_len)] * (ar - 1 - r)
                 )
-                for arg_idx in product(*pools):
-                    vecs = [elems[i].vector for i in arg_idx]
-                    if ar == 2:
-                        va, vb = vecs
-                        out = tuple(tab[x * n + y] for x, y in zip(va, vb))
+                for head in product(*pools):
+                    if tab is None:
+                        args = [vecs[i] for i in head]
+                        outs = [_apply(op, n, width, args + [vecs[j]], None) for j in last]
+                    elif ar == 1:
+                        outs = [vecs[j].translate(tab) for j in last]
                     else:
-                        out = []
-                        for coord in range(width):
-                            t = 0
-                            for v in vecs:
-                                t = t * n + v[coord]
-                            out.append(tab[t])
-                        out = tuple(out)
-                    if out not in index:
-                        add(out, Apply(op.symbol, tuple(elems[i].term for i in arg_idx)))
+                        # _apply, with the head folded once for every last argument
+                        acc = 0
+                        for i in head:
+                            acc = (acc + ints[i]) * n
+                        outs = [
+                            (acc + u).to_bytes(width, "big").translate(tab)
+                            for u in ints[last.start : last.stop]
+                        ]
+                    if seen.issuperset(outs):  # most batches add nothing
+                        continue
+                    for j, out in zip(last, outs):
+                        if out not in seen:
+                            if len(vecs) >= cap:
+                                raise CapExceeded("closure-size", cap, len(vecs) + 1)
+                            add(out, Apply(op.symbol, tuple(terms[i] for i in head) + (terms[j],)))
         first_round = False
-        if len(elems) == round_len:
-            return elems
+        if len(vecs) == round_len:
+            return [FreeElement(vec, term) for vec, term in zip(vecs, terms)]
         frontier_start = round_len
 
 

@@ -233,11 +233,23 @@ def _pair_closure(alg: FiniteAlgebra, seed_pairs):
         frontier_start = round_len
 
 
+# The most closed relations one algebra keeps cached.  A full cache is
+# emptied and refills, so random relations drawn by sampled checks cannot
+# grow it without bound.
+_CLOSURE_CACHE_CAP = 1 << 16
+
+
 def _cached(alg, key, build):
-    cache = alg._caches
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
+    """alg's closure under key, built on a miss and kept while the bounded
+    closure cache holds it."""
+    cache = alg._closures
+    value = cache.get(key)
+    if value is None:
+        value = build()
+        if len(cache) >= _CLOSURE_CACHE_CAP:
+            cache.clear()
+        cache[key] = value
+    return value
 
 
 def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
@@ -335,7 +347,10 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
                 add(close(alg, union(x, y)))
         return RelLattice(kind, tuple(sorted(members, key=BinRel.flat_bits)))
 
-    return _cached(alg, ("lattice", kind), build)
+    lattice = alg._lattices.get(kind)
+    if lattice is None:
+        lattice = alg._lattices[kind] = build()
+    return lattice
 
 
 def parse_rel_literal(text: str, n: int) -> BinRel:

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package:
-pairs-set relation semantics, brute-force lattice filters, term-level
-graph searches recomputed without the production signatures, and term
-system certificates written straight from the defining identities."""
+pairs-set relation semantics, brute-force lattice filters, a naive subpower
+closure, term-level graph searches recomputed without the production
+signatures, and term system certificates written straight from the defining
+identities."""
 
 from itertools import product
 
@@ -72,6 +73,31 @@ def brute_force_refl_adm(alg):
         if naive_admissible(alg, pairs):
             out.add(frozenset(pairs))
     return out
+
+
+# --- naive subpower closure ------------------------------------------------------
+
+
+def naive_subuniverse(alg, width, generators):
+    """The set of width-tuples generated by the generator tuples: a plain
+    fixpoint that applies every operation to every argument tuple, read
+    straight from the tables one coordinate at a time."""
+    n = alg.size
+    elems = {tuple(g) for g in generators}
+    while True:
+        new = set()
+        for op in alg.operations:
+            for args in product(elems, repeat=op.arity):
+                out = []
+                for coord in range(width):
+                    code = 0
+                    for vec in args:
+                        code = code * n + vec[coord]
+                    out.append(op.table[code])
+                new.add(tuple(out))
+        if new <= elems:
+            return elems
+        elems |= new
 
 
 # --- independent term-graph searches ------------------------------------------

@@ -1,8 +1,10 @@
 import json
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import naive_subuniverse
 from relmod.algebras import (
     AlgebraError,
     Apply,
@@ -207,6 +209,106 @@ def test_closure_cap(sl2):
     with pytest.raises(CapExceeded) as exc:
         generate_subuniverse(sl2, 16, gens, cap=5)
     assert exc.value.kind == "closure-size"
+
+
+def test_closure_rejects_entries_outside_the_universe(z2):
+    # a negative entry would read the table from its end, and one >= n the
+    # zero padding of the byte-packed table
+    for bad in (-1, 2):
+        gens = [FreeElement((0, 1), None), FreeElement((1, bad), None)]
+        with pytest.raises(ValueError, match=f"generator 1 has entry {bad} outside 0..1"):
+            generate_subuniverse(z2, 2, gens)
+
+
+@st.composite
+def closure_instances(draw):
+    """A random algebra with n = 1..7 and arities 0..3, a width with at most
+    49 vectors, and up to three generators."""
+    n = draw(st.integers(1, 7))
+    entries = st.integers(0, n - 1)
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    ops = [
+        (f"f{i}", ar, draw(st.lists(entries, min_size=n**ar, max_size=n**ar)))
+        for i, ar in enumerate(arities)
+    ]
+    width = draw(st.integers(1, 3).filter(lambda w: n**w <= 49))
+    gens = draw(st.lists(st.tuples(*[entries] * width), max_size=3))
+    return FiniteAlgebra("r", n, ops), width, gens
+
+
+def _table(n, arity, fn):
+    return [fn(*args) for args in product(range(n), repeat=arity)]
+
+
+# whole-vector ops of every arity, on n = 3
+PACKED = FiniteAlgebra(
+    "packed",
+    3,
+    [
+        ("c", 0, [2]),
+        ("u", 1, [1, 2, 0]),
+        ("f", 2, _table(3, 2, lambda x, y: (x * y + 1) % 3)),
+        ("t", 3, _table(3, 3, lambda x, y, z: (x - y + z) % 3)),
+    ],
+)
+# 7**3 argument codes do not fit a byte: one coordinate at a time
+UNPACKED = FiniteAlgebra("unpacked", 7, [("m", 3, _table(7, 3, lambda x, y, z: (x * y + z) % 7))])
+
+
+@settings(deadline=None, max_examples=60)
+@given(closure_instances())
+@example((PACKED, 3, [(0, 1, 1), (1, 0, 2)]))
+@example((UNPACKED, 2, [(0, 1), (3, 5)]))
+def test_closure_matches_naive_oracle(instance):
+    alg, width, gens = instance
+    result = generate_subuniverse(alg, width, [FreeElement(g, None) for g in gens])
+    vectors = [fe.vector for fe in result]
+    assert len(set(vectors)) == len(vectors)
+    assert set(vectors) == naive_subuniverse(alg, width, gens)
+    for fe in result:
+        for coord in range(width):
+            assert eval_term(alg, fe.term, [g[coord] for g in gens]) == fe.vector[coord]
+
+
+@st.composite
+def term_instances(draw):
+    """A random algebra, an arity g and a term over it built bottom-up, whose
+    subterms may be shared."""
+    alg, _, _ = draw(closure_instances())
+    constants = [Apply(op.symbol, ()) for op in alg.operations if op.arity == 0]
+    g = draw(st.integers(0 if constants else 1, 3))
+    pool = [Variable(i) for i in range(g)] + constants
+    for _ in range(draw(st.integers(0, 5))):
+        op = draw(st.sampled_from(alg.operations))
+        pool.append(Apply(op.symbol, tuple(draw(st.sampled_from(pool)) for _ in range(op.arity))))
+    return alg, g, pool[-1]
+
+
+@settings(deadline=None, max_examples=60)
+@given(term_instances())
+@example((PACKED, 2, Apply("t", (Apply("u", (Variable(0),)),) * 2 + (Apply("c", ()),))))
+@example((UNPACKED, 2, Apply("m", (Variable(1), Variable(0), Variable(1)))))
+def test_term_table_matches_eval_term(instance):
+    alg, g, t = instance
+    want = tuple(eval_term(alg, t, env) for env in product(range(alg.size), repeat=g))
+    assert term_table(alg, t, g).vector == want
+
+
+def test_term_table_errors_match_eval_term(z2):
+    # the first error eval_term meets, in its order: a node before its
+    # children, children left to right
+    for t in (
+        Apply("nope", ()),
+        Apply("xor", (Variable(0),)),
+        Variable(3),
+        Apply("xor", (Variable(3), Apply("nope", ()))),
+        Apply("xor", (Apply("xor", (Variable(0), Variable(1), Variable(2))), Variable(5))),
+    ):
+        with pytest.raises(TermError) as want:
+            eval_term(z2, t, (0, 0, 0))
+        with pytest.raises(TermError) as got:
+            term_table(z2, t, 3)
+        assert str(got.value) == str(want.value)
 
 
 @settings(deadline=None, max_examples=30)

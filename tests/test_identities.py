@@ -35,6 +35,7 @@ from relmod.identities import (
     print_statement,
     with_sorts,
 )
+from relmod.algebras import load_algebra
 from relmod.maltsev import q_bound
 from relmod.relations import (
     BinRel,
@@ -289,6 +290,36 @@ def test_cache_cap_keeps_verdicts(l2, sl3, monkeypatch):
     for values in itertools.product(lattice, repeat=3):
         assert violation(values) is None
         assert len(program._cache) <= 1
+
+
+def test_closure_cache_cap_keeps_verdicts(monkeypatch):
+    stmts = [catalog_entry(label, m=INF) for label in ("(B1)", "(D3)")]
+    sizes = []
+    cached = relations._cached
+
+    def verdicts():
+        # a fresh copy, so no closure comes from an earlier test's cache
+        alg = load_algebra(corpus.builtin_json("l2"))
+
+        def recording(alg_, key, build):
+            value = cached(alg_, key, build)
+            sizes.append(len(alg._closures))
+            return value
+
+        monkeypatch.setattr(relations, "_cached", recording)
+        return [
+            check_identity(alg, stmt, mode=mode, seed=5, samples=300)
+            for mode in ("exhaustive", "sample")
+            for stmt in stmts
+        ]
+
+    normal = verdicts()
+    assert all(v.holds for v in normal)
+    assert max(sizes) > 1
+    monkeypatch.setattr(relations, "_CLOSURE_CACHE_CAP", 1)
+    sizes.clear()
+    assert verdicts() == normal
+    assert max(sizes) == 1
 
 
 

@@ -1,10 +1,19 @@
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from relmod import corpus
-from relmod.algebras import CapExceeded, FiniteAlgebra, format_term, free_algebra, projection, term_table
+from relmod import corpus, maltsev
+from relmod.algebras import (
+    CapExceeded,
+    FiniteAlgebra,
+    format_term,
+    free_algebra,
+    generate_subuniverse,
+    projection,
+    term_table,
+)
 from relmod.maltsev import (
     DaySystem,
     DirectedGummSystem,
@@ -153,6 +162,58 @@ def test_find_day_m3(m3):
     assert verify_day(m3, res.system)
 
 
+def _table(n, arity, fn):
+    return [fn(*args) for args in itertools.product(range(n), repeat=arity)]
+
+
+def pentagon():
+    # N5: 0 < 1 < 2 < 4 and 0 < 3 < 4, with 3 incomparable to 1 and 2
+    above = {0: {0, 1, 2, 3, 4}, 1: {1, 2, 4}, 2: {2, 4}, 3: {3, 4}, 4: {4}}
+    below = {a: {b for b in range(5) if a in above[b]} for a in range(5)}
+    meet = _table(5, 2, lambda a, b: max(below[a] & below[b], key=lambda c: len(below[c])))
+    join = _table(5, 2, lambda a, b: max(above[a] & above[b], key=lambda c: len(above[c])))
+    return FiniteAlgebra("n5", 5, [("meet", 2, meet), ("join", 2, join)])
+
+
+def symmetric3():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = [index[tuple(p[q[i]] for i in range(3))] for p in perms for q in perms]
+    inv = [index[tuple(sorted(range(3), key=p.__getitem__))] for p in perms]
+    return FiniteAlgebra("s3", 6, [("mul", 2, mul), ("inv", 1, inv)])
+
+
+# k, node_count and the printed d_0..d_k of the Day search on the pentagon
+# N5 and on Z6, whose restricted closures are among the largest that end
+HARD_DAY = [
+    (pentagon(), 3, 292, [
+        "x",
+        "meet(meet(join(x,y),join(x,w)),join(y,w))",
+        "meet(meet(join(x,z),join(x,w)),join(z,w))",
+        "w",
+    ]),
+    (FiniteAlgebra("z6", 6, [("add", 2, _table(6, 2, lambda x, y: (x + y) % 6))]), 2, 36, [
+        "x",
+        "add(add(add(y,z),z),add(add(z,z),add(z,w)))",
+        "w",
+    ]),
+]
+
+
+@pytest.mark.parametrize("alg,k,nodes,terms", HARD_DAY, ids=lambda v: getattr(v, "name", None))
+def test_find_day_hard_cases(alg, k, nodes, terms):
+    res = find_day(alg)
+    assert res.found and res.system.k == k and res.node_count == nodes
+    assert [format_term(t) for t in res.system.d] == terms
+    assert verify_day(alg, res.system)
+
+
+def test_find_directed_gumm_s3_runs_out_of_closure():
+    res = find_directed_gumm(symmetric3(), cap=5000)
+    assert res.status is SearchStatus.CAP_EXCEEDED
+    assert res.cap_error.kind == "closure-size"
+
+
 @st.composite
 def small_algebras(draw):
     n = draw(st.integers(2, 3))
@@ -268,6 +329,34 @@ def test_corpus_terms_pinned(name, family):
         [format_term(t) for t in terms] if terms else None,
     )
     assert got == CORPUS_TERMS[name, family]
+
+
+def test_closure_digest_pinned(monkeypatch):
+    # the ordered vectors and first terms of F(3) of every corpus algebra and
+    # of the restricted closures the Day and directed Gumm searches build;
+    # the digest was taken from the per-coordinate closure loop that the
+    # byte-packed one replaced
+    lines = [
+        f"free3:{name} {fe.vector} {format_term(fe.term)}"
+        for name in corpus.builtin_names()
+        for fe in free_algebra(corpus.builtin(name), 3)
+    ]
+    closures = []
+
+    def recording(*args, **kwargs):
+        closures.append(generate_subuniverse(*args, **kwargs))
+        return closures[-1]
+
+    monkeypatch.setattr(maltsev, "generate_subuniverse", recording)
+    for name in ("l2", "m3", "z2xz2"):
+        for family, find in (("day", find_day), ("dgumm", find_directed_gumm)):
+            find(corpus.builtin(name))
+            (closure,) = closures
+            closures.clear()
+            lines += [f"{family}:{name} {fe.vector} {format_term(fe.term)}" for fe in closure]
+    assert len(lines) == 244
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "617754a67be2c3e3ec10cac988fdecc2393e0c7cdcb128adb45411ce6a23499e"
 
 
 # --- modularity decision ------------------------------------------------------------
