@@ -168,7 +168,7 @@ def _operation_of(alg: FiniteAlgebra, t: Apply) -> Operation:
 def eval_term(alg: FiniteAlgebra, t: Term, env) -> int:
     """Value of t under env, computed bottom-up from the tables."""
     if isinstance(t, Variable):
-        if t.index >= len(env):
+        if not 0 <= t.index < len(env):
             raise TermError(f"variable index {t.index} out of range for env of length {len(env)}")
         return env[t.index]
     op = _operation_of(alg, t)
@@ -251,7 +251,7 @@ def term_table(alg: FiniteAlgebra, t: Term, g: int, cap: int = DEFAULT_CAP) -> F
         vec = memo.get(id(s))
         if vec is None:
             if isinstance(s, Variable):
-                if s.index >= g:
+                if not 0 <= s.index < g:
                     raise TermError(f"variable index {s.index} out of range for env of length {g}")
                 vec = projection(n, g, s.index).vector
                 vec = bytes(vec) if n <= 256 else vec
@@ -323,8 +323,6 @@ def generate_subuniverse(alg: FiniteAlgebra, width: int, generators, cap: int = 
                     if tab is None:
                         args = [vecs[i] for i in head]
                         outs = [_apply(op, n, width, args + [vecs[j]], None) for j in last]
-                    elif ar == 1:
-                        outs = [vecs[j].translate(tab) for j in last]
                     else:
                         # _apply, with the head folded once for every last argument
                         acc = 0

@@ -253,12 +253,19 @@ PACKED = FiniteAlgebra(
 )
 # 7**3 argument codes do not fit a byte: one coordinate at a time
 UNPACKED = FiniteAlgebra("unpacked", 7, [("m", 3, _table(7, 3, lambda x, y, z: (x * y + z) % 7))])
+# 257 elements do not fit a byte: tuple vectors, one coordinate at a time
+WIDE = FiniteAlgebra(
+    "wide",
+    257,
+    [("u", 1, _table(257, 1, lambda x: (x + 1) % 257)), ("f", 2, _table(257, 2, lambda x, y: (x * y + 1) % 257))],
+)
 
 
 @settings(deadline=None, max_examples=60)
 @given(closure_instances())
 @example((PACKED, 3, [(0, 1, 1), (1, 0, 2)]))
 @example((UNPACKED, 2, [(0, 1), (3, 5)]))
+@example((WIDE, 1, [(3,)]))
 def test_closure_matches_naive_oracle(instance):
     alg, width, gens = instance
     result = generate_subuniverse(alg, width, [FreeElement(g, None) for g in gens])
@@ -288,6 +295,7 @@ def term_instances(draw):
 @given(term_instances())
 @example((PACKED, 2, Apply("t", (Apply("u", (Variable(0),)),) * 2 + (Apply("c", ()),))))
 @example((UNPACKED, 2, Apply("m", (Variable(1), Variable(0), Variable(1)))))
+@example((WIDE, 2, Apply("f", (Apply("u", (Variable(1),)), Variable(0)))))
 def test_term_table_matches_eval_term(instance):
     alg, g, t = instance
     want = tuple(eval_term(alg, t, env) for env in product(range(alg.size), repeat=g))
@@ -301,6 +309,7 @@ def test_term_table_errors_match_eval_term(z2):
         Apply("nope", ()),
         Apply("xor", (Variable(0),)),
         Variable(3),
+        Variable(-1),
         Apply("xor", (Variable(3), Apply("nope", ()))),
         Apply("xor", (Apply("xor", (Variable(0), Variable(1), Variable(2))), Variable(5))),
     ):
