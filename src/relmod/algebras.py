@@ -79,6 +79,9 @@ class FiniteAlgebra:
         self._by_symbol = {op.symbol: op for op in ops}
         # lazily filled by the relations module
         self._closures = {}  # (closer, relation) -> closed relation, bounded
+        # pair-closure image tables, built on first use: at most 32 ints,
+        # each an n-bit mask, per entry of each operation table
+        self._image_tables = None
         self._lattices = {}  # RelKind -> RelLattice
 
     def operation(self, symbol: str) -> Operation:
@@ -149,6 +152,8 @@ Term = Variable | Apply
 def format_term(t: Term) -> str:
     """Fully parenthesized prefix text; variables 0..3 print as x,y,z,w."""
     if isinstance(t, Variable):
+        if t.index < 0:
+            raise TermError(f"negative variable index {t.index}")
         return VAR_NAMES[t.index] if t.index < len(VAR_NAMES) else f"v{t.index}"
     if not t.children:
         return t.symbol

@@ -5,6 +5,13 @@ converse, intersection, union, alternating composition, powers, transitive
 closure, the saturating join ``plus``, reflexive-admissible / tolerance /
 congruence closures) and the enumeration of the corresponding relation
 lattices of a small algebra.
+
+A relation is held as n rows of bits.  Every closure comes from one
+kernel, ``_pair_closure``, which closes the rows under the operations as
+a subuniverse of A x A.  It works a whole row at a time: an operation
+applied to first coordinates a1..ak adds to row f(a1..ak) the image of
+rows[a1] x ... x rows[ak], read from per-operation image tables built
+once per algebra.  ``is_admissible`` runs the kernel's first round.
 """
 
 from __future__ import annotations
@@ -176,11 +183,12 @@ def is_transitive(r: BinRel) -> bool:
 
 def is_admissible(alg: FiniteAlgebra, r: BinRel) -> bool:
     """True iff r is closed under every operation applied componentwise,
-    i.e. r is a subuniverse of A x A: closing it adds no pair."""
+    i.e. r is a subuniverse of A x A: the pair-closure kernel's first
+    round, which checks every constant and every argument tuple, grows no
+    row.  Stops at the first image that its target row lacks."""
     if r.n != alg.size:
         raise ValueError(f"relation size {r.n} does not match algebra size {alg.size}")
-    pairs = set(r.pairs())
-    return _pair_closure(alg, pairs) == pairs
+    return next(_pair_closure(alg, list(r.rows)), None) is None
 
 
 def is_tolerance(alg: FiniteAlgebra, r: BinRel) -> bool:
@@ -191,46 +199,95 @@ def is_congruence(alg: FiniteAlgebra, r: BinRel) -> bool:
     return is_tolerance(alg, r) and is_transitive(r)
 
 
-def _pair_closure(alg: FiniteAlgebra, seed_pairs):
-    """Close a set of pairs under the operations applied componentwise
-    (the subuniverse of A x A generated by the seed)."""
-    n = alg.size
-    seen = set(seed_pairs)
-    elems = sorted(seen)
-    frontier_start = 0
-    first_round = True
-    while True:
-        round_len = len(elems)
-        new = []
+def _image_tables(alg: FiniteAlgebra):
+    """(arity, table, img) for each operation of positive arity, built on
+    first use and kept on the algebra.
+
+    The last argument's values are cut into chunks of 8 (one chunk when
+    n <= 8).  For each code p of the first arity-1 arguments, img holds
+    one block per chunk with the image of every subset of that chunk:
+    img[p*stride + 32*lo + m] is the bitmask of the values
+    table[p*n + lo + j] over the bits j of m, for the chunk whose first
+    value is lo.  A chunk of w values takes 2**w <= 32*w entries, so img
+    has at most 32 entries per entry of the operation table.
+    """
+    tables = alg._image_tables
+    if tables is None:
+        n = alg.size
+        tables = []
         for op in alg.operations:
-            ar, tab = op.arity, op.table
-            if ar == 0:
-                if first_round:
-                    p = (tab[0], tab[0])
-                    if p not in seen:
-                        seen.add(p)
-                        new.append(p)
+            if op.arity == 0:
                 continue
-            for r in range(ar):
-                pools = (
-                    [elems[:frontier_start]] * r
-                    + [elems[frontier_start:round_len]]
-                    + [elems[:round_len]] * (ar - 1 - r)
-                )
-                for args in product(*pools):
-                    i = j = 0
-                    for x, y in args:
-                        i = i * n + x
-                        j = j * n + y
-                    p = (tab[i], tab[j])
-                    if p not in seen:
-                        seen.add(p)
-                        new.append(p)
-        first_round = False
-        if not new:
-            return seen
-        elems.extend(new)
-        frontier_start = round_len
+            img = []
+            for base in range(0, len(op.table), n):
+                for lo in range(base, base + n, 8):
+                    block = [0]
+                    for v in op.table[lo : min(lo + 8, base + n)]:
+                        bit = 1 << v
+                        block += [m | bit for m in block]
+                    img += block
+            tables.append((op.arity, op.table, img))
+        alg._image_tables = tables
+    return tables
+
+
+def _pair_closure(alg: FiniteAlgebra, rows):
+    """Close the relation held in ``rows``, a list of row bitmasks, under
+    the operations applied componentwise, in place: the subuniverse of
+    A x A that it generates.  Yields each row's index as the row grows.
+
+    A nullary c adds (c, c) once.  An operation f of arity k, applied to
+    first coordinates a1..ak whose rows are non-empty, adds to row
+    f(a1..ak) the image of rows[a1] x ... x rows[ak]: the OR, over every
+    prefix b1..b(k-1) drawn from the first k-1 rows, of the image-table
+    entries for the chunks of rows[ak].  Each round applies every
+    operation to every such tuple, and rows grow in place as it goes, so
+    later tuples read the grown rows.  The closure is reached when a round
+    grows no row.
+    """
+    n = alg.size
+    for op in alg.operations:
+        if op.arity == 0:
+            c = op.table[0]
+            if not rows[c] >> c & 1:
+                rows[c] |= 1 << c
+                yield c
+    tables = _image_tables(alg)
+    lows = range(0, n, 8)
+    stride = sum(1 << min(8, n - lo) for lo in lows)  # img entries per prefix
+    offs = [None] * n  # b*stride for each b in the row
+    keys = [None] * n  # 32*lo + the row's chunk at lo, for each non-empty chunk
+
+    def prepare(a):
+        m = rows[a]
+        offs[a] = [b * stride for b in range(n) if m >> b & 1]
+        keys[a] = [32 * lo + (m >> lo & 255) for lo in lows if m >> lo & 255]
+
+    for a in range(n):
+        prepare(a)
+    grew = True
+    while grew:
+        grew = False
+        live = [a for a in range(n) if rows[a]]
+        for arity, tab, img in tables:
+            for head in product(live, repeat=arity - 1):
+                code = 0
+                prefix = [0]
+                for a in head:
+                    code = code * n + a
+                    prefix = [x * n + y for x in prefix for y in offs[a]]
+                code *= n
+                for a in live:
+                    image = 0
+                    for k in keys[a]:
+                        for o in prefix:
+                            image |= img[o + k]
+                    t = tab[code + a]
+                    if image & ~rows[t]:
+                        rows[t] |= image
+                        prepare(t)
+                        grew = True
+                        yield t
 
 
 # The most closed relations one algebra keeps cached.  A full cache is
@@ -259,9 +316,10 @@ def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
         raise ValueError(f"relation size {r.n} does not match algebra size {alg.size}")
 
     def build():
-        seed = set(r.pairs())
-        seed.update((a, a) for a in range(alg.size))
-        return BinRel.from_pairs(alg.size, _pair_closure(alg, seed))
+        rows = [m | 1 << a for a, m in enumerate(r.rows)]
+        for _ in _pair_closure(alg, rows):
+            pass
+        return BinRel(r.n, rows)
 
     return _cached(alg, ("cl", r), build)
 

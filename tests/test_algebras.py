@@ -357,3 +357,5 @@ def test_format_term():
     t = Apply("meet", (Variable(0), Apply("join", (Variable(1), Variable(3)))))
     assert format_term(t) == "meet(x,join(y,w))"
     assert format_term(Variable(4)) == "v4"
+    with pytest.raises(TermError, match="negative variable index -1"):
+        format_term(Apply("meet", (Variable(0), Variable(-1))))

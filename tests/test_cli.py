@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import shlex
 import subprocess
@@ -10,9 +11,17 @@ from relmod import cli
 from relmod.corpus import builtin_json
 
 
+# the tree the tests import relmod from, so `python -m relmod` runs it too
+SRC = str(pathlib.Path(cli.__file__).resolve().parents[1])
+
+
 def run_cli(*argv):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "relmod", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "relmod", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

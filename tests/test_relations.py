@@ -1,8 +1,11 @@
+import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from relmod import corpus
 from relmod.algebras import FiniteAlgebra
 from relmod.relations import (
     BinRel,
@@ -41,7 +44,44 @@ def rels(n):
     )
 
 
-from oracles import naive_admissible, naive_compose, naive_plus, naive_star
+from oracles import naive_admissible, naive_compose, naive_plus, naive_star, naive_subuniverse
+
+
+def table(n, arity, fn):
+    return [fn(*args) for args in itertools.product(range(n), repeat=arity)]
+
+
+def chain_lattice(n):
+    return FiniteAlgebra(f"l{n}", n, [("meet", 2, table(n, 2, min)), ("join", 2, table(n, 2, max))])
+
+
+def pentagon():
+    # N5: 0 < 1 < 2 < 4 and 0 < 3 < 4, with 3 incomparable to 1 and 2
+    below = {(a, b) for a in range(5) for b in range(5) if a == b or a == 0 or b == 4}
+    below.add((1, 2))
+
+    def meet(a, b):
+        lower = [c for c in range(5) if (c, a) in below and (c, b) in below]
+        return next(c for c in lower if all((d, c) in below for d in lower))
+
+    def join(a, b):
+        upper = [c for c in range(5) if (a, c) in below and (b, c) in below]
+        return next(c for c in upper if all((c, d) in below for d in upper))
+
+    return FiniteAlgebra("n5", 5, [("meet", 2, table(5, 2, meet)), ("join", 2, table(5, 2, join))])
+
+
+def symmetric3():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = [index[tuple(p[q[i]] for i in range(3))] for p in perms for q in perms]
+    inv = [index[tuple(sorted(range(3), key=p.__getitem__))] for p in perms]
+    return FiniteAlgebra("s3", 6, [("mul", 2, mul), ("inv", 1, inv)])
+
+
+def z3_maltsev():
+    return FiniteAlgebra("z3m", 3, [("m", 3, table(3, 3, lambda x, y, z: (x - y + z) % 3))])
+
 
 # --- basic operators ---------------------------------------------------------
 
@@ -240,18 +280,52 @@ def test_refl_adm_closure_examples(sl2, z2):
     assert refl_adm_closure(z2, rel_of(2, (0, 1))) == nabla(2)
 
 
-def test_refl_adm_closure_matches_subuniverse_generation(sl2, sl3):
-    # the closure is exactly the subuniverse of A x A generated by R + delta
-    from relmod.algebras import FreeElement, generate_subuniverse
-
+def test_refl_adm_closure_matches_subuniverse_generation(sl2, z2, l2, z2xz2, sl3, m3):
+    # the closure is exactly the subuniverse of A x A generated by R + delta,
+    # and admissibility is the product-loop oracle's, on algebras that take
+    # every branch of the row kernel: a constant, a unary operation beside a
+    # binary one (s3), a ternary one (z3m), and n = 9 and n = 10, whose rows
+    # span two 8-element chunks; c9's successor reads its argument's second
+    # chunk through the image tables alone
+    pointed = FiniteAlgebra(
+        "pointed", 3, [("c", 0, [2]), ("f", 2, table(3, 2, lambda x, y: min(x, y) if x else y))]
+    )
+    c9 = FiniteAlgebra("c9", 9, [("succ", 1, table(9, 1, lambda x: (x + 1) % 9))])
+    z10 = FiniteAlgebra("z10", 10, [("add", 2, table(10, 2, lambda x, y: (x + y) % 10))])
+    algs = (sl2, z2, l2, z2xz2, sl3, m3, pointed, symmetric3(), z3_maltsev(), chain_lattice(9), c9, z10)
     rng = random.Random(3)
-    for alg in (sl2, sl3):
+    verdicts = []
+    for alg in algs:
         n = alg.size
-        for _ in range(25):
-            r = BinRel(n, tuple(rng.getrandbits(n) for _ in range(n)))
-            gens = [FreeElement((a, b), None) for a, b in union(r, delta(n)).pairs()]
-            via_subpower = {fe.vector for fe in generate_subuniverse(alg, 2, gens)}
-            assert set(refl_adm_closure(alg, r).pairs()) == via_subpower
+        diag = delta(n)
+        off = BinRel(n, tuple(((1 << n) - 1) ^ (1 << a) for a in range(n)))
+        for p in (0.05, 0.15, 0.4):
+            for _ in range(6):
+                r = BinRel.from_pairs(n, [(a, b) for a in range(n) for b in range(n) if rng.random() < p])
+                closed = refl_adm_closure(alg, r)
+                assert set(closed.pairs()) == naive_subuniverse(alg, 2, union(r, diag).pairs()), alg.name
+                for s in (r, closed, intersect(closed, off)):
+                    want = naive_admissible(alg, set(s.pairs()))
+                    assert is_admissible(alg, s) == want, (alg.name, format_rel_literal(s))
+                    verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+def test_lattices_digest_pinned():
+    # the canonically ordered REFL, TOL and CON lattices of every corpus
+    # algebra and of l4, n5, s3 and z3m; the digest was taken from the
+    # pair-at-a-time product loop that the row kernel replaced
+    algs = [corpus.builtin(name) for name in corpus.builtin_names()]
+    algs += [chain_lattice(4), pentagon(), symmetric3(), z3_maltsev()]
+    lines = []
+    for alg in algs:
+        for kind in RelKind:
+            members = enumerate_relations(alg, kind).members
+            lines.append(f"{alg.name} {kind.value} {len(members)}")
+            lines += ["".join(map(str, r.flat_bits())) for r in members]
+    assert len(lines) == 389
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9c0c021d5b4ab701236112daf9899e50b3bd7d8d4b42e80cd766c9627570c2ee"
 
 
 def test_tolerance_of(sl2):
