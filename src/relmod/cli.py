@@ -264,7 +264,10 @@ def _cmd_witness(args, alg):
     if args.theorem in ("turt", "turtt"):
         if args.chain is None or args.a is None or args.b is None:
             raise UsageError("turt/turtt witnesses need --a, --b and --chain")
-        chain = [int(x) for x in args.chain.split(",")]
+        try:
+            chain = [int(x) for x in args.chain.split(",")]
+        except ValueError:
+            raise UsageError(f"bad --chain {args.chain!r}: expected comma-separated integers") from None
         s_names = []
         i = 1
         given = {p.split("=", 1)[0] for p in (args.rel or ()) if "=" in p}
@@ -317,6 +320,17 @@ def _cmd_catalog(args):
     return items, 0
 
 
+def _cap_arg(text):
+    """The value of --cap: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"cap must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="relmod", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -326,7 +340,7 @@ def build_parser():
             p.add_argument("--algebra", required=True, help="built-in name or JSON file path")
         p.add_argument("--format", choices=("text", "structured"), default="text")
         p.add_argument("--timings", action="store_true", help="include timing fields")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+        p.add_argument("--cap", type=_cap_arg, default=DEFAULT_CAP)
 
     p = sub.add_parser("check", help="check an identity on an algebra")
     common(p)

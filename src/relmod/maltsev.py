@@ -348,6 +348,14 @@ def _require(cond, message):
         raise PreconditionError(message)
 
 
+def _require_elements(alg, named):
+    """Raise ValueError, a usage error rather than a failed precondition,
+    for the first (name, element) pair outside alg's universe."""
+    for name, x in named:
+        if not 0 <= x < alg.size:
+            raise ValueError(f"element {name}={x} is outside the universe 0..{alg.size - 1}")
+
+
 def _require_refl_adm(alg, name, rel):
     _require(rel.n == alg.size, f"{name} has size {rel.n}, algebra has size {alg.size}")
     _require(is_reflexive(rel), f"{name} is not reflexive")
@@ -375,6 +383,8 @@ def _checked_step(label, rel, u, v):
 
 
 def _check_turt_instance(alg, system, R, V, W, S, a, b, chain):
+    named = [("a", a), ("b", b)] + [(f"chain[{i}]", x) for i, x in enumerate(chain)]
+    _require_elements(alg, named)
     _require(system.k >= 2, f"witness construction needs k >= 2, system has k={system.k}")
     _require(
         verify_directed_gumm(alg, system), "term system fails the directed Gumm identities"
@@ -486,6 +496,7 @@ def witness_turtt(alg, system, R, V, W, S, a, b, chain) -> WitnessChain:
 def witness_day(alg, system, theta, s_rel, a, b, c) -> WitnessChain:
     """Chain of at most k-1 steps alternating Theta&S and Theta&conv(S),
     for (a,c) in Theta & (S ; conv(S)) with midpoint b."""
+    _require_elements(alg, [("a", a), ("b", b), ("c", c)])
     _require(verify_day(alg, system), "term system fails the Day identities")
     _require(theta.n == alg.size and s_rel.n == alg.size, "relation size mismatch")
     _require(is_tolerance(alg, theta), "Theta is not a tolerance")

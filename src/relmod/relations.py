@@ -12,6 +12,17 @@ a subuniverse of A x A.  It works a whole row at a time: an operation
 applied to first coordinates a1..ak adds to row f(a1..ak) the image of
 rows[a1] x ... x rows[ak], read from per-operation image tables built
 once per algebra.  ``is_admissible`` runs the kernel's first round.
+
+The transitive closure ``star`` and the saturating join ``plus`` (the
+union over all m of r o_m s, which ``r ;^inf s`` also means) are closed
+forms over one in-place Warshall pass, ``_transitive``:
+
+    star(r)    = Warshall(r)
+    plus(r, s) = star(r | s)           if r and s are both reflexive
+               = r | P | P ; r         otherwise, with P = star(r ; s)
+
+Every relation an identity check evaluates is reflexive, so checks take
+the first case.
 """
 
 from __future__ import annotations
@@ -138,35 +149,39 @@ def power(r: BinRel, h: int) -> BinRel:
 
 
 def star(r: BinRel) -> BinRel:
-    """Transitive closure: least transitive relation containing r."""
-    cur = r
-    while True:
-        nxt = union(cur, compose(cur, cur))
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """Transitive closure: least transitive relation containing r, by one
+    Warshall pass over a copy of its rows."""
+    return BinRel(r.n, _transitive(list(r.rows)))
 
 
 def plus(r: BinRel, s: BinRel) -> BinRel:
-    """Union over all m of r o_m s.
+    """Union over all m >= 1 of r o_m s, in closed form.
 
-    The sequence of m-fold alternations is eventually periodic (the next
-    alternation is a function of the current relation and the parity of m),
-    so the union saturates once a (relation, parity) state repeats.
+    When r and s are both reflexive, r o_m s only grows with m, and a word
+    of length L over {r, s} lies inside r o_2L s, so the union is
+    star(r | s): one Warshall pass.  Otherwise r o_2j s = (r;s)^j and
+    r o_2j+1 s = (r;s)^j ; r, so the union is r | P | P ; r with
+    P = star(r ; s).
     """
     _same_size(r, s)
-    acc = r
-    cur = r
-    m = 1
-    seen = {(cur, m % 2)}
-    while True:
-        m += 1
-        cur = compose(cur, s if m % 2 == 0 else r)
-        acc = union(acc, cur)
-        state = (cur, m % 2)
-        if state in seen:
-            return acc
-        seen.add(state)
+    if is_reflexive(r) and is_reflexive(s):
+        return BinRel(r.n, _transitive([a | b for a, b in zip(r.rows, s.rows)]))
+    p = star(compose(r, s))
+    return union(union(r, p), compose(p, r))
+
+
+def _transitive(rows):
+    """Warshall's transitive closure of the relation held in ``rows``, a list
+    of row bitmasks, in place: for each pivot k in turn, every row with bit
+    k set takes in rows[k] as it stands after the earlier pivots.  Returns
+    rows."""
+    for k in range(len(rows)):
+        bit = 1 << k
+        pivot = rows[k]
+        for i, m in enumerate(rows):
+            if m & bit:
+                rows[i] = m | pivot
+    return rows
 
 
 def is_reflexive(r: BinRel) -> bool:

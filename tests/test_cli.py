@@ -270,6 +270,50 @@ def test_witness_on_semilattice_fails():
     assert "no directed Gumm system" in res.stderr
 
 
+_DAY = ("--theorem", "day", "--rel", "Theta=nabla", "--rel", "S=nabla", "--b", "1")
+_TURTT = (
+    "--theorem", "turtt", "--rel", "R=nabla", "--rel", "V=nabla", "--rel", "W=nabla",
+    "--rel", "S1=nabla", "--a", "0", "--b", "1",
+)
+
+
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        (_DAY + ("--a", "-1", "--c", "1"), "a=-1"),
+        (_DAY + ("--a", "0", "--c", "9"), "c=9"),
+        (_DAY + ("--a", "0", "--c", "-1"), "c=-1"),
+        (_TURTT + ("--chain", "0,-1"), "chain[1]=-1"),
+    ],
+    ids=["a-negative", "c-too-big", "c-negative", "chain-negative"],
+)
+def test_witness_element_outside_universe_exit_two(args, bad):
+    res = run_cli("witness", "--algebra", "l2", *args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert f"element {bad} is outside the universe 0..1" in res.stderr
+
+
+def test_witness_bad_chain_exit_two():
+    res = run_cli(
+        "witness", "--algebra", "l2", "--theorem", "turt",
+        "--rel", "R=nabla", "--rel", "V=nabla", "--rel", "W=nabla", "--rel", "S1=nabla",
+        "--a", "0", "--b", "1", "--chain", "0,x,1",
+    )
+    assert res.returncode == 2
+    assert "bad --chain '0,x,1': expected comma-separated integers" in res.stderr
+    assert "int()" not in res.stderr
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cap_must_be_positive(cap):
+    res = run_cli("check", "--algebra", "l2", "--identity", "(1.1)", "--cap", cap)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert f"cap must be a positive integer, got '{cap}'" in res.stderr
+    assert "cap exceeded" not in res.stderr
+
+
 def test_catalog_lists_labels():
     res = run_cli("catalog")
     assert res.returncode == 0

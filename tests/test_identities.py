@@ -45,6 +45,7 @@ from relmod.relations import (
     converse,
     delta,
     enumerate_relations,
+    format_rel_literal,
     intersect,
     m_compose,
     nabla,
@@ -483,6 +484,40 @@ def test_catalog_digest_pinned():
     assert len(lines) == 3888
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "9e8527eecafd0c29bd54881dd6da831deef04fee4337fc9fab76985d2e892347"
+
+
+def test_exhaustive_verdicts_digest_pinned():
+    # holds, checked and counterexample of exhaustive checks on every corpus
+    # algebra, through plus and star at every m=inf; the digest was taken
+    # from the alternation and squaring loops the Warshall closed forms
+    # replaced
+    con = {name: RelKind.CONGRUENCE for name in ("Theta", "S", "T")}
+    checks = [
+        ("(D3)", {"m": INF}, None),
+        ("(B1)", {"m": INF}, None),
+        ("(1.1)", {}, None),
+        ("(1.4)", {}, None),
+        ("(D1)", {"m": INF}, None),
+        ("(dist)", {}, con),
+    ]
+    lines = []
+    for name in corpus.builtin_names():
+        alg = corpus.builtin(name)
+        for label, params, sorts in checks:
+            stmt = catalog_entry(label, **params)
+            if sorts:
+                stmt = with_sorts(stmt, sorts)
+            verdict = check_identity(alg, stmt)
+            line = f"{name} {label} {verdict.holds} {verdict.checked}"
+            ce = verdict.counterexample
+            if ce is not None:
+                line += "".join(f" {q}={format_rel_literal(r)}" for q, r in ce.assignment)
+                line += f" {ce.witness[0]}-{ce.witness[1]}"
+            lines.append(line)
+    assert len(lines) == 36
+    assert sum("False" in line for line in lines) == 6
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "4e9a277235b14eb1db5ea95c99697b50369ce683f4b3ea5e0f1d1ad0a44421ba"
 
 
 def test_catalog_entry_matches_catalog():

@@ -453,6 +453,26 @@ def test_witness_precondition_messages(l2):
         witness_turt(l2, sys_, nb, nb, nb, [nb], 0, 0, [1, 1])
 
 
+def test_witness_rejects_elements_outside_universe(l2):
+    # elements come from the caller, so a bad one is a usage error
+    # (ValueError), not a failed precondition
+    gumm, day = find_directed_gumm(l2).system, find_day(l2).system
+    nb = nabla(2)
+    cases = [
+        (lambda: witness_day(l2, day, nb, nb, -1, 1, 1), "a=-1"),
+        (lambda: witness_day(l2, day, nb, nb, 0, 2, 1), "b=2"),
+        (lambda: witness_day(l2, day, nb, nb, 0, 1, 9), "c=9"),
+        (lambda: witness_turt(l2, gumm, nb, nb, nb, [nb], 0, -1, [0, 1]), "b=-1"),
+        (lambda: witness_turt(l2, gumm, nb, nb, nb, [nb], 0, 1, [0, 2]), "chain\\[1\\]=2"),
+        (lambda: witness_turtt(l2, gumm, nb, nb, nb, [nb], 2, 1, [2, 1]), "a=2"),
+        (lambda: witness_turtt(l2, gumm, nb, nb, nb, [nb], 0, 1, [0, -1]), "chain\\[1\\]=-1"),
+    ]
+    for build, name in cases:
+        with pytest.raises(ValueError, match=f"element {name} is outside the universe 0..1") as err:
+            build()
+        assert not isinstance(err.value, PreconditionError)
+
+
 def test_witness_requires_admissible_relations(m3):
     # on the two-element algebras every reflexive relation is admissible,
     # so the admissibility check needs a bigger carrier

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from relmod import corpus
 from relmod.algebras import FiniteAlgebra
@@ -42,6 +42,15 @@ def rels(n):
         lambda rows: BinRel(n, tuple(rows)),
         st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
     )
+
+
+def maybe_reflexive(n):
+    """A relation on n elements, made reflexive or left as drawn."""
+    return st.tuples(rels(n), st.booleans()).map(lambda d: union(d[0], delta(n)) if d[1] else d[0])
+
+
+# relation sizes for the differential tests; 9 needs a second byte per row
+sizes = st.integers(1, 9)
 
 
 from oracles import naive_admissible, naive_compose, naive_plus, naive_star, naive_subuniverse
@@ -177,7 +186,7 @@ def test_star_examples():
     assert star(rel_of(3, (0, 1), (1, 2))).has(0, 2)
 
 
-@given(rels(3))
+@given(sizes.flatmap(rels))
 def test_star_matches_naive(r):
     assert set(star(r).pairs()) == naive_star(set(r.pairs()))
 
@@ -188,19 +197,24 @@ def test_star_equals_plus_for_reflexive_exhaustive_n2():
         assert star(r) == plus(r, r)
 
 
-@given(rels(3))
+@given(sizes.flatmap(rels))
 def test_star_equals_plus_for_reflexive(r):
-    r = union(r, delta(3))
+    r = union(r, delta(r.n))
     assert star(r) == plus(r, r)
 
 
 def test_plus_trivial():
     assert plus(delta(2), delta(2)) == delta(2)
+    # n = 1: every pair of the empty relation and delta
+    for r in (BinRel(1, (0,)), delta(1)):
+        for s in (BinRel(1, (0,)), delta(1)):
+            assert plus(r, s) == (delta(1) if is_reflexive(r) else r)
 
 
 def test_plus_equals_star_of_union_all_reflexive_pairs():
-    # brute force over every reflexive pair for n <= 3
-    for n in (2, 3):
+    # brute force over every reflexive pair for n <= 3, against the oracle's
+    # transitive closure of the union and its alternation loop
+    for n in (1, 2, 3):
         free = n * n - n
         offdiag = [(a, b) for a in range(n) for b in range(n) if a != b]
         rels_n = []
@@ -208,11 +222,26 @@ def test_plus_equals_star_of_union_all_reflexive_pairs():
             rels_n.append(union(delta(n), rel_of(n, *[p for i, p in enumerate(offdiag) if bits >> i & 1])))
         for r in rels_n:
             for s in rels_n:
-                assert plus(r, s) == star(union(r, s))
+                got = set(plus(r, s).pairs())
+                assert got == naive_star(set(union(r, s).pairs()))
+                assert got == naive_plus(set(r.pairs()), set(s.pairs()))
+    # seeded sparse reflexive pairs for n = 4..9, where the union takes
+    # several steps to saturate
+    rng = random.Random(11)
+    for n in range(4, 10):
+        for _ in range(40):
+            r, s = (
+                BinRel.from_pairs(n, [(a, b) for a in range(n) for b in range(n) if a == b or rng.random() < 1.5 / n])
+                for _ in range(2)
+            )
+            assert set(plus(r, s).pairs()) == naive_plus(set(r.pairs()), set(s.pairs()))
 
 
-@given(rels(4), rels(4))
-def test_plus_matches_naive(r, s):
+@settings(max_examples=300)
+@given(sizes.flatmap(lambda n: st.tuples(maybe_reflexive(n), maybe_reflexive(n))))
+def test_plus_matches_naive(pair):
+    # both, one or neither operand reflexive
+    r, s = pair
     assert set(plus(r, s).pairs()) == naive_plus(set(r.pairs()), set(s.pairs()))
 
 
