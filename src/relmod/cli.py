@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import shlex
 import sys
 import time
@@ -154,19 +155,19 @@ def _render(report, fmt):
 
 
 def _cmd_check(args, alg):
-    params = _parse_params(args.param)
     overrides = _parse_sorts(args.sort)
-    if args.identity_text:
+    if args.identity_text is not None:
+        if args.param:
+            raise UsageError("--param sets catalog parameters; it does not apply to --identity-text")
         stmt = parse_identity(args.identity_text)
         label = "(inline)"
-    elif args.identity:
+    else:
+        params = _parse_params(args.param)
         label = _normalize_label(args.identity)
         try:
             stmt = catalog_entry(label, **params)
         except KeyError as e:
             raise UsageError(e.args[0]) from None
-    else:
-        raise UsageError("check requires --identity or --identity-text")
     if overrides:
         stmt = with_sorts(stmt, overrides)
     verdict = check_identity(
@@ -236,17 +237,35 @@ def _cmd_find_terms(args, alg):
     return [item], 0 if res.found else 1
 
 
-def _witness_relations(args, n, needed):
+def _witness_relations(args, n, fixed, chain=False):
+    """The --rel relations by name, and the names of the S-chain.
+
+    Every name in ``fixed`` is required.  With ``chain``, so is a run
+    S1..Sk, k >= 1, without a gap.  Any other name, or a name given twice,
+    is a usage error.
+    """
     rels = {}
     for pair in args.rel or ():
         if "=" not in pair:
             raise UsageError(f"bad --rel {pair!r}, expected NAME=LITERAL")
         name, lit = pair.split("=", 1)
+        if name in rels:
+            raise UsageError(f"--rel {name} is given twice")
+        if name not in fixed and not (chain and re.fullmatch(r"S[1-9][0-9]*", name)):
+            expected = ", ".join(fixed) + (", S1, S2, ..." if chain else "")
+            raise UsageError(f"unknown --rel name {name!r}, expected {expected}")
         rels[name] = parse_rel_literal(lit, n)
-    missing = [name for name in needed if name not in rels]
+    missing = [name for name in fixed if name not in rels]
     if missing:
         raise UsageError(f"witness needs --rel for {missing}")
-    return rels
+    last = max((int(name[1:]) for name in rels if name not in fixed), default=0)
+    s_names = [f"S{i}" for i in range(1, last + 1)]
+    gap = next((name for name in s_names if name not in rels), None)
+    if gap is not None:
+        raise UsageError(f"--rel {gap} is missing: S1..S{last} must have no gap")
+    if chain and not s_names:
+        raise UsageError("turt/turtt witnesses need --rel S1=... (S2=..., ...)")
+    return rels, s_names
 
 
 def _found(res, family):
@@ -268,15 +287,7 @@ def _cmd_witness(args, alg):
             chain = [int(x) for x in args.chain.split(",")]
         except ValueError:
             raise UsageError(f"bad --chain {args.chain!r}: expected comma-separated integers") from None
-        s_names = []
-        i = 1
-        given = {p.split("=", 1)[0] for p in (args.rel or ()) if "=" in p}
-        while f"S{i}" in given:
-            s_names.append(f"S{i}")
-            i += 1
-        if not s_names:
-            raise UsageError("turt/turtt witnesses need --rel S1=... (S2=..., ...)")
-        rels = _witness_relations(args, n, ["R", "V", "W"] + s_names)
+        rels, s_names = _witness_relations(args, n, ("R", "V", "W"), chain=True)
         system = _found(find_directed_gumm(alg, cap=args.cap), "directed Gumm")
         build = witness_turt if args.theorem == "turt" else witness_turtt
         chain_obj = build(
@@ -293,7 +304,7 @@ def _cmd_witness(args, alg):
     else:
         if args.a is None or args.b is None or args.c is None:
             raise UsageError("day witnesses need --a, --b and --c")
-        rels = _witness_relations(args, n, ["Theta", "S"])
+        rels, _ = _witness_relations(args, n, ("Theta", "S"))
         system = _found(find_day(alg, cap=args.cap), "Day")
         chain_obj = witness_day(alg, system, rels["Theta"], rels["S"], args.a, args.b, args.c)
     item = {
@@ -344,8 +355,9 @@ def build_parser():
 
     p = sub.add_parser("check", help="check an identity on an algebra")
     common(p)
-    p.add_argument("--identity", help="catalog label, e.g. (1.1)")
-    p.add_argument("--identity-text", help="inline statement text")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--identity", help="catalog label, e.g. (1.1)")
+    given.add_argument("--identity-text", help="inline statement text")
     p.add_argument("--param", action="append", help="catalog parameter, e.g. k=3 or m=inf")
     p.add_argument("--sort", action="append", help="override a quantifier sort, e.g. Theta=CON")
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")

@@ -11,7 +11,9 @@ kernel, ``_pair_closure``, which closes the rows under the operations as
 a subuniverse of A x A.  It works a whole row at a time: an operation
 applied to first coordinates a1..ak adds to row f(a1..ak) the image of
 rows[a1] x ... x rows[ak], read from per-operation image tables built
-once per algebra.  ``is_admissible`` runs the kernel's first round.
+once per algebra.  A full row cannot grow, so the kernel skips every tuple
+whose target row is full and stops as soon as every row is full: nabla is
+closed.  ``is_admissible`` runs the kernel's first round.
 
 The transitive closure ``star`` and the saturating join ``plus`` (the
 union over all m of r o_m s, which ``r ;^inf s`` also means) are closed
@@ -199,8 +201,9 @@ def is_transitive(r: BinRel) -> bool:
 def is_admissible(alg: FiniteAlgebra, r: BinRel) -> bool:
     """True iff r is closed under every operation applied componentwise,
     i.e. r is a subuniverse of A x A: the pair-closure kernel's first
-    round, which checks every constant and every argument tuple, grows no
-    row.  Stops at the first image that its target row lacks."""
+    round, which checks every constant and every argument tuple whose
+    target row is not full, grows no row.  Stops at the first image that
+    its target row lacks; nabla is admissible without a round."""
     if r.n != alg.size:
         raise ValueError(f"relation size {r.n} does not match algebra size {alg.size}")
     return next(_pair_closure(alg, list(r.rows)), None) is None
@@ -257,8 +260,10 @@ def _pair_closure(alg: FiniteAlgebra, rows):
     prefix b1..b(k-1) drawn from the first k-1 rows, of the image-table
     entries for the chunks of rows[ak].  Each round applies every
     operation to every such tuple, and rows grow in place as it goes, so
-    later tuples read the grown rows.  The closure is reached when a round
-    grows no row.
+    later tuples read the grown rows.  A tuple whose target row is full is
+    skipped before its image is built, since a full row cannot grow.  The
+    closure is reached when a round grows no row, or at once when every
+    row is full, even in the middle of a round: nabla is closed.
     """
     n = alg.size
     for op in alg.operations:
@@ -280,7 +285,8 @@ def _pair_closure(alg: FiniteAlgebra, rows):
 
     for a in range(n):
         prepare(a)
-    grew = True
+    full = (1 << n) - 1
+    grew = rows.count(full) < n
     while grew:
         grew = False
         live = [a for a in range(n) if rows[a]]
@@ -293,16 +299,20 @@ def _pair_closure(alg: FiniteAlgebra, rows):
                     prefix = [x * n + y for x in prefix for y in offs[a]]
                 code *= n
                 for a in live:
+                    t = tab[code + a]
+                    if rows[t] == full:
+                        continue
                     image = 0
                     for k in keys[a]:
                         for o in prefix:
                             image |= img[o + k]
-                    t = tab[code + a]
                     if image & ~rows[t]:
                         rows[t] |= image
                         prepare(t)
                         grew = True
                         yield t
+                        if rows[t] == full and rows.count(full) == n:
+                            return
 
 
 # The most closed relations one algebra keeps cached.  A full cache is

@@ -100,6 +100,18 @@ def naive_subuniverse(alg, width, generators):
         elems |= new
 
 
+def naive_congruence(alg, pairs):
+    """The least congruence containing a reflexive, symmetric set of pairs:
+    the naive subuniverse and the naive transitive closure, alternated until
+    stable."""
+    cur = set(pairs)
+    while True:
+        nxt = naive_star(naive_subuniverse(alg, 2, cur))
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
 # --- independent term-graph searches ------------------------------------------
 
 

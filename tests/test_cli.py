@@ -75,6 +75,23 @@ def test_check_inline_identity_text():
     assert res.returncode == 0
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--identity-text", "S:REFL |- S <= S", "--param", "m=3"), "--param"),
+        (("--identity", "(1.1)", "--identity-text", "S:REFL |- S <= S"), "not allowed with"),
+        ((), "one of the arguments --identity --identity-text is required"),
+    ],
+    ids=["param-with-text", "label-and-text", "neither"],
+)
+def test_check_statement_options_exit_two(args, message):
+    # --param only fills catalog templates, and a check runs one statement
+    res = run_cli("check", "--algebra", "l2", *args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert message in res.stderr
+
+
 def test_check_sample_mode():
     res = run_cli(
         "check", "--algebra", "l2", "--identity", "(perm)",
@@ -292,6 +309,41 @@ def test_witness_element_outside_universe_exit_two(args, bad):
     assert res.returncode == 2
     assert res.stdout == ""
     assert f"element {bad} is outside the universe 0..1" in res.stderr
+
+
+_TURT_BASE = (
+    "--theorem", "turt", "--rel", "R=nabla", "--rel", "V=nabla", "--rel", "W=nabla",
+    "--a", "0", "--b", "1", "--chain", "0,1",
+)
+_DAY_BASE = ("--theorem", "day", "--a", "0", "--b", "1", "--c", "1")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (_TURT_BASE + ("--rel", "S1=nabla", "--rel", "S3=nabla"), "--rel S2 is missing"),
+        (_TURT_BASE + ("--rel", "S2=nabla"), "--rel S1 is missing"),
+        (_TURT_BASE + ("--rel", "S1=nabla", "--rel", "X=nabla"), "unknown --rel name 'X'"),
+        (_TURT_BASE + ("--rel", "S1=nabla", "--rel", "S01=nabla"), "unknown --rel name 'S01'"),
+        (_TURT_BASE + ("--rel", "S1=nabla", "--rel", "Theta=nabla"), "unknown --rel name 'Theta'"),
+        (_TURT_BASE + ("--rel", "S1=nabla", "--rel", "S1=delta"), "--rel S1 is given twice"),
+        (_TURT_BASE + ("--rel", "S1=nabla", "--rel", "R=delta"), "--rel R is given twice"),
+        (_DAY_BASE + ("--rel", "Theta=nabla", "--rel", "S=nabla", "--rel", "X=delta"), "unknown --rel name 'X'"),
+        (_DAY_BASE + ("--rel", "Theta=nabla", "--rel", "S=nabla", "--rel", "S1=delta"), "unknown --rel name 'S1'"),
+        (_DAY_BASE + ("--rel", "Theta=nabla", "--rel", "S=nabla", "--rel", "S=delta"), "--rel S is given twice"),
+    ],
+    ids=[
+        "turt-gap", "turt-no-s1", "turt-unknown", "turt-leading-zero", "turt-day-name",
+        "turt-s-twice", "turt-r-twice", "day-unknown", "day-chain-name", "day-s-twice",
+    ],
+)
+def test_witness_rel_names_exit_two(args, message):
+    # every --rel is used: a name the theorem does not read, a gap in the
+    # S-chain or a name given twice is a usage error, not silently dropped
+    res = run_cli("witness", "--algebra", "l2", *args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert message in res.stderr
 
 
 def test_witness_bad_chain_exit_two():

@@ -61,6 +61,7 @@ from oracles import (
     dg_shortest as _dg_shortest,
     dg_system_holds,
 )
+from table_algebras import pentagon, symmetric3, table
 
 # --- directed Gumm search -------------------------------------------------------
 
@@ -162,27 +163,6 @@ def test_find_day_m3(m3):
     assert verify_day(m3, res.system)
 
 
-def _table(n, arity, fn):
-    return [fn(*args) for args in itertools.product(range(n), repeat=arity)]
-
-
-def pentagon():
-    # N5: 0 < 1 < 2 < 4 and 0 < 3 < 4, with 3 incomparable to 1 and 2
-    above = {0: {0, 1, 2, 3, 4}, 1: {1, 2, 4}, 2: {2, 4}, 3: {3, 4}, 4: {4}}
-    below = {a: {b for b in range(5) if a in above[b]} for a in range(5)}
-    meet = _table(5, 2, lambda a, b: max(below[a] & below[b], key=lambda c: len(below[c])))
-    join = _table(5, 2, lambda a, b: max(above[a] & above[b], key=lambda c: len(above[c])))
-    return FiniteAlgebra("n5", 5, [("meet", 2, meet), ("join", 2, join)])
-
-
-def symmetric3():
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    mul = [index[tuple(p[q[i]] for i in range(3))] for p in perms for q in perms]
-    inv = [index[tuple(sorted(range(3), key=p.__getitem__))] for p in perms]
-    return FiniteAlgebra("s3", 6, [("mul", 2, mul), ("inv", 1, inv)])
-
-
 # k, node_count and the printed d_0..d_k of the Day search on the pentagon
 # N5 and on Z6, whose restricted closures are among the largest that end
 HARD_DAY = [
@@ -192,7 +172,7 @@ HARD_DAY = [
         "meet(meet(join(x,z),join(x,w)),join(z,w))",
         "w",
     ]),
-    (FiniteAlgebra("z6", 6, [("add", 2, _table(6, 2, lambda x, y: (x + y) % 6))]), 2, 36, [
+    (FiniteAlgebra("z6", 6, [("add", 2, table(6, 2, lambda x, y: (x + y) % 6))]), 2, 36, [
         "x",
         "add(add(add(y,z),z),add(add(z,z),add(z,w)))",
         "w",

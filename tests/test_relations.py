@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import random
 
 import pytest
@@ -53,43 +52,15 @@ def maybe_reflexive(n):
 sizes = st.integers(1, 9)
 
 
-from oracles import naive_admissible, naive_compose, naive_plus, naive_star, naive_subuniverse
-
-
-def table(n, arity, fn):
-    return [fn(*args) for args in itertools.product(range(n), repeat=arity)]
-
-
-def chain_lattice(n):
-    return FiniteAlgebra(f"l{n}", n, [("meet", 2, table(n, 2, min)), ("join", 2, table(n, 2, max))])
-
-
-def pentagon():
-    # N5: 0 < 1 < 2 < 4 and 0 < 3 < 4, with 3 incomparable to 1 and 2
-    below = {(a, b) for a in range(5) for b in range(5) if a == b or a == 0 or b == 4}
-    below.add((1, 2))
-
-    def meet(a, b):
-        lower = [c for c in range(5) if (c, a) in below and (c, b) in below]
-        return next(c for c in lower if all((d, c) in below for d in lower))
-
-    def join(a, b):
-        upper = [c for c in range(5) if (a, c) in below and (b, c) in below]
-        return next(c for c in upper if all((c, d) in below for d in upper))
-
-    return FiniteAlgebra("n5", 5, [("meet", 2, table(5, 2, meet)), ("join", 2, table(5, 2, join))])
-
-
-def symmetric3():
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    mul = [index[tuple(p[q[i]] for i in range(3))] for p in perms for q in perms]
-    inv = [index[tuple(sorted(range(3), key=p.__getitem__))] for p in perms]
-    return FiniteAlgebra("s3", 6, [("mul", 2, mul), ("inv", 1, inv)])
-
-
-def z3_maltsev():
-    return FiniteAlgebra("z3m", 3, [("m", 3, table(3, 3, lambda x, y, z: (x - y + z) % 3))])
+from oracles import (
+    naive_admissible,
+    naive_compose,
+    naive_congruence,
+    naive_plus,
+    naive_star,
+    naive_subuniverse,
+)
+from table_algebras import chain_lattice, pentagon, symmetric3, table, z3_maltsev
 
 
 # --- basic operators ---------------------------------------------------------
@@ -309,34 +280,55 @@ def test_refl_adm_closure_examples(sl2, z2):
     assert refl_adm_closure(z2, rel_of(2, (0, 1))) == nabla(2)
 
 
-def test_refl_adm_closure_matches_subuniverse_generation(sl2, z2, l2, z2xz2, sl3, m3):
-    # the closure is exactly the subuniverse of A x A generated by R + delta,
-    # and admissibility is the product-loop oracle's, on algebras that take
-    # every branch of the row kernel: a constant, a unary operation beside a
-    # binary one (s3), a ternary one (z3m), and n = 9 and n = 10, whose rows
-    # span two 8-element chunks; c9's successor reads its argument's second
-    # chunk through the image tables alone
+def test_closures_match_oracles(sl2, z2, l2, z2xz2, sl3, m3):
+    # cl(R) is exactly the subuniverse of A x A generated by R + delta, tol
+    # and Cg are the oracle closures, and admissibility is the product-loop
+    # oracle's.  The algebras take every branch of the row kernel: a
+    # constant, a unary operation beside a binary one (s3), a ternary one
+    # (z3m), n = 9 and n = 10, whose rows span two 8-element chunks (c9's
+    # successor reads its argument's second chunk through the image tables
+    # alone), and n = 1.  Dense draws close mostly to nabla, so they reach
+    # the kernel's skip of full target rows and its stop once every row is
+    # full; so do nabla but for one bit (every bit when n <= 6, some bits
+    # and each constant's diagonal bit otherwise) and nabla itself
     pointed = FiniteAlgebra(
         "pointed", 3, [("c", 0, [2]), ("f", 2, table(3, 2, lambda x, y: min(x, y) if x else y))]
     )
     c9 = FiniteAlgebra("c9", 9, [("succ", 1, table(9, 1, lambda x: (x + 1) % 9))])
     z10 = FiniteAlgebra("z10", 10, [("add", 2, table(10, 2, lambda x, y: (x + y) % 10))])
+    unit = FiniteAlgebra("unit", 1, [("c", 0, [0]), ("f", 2, [0])])
+    bare_unit = FiniteAlgebra("bare-unit", 1, [("g", 1, [0])])
     algs = (sl2, z2, l2, z2xz2, sl3, m3, pointed, symmetric3(), z3_maltsev(), chain_lattice(9), c9, z10)
     rng = random.Random(3)
     verdicts = []
-    for alg in algs:
+    for alg in algs + (unit, bare_unit):
         n = alg.size
-        diag = delta(n)
-        off = BinRel(n, tuple(((1 << n) - 1) ^ (1 << a) for a in range(n)))
-        for p in (0.05, 0.15, 0.4):
-            for _ in range(6):
-                r = BinRel.from_pairs(n, [(a, b) for a in range(n) for b in range(n) if rng.random() < p])
-                closed = refl_adm_closure(alg, r)
-                assert set(closed.pairs()) == naive_subuniverse(alg, 2, union(r, diag).pairs()), alg.name
-                for s in (r, closed, intersect(closed, off)):
-                    want = naive_admissible(alg, set(s.pairs()))
-                    assert is_admissible(alg, s) == want, (alg.name, format_rel_literal(s))
-                    verdicts.append(want)
+        full = (1 << n) - 1
+        diag = set(delta(n).pairs())
+        off = BinRel(n, tuple(full ^ (1 << a) for a in range(n)))
+        holes = [(a, b) for a in range(n) for b in range(n)]
+        if n > 6:
+            constants = [(op.table[0], op.table[0]) for op in alg.operations if op.arity == 0]
+            holes = rng.sample(holes, 4) + constants
+        cases = [BinRel(n, (0,) * n), nabla(n)]
+        cases += [
+            BinRel.from_pairs(n, [(a, b) for a in range(n) for b in range(n) if rng.random() < p])
+            for p in (0.05, 0.15, 0.4, 0.5, 0.8, 0.95)
+            for _ in range(4)
+        ]
+        cases += [BinRel(n, tuple(full ^ (1 << b if x == a else 0) for x in range(n))) for a, b in holes]
+        for r in cases:
+            pairs = set(r.pairs())
+            sym = pairs | {(b, a) for a, b in pairs} | diag
+            where = (alg.name, format_rel_literal(r))
+            closed = refl_adm_closure(alg, r)
+            assert set(closed.pairs()) == naive_subuniverse(alg, 2, pairs | diag), where
+            assert set(tolerance_of(alg, r).pairs()) == naive_subuniverse(alg, 2, sym), where
+            assert set(congruence_generated(alg, r).pairs()) == naive_congruence(alg, sym), where
+            for s in (r, closed, intersect(closed, off)):
+                want = naive_admissible(alg, set(s.pairs()))
+                assert is_admissible(alg, s) == want, (alg.name, format_rel_literal(s))
+                verdicts.append(want)
     assert True in verdicts and False in verdicts
 
 
