@@ -4,7 +4,8 @@ term systems, and emit witness chains, as deterministic text or JSON reports.
 Exit codes: 0 all requested checks passed/found; 1 completed with a negative
 outcome (verdict fails, terms not found, witness precondition violated);
 2 parse/usage error; 3 cap exceeded; 4 counterexample found while
---assert-holds was requested.
+--assert-holds was requested.  Any other error is a bug in relmod and
+surfaces with its traceback.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .identities import (
     with_sorts,
 )
 from .maltsev import (
+    ElementError,
     PreconditionError,
     SearchStatus,
     find_day,
@@ -56,6 +58,10 @@ def _load_algebra_arg(source):
         raise UsageError(
             f"algebra {source!r} is neither a built-in name {corpus.builtin_names()} nor a file"
         ) from None
+    except OSError as e:
+        raise UsageError(f"cannot read algebra file {source!r}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"algebra file {source!r} is not UTF-8 text: {e.reason}") from None
 
 
 def _parse_params(pairs):
@@ -74,6 +80,15 @@ def _parse_params(pairs):
         except ValueError:
             raise UsageError(f"bad --param {pair!r}: {name} must be an integer or inf") from None
     return params
+
+
+def _catalog_call(fn, *args, **params):
+    """fn(*args, **params) for catalog or catalog_entry, with an unknown
+    label or out-of-range catalog parameters reported as a usage error."""
+    try:
+        return fn(*args, **params)
+    except (KeyError, ValueError) as e:
+        raise UsageError(e.args[0]) from None
 
 
 def _parse_sorts(pairs):
@@ -162,14 +177,15 @@ def _cmd_check(args, alg):
         stmt = parse_identity(args.identity_text)
         label = "(inline)"
     else:
-        params = _parse_params(args.param)
         label = _normalize_label(args.identity)
-        try:
-            stmt = catalog_entry(label, **params)
-        except KeyError as e:
-            raise UsageError(e.args[0]) from None
+        stmt = _catalog_call(catalog_entry, label, **_parse_params(args.param))
     if overrides:
-        stmt = with_sorts(stmt, overrides)
+        try:
+            stmt = with_sorts(stmt, overrides)
+        except ValueError as e:
+            raise UsageError(e.args[0]) from None
+    if args.mode == "sample" and args.samples < 1:
+        raise UsageError(f"samples must be >= 1, got {args.samples}")
     verdict = check_identity(
         alg,
         stmt,
@@ -254,7 +270,10 @@ def _witness_relations(args, n, fixed, chain=False):
         if name not in fixed and not (chain and re.fullmatch(r"S[1-9][0-9]*", name)):
             expected = ", ".join(fixed) + (", S1, S2, ..." if chain else "")
             raise UsageError(f"unknown --rel name {name!r}, expected {expected}")
-        rels[name] = parse_rel_literal(lit, n)
+        try:
+            rels[name] = parse_rel_literal(lit, n)
+        except ValueError as e:
+            raise UsageError(f"bad --rel {pair!r}: {e}") from None
     missing = [name for name in fixed if name not in rels]
     if missing:
         raise UsageError(f"witness needs --rel for {missing}")
@@ -323,10 +342,9 @@ def _cmd_witness(args, alg):
 
 
 def _cmd_catalog(args):
-    params = _parse_params(args.param)
     items = [
         {"_kind": "catalog", "label": label, "statement": print_statement(stmt)}
-        for label, stmt in catalog(**params)
+        for label, stmt in _catalog_call(catalog, **_parse_params(args.param))
     ]
     return items, 0
 
@@ -413,7 +431,7 @@ def main(argv=None) -> int:
                 results, code = _cmd_find_terms(args, alg)
             else:
                 results, code = _cmd_witness(args, alg)
-    except (AlgebraError, ParseError, UsageError, ValueError) as e:
+    except (AlgebraError, ParseError, UsageError, ElementError, PreconditionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1 if isinstance(e, PreconditionError) else 2
     except CapExceeded as e:

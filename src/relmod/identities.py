@@ -344,6 +344,34 @@ def print_statement(stmt: IdentityStatement) -> str:
     return f"{quants} |- {print_expr(stmt.lhs)} {stmt.relation.value} {print_expr(stmt.rhs)}"
 
 
+def lower(expr):
+    """A subrelation of expr, written in the same grammar and cheaper to
+    evaluate.
+
+    It relies on every relation it is evaluated on being reflexive, as every
+    value a check evaluates is: every quantifier sort is reflexive, so are
+    delta and nabla, and every operator keeps reflexivity.  Then r ; s,
+    r ;^m s with m >= 2 or inf, and r + s each contain r | s, while r ;^1 s
+    is r; star, pow and cl contain their argument; tol(a) contains
+    a | conv(a); and &, | and conv, being monotone, pass to their operands.
+    """
+    node = type(expr)
+    if node is ComposeM and expr.m == 1:
+        return lower(expr.lhs)
+    if node in (Compose, ComposeM, Plus):
+        return Union(lower(expr.lhs), lower(expr.rhs))
+    if node in (Intersect, Union):
+        return node(lower(expr.lhs), lower(expr.rhs))
+    if node in (Star, Power, Overline):
+        return lower(expr.arg)
+    if node is Converse:
+        return Converse(lower(expr.arg))
+    if node is ToleranceOf:
+        arg = lower(expr.arg)
+        return Union(arg, Converse(arg))
+    return expr
+
+
 @dataclass(frozen=True)
 class Counterexample:
     assignment: tuple  # ((name, BinRel), ...) in quantifier order
@@ -476,19 +504,40 @@ class _Program:
     def violation(self, stmt: IdentityStatement):
         """Compile a statement whose quantifiers are among `names`.  Returns a
         function from an assignment to the least pair of lhs outside rhs
-        (then, for "=", of rhs outside lhs), or None if the statement holds."""
-        lhs = self.run[self.slot(stmt.lhs)]
-        rhs = self.run[self.slot(stmt.rhs)]
-        both_ways = stmt.relation is StmtRel.EQUALS
+        (then, for "=", of rhs outside lhs), or None if the statement holds.
 
-        def violation(values):
-            left, right = lhs(values), rhs(values)
-            witness = _first_missing_pair(left, right)
-            if witness is None and both_ways:
-                witness = _first_missing_pair(right, left)
-            return witness
+        Each inclusion is first tested against `lower` of its larger side,
+        compiled into this program beside the statement, so it shares the
+        statement's slots and cache.  The bound lies inside the larger side,
+        so an assignment it settles holds; only when the test fails is the
+        larger side built and the least missing pair taken from it.  For
+        "=", rhs is tested against `lower(lhs)` the same way.
+        """
+        rightward = self._inclusion(stmt.lhs, stmt.rhs)
+        if stmt.relation is StmtRel.INCLUDED_IN:
+            return rightward
+        leftward = self._inclusion(stmt.rhs, stmt.lhs)
+        return lambda values: rightward(values) or leftward(values)
 
-        return violation
+    def _inclusion(self, small, big):
+        """A function from an assignment to the least pair of `small`
+        outside `big`, or None, that builds `big` only when `small` is not
+        inside `lower(big)`."""
+        left = self.run[self.slot(small)]
+        big_slot = self.slot(big)
+        right = self.run[big_slot]
+        bound_slot = self.slot(lower(big))
+        if bound_slot == big_slot:
+            return lambda values: _first_missing_pair(left(values), right(values))
+        bound = self.run[bound_slot]
+
+        def missing(values):
+            part = left(values)
+            if _first_missing_pair(part, bound(values)) is None:
+                return None
+            return _first_missing_pair(part, right(values))
+
+        return missing
 
 
 def _constant(value):
@@ -557,7 +606,12 @@ def check_identity(
     The statement is compiled once into a `_Program`, so each subterm is
     evaluated once per distinct value of its own free variables (while the
     bounded cache keeps it), not once per assignment; only a subterm that
-    depends on every quantifier is evaluated for every assignment.
+    depends on every quantifier is evaluated for every assignment, and
+    only when the assignment is not settled by `lower`: the left side is
+    tested first against `lower` of the right side, a subrelation of it
+    made of unions, intersections and converses of its parts, and the full
+    right side is built only when that test fails.  The witness is still
+    the least pair of lhs outside the full rhs.
     """
     names = [name for name, _ in stmt.quantifiers]
     kinds = [kind for _, kind in stmt.quantifiers]

@@ -41,6 +41,11 @@ class PreconditionError(ValueError):
     """A witness constructor was handed an instance outside its hypotheses."""
 
 
+class ElementError(ValueError):
+    """A witness constructor was handed an element outside the universe: a
+    usage error rather than a failed precondition."""
+
+
 @dataclass(frozen=True)
 class DirectedGummSystem:
     """Terms p, j_1..j_k; k=1 degenerates to a Maltsev term."""
@@ -349,11 +354,11 @@ def _require(cond, message):
 
 
 def _require_elements(alg, named):
-    """Raise ValueError, a usage error rather than a failed precondition,
-    for the first (name, element) pair outside alg's universe."""
+    """Raise ElementError for the first (name, element) pair outside alg's
+    universe."""
     for name, x in named:
         if not 0 <= x < alg.size:
-            raise ValueError(f"element {name}={x} is outside the universe 0..{alg.size - 1}")
+            raise ElementError(f"element {name}={x} is outside the universe 0..{alg.size - 1}")
 
 
 def _require_refl_adm(alg, name, rel):

@@ -23,8 +23,11 @@ forms over one in-place Warshall pass, ``_transitive``:
     plus(r, s) = star(r | s)           if r and s are both reflexive
                = r | P | P ; r         otherwise, with P = star(r ; s)
 
-Every relation an identity check evaluates is reflexive, so checks take
-the first case.
+Every relation an identity check evaluates is reflexive: every quantifier
+sort (REFL, TOL, CON) is, so are delta and nabla, and every operator here
+keeps reflexivity.  So checks take the first case, and
+``identities.lower`` may bound each right side from below by a union of
+its operands.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from operator import and_, or_
 
 from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra
 
@@ -126,12 +130,12 @@ def converse(r: BinRel) -> BinRel:
 
 def intersect(r: BinRel, s: BinRel) -> BinRel:
     _same_size(r, s)
-    return BinRel(r.n, tuple(a & b for a, b in zip(r.rows, s.rows)))
+    return BinRel(r.n, tuple(map(and_, r.rows, s.rows)))
 
 
 def union(r: BinRel, s: BinRel) -> BinRel:
     _same_size(r, s)
-    return BinRel(r.n, tuple(a | b for a, b in zip(r.rows, s.rows)))
+    return BinRel(r.n, tuple(map(or_, r.rows, s.rows)))
 
 
 def m_compose(r: BinRel, s: BinRel, m: int) -> BinRel:
@@ -403,8 +407,9 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
     """All relations of the given kind on alg.
 
     Computes the principal members (closure of each single pair) and
-    saturates under binary join; complete because every member is the join
-    of the principals below it.  Members come back in canonical order
+    joins each new member with the principal members; complete because
+    every member is the join of the principals below it, so adding one
+    principal at a time reaches it.  Members come back in canonical order
     (lexicographic on the flattened bit matrix).
     """
 
@@ -424,9 +429,10 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
         for a in range(n):
             for b in range(n):
                 add(close(alg, BinRel.from_pairs(n, [(a, b)])))
+        principals = list(work)
         while work:
             x = work.pop()
-            for y in list(members):
+            for y in principals:
                 add(close(alg, union(x, y)))
         return RelLattice(kind, tuple(sorted(members, key=BinRel.flat_bits)))
 

@@ -7,6 +7,7 @@ identities."""
 from itertools import product
 
 from relmod.algebras import eval_term, free_algebra, projection
+from relmod.relations import RelKind
 
 
 # --- naive pairs-set relation semantics --------------------------------------
@@ -61,8 +62,11 @@ def naive_admissible(alg, pairs):
     return True
 
 
-def brute_force_refl_adm(alg):
-    """All reflexive admissible relations, by filtering every subset of AxA."""
+def brute_force_relations(alg, kind):
+    """All relations of the given kind, by filtering every subset of AxA
+    through the defining predicates: reflexive and admissible (REFL), also
+    symmetric (TOL), also transitive (CON).  It reads all 2^(n*n) subsets,
+    so it is for n <= 4."""
     n = alg.size
     all_pairs = [(a, b) for a in range(n) for b in range(n)]
     out = set()
@@ -70,9 +74,18 @@ def brute_force_refl_adm(alg):
         pairs = {p for i, p in enumerate(all_pairs) if bits >> i & 1}
         if not all((a, a) in pairs for a in range(n)):
             continue
+        if kind is not RelKind.REFL_ADM and any((b, a) not in pairs for a, b in pairs):
+            continue
+        if kind is RelKind.CONGRUENCE and not naive_compose(pairs, pairs) <= pairs:
+            continue
         if naive_admissible(alg, pairs):
             out.add(frozenset(pairs))
     return out
+
+
+def brute_force_refl_adm(alg):
+    """All reflexive admissible relations."""
+    return brute_force_relations(alg, RelKind.REFL_ADM)
 
 
 # --- naive subpower closure ------------------------------------------------------

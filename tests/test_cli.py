@@ -412,6 +412,49 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
         cli.main(["enumerate", "--algebra", "l2", "--kind", "refl"])
 
 
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # a ValueError from a relation operator is a bug, not a user mistake,
+    # so it surfaces instead of exiting 2
+    from relmod import relations
+
+    def broken(r, s):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(relations, "compose", broken)
+    with pytest.raises(ValueError, match="internal"):
+        cli.main(["check", "--algebra", "l2", "--identity", "(1.1)"])
+
+
+_DAY_L2 = ("witness", "--algebra", "l2") + _DAY_BASE
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("catalog", "--param", "k=1"), "k must be an integer >= 2, got 1"),
+        (("check", "--algebra", "l2", "--identity", "(A1)", "--param", "m=1"), "m must be an integer >= 2"),
+        (("check", "--algebra", "l2", "--identity", "(1.1)", "--sort", "X=CON"), "no quantifier named 'X'"),
+        (_DAY_L2 + ("--rel", "Theta=nabla", "--rel", "S=0-7"), "bad --rel 'S=0-7'"),
+        (_DAY_L2 + ("--rel", "Theta=nabla", "--rel", "S=delta+x"), "bad --rel 'S=delta+x'"),
+    ],
+    ids=["catalog-k", "check-m", "sort-name", "rel-range", "rel-term"],
+)
+def test_library_input_errors_exit_two(args, message, capsys):
+    # the user-input errors the library reports as ValueError reach the
+    # user as usage errors
+    assert cli.main(list(args)) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unreadable_algebra_file_exit_two(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    assert cli.main(["enumerate", "--algebra", str(binary), "--kind", "refl"]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+    assert cli.main(["enumerate", "--algebra", str(tmp_path), "--kind", "refl"]) == 2
+    assert "cannot read algebra file" in capsys.readouterr().err
+
+
 def test_readme_cli_commands_parse():
     # every relmod command the README shows, backslash-continued lines joined,
     # is accepted by the parser, so a deleted flag cannot linger in the docs

@@ -31,7 +31,9 @@ from relmod.identities import (
     catalog_labels,
     check_identity,
     eval_expr,
+    lower,
     parse_identity,
+    print_expr,
     print_statement,
     with_sorts,
 )
@@ -268,6 +270,109 @@ def test_check_matches_reference_loop(name, stmt, seed, samples):
     assert check_identity(alg, stmt, mode="sample", seed=seed, samples=samples) == _reference_check(
         alg, stmt, _reference_draws(alg, kinds, seed, samples)
     )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "S:REFL, T:REFL |- T <= S ;^1 T",
+        "S:REFL, T:REFL |- S ;^1 T = S",
+        "Theta:TOL, S:REFL |- Theta & (S ; conv(S)) <= Theta & S ;^1 Theta & conv(S)",
+        "S:REFL, T:TOL |- tol(S) & T <= S ;^1 T",
+        "S:REFL |- tol(S) <= S | conv(S)",
+        "S:REFL |- tol(S) <= S",
+        "S:REFL |- conv(S) <= S",
+        "S:REFL, T:REFL |- S <= conv(S ; T) & T",
+        "S:REFL |- pow(S,3) <= pow(S,2)",
+        "S:REFL |- pow(S,2) <= S",
+        "S:REFL, T:REFL |- conv(S ; T) = conv(T) ; conv(S)",
+        "S:REFL |- S = star(S)",
+    ],
+)
+def test_check_matches_reference_examples(text, l2, sl3, z2xz2):
+    # each operator whose lower bound has its own rule, through the
+    # lower-bound test and its fall-through to the full right side
+    stmt = parse_identity(text)
+    for alg in (l2, sl3, z2xz2):
+        lattices = [enumerate_relations(alg, kind).members for _, kind in stmt.quantifiers]
+        assert check_identity(alg, stmt) == _reference_check(alg, stmt, itertools.product(*lattices))
+
+
+def test_equality_failing_only_rightward_keeps_its_witness(sl3):
+    # S <= star(S) always holds, so the witness is the least pair of
+    # star(S) outside S, found through the test against lower(lhs) = S
+    verdict = check_identity(sl3, parse_identity("S:REFL |- S = star(S)"))
+    assert not verdict.holds and verdict.checked == 6
+    (name, value), = verdict.counterexample.assignment
+    assert (name, format_rel_literal(value)) == ("S", "delta+1-0+2-1")
+    assert verdict.counterexample.witness == (2, 0)
+
+
+def _subterms(expr):
+    yield expr
+    for child in ("lhs", "rhs", "arg"):
+        if hasattr(expr, child):
+            yield from _subterms(getattr(expr, child))
+
+
+@pytest.mark.parametrize("params", [{}, {"k": 3, "m": INF}], ids=["k2-m2", "k3-minf"])
+@pytest.mark.parametrize("label", catalog_labels())
+def test_lower_is_a_subrelation(label, params):
+    # every lower-bound rule, on every subterm of every catalog statement,
+    # over every exhaustive assignment; k=2 puts a ;^1 into (day)
+    stmt = catalog_entry(label, **params)
+    names = [name for name, _ in stmt.quantifiers]
+    terms = set(_subterms(stmt.lhs)) | set(_subterms(stmt.rhs))
+    for alg in map(corpus.builtin, ("l2", "sl2", "z2")):
+        program = identities._Program(alg, names)
+        slots = [(e, program.slot(lower(e)), program.slot(e)) for e in terms]
+        lattices = [enumerate_relations(alg, kind).members for _, kind in stmt.quantifiers]
+        for values in itertools.product(*lattices):
+            for e, bound, slot in slots:
+                assert program.run[bound](values).issubset(program.run[slot](values)), (
+                    alg.name, print_expr(e), [format_rel_literal(r) for r in values]
+                )
+
+
+def test_lower_bound_settles_without_building_the_right_side(monkeypatch):
+    # S is inside lower(S ; T) = S | T, so no assignment composes
+    calls = []
+
+    def counting_compose(r, s):
+        calls.append((r, s))
+        return compose(r, s)
+
+    monkeypatch.setattr(relations, "compose", counting_compose)
+    verdict = check_identity(chain_lattice(3), parse_identity("S:REFL, T:REFL |- S <= S ; T"))
+    assert verdict.holds and verdict.checked == 25**2
+    assert calls == []
+
+
+def test_lower_bound_settles_most_of_D3_on_l3(monkeypatch):
+    # the right side of (D3) runs three saturating joins over R, S and T,
+    # which every assignment built before the lower-bound test; the left
+    # side is evaluated first, so the joins counted are the right side's
+    l3 = chain_lattice(3)
+    stmt = catalog_entry("(D3)", m=INF)
+    calls = []
+
+    def counting_plus(r, s):
+        calls.append((r, s))
+        return plus(r, s)
+
+    monkeypatch.setattr(relations, "plus", counting_plus)
+    program = identities._Program(l3, ("R", "S", "T"))
+    violation = program.violation(stmt)
+    lhs = program.run[program.slot(stmt.lhs)]
+    lattice = enumerate_relations(l3, RelKind.REFL_ADM).members
+    built = 0
+    for values in itertools.product(lattice, repeat=3):
+        lhs(values)
+        before = len(calls)
+        assert violation(values) is None
+        built += len(calls) > before
+    assert len(lattice) ** 3 == 15625
+    assert 0 < built * 10 < 15625
 
 
 def test_cache_cap_keeps_verdicts(l2, sl3, monkeypatch):

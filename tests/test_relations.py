@@ -53,6 +53,7 @@ sizes = st.integers(1, 9)
 
 
 from oracles import (
+    brute_force_relations,
     naive_admissible,
     naive_compose,
     naive_congruence,
@@ -444,12 +445,34 @@ def test_enumerate_bare_set():
 
 def test_enumerate_matches_brute_force_on_three_elements(sl3):
     # all 512 subsets of a 3x3 matrix, filtered by the defining predicates
-    from oracles import brute_force_refl_adm
-
-    brute = brute_force_refl_adm(sl3)
+    brute = brute_force_relations(sl3, RelKind.REFL_ADM)
     fast = {frozenset(r.pairs()) for r in enumerate_relations(sl3, RelKind.REFL_ADM)}
     assert fast == brute
     assert len(fast) == 36
+
+
+@st.composite
+def small_algebras(draw):
+    """A random algebra on 2 or 3 elements with one to three operations of
+    arity 0 to 2 (to 3 on 2 elements)."""
+    n = draw(st.integers(2, 3))
+    arities = draw(st.lists(st.integers(0, 5 - n), min_size=1, max_size=3))
+    ops = [
+        (f"f{i}", k, draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
+        for i, k in enumerate(arities)
+    ]
+    return FiniteAlgebra("random", n, ops)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_algebras())
+def test_enumerate_matches_brute_force_on_random_algebras(alg):
+    # the principal-join enumeration against every subset of A x A that
+    # passes the defining predicates, for each kind
+    for kind in RelKind:
+        fast = enumerate_relations(alg, kind).members
+        assert {frozenset(r.pairs()) for r in fast} == brute_force_relations(alg, kind), kind
+        assert list(fast) == sorted(fast, key=BinRel.flat_bits)
 
 
 def test_enumerate_cap(m3):
