@@ -184,16 +184,17 @@ def _cmd_check(args, alg):
             stmt = with_sorts(stmt, overrides)
         except ValueError as e:
             raise UsageError(e.args[0]) from None
-    if args.mode == "sample" and args.samples < 1:
-        raise UsageError(f"samples must be >= 1, got {args.samples}")
-    verdict = check_identity(
-        alg,
-        stmt,
-        mode=args.mode,
-        seed=args.seed,
-        samples=args.samples,
-        cap=args.cap,
-    )
+    if args.mode == "sample":
+        samples = 1000 if args.samples is None else args.samples
+        if samples < 1:
+            raise UsageError(f"samples must be >= 1, got {samples}")
+        sampling = {"seed": args.seed or 0, "samples": samples}
+    else:
+        for flag in ("samples", "seed"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} applies only to --mode sample")
+        sampling = {}
+    verdict = check_identity(alg, stmt, mode=args.mode, cap=args.cap, **sampling)
     item = {
         "_kind": "check",
         "label": label,
@@ -302,6 +303,8 @@ def _cmd_witness(args, alg):
     if args.theorem in ("turt", "turtt"):
         if args.chain is None or args.a is None or args.b is None:
             raise UsageError("turt/turtt witnesses need --a, --b and --chain")
+        if args.c is not None:
+            raise UsageError("--c does not apply to turt/turtt witnesses: c is the last --chain element")
         try:
             chain = [int(x) for x in args.chain.split(",")]
         except ValueError:
@@ -323,6 +326,8 @@ def _cmd_witness(args, alg):
     else:
         if args.a is None or args.b is None or args.c is None:
             raise UsageError("day witnesses need --a, --b and --c")
+        if args.chain is not None:
+            raise UsageError("--chain does not apply to day witnesses, which end at --c")
         rels, _ = _witness_relations(args, n, ("Theta", "S"))
         system = _found(find_day(alg, cap=args.cap), "Day")
         chain_obj = witness_day(alg, system, rels["Theta"], rels["S"], args.a, args.b, args.c)
@@ -379,8 +384,8 @@ def build_parser():
     p.add_argument("--param", action="append", help="catalog parameter, e.g. k=3 or m=inf")
     p.add_argument("--sort", action="append", help="override a quantifier sort, e.g. Theta=CON")
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--seed", type=int, help="sample mode only (default 0)")
+    p.add_argument("--samples", type=int, help="sample mode only (default 1000)")
     p.add_argument("--assert-holds", action="store_true")
 
     p = sub.add_parser("enumerate", help="enumerate a relation lattice")

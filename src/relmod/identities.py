@@ -19,6 +19,12 @@ all binary operators associate to the left.  "&" is intersection, ";" is
 composition, ";^m" the m-fold alternation (";^inf" its saturation), "+" the
 saturating join, "|" plain set union, "cl" the reflexive-admissible closure
 and "tol" the least containing tolerance.
+
+The operator set is spelled once, in the table `_OPS`: each node class
+gives its symbol or function name, its precedence and the name of its
+operator in `relations`.  One precedence loop parses the binary operators
+from it, and the printer and the compiled `_Program` read it.  Binary nodes
+share the base `_Binary` (lhs, rhs), unary ones `_Unary` (arg).
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from enum import Enum
 from functools import partial
 from itertools import product
 from operator import itemgetter
+from typing import NamedTuple
 
 from .algebras import DEFAULT_CAP, FiniteAlgebra
 from .maltsev import q_bound, r_bound
@@ -61,60 +68,94 @@ class Nabla:
 
 
 @dataclass(frozen=True)
-class Intersect:
+class _Binary:
     lhs: object
     rhs: object
 
 
 @dataclass(frozen=True)
-class Union:
-    lhs: object
-    rhs: object
+class _Unary:
+    arg: object
+
+
+class Intersect(_Binary):
+    pass
+
+
+class Union(_Binary):
+    pass
+
+
+class Compose(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Compose:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class ComposeM:
-    lhs: object
-    rhs: object
+class ComposeM(_Binary):
     m: object  # int >= 1 or INF
 
 
-@dataclass(frozen=True)
-class Plus:
-    lhs: object
-    rhs: object
+class Plus(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Power:
-    arg: object
+class Power(_Unary):
     h: int
 
 
-@dataclass(frozen=True)
-class Converse:
-    arg: object
+class Converse(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Star:
-    arg: object
+class Star(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Overline:
-    arg: object
+class Overline(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class ToleranceOf:
-    arg: object
+class ToleranceOf(_Unary):
+    pass
+
+
+class _Op(NamedTuple):
+    spelling: str  # a binary operator's symbol, or the name the node is written with
+    prec: int  # binding strength, tightest highest; _ATOM_PREC for all but binary operators
+    rel: str  # the relation operator in relations.py
+    param: str | None = None  # the node's parameter field, passed to rel by that name
+    reads: str | None = None  # "alg" or "size": what of the algebra rel takes first
+
+
+_ATOM_PREC = 4
+
+# The operator set of the language: the parser, the printer and _Program
+# all read it.
+_OPS = {
+    Plus: _Op("+", 1, "plus"),
+    Union: _Op("|", 1, "union"),
+    Compose: _Op(";", 2, "compose"),
+    ComposeM: _Op(";^", 2, "m_compose", param="m"),
+    Intersect: _Op("&", 3, "intersect"),
+    Converse: _Op("conv", _ATOM_PREC, "converse"),
+    Star: _Op("star", _ATOM_PREC, "star"),
+    Overline: _Op("cl", _ATOM_PREC, "refl_adm_closure", reads="alg"),
+    ToleranceOf: _Op("tol", _ATOM_PREC, "tolerance_of", reads="alg"),
+    Power: _Op("pow", _ATOM_PREC, "power", param="h"),
+    Delta: _Op("delta", _ATOM_PREC, "delta", reads="size"),
+    Nabla: _Op("nabla", _ATOM_PREC, "nabla", reads="size"),
+}
+_BINARY = {op.spelling: node for node, op in _OPS.items() if issubclass(node, _Binary)}
+_NAMED = {op.spelling: node for node, op in _OPS.items() if not issubclass(node, _Binary)}
+
+
+def _operands(expr):
+    if isinstance(expr, _Binary):
+        return (expr.lhs, expr.rhs)
+    if isinstance(expr, _Unary):
+        return (expr.arg,)
+    return ()
 
 
 class StmtRel(Enum):
@@ -130,8 +171,7 @@ class IdentityStatement:
     rhs: object
 
 
-_FUNCS = ("conv", "star", "cl", "tol", "pow")
-_RESERVED = set(_FUNCS) | {kind.value for kind in RelKind} | {"delta", "nabla", "inf"}
+_RESERVED = set(_NAMED) | {kind.value for kind in RelKind} | {"inf"}
 
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
@@ -221,39 +261,35 @@ class _Parser:
         except ValueError:
             raise ParseError(f"expected REFL, TOL or CON, found {sort!r}", pos) from None
 
-    def parse_expr(self):
-        e = self.parse_comp()
-        while self.at_sym("+", "|"):
-            _, op, _ = self.next()
-            rhs = self.parse_comp()
-            e = Plus(e, rhs) if op == "+" else Union(e, rhs)
-        return e
-
-    def parse_comp(self):
-        e = self.parse_and()
-        while self.at_sym(";", ";^"):
-            _, op, _ = self.next()
-            if op == ";":
-                e = Compose(e, self.parse_and())
-            else:
-                kind, value, pos = self.next()
-                if kind == "int":
-                    m = value
-                elif kind == "name" and value == "inf":
-                    m = INF
-                else:
-                    raise ParseError(f"expected an integer or 'inf' after ';^', found {value!r}", pos)
-                if m != INF and m < 1:
-                    raise ParseError("composition count must be >= 1", pos)
-                e = ComposeM(e, self.parse_and(), m)
-        return e
-
-    def parse_and(self):
-        e = self.parse_atom()
-        while self.at_sym("&"):
+    def parse_expr(self, prec=1):
+        """An expression whose outermost binary operators have precedence
+        prec or tighter; each level associates to the left."""
+        if prec == _ATOM_PREC:
+            return self.parse_atom()
+        e = self.parse_expr(prec + 1)
+        while True:
+            kind, value, _ = self.peek()
+            node = _BINARY.get(value) if kind == "sym" else None
+            if node is None or _OPS[node].prec != prec:
+                return e
             self.next()
-            e = Intersect(e, self.parse_atom())
-        return e
+            if node is ComposeM:
+                m = self.parse_count()
+                e = ComposeM(e, self.parse_expr(prec + 1), m)
+            else:
+                e = node(e, self.parse_expr(prec + 1))
+
+    def parse_count(self):
+        kind, value, pos = self.next()
+        if kind == "int":
+            m = value
+        elif kind == "name" and value == "inf":
+            m = INF
+        else:
+            raise ParseError(f"expected an integer or 'inf' after ';^', found {value!r}", pos)
+        if m != INF and m < 1:
+            raise ParseError("composition count must be >= 1", pos)
+        return m
 
     def parse_atom(self):
         kind, value, pos = self.next()
@@ -263,14 +299,13 @@ class _Parser:
             return e
         if kind != "name":
             raise ParseError(f"expected an expression, found {value!r}", pos)
-        if value == "delta":
-            return Delta()
-        if value == "nabla":
-            return Nabla()
-        if value in _FUNCS:
+        node = _NAMED.get(value)
+        if node is Delta or node is Nabla:
+            return node()
+        if node is not None:
             self.expect_sym("(")
             arg = self.parse_expr()
-            if value == "pow":
+            if node is Power:
                 self.expect_sym(",")
                 hkind, h, hpos = self.next()
                 if hkind != "int" or h < 1:
@@ -278,7 +313,7 @@ class _Parser:
                 self.expect_sym(")")
                 return Power(arg, h)
             self.expect_sym(")")
-            return {"conv": Converse, "star": Star, "cl": Overline, "tol": ToleranceOf}[value](arg)
+            return node(arg)
         if value in _RESERVED:
             raise ParseError(f"{value!r} cannot be used here", pos)
         if value not in self.declared:
@@ -290,19 +325,6 @@ def parse_identity(text: str) -> IdentityStatement:
     return _Parser(text).parse_statement()
 
 
-_PLUS_PREC, _COMP_PREC, _AND_PREC, _ATOM_PREC = 1, 2, 3, 4
-
-
-def _prec(expr):
-    if isinstance(expr, (Plus, Union)):
-        return _PLUS_PREC
-    if isinstance(expr, (Compose, ComposeM)):
-        return _COMP_PREC
-    if isinstance(expr, Intersect):
-        return _AND_PREC
-    return _ATOM_PREC
-
-
 def print_expr(expr) -> str:
     return _pp(expr, 0)
 
@@ -310,33 +332,17 @@ def print_expr(expr) -> str:
 def _pp(expr, context):
     if isinstance(expr, Var):
         return expr.name
-    if isinstance(expr, Delta):
-        return "delta"
-    if isinstance(expr, Nabla):
-        return "nabla"
-    if isinstance(expr, Converse):
-        return f"conv({_pp(expr.arg, 0)})"
-    if isinstance(expr, Star):
-        return f"star({_pp(expr.arg, 0)})"
-    if isinstance(expr, Overline):
-        return f"cl({_pp(expr.arg, 0)})"
-    if isinstance(expr, ToleranceOf):
-        return f"tol({_pp(expr.arg, 0)})"
-    if isinstance(expr, Power):
-        return f"pow({_pp(expr.arg, 0)},{expr.h})"
-    p = _prec(expr)
-    if isinstance(expr, Intersect):
-        op = " & "
-    elif isinstance(expr, Compose):
-        op = " ; "
-    elif isinstance(expr, ComposeM):
-        op = " ;^inf " if expr.m == INF else f" ;^{expr.m} "
-    elif isinstance(expr, Plus):
-        op = " + "
-    else:
-        op = " | "
-    text = _pp(expr.lhs, p) + op + _pp(expr.rhs, p + 1)
-    return f"({text})" if p < context else text
+    op = _OPS[type(expr)]
+    if isinstance(expr, _Unary):
+        param = f",{getattr(expr, op.param)}" if op.param else ""
+        return f"{op.spelling}({_pp(expr.arg, 0)}{param})"
+    if not isinstance(expr, _Binary):
+        return op.spelling
+    symbol = op.spelling
+    if op.param:
+        symbol += "inf" if expr.m == INF else str(expr.m)
+    text = f"{_pp(expr.lhs, op.prec)} {symbol} {_pp(expr.rhs, op.prec + 1)}"
+    return f"({text})" if op.prec < context else text
 
 
 def print_statement(stmt: IdentityStatement) -> str:
@@ -426,14 +432,10 @@ class _Program:
             if p is None:
                 raise ValueError(f"unbound variable {expr.name!r}")
             key = (Var, (), p)
-        elif node is Delta or node is Nabla:
-            key = (node, (), None)
-        elif node in (Intersect, Union, Compose, ComposeM, Plus):
-            param = expr.m if node is ComposeM else None
-            key = (node, (self.slot(expr.lhs), self.slot(expr.rhs)), param)
-        elif node in (Power, Converse, Star, Overline, ToleranceOf):
-            param = expr.h if node is Power else None
-            key = (node, (self.slot(expr.arg),), param)
+        elif node in _OPS:
+            param = _OPS[node].param
+            kids = tuple(self.slot(e) for e in _operands(expr))
+            key = (node, kids, getattr(expr, param) if param else None)
         else:
             raise TypeError(f"not a relation expression: {expr!r}")
         slot = self._slots.get(key)
@@ -460,30 +462,15 @@ class _Program:
         return slot
 
     def _operator(self, node, param):
-        alg = self.alg
-        if node is Delta:
-            return partial(rel.delta, alg.size)
-        if node is Nabla:
-            return partial(rel.nabla, alg.size)
-        if node is Intersect:
-            return rel.intersect
-        if node is Union:
-            return rel.union
-        if node is Compose:
-            return rel.compose
-        if node is Plus or (node is ComposeM and param == INF):
+        if node is ComposeM and param == INF:
             return rel.plus
-        if node is ComposeM:
-            return partial(rel.m_compose, m=param)
-        if node is Power:
-            return partial(rel.power, h=param)
-        if node is Converse:
-            return rel.converse
-        if node is Star:
-            return rel.star
-        if node is Overline:
-            return partial(rel.refl_adm_closure, alg)
-        return partial(rel.tolerance_of, alg)
+        op = _OPS[node]
+        fn = getattr(rel, op.rel)
+        if op.reads:
+            fn = partial(fn, self.alg if op.reads == "alg" else self.alg.size)
+        if op.param:
+            fn = partial(fn, **{op.param: param})
+        return fn
 
     def _cached(self, run, slot, free):
         cache = self._cache

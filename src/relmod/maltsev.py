@@ -6,6 +6,11 @@ neighbours, so one engine decides both: each is a _PathCondition record,
 _search finds a shortest chain among the term functions restricted to the
 argument tuples the record reads, and _verify checks a chain against the
 record over every tuple of the algebra.
+
+The witness constructors replay the inclusion proofs through one walker,
+_walk: a theorem lists its head step and its Lambda blocks as
+(label, relation, next element) moves, _walk re-checks every step against
+its relation, and the chain must end at c.
 """
 
 from __future__ import annotations
@@ -367,24 +372,43 @@ def _require_refl_adm(alg, name, rel):
     _require(is_admissible(alg, rel), f"{name} is not admissible")
 
 
-def _fn3(alg, term):
-    vec = term_table(alg, term, 3).vector
+def _fn(alg, term, arity):
+    """The term function of term on alg, read from its table."""
+    vec = term_table(alg, term, arity).vector
     n = alg.size
-    return lambda x, y, z: vec[(x * n + y) * n + z]
+
+    def fn(*args):
+        code = 0
+        for x in args:
+            code = code * n + x
+        return vec[code]
+
+    return fn
 
 
-def _fn4(alg, term):
-    vec = term_table(alg, term, 4).vector
-    n = alg.size
-    return lambda x, y, z, w: vec[((x * n + y) * n + z) * n + w]
+def _walk(a, c, moves, lam_blocks=None):
+    """The chain from a through moves, each a (label, relation, next
+    element); every step is re-checked against its relation, and the chain
+    must end at c."""
+    steps = []
+    cur = a
+    for label, relation, nxt in moves:
+        if not relation.has(cur, nxt):
+            raise RuntimeError(f"internal error: emitted step ({cur},{nxt}) fails its relation {label}")
+        steps.append(WitnessStep(cur, nxt, label, relation))
+        cur = nxt
+    if cur != c:
+        raise RuntimeError("internal error: witness chain did not terminate at c")
+    return WitnessChain(a, c, tuple(steps), lam_blocks)
 
 
-def _checked_step(label, rel, u, v):
-    if not rel.has(u, v):
-        raise RuntimeError(
-            f"internal error: emitted step ({u},{v}) fails its relation {label}"
-        )
-    return WitnessStep(u, v, label, rel)
+def _lam_moves(alg, R, S, chain, blocks):
+    """The moves of Lambda^len(blocks), Lambda = tol(R)&S1 ; ... ;
+    tol(R)&Sl: each block function y -> element walks y along chain[1:],
+    one tol(R)&Si step per element."""
+    theta = tolerance_of(alg, R)
+    lam = [(f"tol(R) & S{i}", intersect(theta, s)) for i, s in enumerate(S, start=1)]
+    return [(label, r, block(y)) for block in blocks for (label, r), y in zip(lam, chain[1:])]
 
 
 def _check_turt_instance(alg, system, R, V, W, S, a, b, chain):
@@ -422,80 +446,27 @@ def witness_turt(alg, system, R, V, W, S, a, b, chain) -> WitnessChain:
     later j_i, every step re-validated against the supplied relations.
     """
     c = _check_turt_instance(alg, system, R, V, W, S, a, b, chain)
-    k, ell = system.k, len(S)
-    j = [_fn3(alg, t) for t in system.j]
-
-    def jstar(x, y, z):
-        return j[0](x, y, j[0](x, y, z))
-
-    theta = tolerance_of(alg, R)
-    lam_rels = [intersect(theta, s) for s in S]
-    lam_labels = [f"tol(R) & S{i}" for i in range(1, ell + 1)]
+    j1, *later = [_fn(alg, t, 3) for t in system.j]
     head_rel = intersect(R, refl_adm_closure(alg, union(V, W)))
-
-    steps = []
-    cur = a
-    nxt = jstar(a, a, c)
-    steps.append(_checked_step("R & cl(V|W)", head_rel, cur, nxt))
-    cur = nxt
-    blocks = 0
-    # first block: both occurrences of y move together, via j*
-    for h in range(ell):
-        nxt = jstar(a, chain[h + 1], c)
-        steps.append(_checked_step(lam_labels[h], lam_rels[h], cur, nxt))
-        cur = nxt
-    blocks += 1
-    # middle blocks: advance j_i inside the fixed outer j1(a, c, _)
-    for i in range(2, k):
-        ji = j[i - 1]
-        for h in range(ell):
-            nxt = j[0](a, c, ji(a, chain[h + 1], c))
-            steps.append(_checked_step(lam_labels[h], lam_rels[h], cur, nxt))
-            cur = nxt
-        blocks += 1
-    # tail blocks: advance the bare j_i
-    for i in range(2, k):
-        ji = j[i - 1]
-        for h in range(ell):
-            nxt = ji(a, chain[h + 1], c)
-            steps.append(_checked_step(lam_labels[h], lam_rels[h], cur, nxt))
-            cur = nxt
-        blocks += 1
-    if cur != c or blocks != 2 * k - 3:
-        raise RuntimeError("internal error: witness chain did not terminate at c")
-    return WitnessChain(a, c, tuple(steps), blocks)
+    head = ("R & cl(V|W)", head_rel, j1(a, a, j1(a, a, c)))
+    # first block: both occurrences of y move together, via j*; then the
+    # middle blocks advance j_2..j_{k-1} inside the fixed outer j1(a, c, _),
+    # and the tail blocks advance them bare
+    blocks = [lambda y: j1(a, y, j1(a, y, c))]
+    blocks += [lambda y, ji=ji: j1(a, c, ji(a, y, c)) for ji in later[:-1]]
+    blocks += [lambda y, ji=ji: ji(a, y, c) for ji in later[:-1]]
+    return _walk(a, c, [head] + _lam_moves(alg, R, S, chain, blocks), len(blocks))
 
 
 def witness_turtt(alg, system, R, V, W, S, a, b, chain) -> WitnessChain:
     """Element chain landing (a,c) in R conv(R) cl(conv(V)|W) ; Lambda^(k-1);
     the simpler replay starting from a = p(a,b,b)."""
     c = _check_turt_instance(alg, system, R, V, W, S, a, b, chain)
-    k, ell = system.k, len(S)
-    j = [_fn3(alg, t) for t in system.j]
-
-    theta = tolerance_of(alg, R)
-    lam_rels = [intersect(theta, s) for s in S]
-    lam_labels = [f"tol(R) & S{i}" for i in range(1, ell + 1)]
-    head_rel = intersect(
-        intersect(R, converse(R)), refl_adm_closure(alg, union(converse(V), W))
-    )
-
-    steps = []
-    cur = a
-    nxt = j[0](a, a, c)  # = p(a,a,c)
-    steps.append(_checked_step("R & conv(R) & cl(conv(V)|W)", head_rel, cur, nxt))
-    cur = nxt
-    blocks = 0
-    for i in range(1, k):
-        ji = j[i - 1]
-        for h in range(ell):
-            nxt = ji(a, chain[h + 1], c)
-            steps.append(_checked_step(lam_labels[h], lam_rels[h], cur, nxt))
-            cur = nxt
-        blocks += 1
-    if cur != c or blocks != k - 1:
-        raise RuntimeError("internal error: witness chain did not terminate at c")
-    return WitnessChain(a, c, tuple(steps), blocks)
+    j = [_fn(alg, t, 3) for t in system.j]
+    head_rel = intersect(intersect(R, converse(R)), refl_adm_closure(alg, union(converse(V), W)))
+    head = ("R & conv(R) & cl(conv(V)|W)", head_rel, j[0](a, a, c))  # = p(a,a,c)
+    blocks = [lambda y, ji=ji: ji(a, y, c) for ji in j[:-1]]
+    return _walk(a, c, [head] + _lam_moves(alg, R, S, chain, blocks), len(blocks))
 
 
 def witness_day(alg, system, theta, s_rel, a, b, c) -> WitnessChain:
@@ -509,23 +480,11 @@ def witness_day(alg, system, theta, s_rel, a, b, c) -> WitnessChain:
     _require(theta.has(a, c), f"precondition (a,c)=({a},{c}) in Theta fails")
     _require(s_rel.has(a, b), f"precondition (a,b)=({a},{b}) in S fails")
     _require(s_rel.has(c, b), f"precondition (c,b)=({c},{b}) in conv(S) fails")
-    k = system.k
-    if k == 0:
+    if system.k == 0:
         _require(a == c, "k=0 system only certifies a=c")
-        return WitnessChain(a, c, (), None)
-    d = [_fn4(alg, t) for t in system.d]
-    fwd = intersect(theta, s_rel)
-    bwd = intersect(theta, converse(s_rel))
-    steps = []
-    cur = a  # = d_1(a,a,c,c)
-    for i in range(1, k):
-        if i % 2 == 1:
-            nxt = d[i](a, b, b, c)
-            steps.append(_checked_step("Theta & S", fwd, cur, nxt))
-        else:
-            nxt = d[i](a, a, c, c)
-            steps.append(_checked_step("Theta & conv(S)", bwd, cur, nxt))
-        cur = nxt
-    if cur != c:
-        raise RuntimeError("internal error: witness chain did not terminate at c")
-    return WitnessChain(a, c, tuple(steps), None)
+    d = [_fn(alg, t, 4) for t in system.d]
+    fwd = ("Theta & S", intersect(theta, s_rel))
+    bwd = ("Theta & conv(S)", intersect(theta, converse(s_rel)))
+    # from a = d_1(a,a,c,c), odd d_i step by (a,b,b,c), even ones by (a,a,c,c)
+    moves = [(*fwd, d[i](a, b, b, c)) if i % 2 else (*bwd, d[i](a, a, c, c)) for i in range(1, system.k)]
+    return _walk(a, c, moves)

@@ -112,6 +112,34 @@ def test_check_sample_count_must_be_positive(samples):
     assert f"samples must be >= 1, got {samples}" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("--samples", "0", "--seed", "9"), "--samples"),
+        (("--seed", "9"), "--seed"),
+        (("--mode", "exhaustive", "--samples", "10"), "--samples"),
+    ],
+    ids=["samples-and-seed", "seed", "explicit-exhaustive"],
+)
+def test_check_sampling_flags_need_sample_mode(args, flag):
+    # an exhaustive check draws nothing, so a sample count or seed given to
+    # it is a usage error rather than silently ignored
+    res = run_cli("check", "--algebra", "l2", "--identity", "1.1", *args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert f"{flag} applies only to --mode sample" in res.stderr
+
+
+def test_check_sample_mode_defaults():
+    # in sample mode --samples defaults to 1000 and --seed to 0
+    base = ("check", "--algebra", "l2", "--identity", "(B1)", "--mode", "sample")
+    res = run_cli(*base)
+    assert res.returncode == 0
+    assert "[check] (B1): HOLDS checked=1000" in res.stdout
+    explicit = run_cli(*base, "--seed", "0", "--samples", "1000")
+    assert res.stdout.splitlines()[1:] == explicit.stdout.splitlines()[1:]  # all but the command line
+
+
 def test_check_bad_sort_exit_two():
     res = run_cli("check", "--algebra", "l2", "--identity", "(1.1)", "--sort", "Theta=XX")
     assert res.returncode == 2
@@ -340,6 +368,31 @@ _DAY_BASE = ("--theorem", "day", "--a", "0", "--b", "1", "--c", "1")
 def test_witness_rel_names_exit_two(args, message):
     # every --rel is used: a name the theorem does not read, a gap in the
     # S-chain or a name given twice is a usage error, not silently dropped
+    res = run_cli("witness", "--algebra", "l2", *args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert message in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (_TURT_BASE + ("--rel", "S1=nabla", "--c", "7"), "--c does not apply to turt/turtt"),
+        (
+            ("--theorem", "turtt", "--rel", "R=nabla", "--rel", "V=nabla", "--rel", "W=nabla",
+             "--rel", "S1=nabla", "--a", "0", "--b", "1", "--chain", "0,1", "--c", "1"),
+            "--c does not apply to turt/turtt",
+        ),
+        (
+            _DAY_BASE + ("--rel", "Theta=nabla", "--rel", "S=nabla", "--chain", "0,1"),
+            "--chain does not apply to day",
+        ),
+    ],
+    ids=["turt-c", "turtt-c", "day-chain"],
+)
+def test_witness_unused_element_flags_exit_two(args, message):
+    # turt/turtt take c from --chain and day takes no chain, so the other
+    # flag would be dropped unread
     res = run_cli("witness", "--algebra", "l2", *args)
     assert res.returncode == 2
     assert res.stdout == ""

@@ -489,16 +489,41 @@ def test_witness_turtt_all_nabla(l2):
     assert chain.lam_blocks == sys_.k - 1
 
 
+def _chain_line(tag, chain):
+    steps = " ".join(f"{s.source},{s.target},{s.label}" for s in chain.steps)
+    return f"{tag} {chain.start} {chain.end} {chain.lam_blocks} [{steps}]"
+
+
+def _turt_instances(alg, ell):
+    """Every (R, V, W, S, a, b, chain) meeting the turt preconditions on alg
+    with an S-chain of length ell, in a fixed order."""
+    lattice = enumerate_relations(alg, RelKind.REFL_ADM).members
+    for rels in itertools.product(lattice, repeat=3 + ell):
+        R, V, W, S = *rels[:3], list(rels[3:])
+        for a, b in itertools.product(range(alg.size), repeat=2):
+            for tail in itertools.product(range(alg.size), repeat=ell):
+                chain = (a,) + tail
+                c = chain[-1]
+                if R.has(a, c) and V.has(a, b) and W.has(b, c):
+                    if all(S[i].has(chain[i], chain[i + 1]) for i in range(ell)):
+                        yield R, V, W, S, a, b, list(chain)
+
+
+def _day_instances(alg):
+    tols = enumerate_relations(alg, RelKind.TOLERANCE).members
+    refl = enumerate_relations(alg, RelKind.REFL_ADM).members
+    for theta, s in itertools.product(tols, refl):
+        for a, b, c in itertools.product(range(alg.size), repeat=3):
+            if theta.has(a, c) and s.has(a, b) and s.has(c, b):
+                yield theta, s, a, b, c
+
+
 def test_witness_turt_property_sweep_l1(l2):
     sys_ = find_directed_gumm(l2).system
-    lattice = enumerate_relations(l2, RelKind.REFL_ADM).members
     count = 0
-    for R, V, W, S1 in itertools.product(lattice, repeat=4):
-        for a, b, a1 in itertools.product(range(2), repeat=3):
-            if R.has(a, a1) and V.has(a, b) and W.has(b, a1) and S1.has(a, a1):
-                chain = witness_turt(l2, sys_, R, V, W, [S1], a, b, [a, a1])
-                assert chain.validate()
-                count += 1
+    for R, V, W, S, a, b, chain in _turt_instances(l2, 1):
+        assert witness_turt(l2, sys_, R, V, W, S, a, b, chain).validate()
+        count += 1
     assert count > 0
 
 
@@ -566,20 +591,53 @@ def _padded_gumm(alg, extra):
 def test_witness_turt_deep_blocks(l2):
     # k >= 3 exercises the middle (wrapped) and tail block constructions,
     # which are empty loops for k = 2
-    lattice = enumerate_relations(l2, RelKind.REFL_ADM).members
     for extra in (1, 2):
         sys_ = _padded_gumm(l2, extra)
         count = 0
-        for R, V, W, S1 in itertools.product(lattice, repeat=4):
-            for a, b, a1 in itertools.product(range(2), repeat=3):
-                if R.has(a, a1) and V.has(a, b) and W.has(b, a1) and S1.has(a, a1):
-                    w1 = witness_turt(l2, sys_, R, V, W, [S1], a, b, [a, a1])
-                    w2 = witness_turtt(l2, sys_, R, V, W, [S1], a, b, [a, a1])
-                    assert w1.validate() and w1.lam_blocks == 2 * sys_.k - 3
-                    assert w2.validate() and w2.lam_blocks == sys_.k - 1
-                    assert len(w1.steps) == 1 + (2 * sys_.k - 3)
-                    count += 1
+        for R, V, W, S, a, b, chain in _turt_instances(l2, 1):
+            w1 = witness_turt(l2, sys_, R, V, W, S, a, b, chain)
+            w2 = witness_turtt(l2, sys_, R, V, W, S, a, b, chain)
+            assert w1.validate() and w1.lam_blocks == 2 * sys_.k - 3
+            assert w2.validate() and w2.lam_blocks == sys_.k - 1
+            assert len(w1.steps) == 1 + (2 * sys_.k - 3)
+            count += 1
         assert count > 0
+
+
+def test_witness_chains_digest_pinned(z2, l2, m3, z2xz2):
+    # start, end, lam_blocks and every step's (source, target, label) of the
+    # criterion-6 sweep, of directed Gumm systems padded to k=3 and k=4, of
+    # padded Day systems and of the m3 and z2xz2 instances; the digest was
+    # taken from the hand-written step loops the walker replaced
+    lines = []
+    gumm = find_directed_gumm(l2).system
+    systems = [("k2", gumm)] + [(f"k{2 + extra}", _padded_gumm(l2, extra)) for extra in (1, 2)]
+    for tag, sys_ in systems:
+        for ell in (1, 2) if sys_ is gumm else (1,):
+            for R, V, W, S, a, b, chain in _turt_instances(l2, ell):
+                for build in (witness_turt, witness_turtt):
+                    w = build(l2, sys_, R, V, W, S, a, b, chain)
+                    lines.append(_chain_line(f"{build.__name__.removeprefix('witness_')}:{tag}", w))
+    for alg in (z2, l2):
+        base = find_day(alg).system
+        for extra in (0, 1, 2):
+            sys_ = DaySystem(base.k + extra, base.d + (base.d[-1],) * extra)
+            for theta, s, a, b, c in _day_instances(alg):
+                chain = witness_day(alg, sys_, theta, s, a, b, c)
+                lines.append(_chain_line(f"day:{alg.name}:k{sys_.k}", chain))
+    nb5 = nabla(5)
+    le = enumerate_relations(m3, RelKind.REFL_ADM).members[1]
+    msys = find_directed_gumm(m3).system
+    for a, c in le.pairs():
+        for build in (witness_turt, witness_turtt):
+            chain = build(m3, msys, nb5, nb5, le, [le, nb5], a, a, [a, c, c])
+            lines.append(_chain_line(f"m3:{build.__name__}", chain))
+    zsys = find_day(z2xz2).system
+    for a, b, c in itertools.product(range(4), repeat=3):
+        lines.append(_chain_line("z2xz2:day", witness_day(z2xz2, zsys, nabla(4), nabla(4), a, b, c)))
+    assert len(lines) == 13288
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "fb89bbf12e6f88a5b8711ec9ed6dc6ef49e8d356d5312bee03066fe61fd515b6"
 
 
 def test_witness_day_deep_chain(l2):
