@@ -82,7 +82,13 @@ class FiniteAlgebra:
         # pair-closure image tables, built on first use: at most 32 ints,
         # each an n-bit mask, per entry of each operation table
         self._image_tables = None
+        # principal closures, one packed n^2-bit int per pair, filled one
+        # per closure; only algebras of at most 8 elements keep them
+        self._principals = None
         self._lattices = {}  # RelKind -> RelLattice
+        # term systems that passed their verifier here, filled by the
+        # witness replays of the maltsev module, bounded
+        self._verified = set()
 
     def operation(self, symbol: str) -> Operation:
         op = self._by_symbol.get(symbol)

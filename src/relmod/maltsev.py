@@ -366,6 +366,28 @@ def _require_elements(alg, named):
             raise ElementError(f"element {name}={x} is outside the universe 0..{alg.size - 1}")
 
 
+# The most passing term systems one algebra remembers.  A full set is
+# emptied and refills.
+_VERIFIED_CAP = 1 << 10
+
+
+def _passes(alg, verify, system, terms):
+    """verify(alg, system), remembered on alg once it passes: the witness
+    replays meet one system on many instances.  The verdict is kept under
+    (verify, system.k, terms), with terms the system's terms as a tuple, so
+    a system built with a list of terms is remembered too."""
+    key = (verify, system.k, terms)
+    known = alg._verified
+    if key in known:
+        return True
+    if not verify(alg, system):
+        return False
+    if len(known) >= _VERIFIED_CAP:
+        known.clear()
+    known.add(key)
+    return True
+
+
 def _require_refl_adm(alg, name, rel):
     _require(rel.n == alg.size, f"{name} has size {rel.n}, algebra has size {alg.size}")
     _require(is_reflexive(rel), f"{name} is not reflexive")
@@ -416,7 +438,8 @@ def _check_turt_instance(alg, system, R, V, W, S, a, b, chain):
     _require_elements(alg, named)
     _require(system.k >= 2, f"witness construction needs k >= 2, system has k={system.k}")
     _require(
-        verify_directed_gumm(alg, system), "term system fails the directed Gumm identities"
+        _passes(alg, verify_directed_gumm, system, (system.p, *system.j)),
+        "term system fails the directed Gumm identities",
     )
     _require(len(chain) == len(S) + 1, "chain must have one more element than S has relations")
     _require(chain[0] == a, f"chain must start at a={a}")
@@ -473,7 +496,9 @@ def witness_day(alg, system, theta, s_rel, a, b, c) -> WitnessChain:
     """Chain of at most k-1 steps alternating Theta&S and Theta&conv(S),
     for (a,c) in Theta & (S ; conv(S)) with midpoint b."""
     _require_elements(alg, [("a", a), ("b", b), ("c", c)])
-    _require(verify_day(alg, system), "term system fails the Day identities")
+    _require(
+        _passes(alg, verify_day, system, tuple(system.d)), "term system fails the Day identities"
+    )
     _require(theta.n == alg.size and s_rel.n == alg.size, "relation size mismatch")
     _require(is_tolerance(alg, theta), "Theta is not a tolerance")
     _require_refl_adm(alg, "S", s_rel)

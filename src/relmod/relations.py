@@ -15,6 +15,20 @@ once per algebra.  A full row cannot grow, so the kernel skips every tuple
 whose target row is full and stops as soon as every row is full: nabla is
 closed.  ``is_admissible`` runs the kernel's first round.
 
+A reflexive-admissible closure is the join of the principal closures of
+its pairs, so ``refl_adm_closure`` does not start the kernel from r: it
+starts it from the seed, the union of the closures cl({(a,b)} | delta) of
+r's off-diagonal pairs, and a seed that is already nabla is returned with
+no kernel round at all.  The principal closures are kept on the algebra in
+a table of n^2 slots, each one packed n^2-bit int with row a at bits
+a*n .. a*n+n-1.  Each closure fills at most one empty slot, by a kernel
+run, and seeds from the slots filled so far, so no closure runs the
+kernel more than twice.  Only algebras of at most
+``_PRINCIPAL_TABLE_MAX_N`` = 8 elements keep a table: on the larger ones
+measured the slots cost more than they save.  Larger ones close r itself.
+The tolerance and congruence closures, the witness replays and the
+lattice enumeration all close through ``refl_adm_closure``.
+
 The transitive closure ``star`` and the saturating join ``plus`` (the
 union over all m of r o_m s, which ``r ;^inf s`` also means) are closed
 forms over one in-place Warshall pass, ``_transitive``:
@@ -324,6 +338,37 @@ def _pair_closure(alg: FiniteAlgebra, rows):
 # grow it without bound.
 _CLOSURE_CACHE_CAP = 1 << 16
 
+# The largest algebra that keeps a table of principal closures (n^2 slots
+# of n^2 bits).  A slot costs one kernel run, which on a larger algebra
+# can cost more than the closures it saves.  Measured on free algebras
+# F_V(g), closing 10, 100 and 1000 seeded random draws (dense rows, and
+# 1-3 pairs), table against closing r itself: on n = 7 and 8 (F_V(3) of
+# sl2, sl3, z2, z2xz2) the table is as fast at 10 draws and 1.3-6x faster
+# at 1000; on n = 15 to 18 (F_V(4) of sl2 and z2, F_V(3) of l2) it loses
+# up to 2.7x at 100 draws; on the 28-element F_V(3) of m3 it loses at
+# every count, 1.5x at 1000 dense draws.  Larger algebras close every
+# relation from the relation itself.
+_PRINCIPAL_TABLE_MAX_N = 8
+
+
+def _principal(alg, i):
+    """The content of slot i = a*n + b of alg's principal table:
+    cl({(a,b)} | delta), the least reflexive admissible relation holding
+    (a,b), closed by the kernel and packed as one n^2-bit int with row x
+    at bits x*n .. x*n+n-1."""
+    n = alg.size
+    a, b = divmod(i, n)
+    rows = [1 << x for x in range(n)]
+    rows[a] |= 1 << b
+    for _ in _pair_closure(alg, rows):
+        pass
+    return sum(m << x * n for x, m in enumerate(rows))
+
+
+def _unpack(n, packed):
+    full = (1 << n) - 1
+    return [packed >> a * n & full for a in range(n)]
+
 
 def _cached(alg, key, build):
     """alg's closure under key, built on a miss and kept while the bounded
@@ -340,15 +385,51 @@ def _cached(alg, key, build):
 
 def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
     """Least reflexive admissible relation containing r: the subuniverse of
-    A x A generated by r together with the diagonal."""
+    A x A generated by r together with the diagonal.
+
+    The kernel starts from the seed, the union of the principal closures
+    cl({(a,b)} | delta) of those off-diagonal pairs of r whose slots in the
+    algebra's table are filled; the first empty slot among r's pairs is
+    filled on the way.  Each lies inside cl(r), so closing the seed with r
+    and delta gives cl(r).  A seed that is already nabla is the closure
+    without a kernel round, and so is the slot of r's only pair.  Algebras
+    of more than _PRINCIPAL_TABLE_MAX_N elements keep no table and close r
+    itself."""
     if r.n != alg.size:
         raise ValueError(f"relation size {r.n} does not match algebra size {alg.size}")
 
     def build():
+        n = r.n
         rows = [m | 1 << a for a, m in enumerate(r.rows)]
+        if n <= _PRINCIPAL_TABLE_MAX_N:
+            table = alg._principals
+            if table is None:
+                table = alg._principals = [None] * (n * n)
+            every = (1 << n * n) - 1
+            seed = pairs = 0
+            fill = True
+            for a, m in enumerate(rows):
+                m ^= 1 << a
+                while m:
+                    low = m & -m
+                    i = a * n + low.bit_length() - 1
+                    slot = table[i]
+                    if slot is None and fill:
+                        slot = table[i] = _principal(alg, i)
+                        fill = False
+                    if slot is not None:
+                        seed |= slot
+                        if seed == every:
+                            return nabla(n)
+                    pairs += 1
+                    m ^= low
+            rows = list(map(or_, rows, _unpack(n, seed)))
+            if pairs <= 1:
+                # delta, or the slot of r's one pair: closed already
+                return BinRel(n, rows)
         for _ in _pair_closure(alg, rows):
             pass
-        return BinRel(r.n, rows)
+        return BinRel(n, rows)
 
     return _cached(alg, ("cl", r), build)
 

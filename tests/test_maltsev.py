@@ -640,6 +640,40 @@ def test_witness_chains_digest_pinned(z2, l2, m3, z2xz2):
     assert digest == "fb89bbf12e6f88a5b8711ec9ed6dc6ef49e8d356d5312bee03066fe61fd515b6"
 
 
+def test_witness_verifies_a_system_once_per_algebra(monkeypatch, l2):
+    # a passing system's verdict is kept on the algebra, so a sweep over its
+    # instances verifies it once; a failing system is verified, and
+    # refused, on every call, and another algebra verifies for itself
+    calls = []
+    for name in ("verify_directed_gumm", "verify_day"):
+        real = getattr(maltsev, name)
+        monkeypatch.setattr(maltsev, name, lambda alg, system, real=real: calls.append(alg) or real(alg, system))
+    fresh = FiniteAlgebra("l2-copy", l2.size, l2.operations)
+    gumm, day = find_directed_gumm(fresh).system, find_day(fresh).system
+    calls.clear()
+    instances = list(itertools.islice(_turt_instances(fresh, 1), 20))
+    for R, V, W, S, a, b, chain in instances:
+        witness_turt(fresh, gumm, R, V, W, S, a, b, chain)
+        witness_turtt(fresh, gumm, R, V, W, S, a, b, chain)
+    day_instances = list(itertools.islice(_day_instances(fresh), 20))
+    for theta, s, a, b, c in day_instances:
+        witness_day(fresh, day, theta, s, a, b, c)
+    assert calls == [fresh, fresh]
+    # the same systems built with lists of terms are replayed, and their
+    # verdicts are the ones already kept
+    witness_turt(fresh, DirectedGummSystem(gumm.k, gumm.p, list(gumm.j)), *instances[0])
+    witness_day(fresh, DaySystem(day.k, list(day.d)), *day_instances[0])
+    assert calls == [fresh, fresh]
+    broken = DirectedGummSystem(gumm.k, gumm.p, tuple(reversed(gumm.j)))
+    for _ in range(3):
+        with pytest.raises(PreconditionError, match="directed Gumm identities"):
+            witness_turt(fresh, broken, *instances[0])
+    assert len(calls) == 5
+    other = FiniteAlgebra("l2-other", l2.size, l2.operations)
+    witness_turt(other, gumm, *instances[0])
+    assert calls[-1] is other
+
+
 def test_witness_day_deep_chain(l2):
     # padding a Day system with copies of the last projection stays valid
     # and drives longer alternating chains

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relmod import corpus
+from relmod import INF, corpus
+from relmod import relations as rel
 from relmod.algebras import FiniteAlgebra
 from relmod.relations import (
     BinRel,
@@ -331,6 +333,183 @@ def test_closures_match_oracles(sl2, z2, l2, z2xz2, sl3, m3):
                 assert is_admissible(alg, s) == want, (alg.name, format_rel_literal(s))
                 verdicts.append(want)
     assert True in verdicts and False in verdicts
+
+
+def kernel_closure(alg, r):
+    """cl(r) by the pair-closure kernel started from r | delta itself, as
+    every closure started before the principal seed."""
+    rows = [m | 1 << a for a, m in enumerate(r.rows)]
+    for _ in rel._pair_closure(alg, rows):
+        pass
+    return BinRel(alg.size, rows)
+
+
+def kernel_congruence(alg, r):
+    cur = union(r, converse(r))
+    while True:
+        nxt = star(kernel_closure(alg, cur))
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+@st.composite
+def mixed_algebras(draw):
+    """A random algebra with one to four operations of arity 0 to 3, mixed
+    freely: on 1 to 5 elements with random tables, or the product of two
+    random 2-element algebras.  Random tables make nearly every principal
+    closure nabla; a product's are often smaller, and a union of them is
+    often not closed, so the kernel has to grow the seed."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+
+    def tables(n):
+        return [draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)) for k in arities]
+
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        ops = tables(n)
+    else:
+        # element 2*x + y is the pair (x, y)
+        def code(args, bit):
+            c = 0
+            for v in args:
+                c = 2 * c + (v >> bit & 1)
+            return c
+
+        n = 4
+        ops = [
+            [2 * t[code(args, 1)] + u[code(args, 0)] for args in itertools.product(range(4), repeat=k)]
+            for k, t, u in zip(arities, tables(2), tables(2))
+        ]
+    return FiniteAlgebra("random", n, [(f"f{i}", k, t) for i, (k, t) in enumerate(zip(arities, ops))])
+
+
+def closure_inputs(n):
+    """Single pairs, nabla but for one bit, sparse draws of up to three
+    pairs and dense draws of uniform rows."""
+    full = (1 << n) - 1
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return st.one_of(
+        pair.map(lambda p: rel_of(n, p)),
+        pair.map(lambda p: BinRel(n, tuple(full ^ (1 << p[1]) if a == p[0] else full for a in range(n)))),
+        st.lists(pair, min_size=1, max_size=3).map(lambda ps: rel_of(n, *ps)),
+        rels(n),
+    )
+
+
+@settings(deadline=None, max_examples=80)
+@given(mixed_algebras().flatmap(lambda a: st.tuples(st.just(a), st.lists(closure_inputs(a.size), max_size=8))))
+def test_seeded_closures_match_kernel_from_r(drawn):
+    # each closure starts from the union of its pairs' principal closures;
+    # it must equal the kernel started from r itself, and the naive oracle
+    # for Cg on up to 3 elements (larger ternary tables make it slow)
+    alg, drawn_rels = drawn
+    n = alg.size
+    cases = [BinRel(n, (0,) * n), delta(n), nabla(n)] + drawn_rels
+    for r in cases:
+        where = format_rel_literal(r)
+        assert refl_adm_closure(alg, r) == kernel_closure(alg, r), where
+        assert tolerance_of(alg, r) == kernel_closure(alg, union(r, converse(r))), where
+        cg = congruence_generated(alg, r)
+        assert cg == kernel_congruence(alg, r), where
+        if n <= 3:
+            sym = set(union(union(r, converse(r)), delta(n)).pairs())
+            assert set(cg.pairs()) == naive_congruence(alg, sym), where
+    # closing each pair on its own fills every off-diagonal slot, and each
+    # slot is the closure of its pair
+    for a in range(n):
+        for b in range(n):
+            assert refl_adm_closure(alg, rel_of(n, (a, b))) == kernel_closure(alg, rel_of(n, (a, b)))
+    for i, slot in enumerate(alg._principals):
+        a, b = divmod(i, n)
+        if a == b:
+            assert slot is None
+        else:
+            assert BinRel(n, rel._unpack(n, slot)) == kernel_closure(alg, rel_of(n, (a, b))), (a, b)
+
+
+@pytest.mark.parametrize("n", [rel._PRINCIPAL_TABLE_MAX_N, rel._PRINCIPAL_TABLE_MAX_N + 1])
+def test_principal_table_bound(n):
+    # an algebra above the bound closes without the table, one at the
+    # bound builds it
+    cycle = FiniteAlgebra("cycle", n, [("succ", 1, table(n, 1, lambda x: (x + 1) % n))])
+    step2 = rel_of(n, *[(x, (x + 2) % n) for x in range(n)])
+    assert refl_adm_closure(cycle, rel_of(n, (0, 2))) == union(delta(n), step2)
+    assert tolerance_of(cycle, rel_of(n, (0, 2))) == union(union(delta(n), step2), converse(step2))
+    assert (cycle._principals is None) == (n > rel._PRINCIPAL_TABLE_MAX_N)
+
+
+def test_is_admissible_builds_no_principal_table(m3):
+    fresh = FiniteAlgebra("m3-copy", m3.size, m3.operations)
+    rng = random.Random(7)
+    verdicts = {
+        is_admissible(fresh, BinRel(5, tuple(rng.getrandbits(5) for _ in range(5)))) for _ in range(200)
+    }
+    verdicts |= {is_admissible(fresh, r) for r in enumerate_relations(m3, RelKind.REFL_ADM)}
+    assert verdicts == {True, False}
+    assert fresh._principals is None
+
+
+def test_closure_fills_at_most_one_slot(monkeypatch):
+    # on the pentagon few dense draws close to nabla; each closure still
+    # fills at most one principal slot and runs the kernel at most twice
+    alg = pentagon()
+    n = alg.size
+    kernel = rel._pair_closure
+    runs = []
+
+    def counted_kernel(alg, rows):
+        runs.append(1)
+        return kernel(alg, rows)
+
+    monkeypatch.setattr(rel, "_pair_closure", counted_kernel)
+    rng = random.Random(3)
+    filled = 0
+    for _ in range(60):
+        runs.clear()
+        r = BinRel(n, tuple(rng.getrandbits(n) for _ in range(n)))
+        assert refl_adm_closure(alg, r) == kernel_closure(alg, r)
+        now = sum(slot is not None for slot in alg._principals)
+        assert now - filled <= 1 and len(runs) - 1 <= 2  # kernel_closure ran once
+        filled = now
+    assert filled == n * n - n
+
+
+def test_sampled_check_runs_kernel_once_per_slot_or_open_seed(monkeypatch, m3):
+    # a (D3) sample on m3 runs the kernel once per principal slot it fills,
+    # at most once more for each closure that filled a slot (its seed
+    # missed the slots still empty), and otherwise only for a closure whose
+    # seed, the union of the naive closures of its off-diagonal pairs, is
+    # not nabla; closing each draw from the draw itself would run the
+    # kernel thousands of times
+    from relmod.identities import catalog_entry, check_identity
+
+    alg = FiniteAlgebra("m3-copy", m3.size, m3.operations)
+    n = alg.size
+    kernel, closure = rel._pair_closure, rel.refl_adm_closure
+    runs, inputs = [], []
+
+    def counted_kernel(alg, rows):
+        runs.append(1)
+        return kernel(alg, rows)
+
+    def recorded_closure(alg, r):
+        inputs.append(r)
+        return closure(alg, r)
+
+    monkeypatch.setattr(rel, "_pair_closure", counted_kernel)
+    monkeypatch.setattr(rel, "refl_adm_closure", recorded_closure)
+    monkeypatch.setitem(rel._CLOSERS, RelKind.REFL_ADM, recorded_closure)
+    verdict = check_identity(alg, catalog_entry("(D3)", m=INF), mode="sample", seed=5, samples=1000)
+    assert verdict.holds and verdict.checked == 1000
+    assert len(inputs) >= 3000
+    diag = set(delta(n).pairs())
+    everything = set(nabla(n).pairs())
+    principal = {p: naive_subuniverse(alg, 2, diag | {p}) for p in everything - diag}
+    seeds = [set().union(*(principal[p] for p in r.pairs() if p in principal)) for r in inputs]
+    open_seeds = sum(seed != everything for seed in seeds)
+    filled = sum(slot is not None for slot in alg._principals or ())
+    assert len(runs) <= 2 * filled + open_seeds
 
 
 def test_lattices_digest_pinned():
