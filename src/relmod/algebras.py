@@ -51,7 +51,9 @@ class FiniteAlgebra:
     """Universe {0..n-1} plus finitary operations given by flat tables."""
 
     def __init__(self, name, size, operations):
-        if not isinstance(size, int) or size < 1:
+        if not isinstance(name, str):
+            raise AlgebraError(f"name must be a string, got {name!r}")
+        if not _is_int(size) or size < 1:
             raise AlgebraError(f"size must be a positive integer, got {size!r}")
         ops = []
         seen = set()
@@ -62,7 +64,7 @@ class FiniteAlgebra:
             if op.symbol in seen:
                 raise AlgebraError(f"duplicate symbol {op.symbol!r}")
             seen.add(op.symbol)
-            if not isinstance(op.arity, int) or op.arity < 0:
+            if not _is_int(op.arity) or op.arity < 0:
                 raise AlgebraError(f"bad arity for {op.symbol!r}: {op.arity!r}")
             want = size ** op.arity
             if len(op.table) != want:
@@ -70,7 +72,7 @@ class FiniteAlgebra:
                     f"table length mismatch for {op.symbol!r}: got {len(op.table)}, want {want}"
                 )
             for v in op.table:
-                if not isinstance(v, int) or not 0 <= v < size:
+                if not _is_int(v) or not 0 <= v < size:
                     raise AlgebraError(f"table entry out of range for {op.symbol!r}: {v!r}")
             ops.append(op)
         self.name = name
@@ -98,6 +100,12 @@ class FiniteAlgebra:
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, n={self.size}, ops={[o.symbol for o in self.operations]})"
+
+
+def _is_int(value):
+    """An int that is not a bool: bool is an int subclass, so JSON true and
+    false would otherwise pass as 1 and 0."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_algebra(text: str) -> FiniteAlgebra:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import product
-from operator import itemgetter
+from operator import and_, attrgetter, itemgetter, or_
 from typing import NamedTuple
 
 from .algebras import DEFAULT_CAP, FiniteAlgebra
@@ -126,6 +126,7 @@ class _Op(NamedTuple):
     rel: str  # the relation operator in relations.py
     param: str | None = None  # the node's parameter field, passed to rel by that name
     reads: str | None = None  # "alg" or "size": what of the algebra rel takes first
+    packed: object = None  # the int operator _Program applies to packed relations in place of rel
 
 
 _ATOM_PREC = 4
@@ -134,10 +135,10 @@ _ATOM_PREC = 4
 # all read it.
 _OPS = {
     Plus: _Op("+", 1, "plus"),
-    Union: _Op("|", 1, "union"),
+    Union: _Op("|", 1, "union", packed=or_),
     Compose: _Op(";", 2, "compose"),
     ComposeM: _Op(";^", 2, "m_compose", param="m"),
-    Intersect: _Op("&", 3, "intersect"),
+    Intersect: _Op("&", 3, "intersect", packed=and_),
     Converse: _Op("conv", _ATOM_PREC, "converse"),
     Star: _Op("star", _ATOM_PREC, "star"),
     Overline: _Op("cl", _ATOM_PREC, "refl_adm_closure", reads="alg"),
@@ -411,8 +412,19 @@ class _Program:
     assignment, since a key made of the whole assignment would not repeat.
     The one cache holds at most `_CACHE_CAP` entries.
 
-    An assignment is a tuple of relations in the order of `names`.  The
-    relation operators are looked up through `rel.` when a slot is made.
+    Slot values are relations packed as `BinRel.bits` is: one n^2-bit int
+    with pair (a, b) at bit a*n + b, so row a is bits a*n .. a*n+n-1.
+    "|" and "&" are `or_` and `and_` on those ints, and a missing pair is
+    the lowest set bit of lhs & ~rhs, split by divmod(i, n).  Every other
+    operator is the one in `relations`, looked up through `rel.` when a
+    slot is made and wrapped to take and return ints; there `compose` and
+    the Warshall pass work on the same ints, each in n steps that select a
+    column by shift and mask and copy a row into every row that has that
+    column's bit by one multiply.
+
+    `code[slot]` runs the slot on a packed assignment, a tuple of ints in
+    the order of `names`; `run[slot]` runs it on a tuple of `BinRel` and
+    returns a `BinRel`.
     """
 
     def __init__(self, alg: FiniteAlgebra, names):
@@ -421,8 +433,9 @@ class _Program:
         self._position = {name: p for p, name in enumerate(self.names)}
         self._slots = {}  # (node type, child slots, parameter) -> slot
         self.free = []  # slot -> ascending positions of its free variables
-        self.run = []  # slot -> function from an assignment to the slot's value
-        self._cache = {}  # (slot, values of its free variables) -> value
+        self.code = []  # slot -> function from a packed assignment to the slot's packed value
+        self.run = []  # slot -> function from an assignment of BinRel to the slot's BinRel
+        self._cache = {}  # (slot, packed values of its free variables) -> packed value
 
     def slot(self, expr) -> int:
         """Compile expr and its subterms; return expr's slot."""
@@ -444,35 +457,39 @@ class _Program:
         return slot
 
     def _add(self, node, kids, param):
-        slot = len(self.run)
+        slot = len(self.code)
         if node is Var:
             free = (param,)
-            run = itemgetter(param)
+            code = itemgetter(param)
         else:
             free = tuple(sorted({p for k in kids for p in self.free[k]}))
-            run = _apply(self._operator(node, param), [self.run[k] for k in kids])
+            code = _apply(self._operator(node, param, len(kids)), [self.code[k] for k in kids])
             if not free:
-                run = _constant(run(()))
+                code = _constant(code(()))
             elif len(free) < len(self.names):
-                run = self._cached(run, slot, free)
+                code = self._cached(code, slot, free)
             else:
-                run = _last(run)
+                code = _last(code)
         self.free.append(free)
-        self.run.append(run)
+        self.code.append(code)
+        self.run.append(_boxed(code, self.alg.size))
         return slot
 
-    def _operator(self, node, param):
-        if node is ComposeM and param == INF:
-            return rel.plus
+    def _operator(self, node, param, arity):
         op = _OPS[node]
-        fn = getattr(rel, op.rel)
-        if op.reads:
-            fn = partial(fn, self.alg if op.reads == "alg" else self.alg.size)
-        if op.param:
-            fn = partial(fn, **{op.param: param})
-        return fn
+        if op.packed:
+            return op.packed
+        if node is ComposeM and param == INF:
+            fn = rel.plus
+        else:
+            fn = getattr(rel, op.rel)
+            if op.reads:
+                fn = partial(fn, self.alg if op.reads == "alg" else self.alg.size)
+            if op.param:
+                fn = partial(fn, **{op.param: param})
+        return _on_bits(fn, self.alg.size, arity)
 
-    def _cached(self, run, slot, free):
+    def _cached(self, code, slot, free):
         cache = self._cache
         key_of = itemgetter(*free)
 
@@ -480,7 +497,7 @@ class _Program:
             key = (slot, key_of(values))
             value = cache.get(key)
             if value is None:
-                value = run(values)
+                value = code(values)
                 if len(cache) >= _CACHE_CAP:
                     cache.clear()
                 cache[key] = value
@@ -490,8 +507,9 @@ class _Program:
 
     def violation(self, stmt: IdentityStatement):
         """Compile a statement whose quantifiers are among `names`.  Returns a
-        function from an assignment to the least pair of lhs outside rhs
-        (then, for "=", of rhs outside lhs), or None if the statement holds.
+        function from an assignment, a tuple of `BinRel`, to the least pair
+        of lhs outside rhs (then, for "=", of rhs outside lhs), or None if
+        the statement holds.  The assignment is packed once per call.
 
         Each inclusion is first tested against `lower` of its larger side,
         compiled into this program beside the statement, so it shares the
@@ -502,43 +520,69 @@ class _Program:
         """
         rightward = self._inclusion(stmt.lhs, stmt.rhs)
         if stmt.relation is StmtRel.INCLUDED_IN:
-            return rightward
+            return lambda values: rightward(tuple(map(_BITS, values)))
         leftward = self._inclusion(stmt.rhs, stmt.lhs)
-        return lambda values: rightward(values) or leftward(values)
+
+        def either(values):
+            packed = tuple(map(_BITS, values))
+            return rightward(packed) or leftward(packed)
+
+        return either
 
     def _inclusion(self, small, big):
-        """A function from an assignment to the least pair of `small`
+        """A function from a packed assignment to the least pair of `small`
         outside `big`, or None, that builds `big` only when `small` is not
         inside `lower(big)`."""
-        left = self.run[self.slot(small)]
+        n = self.alg.size
+        left = self.code[self.slot(small)]
         big_slot = self.slot(big)
-        right = self.run[big_slot]
+        right = self.code[big_slot]
         bound_slot = self.slot(lower(big))
         if bound_slot == big_slot:
-            return lambda values: _first_missing_pair(left(values), right(values))
-        bound = self.run[bound_slot]
+            return lambda values: _first_missing_pair(n, left(values), right(values))
+        bound = self.code[bound_slot]
 
         def missing(values):
             part = left(values)
-            if _first_missing_pair(part, bound(values)) is None:
+            if part & ~bound(values) == 0:
                 return None
-            return _first_missing_pair(part, right(values))
+            return _first_missing_pair(n, part, right(values))
 
         return missing
+
+
+_BITS = attrgetter("bits")
+
+
+def _boxed(code, n):
+    """code, a slot run on packed relations, as a function from a tuple of
+    `BinRel` to a `BinRel`."""
+    return lambda values: BinRel._of(n, code(tuple(map(_BITS, values))))
+
+
+def _on_bits(fn, n, arity):
+    """fn, an operator on `BinRel` values of size n, as one on their packed
+    ints."""
+    of = BinRel._of
+    if arity == 0:
+        return lambda: fn().bits
+    if arity == 1:
+        return lambda a: fn(of(n, a)).bits
+    return lambda a, b: fn(of(n, a), of(n, b)).bits
 
 
 def _constant(value):
     return lambda values: value
 
 
-def _last(run):
-    """run, keeping its value for the last assignment it was given: a slot
+def _last(code):
+    """code, keeping its value for the last assignment it was given: a slot
     can be reached twice within one assignment."""
     last = [None, None]  # assignment, value
 
     def cached(values):
         if values is not last[0]:
-            last[1] = run(values)
+            last[1] = code(values)
             last[0] = values
         return last[1]
 
@@ -555,11 +599,11 @@ def _apply(fn, args):
     return lambda values: fn(lhs(values), rhs(values))
 
 
-def _first_missing_pair(lhs: BinRel, rhs: BinRel):
-    for a in range(lhs.n):
-        extra = lhs.rows[a] & ~rhs.rows[a]
-        if extra:
-            return (a, (extra & -extra).bit_length() - 1)
+def _first_missing_pair(n, lhs, rhs):
+    """The least pair (a, b) of the packed relation lhs outside rhs, or None."""
+    extra = lhs & ~rhs
+    if extra:
+        return divmod((extra & -extra).bit_length() - 1, n)
     return None
 
 

@@ -6,8 +6,19 @@ closure, the saturating join ``plus``, reflexive-admissible / tolerance /
 congruence closures) and the enumeration of the corresponding relation
 lattices of a small algebra.
 
-A relation is held as n rows of bits.  Every closure comes from one
-kernel, ``_pair_closure``, which closes the rows under the operations as
+A relation is held as one n^2-bit int, ``BinRel.bits``, with pair (a, b)
+at bit a*n + b, so row a is bits a*n .. a*n+n-1.  Union, intersection,
+inclusion, equality and the hash are one int operation each.  With
+``ones``, the int with the low bit of every row set, ``r >> b & ones`` is
+column b of r moved to the low bit of each row, and multiplying it by an
+n-bit row copies that row into every row that has bit b, with no carry
+from one row into the next.  ``compose`` is n such steps,
+``out |= (r >> b & ones) * row_b(s)``, and the Warshall pass behind
+``star`` and ``plus`` is n steps of ``bits |= (bits >> k & ones) *
+row_k(bits)``.
+
+Every closure comes from one kernel, ``_pair_closure``, which closes a
+relation's rows, unpacked into a list at entry, under the operations as
 a subuniverse of A x A.  It works a whole row at a time: an operation
 applied to first coordinates a1..ak adds to row f(a1..ak) the image of
 rows[a1] x ... x rows[ak], read from per-operation image tables built
@@ -20,8 +31,8 @@ its pairs, so ``refl_adm_closure`` does not start the kernel from r: it
 starts it from the seed, the union of the closures cl({(a,b)} | delta) of
 r's off-diagonal pairs, and a seed that is already nabla is returned with
 no kernel round at all.  The principal closures are kept on the algebra in
-a table of n^2 slots, each one packed n^2-bit int with row a at bits
-a*n .. a*n+n-1.  Each closure fills at most one empty slot, by a kernel
+a table of n^2 slots, each one packed relation, slot a*n + b holding the
+closure of (a, b).  Each closure fills at most one empty slot, by a kernel
 run, and seeds from the slots filled so far, so no closure runs the
 kernel more than twice.  Only algebras of at most
 ``_PRINCIPAL_TABLE_MAX_N`` = 8 elements keep a table: on the larger ones
@@ -31,7 +42,7 @@ lattice enumeration all close through ``refl_adm_closure``.
 
 The transitive closure ``star`` and the saturating join ``plus`` (the
 union over all m of r o_m s, which ``r ;^inf s`` also means) are closed
-forms over one in-place Warshall pass, ``_transitive``:
+forms over one Warshall pass, ``_warshall``:
 
     star(r)    = Warshall(r)
     plus(r, s) = star(r | s)           if r and s are both reflexive
@@ -48,56 +59,76 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
-from operator import and_, or_
 
 from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra
 
 
 class BinRel:
-    """n x n boolean matrix; rows[a] has bit b set iff (a, b) is related.
+    """n x n boolean matrix packed into one n^2-bit int, ``bits``: pair
+    (a, b) is bit a*n + b, so row a is bits a*n .. a*n+n-1.
 
-    Immutable by convention; hashable, so relations can key caches.  The
-    hash is computed on first use and kept.
+    Immutable by convention; hashable, so relations can key caches.
+    ``rows`` unpacks the n row bitmasks for the pair-closure kernel and
+    for callers.
     """
 
-    __slots__ = ("n", "rows", "_hash")
+    __slots__ = ("n", "bits")
 
     def __init__(self, n, rows):
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows for n={n}, got {len(rows)}")
+        for a, m in enumerate(rows):
+            if not 0 <= m < 1 << n:
+                raise ValueError(f"row {a} = {m} out of range for n={n}: it must be in 0..{(1 << n) - 1}")
         self.n = n
-        self.rows = tuple(rows)
-        self._hash = None
+        self.bits = _pack(n, rows)
+
+    @classmethod
+    def _of(cls, n, bits):
+        """The relation whose packed bits are ``bits``, already valid for n."""
+        r = object.__new__(cls)
+        r.n = n
+        r.bits = bits
+        return r
 
     @staticmethod
     def from_pairs(n, pairs):
-        rows = [0] * n
+        bits = 0
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"pair ({a},{b}) out of range for n={n}")
-            rows[a] |= 1 << b
-        return BinRel(n, rows)
+            bits |= 1 << a * n + b
+        return BinRel._of(n, bits)
+
+    @property
+    def rows(self):
+        full = (1 << self.n) - 1
+        return tuple(self.bits >> a & full for a in range(0, self.n * self.n, self.n))
 
     def has(self, a, b):
-        return (self.rows[a] >> b) & 1 == 1
+        n = self.n
+        return 0 <= a < n and 0 <= b < n and self.bits >> a * n + b & 1 == 1
 
     def pairs(self):
-        return [(a, b) for a in range(self.n) for b in range(self.n) if (self.rows[a] >> b) & 1]
+        n, bits = self.n, self.bits
+        return [divmod(i, n) for i in range(n * n) if bits >> i & 1]
 
     def flat_bits(self):
         """Row-major 0/1 tuple; the canonical sort key for relation lattices."""
-        return tuple((self.rows[a] >> b) & 1 for a in range(self.n) for b in range(self.n))
+        return tuple(self.bits >> i & 1 for i in range(self.n * self.n))
 
     def issubset(self, other):
         _same_size(self, other)
-        return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
+        return self.bits & ~other.bits == 0
 
     def __eq__(self, other):
-        return isinstance(other, BinRel) and self.n == other.n and self.rows == other.rows
+        return isinstance(other, BinRel) and self.n == other.n and self.bits == other.bits
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.rows))
-        return self._hash
+        return hash(self.bits)
 
     def __repr__(self):
         return f"BinRel({self.n}, {format_rel_literal(self)!r})"
@@ -108,48 +139,62 @@ def _same_size(r: BinRel, s: BinRel):
         raise ValueError(f"relation size mismatch: {r.n} vs {s.n}")
 
 
+def _pack(n, rows):
+    """The n row bitmasks ``rows`` as one n^2-bit int, row a at bits a*n.."""
+    return sum(m << a * n for a, m in enumerate(rows))
+
+
+@lru_cache(maxsize=64)
+def _masks(n):
+    """(full, ones, diag) for size n: one full row, the low bit of every
+    row, and the diagonal, the last two as packed n^2-bit ints."""
+    ones = _pack(n, [1] * n)
+    return (1 << n) - 1, ones, _pack(n, [1 << a for a in range(n)])
+
+
 def delta(n: int) -> BinRel:
-    return BinRel(n, tuple(1 << a for a in range(n)))
+    return BinRel._of(n, _masks(n)[2])
 
 
 def nabla(n: int) -> BinRel:
-    full = (1 << n) - 1
-    return BinRel(n, (full,) * n)
+    return BinRel._of(n, (1 << n * n) - 1)
 
 
 def compose(r: BinRel, s: BinRel) -> BinRel:
-    """a (r o s) c iff there is b with a r b and b s c."""
+    """a (r o s) c iff there is b with a r b and b s c: for each b, every
+    row of r with bit b set takes in row b of s, by one multiply."""
     _same_size(r, s)
-    rows = []
-    for m in r.rows:
-        acc = 0
-        while m:
-            b = (m & -m).bit_length() - 1
-            acc |= s.rows[b]
-            m &= m - 1
-        rows.append(acc)
-    return BinRel(r.n, rows)
+    n = r.n
+    full, ones, _ = _masks(n)
+    rb, sb = r.bits, s.bits
+    out = 0
+    for b in range(n):
+        column = rb >> b & ones
+        if column:
+            out |= column * (sb >> b * n & full)
+    return BinRel._of(n, out)
 
 
 def converse(r: BinRel) -> BinRel:
-    rows = [0] * r.n
-    for a in range(r.n):
-        m = r.rows[a]
-        while m:
-            b = (m & -m).bit_length() - 1
-            rows[b] |= 1 << a
-            m &= m - 1
-    return BinRel(r.n, rows)
+    n = r.n
+    out = 0
+    m = r.bits
+    while m:
+        low = m & -m
+        a, b = divmod(low.bit_length() - 1, n)
+        out |= 1 << b * n + a
+        m ^= low
+    return BinRel._of(n, out)
 
 
 def intersect(r: BinRel, s: BinRel) -> BinRel:
     _same_size(r, s)
-    return BinRel(r.n, tuple(map(and_, r.rows, s.rows)))
+    return BinRel._of(r.n, r.bits & s.bits)
 
 
 def union(r: BinRel, s: BinRel) -> BinRel:
     _same_size(r, s)
-    return BinRel(r.n, tuple(map(or_, r.rows, s.rows)))
+    return BinRel._of(r.n, r.bits | s.bits)
 
 
 def m_compose(r: BinRel, s: BinRel, m: int) -> BinRel:
@@ -170,8 +215,8 @@ def power(r: BinRel, h: int) -> BinRel:
 
 def star(r: BinRel) -> BinRel:
     """Transitive closure: least transitive relation containing r, by one
-    Warshall pass over a copy of its rows."""
-    return BinRel(r.n, _transitive(list(r.rows)))
+    Warshall pass over its bits."""
+    return BinRel._of(r.n, _warshall(r.n, r.bits))
 
 
 def plus(r: BinRel, s: BinRel) -> BinRel:
@@ -185,27 +230,26 @@ def plus(r: BinRel, s: BinRel) -> BinRel:
     """
     _same_size(r, s)
     if is_reflexive(r) and is_reflexive(s):
-        return BinRel(r.n, _transitive([a | b for a, b in zip(r.rows, s.rows)]))
+        return BinRel._of(r.n, _warshall(r.n, r.bits | s.bits))
     p = star(compose(r, s))
     return union(union(r, p), compose(p, r))
 
 
-def _transitive(rows):
-    """Warshall's transitive closure of the relation held in ``rows``, a list
-    of row bitmasks, in place: for each pivot k in turn, every row with bit
-    k set takes in rows[k] as it stands after the earlier pivots.  Returns
-    rows."""
-    for k in range(len(rows)):
-        bit = 1 << k
-        pivot = rows[k]
-        for i, m in enumerate(rows):
-            if m & bit:
-                rows[i] = m | pivot
-    return rows
+def _warshall(n, bits):
+    """Warshall's transitive closure of the packed relation ``bits``: for
+    each pivot k in turn, every row with bit k set takes in row k as it
+    stands after the earlier pivots, all rows at once by the multiply of
+    ``compose``.  Row k itself only takes in row k, so reading it before
+    the step is the same as after."""
+    full, ones, _ = _masks(n)
+    for k in range(n):
+        bits |= (bits >> k & ones) * (bits >> k * n & full)
+    return bits
 
 
 def is_reflexive(r: BinRel) -> bool:
-    return all((r.rows[a] >> a) & 1 for a in range(r.n))
+    diag = _masks(r.n)[2]
+    return r.bits & diag == diag
 
 
 def is_symmetric(r: BinRel) -> bool:
@@ -354,20 +398,18 @@ _PRINCIPAL_TABLE_MAX_N = 8
 def _principal(alg, i):
     """The content of slot i = a*n + b of alg's principal table:
     cl({(a,b)} | delta), the least reflexive admissible relation holding
-    (a,b), closed by the kernel and packed as one n^2-bit int with row x
-    at bits x*n .. x*n+n-1."""
+    (a,b), closed by the kernel."""
+    return _kernel_closure(alg, _masks(alg.size)[2] | 1 << i)
+
+
+def _kernel_closure(alg, bits):
+    """The packed relation ``bits`` closed by the pair-closure kernel, which
+    grows its rows in place."""
     n = alg.size
-    a, b = divmod(i, n)
-    rows = [1 << x for x in range(n)]
-    rows[a] |= 1 << b
+    rows = list(BinRel._of(n, bits).rows)
     for _ in _pair_closure(alg, rows):
         pass
-    return sum(m << x * n for x, m in enumerate(rows))
-
-
-def _unpack(n, packed):
-    full = (1 << n) - 1
-    return [packed >> a * n & full for a in range(n)]
+    return _pack(n, rows)
 
 
 def _cached(alg, key, build):
@@ -400,7 +442,8 @@ def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
 
     def build():
         n = r.n
-        rows = [m | 1 << a for a, m in enumerate(r.rows)]
+        diag = _masks(n)[2]
+        bits = r.bits | diag
         if n <= _PRINCIPAL_TABLE_MAX_N:
             table = alg._principals
             if table is None:
@@ -408,28 +451,25 @@ def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
             every = (1 << n * n) - 1
             seed = pairs = 0
             fill = True
-            for a, m in enumerate(rows):
-                m ^= 1 << a
-                while m:
-                    low = m & -m
-                    i = a * n + low.bit_length() - 1
-                    slot = table[i]
-                    if slot is None and fill:
-                        slot = table[i] = _principal(alg, i)
-                        fill = False
-                    if slot is not None:
-                        seed |= slot
-                        if seed == every:
-                            return nabla(n)
-                    pairs += 1
-                    m ^= low
-            rows = list(map(or_, rows, _unpack(n, seed)))
+            m = bits ^ diag
+            while m:
+                low = m & -m
+                i = low.bit_length() - 1
+                slot = table[i]
+                if slot is None and fill:
+                    slot = table[i] = _principal(alg, i)
+                    fill = False
+                if slot is not None:
+                    seed |= slot
+                    if seed == every:
+                        return nabla(n)
+                pairs += 1
+                m ^= low
+            bits |= seed
             if pairs <= 1:
                 # delta, or the slot of r's one pair: closed already
-                return BinRel(n, rows)
-        for _ in _pair_closure(alg, rows):
-            pass
-        return BinRel(n, rows)
+                return BinRel._of(n, bits)
+        return BinRel._of(n, _kernel_closure(alg, bits))
 
     return _cached(alg, ("cl", r), build)
 
@@ -526,7 +566,7 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
 def parse_rel_literal(text: str, n: int) -> BinRel:
     """Parse the relation literal syntax: '+'-joined terms, each "delta",
     "nabla", "empty", or a pair "a-b"."""
-    out = BinRel(n, (0,) * n)
+    out = BinRel._of(n, 0)
     text = text.strip()
     if not text:
         raise ValueError("empty relation literal")

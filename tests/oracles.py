@@ -1,10 +1,12 @@
 """Independent reference implementations used to cross-check the package:
-pairs-set relation semantics, brute-force lattice filters, a naive subpower
+pairs-set relation semantics, relation operators on row tuples, brute-force
+lattice filters, a naive subpower
 closure, term-level graph searches recomputed without the production
 signatures, and term system certificates written straight from the defining
 identities."""
 
 from itertools import product
+from operator import and_, or_
 
 from relmod.algebras import eval_term, free_algebra, projection
 from relmod.relations import RelKind
@@ -43,6 +45,88 @@ def naive_plus(r_pairs, s_pairs):
         if state in seen:
             return acc
         seen.add(state)
+
+
+# --- relation operators on row tuples ------------------------------------------
+# A relation on n elements held as a tuple of n row bitmasks, bit b of row a
+# set iff (a, b) is related; each operator is written from its definition,
+# one row or one pair at a time.
+
+
+def rows_compose(r, s):
+    return tuple(
+        sum(1 << c for c in range(len(r)) if any(m >> b & 1 and s[b] >> c & 1 for b in range(len(r))))
+        for m in r
+    )
+
+
+def rows_converse(r):
+    n = len(r)
+    return tuple(sum(1 << a for a in range(n) if r[a] >> b & 1) for b in range(n))
+
+
+def rows_intersect(r, s):
+    return tuple(map(and_, r, s))
+
+
+def rows_union(r, s):
+    return tuple(map(or_, r, s))
+
+
+def rows_m_compose(r, s, m):
+    out = r
+    for i in range(2, m + 1):
+        out = rows_compose(out, s if i % 2 == 0 else r)
+    return out
+
+
+def rows_star(r):
+    """r | r;r | r;r;r | ..., until no power adds a pair."""
+    cur = r
+    while True:
+        nxt = rows_union(cur, rows_compose(cur, r))
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def rows_plus(r, s):
+    """The union over m >= 1 of r o_m s, until (r o_m s, m mod 2) repeats."""
+    acc = cur = r
+    m = 1
+    seen = {(cur, 1)}
+    while True:
+        m += 1
+        cur = rows_compose(cur, s if m % 2 == 0 else r)
+        acc = rows_union(acc, cur)
+        if (cur, m % 2) in seen:
+            return acc
+        seen.add((cur, m % 2))
+
+
+def rows_issubset(r, s):
+    return all(a & ~b == 0 for a, b in zip(r, s))
+
+
+def rows_is_reflexive(r):
+    return all(m >> a & 1 for a, m in enumerate(r))
+
+
+def rows_is_symmetric(r):
+    return r == rows_converse(r)
+
+
+def rows_is_transitive(r):
+    return rows_issubset(rows_compose(r, r), r)
+
+
+def rows_first_missing_pair(lhs, rhs):
+    """The least pair (a, b), row a first, of lhs outside rhs, or None."""
+    for a, (m, k) in enumerate(zip(lhs, rhs)):
+        for b in range(len(lhs)):
+            if m >> b & 1 and not k >> b & 1:
+                return (a, b)
+    return None
 
 
 def naive_admissible(alg, pairs):

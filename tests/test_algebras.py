@@ -79,6 +79,25 @@ def test_load_duplicate_symbol():
         load_algebra(text)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            {"name": "b", "size": True, "operations": [{"symbol": "f", "arity": 1, "table": [False]}]},
+            "size must be a positive integer",
+        ),
+        ({"name": "b", "size": 2, "operations": [{"symbol": "f", "arity": True, "table": [0, 1]}]}, "bad arity"),
+        ({"name": "b", "size": 2, "operations": [{"symbol": "f", "arity": 1, "table": [False, 1]}]}, "table entry"),
+        ({"name": ["x"], "size": 2, "operations": []}, "name must be a string"),
+    ],
+    ids=["bool-size", "bool-arity", "bool-entry", "list-name"],
+)
+def test_load_rejects_bools_and_non_string_names(data, message):
+    # JSON true and false are Python bools, an int subclass
+    with pytest.raises(AlgebraError, match=message):
+        load_algebra(json.dumps(data))
+
+
 def test_load_syntax_error_reports_position():
     with pytest.raises(AlgebraError, match=r"line 1, column"):
         load_algebra("{not json")

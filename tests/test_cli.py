@@ -180,6 +180,17 @@ def test_bad_algebra_file_exit_two(tmp_path):
     assert "syntax error" in res.stderr
 
 
+def test_bool_algebra_size_exit_two(tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(
+        '{"name":"b","size":true,"operations":[{"symbol":"f","arity":1,"table":[false]}]}', encoding="utf-8"
+    )
+    res = run_cli("enumerate", "--algebra", str(path), "--kind", "refl", "--format", "structured")
+    assert res.returncode == 2
+    assert "size must be a positive integer" in res.stderr
+    assert res.stdout == ""
+
+
 def test_unknown_algebra_name_exit_two():
     res = run_cli("enumerate", "--algebra", "nope", "--kind", "refl")
     assert res.returncode == 2

@@ -54,6 +54,7 @@ def maybe_reflexive(n):
 sizes = st.integers(1, 9)
 
 
+import oracles
 from oracles import (
     brute_force_relations,
     naive_admissible,
@@ -73,6 +74,17 @@ def test_delta_nabla():
     assert set(delta(2).pairs()) == {(0, 0), (1, 1)}
     assert set(nabla(1).pairs()) == {(0, 0)}
     assert len(delta(3).pairs()) == 3
+
+
+@pytest.mark.parametrize(
+    "n, rows, message",
+    [(2, (4, 1), "row 0 = 4"), (2, (1, -1), "row 1 = -1"), (3, (1, 2), "expected 3 rows")],
+    ids=["bit-past-n", "negative", "too-few-rows"],
+)
+def test_binrel_rejects_malformed_rows(n, rows, message):
+    # a packed row with a bit at n or above would spill into the next row
+    with pytest.raises(ValueError, match=message):
+        BinRel(n, rows)
 
 
 def test_compose_identity():
@@ -217,6 +229,48 @@ def test_plus_matches_naive(pair):
     # both, one or neither operand reflexive
     r, s = pair
     assert set(plus(r, s).pairs()) == naive_plus(set(r.pairs()), set(s.pairs()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 12])
+def test_packed_operators_match_row_reference(n):
+    # every packed operator against its row-tuple definition in oracles.py,
+    # on seeded draws of mixed density, half of them made reflexive so that
+    # plus takes both branches; n >= 9 has rows wider than a byte and
+    # n * n > 64 bits
+    from relmod.identities import _first_missing_pair
+
+    rng = random.Random(n)
+
+    def draw():
+        p = rng.choice((0.05, 0.2, 0.5, 0.9))
+        rows = tuple(sum(1 << b for b in range(n) if rng.random() < p) for _ in range(n))
+        if rng.random() < 0.5:
+            rows = oracles.rows_union(rows, delta(n).rows)
+        return rows
+
+    branches = set()
+    for _ in range(30):
+        r, s = draw(), draw()
+        R, S = BinRel(n, r), BinRel(n, s)
+        assert R.rows == r and BinRel.from_pairs(n, R.pairs()) == R
+        assert compose(R, S).rows == oracles.rows_compose(r, s)
+        assert converse(R).rows == oracles.rows_converse(r)
+        assert intersect(R, S).rows == oracles.rows_intersect(r, s)
+        assert union(R, S).rows == oracles.rows_union(r, s)
+        for m in (1, 2, 3, 4):
+            assert m_compose(R, S, m).rows == oracles.rows_m_compose(r, s, m)
+            assert power(R, m).rows == oracles.rows_m_compose(r, r, m)
+        assert star(R).rows == oracles.rows_star(r)
+        assert plus(R, S).rows == oracles.rows_plus(r, s)
+        branches.add(is_reflexive(R) and is_reflexive(S))
+        for x, y in ((R, S), (S, R), (intersect(R, S), R), (R, union(R, S))):
+            assert x.issubset(y) == oracles.rows_issubset(x.rows, y.rows)
+            assert _first_missing_pair(n, x.bits, y.bits) == oracles.rows_first_missing_pair(x.rows, y.rows)
+        for x in (R, union(R, converse(R)), star(R)):
+            assert rel.is_reflexive(x) == oracles.rows_is_reflexive(x.rows)
+            assert rel.is_symmetric(x) == oracles.rows_is_symmetric(x.rows)
+            assert rel.is_transitive(x) == oracles.rows_is_transitive(x.rows)
+    assert branches == {True, False}
 
 
 def test_plus_of_kernels_is_nabla(z2xz2):
@@ -425,7 +479,7 @@ def test_seeded_closures_match_kernel_from_r(drawn):
         if a == b:
             assert slot is None
         else:
-            assert BinRel(n, rel._unpack(n, slot)) == kernel_closure(alg, rel_of(n, (a, b))), (a, b)
+            assert BinRel._of(n, slot) == kernel_closure(alg, rel_of(n, (a, b))), (a, b)
 
 
 @pytest.mark.parametrize("n", [rel._PRINCIPAL_TABLE_MAX_N, rel._PRINCIPAL_TABLE_MAX_N + 1])
