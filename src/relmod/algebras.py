@@ -88,9 +88,11 @@ class FiniteAlgebra:
         # per closure; only algebras of at most 8 elements keep them
         self._principals = None
         self._lattices = {}  # RelKind -> RelLattice
-        # term systems that passed their verifier here, filled by the
-        # witness replays of the maltsev module, bounded
+        # term systems that passed their verifier here, and term tables by
+        # (term, arity), filled by the witness replays of the maltsev
+        # module, bounded
         self._verified = set()
+        self._term_tables = {}
 
     def operation(self, symbol: str) -> Operation:
         op = self._by_symbol.get(symbol)

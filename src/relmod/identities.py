@@ -34,8 +34,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import product
-from operator import and_, attrgetter, itemgetter, or_
+from math import prod
+from operator import and_, or_
 from typing import NamedTuple
 
 from .algebras import DEFAULT_CAP, FiniteAlgebra
@@ -126,7 +126,7 @@ class _Op(NamedTuple):
     rel: str  # the relation operator in relations.py
     param: str | None = None  # the node's parameter field, passed to rel by that name
     reads: str | None = None  # "alg" or "size": what of the algebra rel takes first
-    packed: object = None  # the int operator _Program applies to packed relations in place of rel
+    packed: object = None  # the int operator of the same symbol, which _Program writes inline in place of rel
 
 
 _ATOM_PREC = 4
@@ -396,35 +396,52 @@ class Verdict:
 # emptied and refills, so a check never holds more than this many.
 _CACHE_CAP = 1 << 16
 
+# The locals a generated line reads: quantifier values v<position> and
+# computed slots x<slot>.
+_LOCAL_RE = re.compile(r"\b[vx]\d+\b")
+
 
 class _Program:
-    """Relation expressions over the quantifiers `names`, compiled once for
-    one algebra into interned slots.
+    """Relation expressions over the quantifiers `names`, compiled for one
+    algebra into interned slots and run as generated loop code.
 
     Every distinct subterm is one slot.  Slots are interned bottom-up by
     (node type, child slots, parameter), so nothing is hashed recursively
     and a subterm met twice, in one statement or in several, is one slot.
-    Each slot records the positions of its free variables in `names`, and
-    its value is cached under (slot, their values), so it is computed once
-    for each combination of them, however many assignments it is run on.
-    A slot with no free variables is computed when it is compiled.  One
-    that depends on every quantifier keeps only its value for the last
-    assignment, since a key made of the whole assignment would not repeat.
-    The one cache holds at most `_CACHE_CAP` entries.
+    Each slot records the ascending positions of its free variables in
+    `names`; a slot with none is a constant, computed when it is interned.
 
     Slot values are relations packed as `BinRel.bits` is: one n^2-bit int
-    with pair (a, b) at bit a*n + b, so row a is bits a*n .. a*n+n-1.
-    "|" and "&" are `or_` and `and_` on those ints, and a missing pair is
-    the lowest set bit of lhs & ~rhs, split by divmod(i, n).  Every other
-    operator is the one in `relations`, looked up through `rel.` when a
-    slot is made and wrapped to take and return ints; there `compose` and
-    the Warshall pass work on the same ints, each in n steps that select a
-    column by shift and mask and copy a row into every row that has that
-    column's bit by one multiply.
+    with pair (a, b) at bit a*n + b, so row a is bits a*n .. a*n+n-1.  "|"
+    and "&" are written inline as the int operators of the same symbols,
+    and a missing pair is the lowest set bit of lhs & ~rhs, split by
+    divmod(i, n).  Every other operator is the one in `relations`, looked
+    up through `rel.` when its slot is interned and called on `BinRel`
+    views of the ints; there `compose` and the Warshall pass work on the
+    same ints, each in n steps that select a column by shift and mask and
+    copy a row into every row that has that column's bit by one multiply.
 
-    `code[slot]` runs the slot on a packed assignment, a tuple of ints in
-    the order of `names`; `run[slot]` runs it on a tuple of `BinRel` and
-    returns a `BinRel`.
+    `search` writes a statement as Python source and runs it through `exec`
+    once.  Quantifier i gets its own function: one `for` loop over its
+    values, which calls quantifier i+1's function, so the block nesting
+    stays within CPython's limit however many quantifiers there are.  Each
+    slot is computed in the loop of its last free variable, once per pass
+    of that loop.  Which slots go through the cache depends on the form:
+
+    - exhaustive (whole lattices, run in product order): a slot whose free
+      variables are exactly positions 0..i, i its loop, meets each
+      combination of them once, so it is computed in place.  Every other
+      slot but "|" and "&" is looked up in the cache under (slot, packed
+      values of its free variables), since later passes of the outer loops
+      meet each combination again (conv(T) or S ;^inf T under R, S, T).
+    - one value per quantifier (`violation` and `run`): no value repeats
+      within a call, so every slot but "|", "&" and those over every
+      quantifier is cached by value, for later calls.
+
+    The one cache dict holds at most `_CACHE_CAP` entries and is emptied
+    when full.  `run[slot]`, generated on first use in the one-value form,
+    is a function from a tuple of `BinRel` in the order of `names` to the
+    slot's `BinRel`; it reads and fills the same cache.
     """
 
     def __init__(self, alg: FiniteAlgebra, names):
@@ -432,10 +449,12 @@ class _Program:
         self.names = tuple(names)
         self._position = {name: p for p, name in enumerate(self.names)}
         self._slots = {}  # (node type, child slots, parameter) -> slot
+        self._keys = []  # slot -> (node type, child slots, parameter)
         self.free = []  # slot -> ascending positions of its free variables
-        self.code = []  # slot -> function from a packed assignment to the slot's packed value
-        self.run = []  # slot -> function from an assignment of BinRel to the slot's BinRel
+        self._fns = {}  # slot -> its operator in `relations`, unless written inline
+        self._constants = {}  # slot without free variables -> its packed value
         self._cache = {}  # (slot, packed values of its free variables) -> packed value
+        self.run = _Runs(self)
 
     def slot(self, expr) -> int:
         """Compile expr and its subterms; return expr's slot."""
@@ -457,146 +476,178 @@ class _Program:
         return slot
 
     def _add(self, node, kids, param):
-        slot = len(self.code)
+        slot = len(self._keys)
+        self._keys.append((node, kids, param))
         if node is Var:
-            free = (param,)
-            code = itemgetter(param)
-        else:
-            free = tuple(sorted({p for k in kids for p in self.free[k]}))
-            code = _apply(self._operator(node, param, len(kids)), [self.code[k] for k in kids])
-            if not free:
-                code = _constant(code(()))
-            elif len(free) < len(self.names):
-                code = self._cached(code, slot, free)
-            else:
-                code = _last(code)
+            self.free.append((param,))
+            return slot
+        free = tuple(sorted({p for k in kids for p in self.free[k]}))
         self.free.append(free)
-        self.code.append(code)
-        self.run.append(_boxed(code, self.alg.size))
+        op = _OPS[node]
+        if not op.packed:
+            self._fns[slot] = self._operator(node, param)
+        if not free:
+            args = [self._constants[k] for k in kids]
+            if op.packed:
+                self._constants[slot] = op.packed(*args)
+            else:
+                n = self.alg.size
+                self._constants[slot] = self._fns[slot](*(BinRel._of(n, a) for a in args)).bits
         return slot
 
-    def _operator(self, node, param, arity):
-        op = _OPS[node]
-        if op.packed:
-            return op.packed
+    def _operator(self, node, param):
         if node is ComposeM and param == INF:
-            fn = rel.plus
-        else:
-            fn = getattr(rel, op.rel)
-            if op.reads:
-                fn = partial(fn, self.alg if op.reads == "alg" else self.alg.size)
-            if op.param:
-                fn = partial(fn, **{op.param: param})
-        return _on_bits(fn, self.alg.size, arity)
+            return rel.plus
+        op = _OPS[node]
+        fn = getattr(rel, op.rel)
+        if op.reads:
+            fn = partial(fn, self.alg if op.reads == "alg" else self.alg.size)
+        if op.param:
+            fn = partial(fn, **{op.param: param})
+        return fn
 
-    def _cached(self, code, slot, free):
-        cache = self._cache
-        key_of = itemgetter(*free)
+    def _name(self, slot):
+        """The name generated code reads slot's value by."""
+        node, _, param = self._keys[slot]
+        if node is Var:
+            return f"v{param}"
+        return f"c{slot}" if slot in self._constants else f"x{slot}"
 
-        def cached(values):
-            key = (slot, key_of(values))
-            value = cache.get(key)
-            if value is None:
-                value = code(values)
-                if len(cache) >= _CACHE_CAP:
-                    cache.clear()
-                cache[key] = value
-            return value
+    def _needed(self, roots):
+        """The slots that computing `roots` runs: every slot below them but
+        variables and constants."""
+        needed = set()
+        todo = list(roots)
+        while todo:
+            slot = todo.pop()
+            if slot not in needed and self._name(slot)[0] == "x":
+                needed.add(slot)
+                todo.extend(self._keys[slot][1])
+        return needed
 
-        return cached
+    def _lines(self, slot, exhaustive):
+        """The generated lines that set x<slot> from its children."""
+        node, kids, _ = self._keys[slot]
+        op = _OPS[node]
+        args = [self._name(k) for k in kids]
+        if op.packed:
+            return [f"x{slot} = {args[0]} {op.spelling} {args[1]}"]
+        value = f"f{slot}({', '.join(f'O({self.alg.size}, {a})' for a in args)}).bits"
+        free = self.free[slot]
+        # free is the prefix 0..i exactly when its last position is len - 1
+        if len(free) == (free[-1] + 1 if exhaustive else len(self.names)):
+            return [f"x{slot} = {value}"]
+        key = ", ".join([str(slot)] + [f"v{p}" for p in free])
+        return [f"k = ({key})", f"x{slot} = get(k)", f"if x{slot} is None:", f"    x{slot} = put(k, {value})"]
 
-    def violation(self, stmt: IdentityStatement):
-        """Compile a statement whose quantifiers are among `names`.  Returns a
-        function from an assignment, a tuple of `BinRel`, to the least pair
-        of lhs outside rhs (then, for "=", of rhs outside lhs), or None if
-        the statement holds.  The assignment is packed once per call.
+    def _compile(self, depth, slots, tail, exhaustive):
+        """Generate and exec the loops over quantifiers 0..depth-1, with
+        `slots` computed each in the loop of its last free variable and the
+        lines `tail` ending the innermost loop.  Returns the outermost loop's
+        function: given D, with D[i] the packed values of quantifier i, it
+        returns the first value `tail` returns, or None."""
+        bodies = [[] for _ in range(depth)]
+        for slot in sorted(slots):
+            bodies[self.free[slot][-1]] += self._lines(slot, exhaustive)
+        bodies[-1] += tail
+
+        def level(name):
+            i = int(name[1:])
+            return i if name[0] == "v" else self.free[i][-1]
+
+        functions = []
+        args = []
+        for i in reversed(range(depth)):
+            body = bodies[i]
+            if i < depth - 1:
+                body += [f"r = L{i + 1}({', '.join(['D'] + args)})", "if r is not None:", "    return r"]
+            args = sorted(name for name in set(_LOCAL_RE.findall("\n".join(body))) if level(name) < i)
+            functions += [f"def L{i}({', '.join(['D'] + args)}):", f"    for v{i} in D[{i}]:"]
+            functions += ["        " + line for line in body]
+        namespace = {"O": BinRel._of, "get": self._cache.get, "put": partial(_put, self._cache, _CACHE_CAP)}
+        namespace.update((f"f{slot}", fn) for slot, fn in self._fns.items())
+        namespace.update((f"c{slot}", value) for slot, value in self._constants.items())
+        exec("\n".join(functions), namespace)
+        return namespace["L0"]
+
+    def search(self, stmt: IdentityStatement, exhaustive: bool):
+        """Compile a statement whose quantifiers are among `names` into loops
+        over all of `names`.  The function returned takes D, with D[i] the
+        packed values of quantifier i, runs the assignments in product order
+        and returns (small, big, v0, v1, ...) for the first that fails, with
+        small the packed side that is not inside the packed side big, or
+        None.
 
         Each inclusion is first tested against `lower` of its larger side,
-        compiled into this program beside the statement, so it shares the
-        statement's slots and cache.  The bound lies inside the larger side,
-        so an assignment it settles holds; only when the test fails is the
-        larger side built and the least missing pair taken from it.  For
-        "=", rhs is tested against `lower(lhs)` the same way.
+        compiled beside the statement into the same slots.  The bound lies
+        inside the larger side, so an assignment it settles holds; only when
+        the test fails is the larger side built.  The slots that only the
+        larger side needs and that sit in the innermost loop are computed
+        inside that branch.  For "=", rhs is then tested against lower(lhs)
+        the same way.
         """
-        rightward = self._inclusion(stmt.lhs, stmt.rhs)
-        if stmt.relation is StmtRel.INCLUDED_IN:
-            return lambda values: rightward(tuple(map(_BITS, values)))
-        leftward = self._inclusion(stmt.rhs, stmt.lhs)
+        sides = [(stmt.lhs, stmt.rhs)]
+        if stmt.relation is StmtRel.EQUALS:
+            sides.append((stmt.rhs, stmt.lhs))
+        checks = [(self.slot(small), self.slot(lower(big)), self.slot(big)) for small, big in sides]
+        depth = len(self.names)
+        always = self._needed([s for small, bound, _ in checks for s in (small, bound)])
+        slots = set(always)
+        values = "".join(f", v{p}" for p in range(depth))
+        tail = []
+        for small, bound, big in checks:
+            name, limit = self._name(small), self._name(big)
+            test = [f"if {name} & ~{limit}:", f"    return ({name}, {limit}{values})"]
+            if bound != big:
+                rest = self._needed([big]) - always
+                lazy = sorted(s for s in rest if self.free[s][-1] == depth - 1)
+                slots |= rest.difference(lazy)
+                test = [line for s in lazy for line in self._lines(s, exhaustive)] + test
+                test = [f"if {name} & ~{self._name(bound)}:"] + ["    " + line for line in test]
+            tail += test
+        return self._compile(depth, slots, tail, exhaustive)
 
-        def either(values):
-            packed = tuple(map(_BITS, values))
-            return rightward(packed) or leftward(packed)
-
-        return either
-
-    def _inclusion(self, small, big):
-        """A function from a packed assignment to the least pair of `small`
-        outside `big`, or None, that builds `big` only when `small` is not
-        inside `lower(big)`."""
+    def violation(self, stmt: IdentityStatement):
+        """`search` in the one-value form: a function from an assignment, a
+        tuple of `BinRel`, to the least pair of lhs outside rhs (then, for
+        "=", of rhs outside lhs), or None if the statement holds there."""
+        loops = self.search(stmt, exhaustive=False)
         n = self.alg.size
-        left = self.code[self.slot(small)]
-        big_slot = self.slot(big)
-        right = self.code[big_slot]
-        bound_slot = self.slot(lower(big))
-        if bound_slot == big_slot:
-            return lambda values: _first_missing_pair(n, left(values), right(values))
-        bound = self.code[bound_slot]
 
-        def missing(values):
-            part = left(values)
-            if part & ~bound(values) == 0:
-                return None
-            return _first_missing_pair(n, part, right(values))
+        def violation(values):
+            found = loops(tuple((v.bits,) for v in values))
+            return None if found is None else _first_missing_pair(n, found[0], found[1])
 
-        return missing
+        return violation
 
-
-_BITS = attrgetter("bits")
+    def _runner(self, slot):
+        n = self.alg.size
+        free = self.free[slot]
+        if not free:
+            value = BinRel._of(n, self._constants[slot])
+            return lambda values: value
+        loops = self._compile(free[-1] + 1, self._needed([slot]), [f"return {self._name(slot)}"], False)
+        return lambda values: BinRel._of(n, loops(tuple((v.bits,) for v in values)))
 
 
-def _boxed(code, n):
-    """code, a slot run on packed relations, as a function from a tuple of
-    `BinRel` to a `BinRel`."""
-    return lambda values: BinRel._of(n, code(tuple(map(_BITS, values))))
+class _Runs(dict):
+    """`_Program.run`: slot -> its run function, generated on first use."""
+
+    def __init__(self, program):
+        super().__init__()
+        self.program = program
+
+    def __missing__(self, slot):
+        run = self[slot] = self.program._runner(slot)
+        return run
 
 
-def _on_bits(fn, n, arity):
-    """fn, an operator on `BinRel` values of size n, as one on their packed
-    ints."""
-    of = BinRel._of
-    if arity == 0:
-        return lambda: fn().bits
-    if arity == 1:
-        return lambda a: fn(of(n, a)).bits
-    return lambda a, b: fn(of(n, a), of(n, b)).bits
-
-
-def _constant(value):
-    return lambda values: value
-
-
-def _last(code):
-    """code, keeping its value for the last assignment it was given: a slot
-    can be reached twice within one assignment."""
-    last = [None, None]  # assignment, value
-
-    def cached(values):
-        if values is not last[0]:
-            last[1] = code(values)
-            last[0] = values
-        return last[1]
-
-    return cached
-
-
-def _apply(fn, args):
-    if not args:
-        return lambda values: fn()
-    if len(args) == 1:
-        (arg,) = args
-        return lambda values: fn(arg(values))
-    lhs, rhs = args
-    return lambda values: fn(lhs(values), rhs(values))
+def _put(cache, cap, key, value):
+    """Store value under key in a cache of at most cap entries; return it."""
+    if len(cache) >= cap:
+        cache.clear()
+    cache[key] = value
+    return value
 
 
 def _first_missing_pair(n, lhs, rhs):
@@ -629,39 +680,51 @@ def check_identity(
 ) -> Verdict:
     """Quantify the statement over alg's relation lattices.
 
-    Exhaustive mode iterates the full product of the sorted lattices in
+    Exhaustive mode runs the full product of the sorted lattices in
     canonical order (declaration order outermost) and reports the least
     counterexample; sample mode draws `samples` >= 1 assignments, each by
     closing a random relation to its sort, reproducibly from the seed.
 
-    The statement is compiled once into a `_Program`, so each subterm is
-    evaluated once per distinct value of its own free variables (while the
-    bounded cache keeps it), not once per assignment; only a subterm that
-    depends on every quantifier is evaluated for every assignment, and
-    only when the assignment is not settled by `lower`: the left side is
-    tested first against `lower` of the right side, a subrelation of it
-    made of unions, intersections and converses of its parts, and the full
-    right side is built only when that test fails.  The witness is still
-    the least pair of lhs outside the full rhs.
+    The statement is compiled once into a `_Program` and run as generated
+    code, one loop per quantifier in declaration order, with each subterm
+    computed in the loop of its last free variable.  A subterm whose free
+    variables are that loop's quantifier and every outer one is computed
+    once per pass of the loop; any other subterm but "|" and "&" is cached under the values of
+    its free variables, while the bounded cache keeps it.  Sample mode runs
+    the same code on one value per quantifier.  In the innermost loop the
+    left side is tested first against `lower` of the right side, a
+    subrelation of it made of unions, intersections and converses of its
+    parts, and the rest of the right side is built only when that test
+    fails.  The witness is still the least pair of lhs outside the full rhs.
     """
     names = [name for name, _ in stmt.quantifiers]
     kinds = [kind for _, kind in stmt.quantifiers]
     if mode == "exhaustive":
-        lattices = (rel.enumerate_relations(alg, kind, cap=cap).members for kind in kinds)
-        assignments = product(*lattices)
+        lattices = [rel.enumerate_relations(alg, kind, cap=cap).members for kind in kinds]
     elif mode == "sample":
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
-        assignments = _draws(alg, kinds, seed, samples)
+        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+            raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    violation = _Program(alg, names).violation(stmt)
+    program = _Program(alg, names)
+    if mode == "sample":
+        violation = program.violation(stmt)
+        for checked, values in enumerate(_draws(alg, kinds, seed, samples), 1):
+            witness = violation(values)
+            if witness is not None:
+                return Verdict(False, checked, Counterexample(tuple(zip(names, values)), witness))
+        return Verdict(True, samples, None)
+    packed = [[r.bits for r in members] for members in lattices]
+    found = program.search(stmt, exhaustive=True)(packed)
+    if found is None:
+        return Verdict(True, prod(map(len, packed)), None)
+    small, big, *values = found
+    index = [bits.index(v) for bits, v in zip(packed, values)]
     checked = 0
-    for checked, values in enumerate(assignments, 1):
-        witness = violation(values)
-        if witness is not None:
-            return Verdict(False, checked, Counterexample(tuple(zip(names, values)), witness))
-    return Verdict(True, checked, None)
+    for i, bits in zip(index, packed):
+        checked = checked * len(bits) + i
+    assignment = tuple(zip(names, (members[i] for members, i in zip(lattices, index))))
+    return Verdict(False, checked + 1, Counterexample(assignment, _first_missing_pair(alg.size, small, big)))
 
 
 def _draws(alg, kinds, seed, samples):

@@ -366,8 +366,9 @@ def _require_elements(alg, named):
             raise ElementError(f"element {name}={x} is outside the universe 0..{alg.size - 1}")
 
 
-# The most passing term systems one algebra remembers.  A full set is
-# emptied and refills.
+# The most passing term systems one algebra remembers, and the most term
+# tables it keeps for the replays.  A full set or dict is emptied and
+# refills.
 _VERIFIED_CAP = 1 << 10
 
 
@@ -395,8 +396,16 @@ def _require_refl_adm(alg, name, rel):
 
 
 def _fn(alg, term, arity):
-    """The term function of term on alg, read from its table."""
-    vec = term_table(alg, term, arity).vector
+    """The term function of term on alg, read from its table.  The table is
+    kept on alg under (term, arity): the replays meet one system's terms on
+    many instances."""
+    tables = alg._term_tables
+    vec = tables.get((term, arity))
+    if vec is None:
+        vec = term_table(alg, term, arity).vector
+        if len(tables) >= _VERIFIED_CAP:
+            tables.clear()
+        tables[term, arity] = vec
     n = alg.size
 
     def fn(*args):

@@ -560,6 +560,9 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
     lattice = alg._lattices.get(kind)
     if lattice is None:
         lattice = alg._lattices[kind] = build()
+    elif len(lattice.members) > cap:
+        # what build would raise, so a kept lattice answers as a fresh one
+        raise CapExceeded("lattice-size", cap, cap + 1)
     return lattice
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +38,7 @@ from relmod.identities import (
     print_statement,
     with_sorts,
 )
-from relmod.algebras import load_algebra
+from relmod.algebras import FiniteAlgebra, load_algebra
 from relmod.maltsev import q_bound
 from relmod.relations import (
     BinRel,
@@ -245,13 +246,18 @@ def _reference_draws(alg, kinds, seed, samples):
 
 @st.composite
 def _statements(draw):
-    names = ("S", "T", "U")[: draw(st.integers(2, 3))]
+    # the sides read a drawn subset of the quantifiers, so some occur
+    # nowhere and some subterms lie over later quantifiers only (conv(U),
+    # T ; U): in exhaustive mode those are the cached slots whose free
+    # variables are not a prefix of the quantifiers
+    names = ("S", "T", "U", "V")[: draw(st.integers(2, 4))]
     kinds = draw(st.lists(st.sampled_from(list(RelKind)), min_size=len(names), max_size=len(names)))
+    used = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
     return IdentityStatement(
         tuple(zip(names, kinds)),
         draw(st.sampled_from(list(StmtRel))),
-        draw(_exprs(names)),
-        draw(_exprs(names)),
+        draw(_exprs(used)),
+        draw(_exprs(used)),
     )
 
 
@@ -296,6 +302,83 @@ def test_check_matches_reference_examples(text, l2, sl3, z2xz2):
     for alg in (l2, sl3, z2xz2):
         lattices = [enumerate_relations(alg, kind).members for _, kind in stmt.quantifiers]
         assert check_identity(alg, stmt) == _reference_check(alg, stmt, itertools.product(*lattices))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "S:REFL, T:REFL, U:TOL |- conv(U) & (T ; U) <= star(T ; U)",
+        "S:REFL, T:REFL, U:REFL |- S & (T ; U) <= conv(U) + T",
+        "S:TOL, T:REFL, U:REFL, V:REFL |- T ; U = conv(U) + T",
+        "S:REFL, T:REFL, U:REFL, V:TOL |- conv(U) ; V <= (T ; U) | conv(V)",
+        "S:REFL, T:REFL, U:REFL, V:REFL |- (T ; U) & conv(U) = conv(U) & (T ; U)",
+        "S:CON, T:REFL, U:REFL, V:REFL |- cl(U | V) & S <= S ; (U ;^inf V)",
+    ],
+)
+def test_check_matches_reference_over_later_quantifiers(text, l2, z2xz2, sl3):
+    # subterms over later quantifiers only, and quantifiers that occur
+    # nowhere, in both modes and for both "<=" and "="
+    stmt = parse_identity(text)
+    kinds = [kind for _, kind in stmt.quantifiers]
+    for alg in (l2, z2xz2):
+        lattices = [enumerate_relations(alg, kind).members for kind in kinds]
+        assert check_identity(alg, stmt) == _reference_check(alg, stmt, itertools.product(*lattices))
+    for alg in (l2, sl3):
+        assert check_identity(alg, stmt, mode="sample", seed=4, samples=60) == _reference_check(
+            alg, stmt, _reference_draws(alg, kinds, 4, 60)
+        )
+
+
+@pytest.mark.parametrize("l", [18, 20])
+def test_check_many_quantifiers_in_sample_mode(l, l2):
+    # (turt) has l + 3 quantifiers, one generated loop each: more than the
+    # 20 blocks CPython lets one function nest
+    stmt = catalog_entry("(turt)", l=l)
+    kinds = [kind for _, kind in stmt.quantifiers]
+    assert len(kinds) == l + 3
+    verdict = check_identity(l2, stmt, mode="sample", seed=9, samples=25)
+    assert verdict == _reference_check(l2, stmt, _reference_draws(l2, kinds, 9, 25))
+    assert verdict.holds and verdict.checked == 25
+
+
+def test_check_many_quantifiers_exhaustively():
+    # every lattice of a one-element algebra has one member, so the 25
+    # nested loops run one assignment
+    one = FiniteAlgebra("one", 1, [("f", 2, [0])])
+    stmt = catalog_entry("(turt)", l=22)
+    assert len(stmt.quantifiers) == 25
+    lattices = [enumerate_relations(one, kind).members for _, kind in stmt.quantifiers]
+    verdict = check_identity(one, stmt)
+    assert verdict == _reference_check(one, stmt, itertools.product(*lattices))
+    assert verdict.holds and verdict.checked == 1
+
+
+def test_D3_on_l3_hoists_tol_and_caches_the_join(monkeypatch):
+    # tol(R) lies over R alone, so it runs once per pass of R's loop;
+    # S ;^inf T lies over S and T but not R, so it is cached and joined once
+    # per distinct pair.  Every other join is one of the right side's three,
+    # built only when the lower bound fails, once per compose
+    l3 = chain_lattice(3)
+    counts = {"tolerance_of": 0, "compose": 0, "plus": 0}
+
+    def counting(name):
+        original = getattr(relations, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(relations, name, counted)
+
+    for name in counts:
+        counting(name)
+    verdict = check_identity(l3, catalog_entry("(D3)", m=INF))
+    lattice = enumerate_relations(l3, RelKind.REFL_ADM).members
+    assert verdict.holds and verdict.checked == len(lattice) ** 3 == 25**3
+    assert counts["tolerance_of"] <= 25
+    builds = counts["compose"]
+    assert 0 < builds * 10 < 25**3
+    assert counts["plus"] - 3 * builds <= 25**2
 
 
 def test_equality_failing_only_rightward_keeps_its_witness(sl3):
@@ -550,9 +633,10 @@ def test_sample_mode_draws_sorted_relations(sl3):
     assert verdict.holds and verdict.checked == 50
 
 
-@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("samples", [0, -5, True, 2.5])
 def test_sample_count_must_be_positive(l2, samples):
-    with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+    # True would run one draw and 2.5 fail inside range, were they let through
+    with pytest.raises(ValueError, match=re.escape(f"samples must be an integer >= 1, got {samples!r}")):
         check_identity(l2, catalog_entry("(B1)", m=INF), mode="sample", samples=samples)
 
 

@@ -674,6 +674,30 @@ def test_witness_verifies_a_system_once_per_algebra(monkeypatch, l2):
     assert calls[-1] is other
 
 
+def test_witness_tabulates_each_term_once_per_algebra(monkeypatch, l2):
+    # the replays keep each term's table on the algebra under (term, arity),
+    # so a sweep over one system's instances tabulates its terms once
+    fresh = FiniteAlgebra("l2-copy", l2.size, l2.operations)
+    gumm, day = find_directed_gumm(fresh).system, find_day(fresh).system
+    turt = list(itertools.islice(_turt_instances(fresh, 1), 20))
+    days = list(itertools.islice(_day_instances(fresh), 20))
+    # one replay of each first, so the verifiers' verdicts are kept and
+    # only the replays tabulate below
+    witness_turt(fresh, gumm, *turt[0])
+    witness_day(fresh, day, *days[0])
+    fresh._term_tables.clear()
+    calls = []
+    real = maltsev.term_table
+    monkeypatch.setattr(maltsev, "term_table", lambda alg, t, g: calls.append((t, g)) or real(alg, t, g))
+    for instance in turt:
+        witness_turt(fresh, gumm, *instance)
+        witness_turtt(fresh, gumm, *instance)
+    for instance in days:
+        witness_day(fresh, day, *instance)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {(t, 3) for t in gumm.j} | {(t, 4) for t in day.d}
+
+
 def test_witness_day_deep_chain(l2):
     # padding a Day system with copies of the last projection stays valid
     # and drives longer alternating chains

@@ -717,6 +717,26 @@ def test_enumerate_cap(m3):
     assert exc.value.kind == "lattice-size"
 
 
+@pytest.mark.parametrize("uncapped_first", [False, True])
+def test_enumerate_cap_ignores_earlier_calls(uncapped_first):
+    # the lattice an algebra keeps is checked against each call's cap, so a
+    # capped call fails the same way before and after an uncapped one
+    from relmod.algebras import CapExceeded
+    from relmod.identities import catalog_entry, check_identity
+
+    alg = corpus.builtin("l2")
+    alg = FiniteAlgebra("l2-copy", alg.size, alg.operations)
+    if uncapped_first:
+        assert len(enumerate_relations(alg, RelKind.REFL_ADM).members) == 4
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_relations(alg, RelKind.REFL_ADM, cap=2)
+    assert (exc.value.kind, exc.value.limit, exc.value.reached) == ("lattice-size", 2, 3)
+    with pytest.raises(CapExceeded, match="reached 3, limit 2"):
+        check_identity(alg, catalog_entry("(1.1)"), cap=2)
+    assert len(enumerate_relations(alg, RelKind.REFL_ADM, cap=4).members) == 4
+    assert check_identity(alg, catalog_entry("(1.1)"), cap=4).checked == 8
+
+
 def test_overline_union_below_composition(sl2, sl3, l2, m3):
     for alg in (sl2, sl3, l2, m3):
         lattice = enumerate_relations(alg, RelKind.REFL_ADM)
