@@ -80,7 +80,9 @@ class FiniteAlgebra:
         self.operations = tuple(ops)
         self._by_symbol = {op.symbol: op for op in ops}
         # lazily filled by the relations module
-        self._closures = {}  # (closer, relation) -> closed relation, bounded
+        # (closer, relation), or a closure kernel's packed input -> closed
+        # relation, bounded
+        self._closures = {}
         # pair-closure image tables, built on first use: at most 32 ints,
         # each an n-bit mask, per entry of each operation table
         self._image_tables = None

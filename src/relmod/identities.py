@@ -683,7 +683,8 @@ def check_identity(
     Exhaustive mode runs the full product of the sorted lattices in
     canonical order (declaration order outermost) and reports the least
     counterexample; sample mode draws `samples` >= 1 assignments, each by
-    closing a random relation to its sort, reproducibly from the seed.
+    closing a random relation to its sort, reproducibly from the integer
+    seed.
 
     The statement is compiled once into a `_Program` and run as generated
     code, one loop per quantifier in declaration order, with each subterm
@@ -704,6 +705,9 @@ def check_identity(
     elif mode == "sample":
         if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
             raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            # None would seed from the OS and draw differently on every call
+            raise ValueError(f"seed must be an integer, got {seed!r}")
     else:
         raise ValueError(f"unknown mode {mode!r}")
     program = _Program(alg, names)
@@ -732,9 +736,10 @@ def _draws(alg, kinds, seed, samples):
     its sort, drawn lazily from one seeded generator."""
     rng = random.Random(seed)
     n = alg.size
+    shifts = range(0, n * n, n)
     for _ in range(samples):
         yield tuple(
-            rel.close_to_kind(alg, kind, BinRel(n, tuple(rng.getrandbits(n) for _ in range(n))))
+            rel.close_to_kind(alg, kind, BinRel._of(n, sum(rng.getrandbits(n) << s for s in shifts)))
             for kind in kinds
         )
 

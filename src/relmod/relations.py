@@ -37,8 +37,11 @@ run, and seeds from the slots filled so far, so no closure runs the
 kernel more than twice.  Only algebras of at most
 ``_PRINCIPAL_TABLE_MAX_N`` = 8 elements keep a table: on the larger ones
 measured the slots cost more than they save.  Larger ones close r itself.
-The tolerance and congruence closures, the witness replays and the
-lattice enumeration all close through ``refl_adm_closure``.
+The kernel's result is cached under its input, r | delta with the seed,
+not under r: random relations seldom repeat, but their seeds are unions
+of a few closed relations and do.  The tolerance and congruence closures,
+the witness replays and the lattice enumeration all close through
+``refl_adm_closure``.
 
 The transitive closure ``star`` and the saturating join ``plus`` (the
 union over all m of r o_m s, which ``r ;^inf s`` also means) are closed
@@ -176,15 +179,29 @@ def compose(r: BinRel, s: BinRel) -> BinRel:
 
 
 def converse(r: BinRel) -> BinRel:
+    """b r^-1 a iff a r b: each row is cut into chunks of 8, and a chunk at
+    column lo of row a goes to bit lo*n + a of the result spread to stride
+    n, read from the byte table of ``_spread``: n * ceil(n/8) lookups."""
     n = r.n
+    spread = _spread(n)
+    bits = r.bits
     out = 0
-    m = r.bits
-    while m:
-        low = m & -m
-        a, b = divmod(low.bit_length() - 1, n)
-        out |= 1 << b * n + a
-        m ^= low
+    for lo in range(0, n, 8):
+        chunk = (1 << min(8, n - lo)) - 1
+        for a in range(n):
+            out |= spread[bits >> a * n + lo & chunk] << lo * n + a
     return BinRel._of(n, out)
+
+
+@lru_cache(maxsize=64)
+def _spread(n):
+    """For each byte value v (each value below 2**n when n < 8), the int
+    with bit j*n set for each bit j of v: a row chunk laid down a column."""
+    table = [0]
+    for j in range(min(8, n)):
+        bit = 1 << j * n
+        table += [t | bit for t in table]
+    return table
 
 
 def intersect(r: BinRel, s: BinRel) -> BinRel:
@@ -429,49 +446,55 @@ def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
     """Least reflexive admissible relation containing r: the subuniverse of
     A x A generated by r together with the diagonal.
 
-    The kernel starts from the seed, the union of the principal closures
-    cl({(a,b)} | delta) of those off-diagonal pairs of r whose slots in the
-    algebra's table are filled; the first empty slot among r's pairs is
-    filled on the way.  Each lies inside cl(r), so closing the seed with r
-    and delta gives cl(r).  A seed that is already nabla is the closure
-    without a kernel round, and so is the slot of r's only pair.  Algebras
-    of more than _PRINCIPAL_TABLE_MAX_N elements keep no table and close r
-    itself."""
+    The kernel's input is r | delta with the seed, the union of the
+    principal closures cl({(a,b)} | delta) of those off-diagonal pairs of r
+    whose slots in the algebra's table are filled; the first empty slot
+    among r's pairs is filled on the way.  Each lies inside cl(r), so
+    closing the input gives cl(r).  A seed that is already nabla is the
+    closure without a kernel round, and so is the slot of r's only pair.
+    Algebras of more than _PRINCIPAL_TABLE_MAX_N elements keep no table,
+    and their input is r | delta.  The kernel's result is kept in the
+    closure cache under its input's packed bits: an input is a union of
+    closed relations and of r's pairs outside them, so many relations
+    share one, and each distinct input is closed once while the cache
+    holds it.  r | delta is looked up before the seed is built: a union of
+    closed relations, which the lattice enumeration closes, is its own
+    input."""
     if r.n != alg.size:
         raise ValueError(f"relation size {r.n} does not match algebra size {alg.size}")
-
-    def build():
-        n = r.n
-        diag = _masks(n)[2]
-        bits = r.bits | diag
-        if n <= _PRINCIPAL_TABLE_MAX_N:
-            table = alg._principals
-            if table is None:
-                table = alg._principals = [None] * (n * n)
-            every = (1 << n * n) - 1
-            seed = pairs = 0
-            fill = True
-            m = bits ^ diag
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                slot = table[i]
-                if slot is None and fill:
-                    slot = table[i] = _principal(alg, i)
-                    fill = False
-                if slot is not None:
-                    seed |= slot
-                    if seed == every:
-                        return nabla(n)
-                pairs += 1
-                m ^= low
-            bits |= seed
-            if pairs <= 1:
-                # delta, or the slot of r's one pair: closed already
-                return BinRel._of(n, bits)
-        return BinRel._of(n, _kernel_closure(alg, bits))
-
-    return _cached(alg, ("cl", r), build)
+    n = r.n
+    diag = _masks(n)[2]
+    bits = r.bits | diag
+    if n <= _PRINCIPAL_TABLE_MAX_N:
+        closed = alg._closures.get(bits)
+        if closed is not None:
+            # r | delta was a kernel input itself: no seed to build
+            return closed
+        table = alg._principals
+        if table is None:
+            table = alg._principals = [None] * (n * n)
+        every = (1 << n * n) - 1
+        seed = pairs = 0
+        fill = True
+        m = bits ^ diag
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            slot = table[i]
+            if slot is None and fill:
+                slot = table[i] = _principal(alg, i)
+                fill = False
+            if slot is not None:
+                seed |= slot
+                if seed == every:
+                    return nabla(n)
+            pairs += 1
+            m ^= low
+        bits |= seed
+        if pairs <= 1:
+            # delta, or the slot of r's one pair: closed already
+            return BinRel._of(n, bits)
+    return _cached(alg, bits, lambda: BinRel._of(n, _kernel_closure(alg, bits)))
 
 
 def tolerance_of(alg: FiniteAlgebra, r: BinRel) -> BinRel:
@@ -528,9 +551,9 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
     """All relations of the given kind on alg.
 
     Computes the principal members (closure of each single pair) and
-    joins each new member with the principal members; complete because
-    every member is the join of the principals below it, so adding one
-    principal at a time reaches it.  Members come back in canonical order
+    joins each new member with the principal members not below it;
+    complete because every member is the join of the principals below it,
+    so adding one principal at a time reaches it.  Members come back in canonical order
     (lexicographic on the flattened bit matrix).
     """
 
@@ -554,7 +577,8 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
         while work:
             x = work.pop()
             for y in principals:
-                add(close(alg, union(x, y)))
+                if y.bits & ~x.bits:  # else x | y is x, a member already
+                    add(close(alg, union(x, y)))
         return RelLattice(kind, tuple(sorted(members, key=BinRel.flat_bits)))
 
     lattice = alg._lattices.get(kind)

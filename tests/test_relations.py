@@ -231,12 +231,13 @@ def test_plus_matches_naive(pair):
     assert set(plus(r, s).pairs()) == naive_plus(set(r.pairs()), set(s.pairs()))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 12])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 12, 16, 17])
 def test_packed_operators_match_row_reference(n):
     # every packed operator against its row-tuple definition in oracles.py,
     # on seeded draws of mixed density, half of them made reflexive so that
     # plus takes both branches; n >= 9 has rows wider than a byte and
-    # n * n > 64 bits
+    # n * n > 64 bits, and converse reads two byte chunks per row at 16 and
+    # three at 17
     from relmod.identities import _first_missing_pair
 
     rng = random.Random(n)
@@ -564,6 +565,29 @@ def test_sampled_check_runs_kernel_once_per_slot_or_open_seed(monkeypatch, m3):
     open_seeds = sum(seed != everything for seed in seeds)
     filled = sum(slot is not None for slot in alg._principals or ())
     assert len(runs) <= 2 * filled + open_seeds
+
+
+@pytest.mark.parametrize("make", [pentagon, lambda: chain_lattice(4)], ids=["n5", "l4"])
+def test_sampled_check_closes_each_kernel_input_once(monkeypatch, make):
+    # on a lattice few seeds reach nabla, so most sampled closures run the
+    # kernel; the closure cache keeps its result under the kernel's input,
+    # so a (D3) sample runs it once per distinct input, besides the runs
+    # that fill principal slots
+    from relmod.identities import catalog_entry, check_identity
+
+    alg = make()
+    kernel = rel._pair_closure
+    inputs = []
+
+    def recorded_kernel(alg, rows):
+        inputs.append(tuple(rows))
+        return kernel(alg, rows)
+
+    monkeypatch.setattr(rel, "_pair_closure", recorded_kernel)
+    verdict = check_identity(alg, catalog_entry("(D3)", m=INF), mode="sample", seed=5, samples=1000)
+    assert verdict.holds and verdict.checked == 1000
+    filled = sum(slot is not None for slot in alg._principals)
+    assert len(inputs) <= len(set(inputs)) + filled
 
 
 def test_lattices_digest_pinned():
