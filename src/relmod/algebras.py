@@ -80,8 +80,8 @@ class FiniteAlgebra:
         self.operations = tuple(ops)
         self._by_symbol = {op.symbol: op for op in ops}
         # lazily filled by the relations module
-        # (closer, relation), or a closure kernel's packed input -> closed
-        # relation, bounded
+        # a closure kernel's packed input -> its closed relation, bounded;
+        # refl_adm_closure is its only reader and writer
         self._closures = {}
         # pair-closure image tables, built on first use: at most 32 ints,
         # each an n-bit mask, per entry of each operation table

@@ -434,14 +434,14 @@ class _Program:
       slot but "|" and "&" is looked up in the cache under (slot, packed
       values of its free variables), since later passes of the outer loops
       meet each combination again (conv(T) or S ;^inf T under R, S, T).
-    - one value per quantifier (`violation` and `run`): no value repeats
+    - one value per quantifier (`violation` and `_runner`): no value repeats
       within a call, so every slot but "|", "&" and those over every
       quantifier is cached by value, for later calls.
 
     The one cache dict holds at most `_CACHE_CAP` entries and is emptied
-    when full.  `run[slot]`, generated on first use in the one-value form,
-    is a function from a tuple of `BinRel` in the order of `names` to the
-    slot's `BinRel`; it reads and fills the same cache.
+    when full.  `_runner(slot)` generates, in the one-value form, a function
+    from a tuple of `BinRel` in the order of `names` to the slot's `BinRel`;
+    it reads and fills the same cache.
     """
 
     def __init__(self, alg: FiniteAlgebra, names):
@@ -454,7 +454,6 @@ class _Program:
         self._fns = {}  # slot -> its operator in `relations`, unless written inline
         self._constants = {}  # slot without free variables -> its packed value
         self._cache = {}  # (slot, packed values of its free variables) -> packed value
-        self.run = _Runs(self)
 
     def slot(self, expr) -> int:
         """Compile expr and its subterms; return expr's slot."""
@@ -630,18 +629,6 @@ class _Program:
         return lambda values: BinRel._of(n, loops(tuple((v.bits,) for v in values)))
 
 
-class _Runs(dict):
-    """`_Program.run`: slot -> its run function, generated on first use."""
-
-    def __init__(self, program):
-        super().__init__()
-        self.program = program
-
-    def __missing__(self, slot):
-        run = self[slot] = self.program._runner(slot)
-        return run
-
-
 def _put(cache, cap, key, value):
     """Store value under key in a cache of at most cap entries; return it."""
     if len(cache) >= cap:
@@ -667,7 +654,7 @@ def eval_expr(alg: FiniteAlgebra, expr, env) -> BinRel:
     for p in program.free[slot]:
         if values[p].n != alg.size:
             raise ValueError(f"size mismatch: {program.names[p]} has n={values[p].n}, algebra n={alg.size}")
-    return program.run[slot](values)
+    return program._runner(slot)(values)
 
 
 def check_identity(
@@ -700,6 +687,11 @@ def check_identity(
     """
     names = [name for name, _ in stmt.quantifiers]
     kinds = [kind for _, kind in stmt.quantifiers]
+    if not names:
+        raise ValueError("a statement needs at least one quantifier")
+    for p, name in enumerate(names):
+        if name in names[:p]:
+            raise ValueError(f"duplicate quantifier {name!r}")
     if mode == "exhaustive":
         lattices = [rel.enumerate_relations(alg, kind, cap=cap).members for kind in kinds]
     elif mode == "sample":

@@ -39,9 +39,17 @@ kernel more than twice.  Only algebras of at most
 measured the slots cost more than they save.  Larger ones close r itself.
 The kernel's result is cached under its input, r | delta with the seed,
 not under r: random relations seldom repeat, but their seeds are unions
-of a few closed relations and do.  The tolerance and congruence closures,
-the witness replays and the lattice enumeration all close through
-``refl_adm_closure``.
+of a few closed relations and do.  That cache, keyed only by kernel
+inputs, is the one closure memo; ``refl_adm_closure`` alone reads and
+fills it.  The other sorts are closed forms over it:
+
+    tol(r) = cl(r | r^-1)
+    Cg(r)  = star(tol(r))
+
+since the transitive closure of a tolerance is a congruence (its powers
+are reflexive, admissible and symmetric) and every congruence holding r
+holds tol(r).  The identity checks, the witness replays and the lattice
+enumeration all close through these three functions.
 
 The transitive closure ``star`` and the saturating join ``plus`` (the
 union over all m of r o_m s, which ``r ;^inf s`` also means) are closed
@@ -394,7 +402,7 @@ def _pair_closure(alg: FiniteAlgebra, rows):
                             return
 
 
-# The most closed relations one algebra keeps cached.  A full cache is
+# The most kernel results one algebra keeps cached.  A full cache is
 # emptied and refills, so random relations drawn by sampled checks cannot
 # grow it without bound.
 _CLOSURE_CACHE_CAP = 1 << 16
@@ -412,13 +420,6 @@ _CLOSURE_CACHE_CAP = 1 << 16
 _PRINCIPAL_TABLE_MAX_N = 8
 
 
-def _principal(alg, i):
-    """The content of slot i = a*n + b of alg's principal table:
-    cl({(a,b)} | delta), the least reflexive admissible relation holding
-    (a,b), closed by the kernel."""
-    return _kernel_closure(alg, _masks(alg.size)[2] | 1 << i)
-
-
 def _kernel_closure(alg, bits):
     """The packed relation ``bits`` closed by the pair-closure kernel, which
     grows its rows in place."""
@@ -429,19 +430,6 @@ def _kernel_closure(alg, bits):
     return _pack(n, rows)
 
 
-def _cached(alg, key, build):
-    """alg's closure under key, built on a miss and kept while the bounded
-    closure cache holds it."""
-    cache = alg._closures
-    value = cache.get(key)
-    if value is None:
-        value = build()
-        if len(cache) >= _CLOSURE_CACHE_CAP:
-            cache.clear()
-        cache[key] = value
-    return value
-
-
 def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
     """Least reflexive admissible relation containing r: the subuniverse of
     A x A generated by r together with the diagonal.
@@ -449,27 +437,25 @@ def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
     The kernel's input is r | delta with the seed, the union of the
     principal closures cl({(a,b)} | delta) of those off-diagonal pairs of r
     whose slots in the algebra's table are filled; the first empty slot
-    among r's pairs is filled on the way.  Each lies inside cl(r), so
-    closing the input gives cl(r).  A seed that is already nabla is the
-    closure without a kernel round, and so is the slot of r's only pair.
-    Algebras of more than _PRINCIPAL_TABLE_MAX_N elements keep no table,
-    and their input is r | delta.  The kernel's result is kept in the
-    closure cache under its input's packed bits: an input is a union of
-    closed relations and of r's pairs outside them, so many relations
-    share one, and each distinct input is closed once while the cache
-    holds it.  r | delta is looked up before the seed is built: a union of
-    closed relations, which the lattice enumeration closes, is its own
-    input."""
+    among r's pairs is filled on the way, by a kernel run from delta and
+    that pair.  Each lies inside cl(r), so closing the input gives cl(r).
+    A seed that is already nabla is the closure without a kernel round, and
+    so is the slot of r's only pair.  Algebras of more than
+    _PRINCIPAL_TABLE_MAX_N elements keep no table, and their input is
+    r | delta.  The kernel's result is kept in the closure cache under its
+    input's packed bits: an input is a union of closed relations and of r's
+    pairs outside them, so many relations share one, and each distinct
+    input is closed once while the cache holds it.  r | delta is looked up
+    before the seed is built: a union of closed relations, which the
+    lattice enumeration closes, is its own input."""
     if r.n != alg.size:
         raise ValueError(f"relation size {r.n} does not match algebra size {alg.size}")
     n = r.n
     diag = _masks(n)[2]
     bits = r.bits | diag
-    if n <= _PRINCIPAL_TABLE_MAX_N:
-        closed = alg._closures.get(bits)
-        if closed is not None:
-            # r | delta was a kernel input itself: no seed to build
-            return closed
+    cache = alg._closures
+    closed = cache.get(bits)
+    if closed is None and n <= _PRINCIPAL_TABLE_MAX_N:
         table = alg._principals
         if table is None:
             table = alg._principals = [None] * (n * n)
@@ -482,7 +468,7 @@ def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
             i = low.bit_length() - 1
             slot = table[i]
             if slot is None and fill:
-                slot = table[i] = _principal(alg, i)
+                slot = table[i] = _kernel_closure(alg, diag | low)
                 fill = False
             if slot is not None:
                 seed |= slot
@@ -494,28 +480,29 @@ def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
         if pairs <= 1:
             # delta, or the slot of r's one pair: closed already
             return BinRel._of(n, bits)
-    return _cached(alg, bits, lambda: BinRel._of(n, _kernel_closure(alg, bits)))
+        closed = cache.get(bits)
+    if closed is None:
+        closed = BinRel._of(n, _kernel_closure(alg, bits))
+        if len(cache) >= _CLOSURE_CACHE_CAP:
+            cache.clear()
+        cache[bits] = closed
+    return closed
 
 
 def tolerance_of(alg: FiniteAlgebra, r: BinRel) -> BinRel:
     """Least tolerance containing r: the reflexive-admissible closure of
     r together with its converse."""
-    return _cached(alg, ("tol", r), lambda: refl_adm_closure(alg, union(r, converse(r))))
+    return refl_adm_closure(alg, union(r, converse(r)))
 
 
 def congruence_generated(alg: FiniteAlgebra, r: BinRel) -> BinRel:
-    """Least congruence containing r; alternates admissible and transitive
-    closure until stable."""
-
-    def build():
-        cur = union(r, converse(r))
-        while True:
-            nxt = star(refl_adm_closure(alg, cur))
-            if nxt == cur:
-                return cur
-            cur = nxt
-
-    return _cached(alg, ("cg", r), build)
+    """Least congruence containing r: the transitive closure of the least
+    tolerance containing r.  That closure is the union of the tolerance's
+    powers, each reflexive and admissible, as relation products of such
+    relations are, and symmetric, as powers of a symmetric relation are; so
+    it is a congruence.  Every congruence holding r holds the tolerance,
+    and so its transitive closure."""
+    return star(tolerance_of(alg, r))
 
 
 class RelKind(Enum):

@@ -4,7 +4,11 @@ in the traced run."""
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -29,3 +33,53 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(home), fname, None))
     ]
     assert missing == []
+
+
+# Run in a fresh interpreter, as the traced run is: the tracer finds each
+# defining module in sys.modules, so it sees only what `import relmod` loads.
+_TRACED_RUN = """
+import json, sys
+import relmod
+from relmod import RelKind, corpus
+import tracing
+
+def bindings():
+    return {
+        (name, attr): value
+        for name, module in sorted(sys.modules.items())
+        if name == "relmod" or name.startswith("relmod.")
+        for attr, value in vars(module).items()
+    }
+
+before = bindings()
+tracer = tracing.Tracer()
+tracer.install()
+alg = relmod.load_algebra(corpus.builtin_json("l2"))
+relmod.enumerate_relations(alg, RelKind.CONGRUENCE)
+stmt = relmod.catalog_entry("(B1)", m=relmod.INF)
+relmod.check_identity(alg, stmt, mode="sample", seed=1, samples=20)
+relmod.check_identity(alg, stmt)
+relmod.find_day(alg)
+relmod.eval_expr(alg, relmod.parse_identity("S:REFL |- tol(S) <= S").lhs, {"S": relmod.delta(2)})
+tracer.end_op()
+tracer.uninstall()
+after = bindings()
+print(json.dumps({
+    "closure_calls": tracer.layer_calls()["relations.closure"],
+    "closure_distinct": tracer.counts["closure_distinct"],
+    "changed": sorted(f"{m}.{a}" for m, a in before if after.get((m, a)) is not before[(m, a)]),
+}))
+"""
+
+
+def test_traced_run_installs_and_restores():
+    root = TRACING.parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN], cwd=root, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["closure_calls"] > 0
+    assert report["closure_distinct"] > 0
+    assert report["changed"] == []

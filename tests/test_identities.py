@@ -38,7 +38,7 @@ from relmod.identities import (
     print_statement,
     with_sorts,
 )
-from relmod.algebras import FiniteAlgebra, load_algebra
+from relmod.algebras import FiniteAlgebra
 from relmod.maltsev import q_bound
 from relmod.relations import (
     BinRel,
@@ -436,11 +436,11 @@ def test_lower_is_a_subrelation(label, params):
     terms = set(_subterms(stmt.lhs)) | set(_subterms(stmt.rhs))
     for alg in map(corpus.builtin, ("l2", "sl2", "z2")):
         program = identities._Program(alg, names)
-        slots = [(e, program.slot(lower(e)), program.slot(e)) for e in terms]
+        runs = [(e, program._runner(program.slot(lower(e))), program._runner(program.slot(e))) for e in terms]
         lattices = [enumerate_relations(alg, kind).members for _, kind in stmt.quantifiers]
         for values in itertools.product(*lattices):
-            for e, bound, slot in slots:
-                assert program.run[bound](values).issubset(program.run[slot](values)), (
+            for e, bound, value in runs:
+                assert bound(values).issubset(value(values)), (
                     alg.name, print_expr(e), [format_rel_literal(r) for r in values]
                 )
 
@@ -474,7 +474,7 @@ def test_lower_bound_settles_most_of_D3_on_l3(monkeypatch):
     monkeypatch.setattr(relations, "plus", counting_plus)
     program = identities._Program(l3, ("R", "S", "T"))
     violation = program.violation(stmt)
-    lhs = program.run[program.slot(stmt.lhs)]
+    lhs = program._runner(program.slot(stmt.lhs))
     lattice = enumerate_relations(l3, RelKind.REFL_ADM).members
     built = 0
     for values in itertools.product(lattice, repeat=3):
@@ -511,31 +511,31 @@ def test_cache_cap_keeps_verdicts(l2, sl3, monkeypatch):
 
 
 def test_closure_cache_cap_keeps_verdicts(monkeypatch):
-    # on l2 and on the pentagon, whose sampled closures mostly run the
-    # kernel from a seed short of nabla and so fill the cache with kernel
-    # inputs
+    # on the 3-element chain and on the pentagon, whose sampled closures
+    # mostly run the kernel from a seed short of nabla and so fill the cache
+    # with kernel inputs
     stmts = [catalog_entry(label, m=INF) for label in ("(B1)", "(D3)")]
     sizes = []
-    cached = relations._cached
+    kernel = relations._kernel_closure
 
     def verdicts(make):
         # a fresh copy, so no closure comes from an earlier test's cache
         alg = make()
 
-        def recording(alg_, key, build):
-            value = cached(alg_, key, build)
+        def recording(alg_, bits):
             sizes.append(len(alg._closures))
-            return value
+            return kernel(alg_, bits)
 
-        monkeypatch.setattr(relations, "_cached", recording)
-        return [
-            check_identity(alg, stmt, mode=mode, seed=5, samples=300)
-            for mode in ("exhaustive", "sample")
-            for stmt in stmts
-        ]
+        monkeypatch.setattr(relations, "_kernel_closure", recording)
+        out = []
+        for mode in ("exhaustive", "sample"):
+            for stmt in stmts:
+                out.append(check_identity(alg, stmt, mode=mode, seed=5, samples=300))
+                sizes.append(len(alg._closures))
+        return out
 
     default_cap = relations._CLOSURE_CACHE_CAP
-    for make in (lambda: load_algebra(corpus.builtin_json("l2")), pentagon):
+    for make in (lambda: chain_lattice(3), pentagon):
         monkeypatch.setattr(relations, "_CLOSURE_CACHE_CAP", default_cap)
         sizes.clear()
         normal = verdicts(make)
@@ -667,6 +667,23 @@ def test_sample_mode_draws_sorted_relations(sl3):
     assert verdict.holds and verdict.checked == 50
 
 
+@pytest.mark.parametrize(
+    "quantifiers, message",
+    [
+        ((), "at least one quantifier"),
+        ((("S", RelKind.REFL_ADM), ("S", RelKind.TOLERANCE)), "duplicate quantifier 'S'"),
+    ],
+    ids=["none", "duplicate"],
+)
+@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+def test_check_rejects_malformed_quantifiers(l2, quantifiers, message, mode):
+    # what the parser rejects, though an expression alone may bind nothing
+    stmt = IdentityStatement(quantifiers, StmtRel.INCLUDED_IN, Delta(), Nabla())
+    with pytest.raises(ValueError, match=message):
+        check_identity(l2, stmt, mode=mode)
+    assert eval_expr(l2, Delta(), {}) == delta(2)
+
+
 @pytest.mark.parametrize("samples", [0, -5, True, 2.5])
 def test_sample_count_must_be_positive(l2, samples):
     # True would run one draw and 2.5 fail inside range, were they let through
@@ -773,6 +790,29 @@ def test_sampled_verdicts_digest_pinned():
     assert len(lines) == 80
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "00baefb3924826ca9d026599a1835a2a5e316280b2935f33cf89791a895c8117"
+
+
+def test_sampled_congruence_verdicts_digest_pinned():
+    # the sampled checks above with every quantifier a congruence, and the
+    # congruences each seed draws; every verdict holds, so the draws are
+    # what pins the congruence closure.  The digest was taken from the loop
+    # that alternated admissible and transitive closure until stable
+    checks = [("(B1)", {"m": INF}), ("(perm)", {})]
+    algs = [corpus.builtin(name) for name in corpus.builtin_names()]
+    algs += [symmetric3(), z3_maltsev(), chain_lattice(4), pentagon()]
+    lines = []
+    for alg in algs:
+        for seed in (5, 23):
+            for label, params in checks:
+                stmt = catalog_entry(label, **params)
+                stmt = with_sorts(stmt, {name: RelKind.CONGRUENCE for name, _ in stmt.quantifiers})
+                verdict = check_identity(alg, stmt, mode="sample", seed=seed, samples=200)
+                lines.append(f"{alg.name} {label} {seed} {verdict.holds} {verdict.checked}")
+            draws = identities._draws(alg, [RelKind.CONGRUENCE] * 2, seed, 200)
+            lines += [" ".join(map(format_rel_literal, values)) for values in draws]
+    assert len(lines) == 10 * 2 * (2 + 200)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "4b2a129ff8ae62dbdec37601b70cb0125245a2839cb4de3ae5428d93f7917659"
 
 
 def test_catalog_entry_matches_catalog():
