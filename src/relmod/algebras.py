@@ -90,11 +90,10 @@ class FiniteAlgebra:
         # per closure; only algebras of at most 8 elements keep them
         self._principals = None
         self._lattices = {}  # RelKind -> RelLattice
-        # term systems that passed their verifier here, and term tables by
-        # (term, arity), filled by the witness replays of the maltsev
-        # module, bounded
-        self._verified = set()
-        self._term_tables = {}
+        # (path condition, terms) -> the full term tables of a chain that
+        # passed its laws here, or None for one that failed them; filled by
+        # the maltsev verifier and read by the witness replays, bounded
+        self._chains = {}
 
     def operation(self, symbol: str) -> Operation:
         op = self._by_symbol.get(symbol)
@@ -104,6 +103,15 @@ class FiniteAlgebra:
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, n={self.size}, ops={[o.symbol for o in self.operations]})"
+
+
+def _put(cache, cap, key, value):
+    """Store value under key in a cache of at most cap entries, emptying a
+    full one first so that it refills; return value."""
+    if len(cache) >= cap:
+        cache.clear()
+    cache[key] = value
+    return value
 
 
 def _is_int(value):
@@ -370,6 +378,8 @@ def generate_subuniverse(alg: FiniteAlgebra, width: int, generators, cap: int = 
 
 def projection(n: int, g: int, i: int) -> FreeElement:
     """The i-th of the g projections on an n-element universe."""
+    if not 0 <= i < g:
+        raise TermError(f"variable index {i} out of range for env of length {g}")
     stride = n ** (g - 1 - i)
     vec = tuple((code // stride) % n for code in range(n ** g))
     return FreeElement(vec, Variable(i))

@@ -41,8 +41,6 @@ from .maltsev import (
 )
 from .relations import RelKind, enumerate_relations, format_rel_literal, parse_rel_literal
 
-_KINDS = {"refl": RelKind.REFL_ADM, "tol": RelKind.TOLERANCE, "con": RelKind.CONGRUENCE}
-
 
 class UsageError(ValueError):
     pass
@@ -213,7 +211,7 @@ def _cmd_check(args, alg):
 
 
 def _cmd_enumerate(args, alg):
-    lattice = enumerate_relations(alg, _KINDS[args.kind], cap=args.cap)
+    lattice = enumerate_relations(alg, RelKind(args.kind.upper()), cap=args.cap)
     item = {
         "_kind": "enumerate",
         "kind": args.kind,
@@ -390,7 +388,7 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="enumerate a relation lattice")
     common(p)
-    p.add_argument("--kind", choices=tuple(_KINDS), required=True)
+    p.add_argument("--kind", choices=tuple(kind.value.lower() for kind in RelKind), required=True)
 
     p = sub.add_parser("find-terms", help="search for directed Gumm or Day terms")
     common(p)

@@ -38,7 +38,7 @@ from math import prod
 from operator import and_, or_
 from typing import NamedTuple
 
-from .algebras import DEFAULT_CAP, FiniteAlgebra
+from .algebras import DEFAULT_CAP, FiniteAlgebra, _put
 from .maltsev import q_bound, r_bound
 from . import relations as rel
 from .relations import BinRel, RelKind
@@ -627,14 +627,6 @@ class _Program:
             return lambda values: value
         loops = self._compile(free[-1] + 1, self._needed([slot]), [f"return {self._name(slot)}"], False)
         return lambda values: BinRel._of(n, loops(tuple((v.bits,) for v in values)))
-
-
-def _put(cache, cap, key, value):
-    """Store value under key in a cache of at most cap entries; return it."""
-    if len(cache) >= cap:
-        cache.clear()
-    cache[key] = value
-    return value
 
 
 def _first_missing_pair(n, lhs, rhs):

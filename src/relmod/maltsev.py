@@ -5,7 +5,10 @@ Both term conditions are chains t_0..t_k whose links are identities between
 neighbours, so one engine decides both: each is a _PathCondition record,
 _search finds a shortest chain among the term functions restricted to the
 argument tuples the record reads, and _verify checks a chain against the
-record over every tuple of the algebra.
+record over every tuple of the algebra.  _verify keeps on the algebra the
+full term tables of each chain it verified, or None for one that failed,
+at most 2^10 chains; the witness replays read their term functions from
+those tables.
 
 The witness constructors replay the inclusion proofs through one walker,
 _walk: a theorem lists its head step and its Lambda blocks as
@@ -26,6 +29,7 @@ from .algebras import (
     FreeElement,
     Term,
     Variable,
+    _put,
     generate_subuniverse,
     term_table,
 )
@@ -156,11 +160,22 @@ def _read(n, law):
     return sides
 
 
+# The most term chains one algebra remembers.  A full memo is emptied and
+# refills.
+_CHAINS_CAP = 1 << 10
+
+
 def _verify(cond, alg, terms):
-    """Check every law of cond on the chain terms = (t_0..t_k) over every
-    tuple of alg, from the full term tables."""
+    """The full term tables of the chain terms = (t_0..t_k) when every law
+    of cond holds on it over every tuple of alg, else None.  The answer is
+    kept on alg under (cond, terms), so each chain is tabulated and
+    verified once per algebra, and the witness replays read the tables it
+    was verified on."""
+    key = (cond, terms)
+    if key in alg._chains:
+        return alg._chains[key]
     every = _VARS[: cond.arity]
-    tables = [term_table(alg, t, cond.arity).vector for t in terms]
+    tables = tuple(term_table(alg, t, cond.arity).vector for t in terms)
     value = range(alg.size)  # an identity t(P) = v is a link to v's value
     checks = [
         (cond.head or (every, _VARS[cond.start]), tables[0], value),
@@ -169,7 +184,8 @@ def _verify(cond, alg, terms):
     checks += [(cond.vertex, t, value) for t in tables[1:]]
     checks += [(cond.links[_phase(cond, i)], tables[i], tables[i + 1]) for i in range(len(terms) - 1)]
     reads = {law: _read(alg.size, law) for law, _, _ in checks}
-    return all(t[a] == u[b] for law, t, u in checks for a, b in zip(*reads[law]))
+    holds = all(t[a] == u[b] for law, t, u in checks for a, b in zip(*reads[law]))
+    return _put(alg._chains, _CHAINS_CAP, key, tables if holds else None)
 
 
 def _search(cond, alg, cap):
@@ -245,14 +261,14 @@ def verify_directed_gumm(alg: FiniteAlgebra, system: DirectedGummSystem) -> bool
     """Check the five defining identities over every tuple of the algebra."""
     if system.k != len(system.j) or system.k < 1:
         return False
-    return _verify(_DGUMM, alg, (system.p,) + tuple(system.j))
+    return _verify(_DGUMM, alg, (system.p, *system.j)) is not None
 
 
 def verify_day(alg: FiniteAlgebra, system: DaySystem) -> bool:
     """Check the Day linking conditions over every tuple of the algebra."""
     if system.k != len(system.d) - 1 or system.k < 0:
         return False
-    return _verify(_DAY, alg, tuple(system.d))
+    return _verify(_DAY, alg, tuple(system.d)) is not None
 
 
 def _restricted_free(alg, g, codes, cap):
@@ -366,47 +382,14 @@ def _require_elements(alg, named):
             raise ElementError(f"element {name}={x} is outside the universe 0..{alg.size - 1}")
 
 
-# The most passing term systems one algebra remembers, and the most term
-# tables it keeps for the replays.  A full set or dict is emptied and
-# refills.
-_VERIFIED_CAP = 1 << 10
-
-
-def _passes(alg, verify, system, terms):
-    """verify(alg, system), remembered on alg once it passes: the witness
-    replays meet one system on many instances.  The verdict is kept under
-    (verify, system.k, terms), with terms the system's terms as a tuple, so
-    a system built with a list of terms is remembered too."""
-    key = (verify, system.k, terms)
-    known = alg._verified
-    if key in known:
-        return True
-    if not verify(alg, system):
-        return False
-    if len(known) >= _VERIFIED_CAP:
-        known.clear()
-    known.add(key)
-    return True
-
-
 def _require_refl_adm(alg, name, rel):
     _require(rel.n == alg.size, f"{name} has size {rel.n}, algebra has size {alg.size}")
     _require(is_reflexive(rel), f"{name} is not reflexive")
     _require(is_admissible(alg, rel), f"{name} is not admissible")
 
 
-def _fn(alg, term, arity):
-    """The term function of term on alg, read from its table.  The table is
-    kept on alg under (term, arity): the replays meet one system's terms on
-    many instances."""
-    tables = alg._term_tables
-    vec = tables.get((term, arity))
-    if vec is None:
-        vec = term_table(alg, term, arity).vector
-        if len(tables) >= _VERIFIED_CAP:
-            tables.clear()
-        tables[term, arity] = vec
-    n = alg.size
+def _fn(n, vec):
+    """The term function on an n-element universe whose table is vec."""
 
     def fn(*args):
         code = 0
@@ -446,10 +429,7 @@ def _check_turt_instance(alg, system, R, V, W, S, a, b, chain):
     named = [("a", a), ("b", b)] + [(f"chain[{i}]", x) for i, x in enumerate(chain)]
     _require_elements(alg, named)
     _require(system.k >= 2, f"witness construction needs k >= 2, system has k={system.k}")
-    _require(
-        _passes(alg, verify_directed_gumm, system, (system.p, *system.j)),
-        "term system fails the directed Gumm identities",
-    )
+    _require(verify_directed_gumm(alg, system), "term system fails the directed Gumm identities")
     _require(len(chain) == len(S) + 1, "chain must have one more element than S has relations")
     _require(chain[0] == a, f"chain must start at a={a}")
     c = chain[-1]
@@ -466,7 +446,9 @@ def _check_turt_instance(alg, system, R, V, W, S, a, b, chain):
             s.has(chain[i - 1], chain[i]),
             f"precondition ({chain[i - 1]},{chain[i]}) in S{i} fails",
         )
-    return c
+    # the tables of j_1..j_k that the system was verified on, kept on alg
+    j = [_fn(alg.size, vec) for vec in _verify(_DGUMM, alg, (system.p, *system.j))[1:]]
+    return c, j
 
 
 def witness_turt(alg, system, R, V, W, S, a, b, chain) -> WitnessChain:
@@ -477,8 +459,7 @@ def witness_turt(alg, system, R, V, W, S, a, b, chain) -> WitnessChain:
     block walks the S-chain through j* = j1(x,y,j1(xyz)) or through the
     later j_i, every step re-validated against the supplied relations.
     """
-    c = _check_turt_instance(alg, system, R, V, W, S, a, b, chain)
-    j1, *later = [_fn(alg, t, 3) for t in system.j]
+    c, (j1, *later) = _check_turt_instance(alg, system, R, V, W, S, a, b, chain)
     head_rel = intersect(R, refl_adm_closure(alg, union(V, W)))
     head = ("R & cl(V|W)", head_rel, j1(a, a, j1(a, a, c)))
     # first block: both occurrences of y move together, via j*; then the
@@ -493,8 +474,7 @@ def witness_turt(alg, system, R, V, W, S, a, b, chain) -> WitnessChain:
 def witness_turtt(alg, system, R, V, W, S, a, b, chain) -> WitnessChain:
     """Element chain landing (a,c) in R conv(R) cl(conv(V)|W) ; Lambda^(k-1);
     the simpler replay starting from a = p(a,b,b)."""
-    c = _check_turt_instance(alg, system, R, V, W, S, a, b, chain)
-    j = [_fn(alg, t, 3) for t in system.j]
+    c, j = _check_turt_instance(alg, system, R, V, W, S, a, b, chain)
     head_rel = intersect(intersect(R, converse(R)), refl_adm_closure(alg, union(converse(V), W)))
     head = ("R & conv(R) & cl(conv(V)|W)", head_rel, j[0](a, a, c))  # = p(a,a,c)
     blocks = [lambda y, ji=ji: ji(a, y, c) for ji in j[:-1]]
@@ -505,9 +485,7 @@ def witness_day(alg, system, theta, s_rel, a, b, c) -> WitnessChain:
     """Chain of at most k-1 steps alternating Theta&S and Theta&conv(S),
     for (a,c) in Theta & (S ; conv(S)) with midpoint b."""
     _require_elements(alg, [("a", a), ("b", b), ("c", c)])
-    _require(
-        _passes(alg, verify_day, system, tuple(system.d)), "term system fails the Day identities"
-    )
+    _require(verify_day(alg, system), "term system fails the Day identities")
     _require(theta.n == alg.size and s_rel.n == alg.size, "relation size mismatch")
     _require(is_tolerance(alg, theta), "Theta is not a tolerance")
     _require_refl_adm(alg, "S", s_rel)
@@ -516,7 +494,8 @@ def witness_day(alg, system, theta, s_rel, a, b, c) -> WitnessChain:
     _require(s_rel.has(c, b), f"precondition (c,b)=({c},{b}) in conv(S) fails")
     if system.k == 0:
         _require(a == c, "k=0 system only certifies a=c")
-    d = [_fn(alg, t, 4) for t in system.d]
+    # the tables of d_0..d_k that the system was verified on, kept on alg
+    d = [_fn(alg.size, vec) for vec in _verify(_DAY, alg, tuple(system.d))]
     fwd = ("Theta & S", intersect(theta, s_rel))
     bwd = ("Theta & conv(S)", intersect(theta, converse(s_rel)))
     # from a = d_1(a,a,c,c), odd d_i step by (a,b,b,c), even ones by (a,a,c,c)

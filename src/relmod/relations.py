@@ -17,14 +17,15 @@ from one row into the next.  ``compose`` is n such steps,
 ``star`` and ``plus`` is n steps of ``bits |= (bits >> k & ones) *
 row_k(bits)``.
 
-Every closure comes from one kernel, ``_pair_closure``, which closes a
-relation's rows, unpacked into a list at entry, under the operations as
-a subuniverse of A x A.  It works a whole row at a time: an operation
-applied to first coordinates a1..ak adds to row f(a1..ak) the image of
-rows[a1] x ... x rows[ak], read from per-operation image tables built
-once per algebra.  A full row cannot grow, so the kernel skips every tuple
-whose target row is full and stops as soon as every row is full: nabla is
-closed.  ``is_admissible`` runs the kernel's first round.
+Every closure comes from one kernel function, ``_pair_closure``, which
+takes a packed relation and returns, packed, the subuniverse of A x A
+that it generates.  It unpacks the rows into a list and works a whole row
+at a time: an operation applied to first coordinates a1..ak adds to row
+f(a1..ak) the image of rows[a1] x ... x rows[ak], read from per-operation
+image tables built once per algebra.  A full row cannot grow, so the
+kernel skips every tuple whose target row is full and stops as soon as
+every row is full: nabla is closed.  ``is_admissible`` asks that the
+kernel return r unchanged, which on an admissible r takes one round.
 
 A reflexive-admissible closure is the join of the principal closures of
 its pairs, so ``refl_adm_closure`` does not start the kernel from r: it
@@ -73,7 +74,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 
-from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra
+from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra, _put
 
 
 class BinRel:
@@ -223,13 +224,22 @@ def union(r: BinRel, s: BinRel) -> BinRel:
 
 
 def m_compose(r: BinRel, s: BinRel, m: int) -> BinRel:
-    """r o s o r o ... with m alternating factors (m-1 composition signs)."""
+    """r o s o r o ... with m alternating factors (m-1 composition signs):
+    (r;s)^(m//2), then ; r when m is odd.  The power is taken by
+    square-and-multiply, so m costs O(log m) compositions; powers of r;s
+    commute, so each factor is put in front of the ones already taken."""
     _same_size(r, s)
     if m < 1:
         raise ValueError("m must be >= 1")
-    out = r
-    for i in range(2, m + 1):
-        out = compose(out, s if i % 2 == 0 else r)
+    out = r if m % 2 else None
+    k = m // 2
+    base = compose(r, s) if k else None
+    while k:
+        if k & 1:
+            out = base if out is None else compose(base, out)
+        k >>= 1
+        if k:
+            base = compose(base, base)
     return out
 
 
@@ -287,13 +297,13 @@ def is_transitive(r: BinRel) -> bool:
 
 def is_admissible(alg: FiniteAlgebra, r: BinRel) -> bool:
     """True iff r is closed under every operation applied componentwise,
-    i.e. r is a subuniverse of A x A: the pair-closure kernel's first
-    round, which checks every constant and every argument tuple whose
-    target row is not full, grows no row.  Stops at the first image that
-    its target row lacks; nabla is admissible without a round."""
+    i.e. r is a subuniverse of A x A: the pair-closure kernel returns r
+    unchanged.  On an admissible r that is its first round, which checks
+    every constant and every argument tuple whose target row is not full
+    and grows no row; nabla is admissible without a round."""
     if r.n != alg.size:
         raise ValueError(f"relation size {r.n} does not match algebra size {alg.size}")
-    return next(_pair_closure(alg, list(r.rows)), None) is None
+    return _pair_closure(alg, r.bits) == r.bits
 
 
 def is_tolerance(alg: FiniteAlgebra, r: BinRel) -> bool:
@@ -336,29 +346,29 @@ def _image_tables(alg: FiniteAlgebra):
     return tables
 
 
-def _pair_closure(alg: FiniteAlgebra, rows):
-    """Close the relation held in ``rows``, a list of row bitmasks, under
-    the operations applied componentwise, in place: the subuniverse of
-    A x A that it generates.  Yields each row's index as the row grows.
+def _pair_closure(alg: FiniteAlgebra, bits):
+    """The packed relation ``bits`` closed under the operations applied
+    componentwise: the subuniverse of A x A that it generates, packed.
 
-    A nullary c adds (c, c) once.  An operation f of arity k, applied to
-    first coordinates a1..ak whose rows are non-empty, adds to row
-    f(a1..ak) the image of rows[a1] x ... x rows[ak]: the OR, over every
-    prefix b1..b(k-1) drawn from the first k-1 rows, of the image-table
-    entries for the chunks of rows[ak].  Each round applies every
-    operation to every such tuple, and rows grow in place as it goes, so
-    later tuples read the grown rows.  A tuple whose target row is full is
-    skipped before its image is built, since a full row cannot grow.  The
-    closure is reached when a round grows no row, or at once when every
-    row is full, even in the middle of a round: nabla is closed.
+    The kernel unpacks the relation into a list of row bitmasks.  A nullary
+    c adds (c, c) once.  An operation f of arity k, applied to first
+    coordinates a1..ak whose rows are non-empty, adds to row f(a1..ak) the
+    image of rows[a1] x ... x rows[ak]: the OR, over every prefix
+    b1..b(k-1) drawn from the first k-1 rows, of the image-table entries for
+    the chunks of rows[ak].  Each round applies every operation to every
+    such tuple, and rows grow in place as it goes, so later tuples read the
+    grown rows.  A tuple whose target row is full is skipped before its
+    image is built, since a full row cannot grow.  The closure is reached
+    when a round grows no row, or at once when every row is full, even in
+    the middle of a round: nabla is closed.
     """
     n = alg.size
+    full = (1 << n) - 1
+    rows = [bits >> a & full for a in range(0, n * n, n)]
     for op in alg.operations:
         if op.arity == 0:
             c = op.table[0]
-            if not rows[c] >> c & 1:
-                rows[c] |= 1 << c
-                yield c
+            rows[c] |= 1 << c
     tables = _image_tables(alg)
     lows = range(0, n, 8)
     stride = sum(1 << min(8, n - lo) for lo in lows)  # img entries per prefix
@@ -372,7 +382,6 @@ def _pair_closure(alg: FiniteAlgebra, rows):
 
     for a in range(n):
         prepare(a)
-    full = (1 << n) - 1
     grew = rows.count(full) < n
     while grew:
         grew = False
@@ -397,9 +406,9 @@ def _pair_closure(alg: FiniteAlgebra, rows):
                         rows[t] |= image
                         prepare(t)
                         grew = True
-                        yield t
                         if rows[t] == full and rows.count(full) == n:
-                            return
+                            return (1 << n * n) - 1
+    return _pack(n, rows)
 
 
 # The most kernel results one algebra keeps cached.  A full cache is
@@ -418,16 +427,6 @@ _CLOSURE_CACHE_CAP = 1 << 16
 # every count, 1.5x at 1000 dense draws.  Larger algebras close every
 # relation from the relation itself.
 _PRINCIPAL_TABLE_MAX_N = 8
-
-
-def _kernel_closure(alg, bits):
-    """The packed relation ``bits`` closed by the pair-closure kernel, which
-    grows its rows in place."""
-    n = alg.size
-    rows = list(BinRel._of(n, bits).rows)
-    for _ in _pair_closure(alg, rows):
-        pass
-    return _pack(n, rows)
 
 
 def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
@@ -468,7 +467,7 @@ def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
             i = low.bit_length() - 1
             slot = table[i]
             if slot is None and fill:
-                slot = table[i] = _kernel_closure(alg, diag | low)
+                slot = table[i] = _pair_closure(alg, diag | low)
                 fill = False
             if slot is not None:
                 seed |= slot
@@ -482,10 +481,7 @@ def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
             return BinRel._of(n, bits)
         closed = cache.get(bits)
     if closed is None:
-        closed = BinRel._of(n, _kernel_closure(alg, bits))
-        if len(cache) >= _CLOSURE_CACHE_CAP:
-            cache.clear()
-        cache[bits] = closed
+        closed = _put(cache, _CLOSURE_CACHE_CAP, bits, BinRel._of(n, _pair_closure(alg, bits)))
     return closed
 
 

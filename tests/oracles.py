@@ -74,8 +74,19 @@ def rows_union(r, s):
 
 
 def rows_m_compose(r, s, m):
-    out = r
-    for i in range(2, m + 1):
+    """r o s o r o ... with m factors, composed one factor at a time.  The
+    product of the first i factors and the parity of i fix every later
+    product, so once that state repeats the products repeat with the
+    distance as period, and whole periods of the steps left are skipped."""
+    out, i, seen = r, 1, {}
+    while i < m and (out, i % 2) not in seen:
+        seen[out, i % 2] = i
+        i += 1
+        out = rows_compose(out, s if i % 2 == 0 else r)
+    if i < m:
+        i = m - (m - i) % (i - seen[out, i % 2])
+    while i < m:
+        i += 1
         out = rows_compose(out, s if i % 2 == 0 else r)
     return out
 

@@ -155,6 +155,10 @@ def test_term_table_projection(sl2):
     fe = term_table(sl2, Variable(0), 3)
     # first variable is most significant in the tuple encoding
     assert fe.vector == tuple(code // 4 for code in range(8))
+    # a projection index outside 0..g-1 names no variable
+    for g, i in ((2, 3), (2, 2), (3, -1)):
+        with pytest.raises(TermError, match="out of range"):
+            projection(2, g, i)
 
 
 def test_term_table_triple_meet(sl2):

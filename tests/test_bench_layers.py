@@ -83,3 +83,17 @@ def test_traced_run_installs_and_restores():
     assert report["closure_calls"] > 0
     assert report["closure_distinct"] > 0
     assert report["changed"] == []
+
+
+def test_bench_selftest_passes():
+    # the benchmark's own checks: pinned answers against tests/oracles.py,
+    # and close_to_kind calls seen by the tracer = samples x quantifiers
+    root = TRACING.parents[1]
+    out = subprocess.run(
+        [sys.executable, str(root / "bench" / "selftest.py")],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr

@@ -641,16 +641,18 @@ def test_witness_chains_digest_pinned(z2, l2, m3, z2xz2):
 
 
 def test_witness_verifies_a_system_once_per_algebra(monkeypatch, l2):
-    # a passing system's verdict is kept on the algebra, so a sweep over its
-    # instances verifies it once; a failing system is verified, and
-    # refused, on every call, and another algebra verifies for itself
+    # a chain's verdict is kept on the algebra with the term tables it was
+    # verified on: the search's own verification serves every replay, a
+    # system built with lists of terms is the same chain, a failing system
+    # is verified once and then refused from the memo, and another algebra
+    # verifies for itself; a verification tabulates each term of the chain
     calls = []
-    for name in ("verify_directed_gumm", "verify_day"):
-        real = getattr(maltsev, name)
-        monkeypatch.setattr(maltsev, name, lambda alg, system, real=real: calls.append(alg) or real(alg, system))
+    real = maltsev.term_table
+    monkeypatch.setattr(maltsev, "term_table", lambda alg, t, g: calls.append(alg) or real(alg, t, g))
     fresh = FiniteAlgebra("l2-copy", l2.size, l2.operations)
     gumm, day = find_directed_gumm(fresh).system, find_day(fresh).system
-    calls.clear()
+    verified = [fresh] * (gumm.k + 1 + day.k + 1)
+    assert calls == verified
     instances = list(itertools.islice(_turt_instances(fresh, 1), 20))
     for R, V, W, S, a, b, chain in instances:
         witness_turt(fresh, gumm, R, V, W, S, a, b, chain)
@@ -658,44 +660,50 @@ def test_witness_verifies_a_system_once_per_algebra(monkeypatch, l2):
     day_instances = list(itertools.islice(_day_instances(fresh), 20))
     for theta, s, a, b, c in day_instances:
         witness_day(fresh, day, theta, s, a, b, c)
-    assert calls == [fresh, fresh]
-    # the same systems built with lists of terms are replayed, and their
-    # verdicts are the ones already kept
     witness_turt(fresh, DirectedGummSystem(gumm.k, gumm.p, list(gumm.j)), *instances[0])
     witness_day(fresh, DaySystem(day.k, list(day.d)), *day_instances[0])
-    assert calls == [fresh, fresh]
+    assert calls == verified
     broken = DirectedGummSystem(gumm.k, gumm.p, tuple(reversed(gumm.j)))
     for _ in range(3):
         with pytest.raises(PreconditionError, match="directed Gumm identities"):
             witness_turt(fresh, broken, *instances[0])
-    assert len(calls) == 5
+    assert not verify_directed_gumm(fresh, broken)
+    verified += [fresh] * (gumm.k + 1)
+    assert calls == verified
     other = FiniteAlgebra("l2-other", l2.size, l2.operations)
     witness_turt(other, gumm, *instances[0])
-    assert calls[-1] is other
+    assert calls == verified + [other] * (gumm.k + 1)
 
 
 def test_witness_tabulates_each_term_once_per_algebra(monkeypatch, l2):
-    # the replays keep each term's table on the algebra under (term, arity),
-    # so a sweep over one system's instances tabulates its terms once
+    # the replays read their term functions from the tables each chain was
+    # verified on, so the searches and a sweep over both systems' instances
+    # tabulate each term of each chain once, at the chain's arity; a memo
+    # that holds one chain, emptied as the sweep moves from one system to
+    # the other, gives the same chains
     fresh = FiniteAlgebra("l2-copy", l2.size, l2.operations)
-    gumm, day = find_directed_gumm(fresh).system, find_day(fresh).system
-    turt = list(itertools.islice(_turt_instances(fresh, 1), 20))
-    days = list(itertools.islice(_day_instances(fresh), 20))
-    # one replay of each first, so the verifiers' verdicts are kept and
-    # only the replays tabulate below
-    witness_turt(fresh, gumm, *turt[0])
-    witness_day(fresh, day, *days[0])
-    fresh._term_tables.clear()
     calls = []
     real = maltsev.term_table
     monkeypatch.setattr(maltsev, "term_table", lambda alg, t, g: calls.append((t, g)) or real(alg, t, g))
-    for instance in turt:
-        witness_turt(fresh, gumm, *instance)
-        witness_turtt(fresh, gumm, *instance)
-    for instance in days:
-        witness_day(fresh, day, *instance)
-    assert len(calls) == len(set(calls))
-    assert set(calls) == {(t, 3) for t in gumm.j} | {(t, 4) for t in day.d}
+    gumm, day = find_directed_gumm(fresh).system, find_day(fresh).system
+    turt = list(itertools.islice(_turt_instances(fresh, 1), 20))
+    days = list(itertools.islice(_day_instances(fresh), 20))
+
+    def sweep(alg):
+        chains = []
+        for instance in turt:
+            chains.append(witness_turt(alg, gumm, *instance))
+            chains.append(witness_turtt(alg, gumm, *instance))
+        for instance in days:
+            chains.append(witness_day(alg, day, *instance))
+        return chains
+
+    chains = sweep(fresh)
+    assert calls == [(t, 3) for t in (gumm.p, *gumm.j)] + [(t, 4) for t in day.d]
+    monkeypatch.setattr(maltsev, "_CHAINS_CAP", 1)
+    capped = FiniteAlgebra("l2-capped", l2.size, l2.operations)
+    assert sweep(capped) == chains
+    assert len(capped._chains) == 1
 
 
 def test_witness_day_deep_chain(l2):

@@ -130,13 +130,18 @@ def test_intersect_union():
     assert union(r, r) == r
 
 
-def test_m_compose_small():
+def test_m_compose_small(monkeypatch):
     r = rel_of(2, (0, 1))
     s = rel_of(2, (1, 0))
     assert m_compose(r, s, 1) == r
     assert m_compose(r, s, 2) == compose(r, s)
     with pytest.raises(ValueError):
         m_compose(r, s, 0)
+    # a large alternation count takes O(log m) compositions, not m - 1
+    calls = []
+    monkeypatch.setattr(rel, "compose", lambda x, y: calls.append(1) or compose(x, y))
+    assert m_compose(r, s, 1 << 25) == compose(r, s)
+    assert len(calls) <= 51
 
 
 @given(rels(3), rels(3))
@@ -258,7 +263,7 @@ def test_packed_operators_match_row_reference(n):
         assert converse(R).rows == oracles.rows_converse(r)
         assert intersect(R, S).rows == oracles.rows_intersect(r, s)
         assert union(R, S).rows == oracles.rows_union(r, s)
-        for m in (1, 2, 3, 4):
+        for m in (1, 2, 3, 4, 5, 6, 7, 19, 20, 1 << 25, (1 << 25) + 1):
             assert m_compose(R, S, m).rows == oracles.rows_m_compose(r, s, m)
             assert power(R, m).rows == oracles.rows_m_compose(r, r, m)
         assert star(R).rows == oracles.rows_star(r)
@@ -393,10 +398,7 @@ def test_closures_match_oracles(sl2, z2, l2, z2xz2, sl3, m3):
 def kernel_closure(alg, r):
     """cl(r) by the pair-closure kernel started from r | delta itself, as
     every closure started before the principal seed."""
-    rows = [m | 1 << a for a, m in enumerate(r.rows)]
-    for _ in rel._pair_closure(alg, rows):
-        pass
-    return BinRel(alg.size, rows)
+    return BinRel._of(alg.size, rel._pair_closure(alg, r.bits | delta(alg.size).bits))
 
 
 def kernel_congruence(alg, r):
@@ -513,9 +515,9 @@ def test_closure_fills_at_most_one_slot(monkeypatch):
     kernel = rel._pair_closure
     runs = []
 
-    def counted_kernel(alg, rows):
+    def counted_kernel(alg, bits):
         runs.append(1)
-        return kernel(alg, rows)
+        return kernel(alg, bits)
 
     monkeypatch.setattr(rel, "_pair_closure", counted_kernel)
     rng = random.Random(3)
@@ -544,9 +546,9 @@ def test_sampled_check_runs_kernel_once_per_slot_or_open_seed(monkeypatch, m3):
     kernel, closure = rel._pair_closure, rel.refl_adm_closure
     runs, inputs = [], []
 
-    def counted_kernel(alg, rows):
+    def counted_kernel(alg, bits):
         runs.append(1)
-        return kernel(alg, rows)
+        return kernel(alg, bits)
 
     def recorded_closure(alg, r):
         inputs.append(r)
@@ -579,9 +581,9 @@ def test_sampled_check_closes_each_kernel_input_once(monkeypatch, make):
     kernel = rel._pair_closure
     inputs = []
 
-    def recorded_kernel(alg, rows):
-        inputs.append(tuple(rows))
-        return kernel(alg, rows)
+    def recorded_kernel(alg, bits):
+        inputs.append(bits)
+        return kernel(alg, bits)
 
     monkeypatch.setattr(rel, "_pair_closure", recorded_kernel)
     verdict = check_identity(alg, catalog_entry("(D3)", m=INF), mode="sample", seed=5, samples=1000)
