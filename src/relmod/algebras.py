@@ -16,8 +16,8 @@ Operations with more than 256 argument codes, and universes of more than
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 
 DEFAULT_CAP = 1 << 20
 
@@ -40,11 +40,64 @@ class CapExceeded(RuntimeError):
         self.reached = reached
 
 
-@dataclass(frozen=True)
-class Operation:
-    symbol: str
-    arity: int
-    table: tuple  # flat, row-major, first argument most significant
+_set = object.__setattr__
+
+
+class Record:
+    """Base of relmod's immutable value classes.
+
+    A subclass names its fields in ``__slots__``; they follow its bases'
+    fields.  An instance is built from its fields by position or keyword,
+    equals another of the same class with equal fields, hashes by its class
+    and fields, prints as ``Name(field=value, ...)`` and refuses assignment.
+    The methods are written out once here, so defining a subclass compiles
+    and generates no code at import.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields += cls.__dict__.get("__slots__", ())
+        # the fields' values: a tuple for two or more, the value for one
+        cls._key = staticmethod(attrgetter(*cls._fields) if cls._fields else lambda _: ())
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} arguments, got {len(args)}")
+        for field, value in zip(fields, args):
+            _set(self, field, value)
+        for field in fields[len(args):]:
+            if field not in kwargs:
+                raise TypeError(f"{type(self).__name__}() missing argument {field!r}")
+            _set(self, field, kwargs.pop(field))
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got an unexpected argument {next(iter(kwargs))!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.__class__, self._key(self)))
+
+    def __repr__(self):
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"cannot assign to field {field!r}")
+
+    def __delattr__(self, field):
+        raise AttributeError(f"cannot delete field {field!r}")
+
+
+class Operation(Record):
+    # table: flat, row-major, first argument most significant
+    __slots__ = ("symbol", "arity", "table")
 
 
 class FiniteAlgebra:
@@ -161,15 +214,39 @@ def dump_algebra(alg: FiniteAlgebra) -> str:
     )
 
 
-@dataclass(frozen=True)
-class Variable:
-    index: int
+# Terms are built and hashed throughout term search, so Variable and Apply
+# spell out their constructors, equality and hashing.
 
 
-@dataclass(frozen=True)
-class Apply:
-    symbol: str
-    children: tuple
+class Variable(Record):
+    __slots__ = ("index",)
+
+    def __init__(self, index):
+        _set(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is Variable:
+            return self.index == other.index
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((Variable, self.index))
+
+
+class Apply(Record):
+    __slots__ = ("symbol", "children")
+
+    def __init__(self, symbol, children):
+        _set(self, "symbol", symbol)
+        _set(self, "children", children)
+
+    def __eq__(self, other):
+        if other.__class__ is Apply:
+            return self.symbol == other.symbol and self.children == other.children
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((Apply, self.symbol, self.children))
 
 
 Term = Variable | Apply

@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+import sys
 from enum import Enum
 from functools import partial
 from math import prod
 from operator import and_, or_
 from typing import NamedTuple
 
-from .algebras import DEFAULT_CAP, FiniteAlgebra, _put
+from .algebras import DEFAULT_CAP, FiniteAlgebra, Record, _put
 from .maltsev import q_bound, r_bound
 from . import relations as rel
 from .relations import BinRel, RelKind
@@ -52,72 +52,64 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Delta:
-    pass
+class Delta(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Nabla:
-    pass
+class Nabla(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _Binary:
-    lhs: object
-    rhs: object
+class _Binary(Record):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class _Unary:
-    arg: object
+class _Unary(Record):
+    __slots__ = ("arg",)
 
 
 class Intersect(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Union(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Compose(_Binary):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ComposeM(_Binary):
-    m: object  # int >= 1 or INF
+    __slots__ = ("m",)  # int >= 1 or INF
 
 
 class Plus(_Binary):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Power(_Unary):
-    h: int
+    __slots__ = ("h",)
 
 
 class Converse(_Unary):
-    pass
+    __slots__ = ()
 
 
 class Star(_Unary):
-    pass
+    __slots__ = ()
 
 
 class Overline(_Unary):
-    pass
+    __slots__ = ()
 
 
 class ToleranceOf(_Unary):
-    pass
+    __slots__ = ()
 
 
 class _Op(NamedTuple):
@@ -164,12 +156,9 @@ class StmtRel(Enum):
     EQUALS = "="
 
 
-@dataclass(frozen=True)
-class IdentityStatement:
-    quantifiers: tuple  # ((name, RelKind), ...)
-    relation: StmtRel
-    lhs: object
-    rhs: object
+class IdentityStatement(Record):
+    # quantifiers: ((name, RelKind), ...)
+    __slots__ = ("quantifiers", "relation", "lhs", "rhs")
 
 
 _RESERVED = set(_NAMED) | {kind.value for kind in RelKind} | {"inf"}
@@ -379,17 +368,13 @@ def lower(expr):
     return expr
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    assignment: tuple  # ((name, BinRel), ...) in quantifier order
-    witness: tuple  # (a, c)
+class Counterexample(Record):
+    # assignment: ((name, BinRel), ...) in quantifier order; witness: (a, c)
+    __slots__ = ("assignment", "witness")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    checked: int
-    counterexample: Counterexample | None
+class Verdict(Record):
+    __slots__ = ("holds", "checked", "counterexample")
 
 
 # The most values one compiled program keeps cached.  A full cache is
@@ -803,6 +788,17 @@ def _fields(k, h, m, l):
         raise ValueError(f"m must be an integer >= 2 or INF, got {m!r}")
     if not isinstance(l, int) or l < 1:
         raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    # q+1 is the largest number the templates print; its text must have no
+    # more digits than the interpreter converts (no limit before Python 3.10.7)
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits:
+        most = 10**digits - 2  # the largest q that prints
+        if 2 * k - 3 > most // 2:  # q_bound(1, k) = 2(2k-3)
+            raise ValueError(f"k must be at most {(most // 2 + 3) // 2}")
+        # the largest h with q_bound(h, k) = (2^(h+1) - 2)(2k-3) <= most
+        h_max = (most // (2 * k - 3) + 2).bit_length() - 2
+        if h > h_max:
+            raise ValueError(f"h must be at most {h_max} when k={k}")
     q = q_bound(h, k)
     s_vars = [f"S{i}" for i in range(1, l + 1)]
     return {

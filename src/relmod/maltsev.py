@@ -18,7 +18,6 @@ its relation, and the chain must end at c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from operator import itemgetter
 
@@ -27,7 +26,7 @@ from .algebras import (
     DEFAULT_CAP,
     FiniteAlgebra,
     FreeElement,
-    Term,
+    Record,
     Variable,
     _put,
     generate_subuniverse,
@@ -55,21 +54,16 @@ class ElementError(ValueError):
     usage error rather than a failed precondition."""
 
 
-@dataclass(frozen=True)
-class DirectedGummSystem:
+class DirectedGummSystem(Record):
     """Terms p, j_1..j_k; k=1 degenerates to a Maltsev term."""
 
-    k: int
-    p: Term
-    j: tuple
+    __slots__ = ("k", "p", "j")
 
 
-@dataclass(frozen=True)
-class DaySystem:
+class DaySystem(Record):
     """Quaternary terms d_0..d_k with the parity-alternating linking laws."""
 
-    k: int
-    d: tuple
+    __slots__ = ("k", "d")
 
 
 class SearchStatus(Enum):
@@ -78,12 +72,18 @@ class SearchStatus(Enum):
     CAP_EXCEEDED = "cap-exceeded"
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    status: SearchStatus
-    system: DirectedGummSystem | DaySystem | None
-    node_count: int  # 0 when the cap stopped the search before the graph was built
-    cap_error: CapExceeded | None = None
+class SearchResult(Record):
+    # node_count is 0 when the cap stopped the search before the graph was built
+    __slots__ = ("status", "system", "node_count", "cap_error")
+
+    def __init__(
+        self,
+        status: SearchStatus,
+        system: DirectedGummSystem | DaySystem | None,
+        node_count: int,
+        cap_error: CapExceeded | None = None,
+    ):
+        super().__init__(status, system, node_count, cap_error)
 
     @property
     def found(self):
@@ -112,8 +112,7 @@ def r_bound(h: int, k: int) -> int:
 _VARS = "xyzw"
 
 
-@dataclass(frozen=True)
-class _PathCondition:
+class _PathCondition(Record):
     """A linear Maltsev condition on a chain of terms t_0..t_k of one arity,
     written with argument patterns over the variables x, y, z, w.
 
@@ -124,13 +123,7 @@ class _PathCondition:
     generator end.
     """
 
-    arity: int
-    start: int | None
-    head: tuple | None
-    vertex: tuple
-    links: tuple
-    cycle: int
-    end: int
+    __slots__ = ("arity", "start", "head", "vertex", "links", "cycle", "end")
 
 
 # p(x,z,z)=x; j_i(x,y,x)=x; p(x,x,z)=j_1(x,x,z), then j_i(x,z,z)=j_{i+1}(x,x,z); j_k=z
@@ -310,7 +303,7 @@ def find_directed_gumm(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResu
     system = DirectedGummSystem(len(j), p, tuple(j))
     if not verify_directed_gumm(alg, system):
         raise RuntimeError("internal error: directed Gumm search produced an invalid system")
-    return replace(res, system=system)
+    return SearchResult(res.status, system, res.node_count, res.cap_error)
 
 
 def find_day(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
@@ -329,7 +322,7 @@ def find_day(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
     system = DaySystem(len(res.system) - 1, res.system)
     if not verify_day(alg, system):
         raise RuntimeError("internal error: Day search produced an invalid system")
-    return replace(res, system=system)
+    return SearchResult(res.status, system, res.node_count, res.cap_error)
 
 
 def decide_modularity(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
@@ -339,23 +332,18 @@ def decide_modularity(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResul
     return find_directed_gumm(alg, cap)
 
 
-@dataclass(frozen=True)
-class WitnessStep:
-    source: int
-    target: int
-    label: str
-    relation: BinRel
+class WitnessStep(Record):
+    __slots__ = ("source", "target", "label", "relation")
 
 
-@dataclass(frozen=True)
-class WitnessChain:
+class WitnessChain(Record):
     """Alternating elements and labelled relation steps certifying one
     membership in the right-hand side of an inclusion."""
 
-    start: int
-    end: int
-    steps: tuple
-    lam_blocks: int | None = None
+    __slots__ = ("start", "end", "steps", "lam_blocks")
+
+    def __init__(self, start: int, end: int, steps: tuple, lam_blocks: int | None = None):
+        super().__init__(start, end, steps, lam_blocks)
 
     def elements(self):
         return [self.start] + [s.target for s in self.steps]

@@ -69,12 +69,11 @@ its operands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import product
 
-from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra, _put
+from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra, Record, _put
 
 
 class BinRel:
@@ -518,10 +517,8 @@ def close_to_kind(alg: FiniteAlgebra, kind: RelKind, r: BinRel) -> BinRel:
     return _CLOSERS[kind](alg, r)
 
 
-@dataclass(frozen=True)
-class RelLattice:
-    kind: RelKind
-    members: tuple  # BinRel, canonically sorted
+class RelLattice(Record):
+    __slots__ = ("kind", "members")  # members: BinRel, canonically sorted
 
     def __len__(self):
         return len(self.members)

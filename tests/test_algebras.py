@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import naive_subuniverse
+from relmod import identities, maltsev, relations
 from relmod.algebras import (
     AlgebraError,
     Apply,
     CapExceeded,
     FiniteAlgebra,
     FreeElement,
+    Operation,
     TermError,
     Variable,
     dump_algebra,
@@ -382,3 +384,85 @@ def test_format_term():
     assert format_term(Variable(4)) == "v4"
     with pytest.raises(TermError, match="negative variable index -1"):
         format_term(Apply("meet", (Variable(0), Variable(-1))))
+
+
+# One instance of every value class, as (class, fields in declaration order).
+_S, _T = identities.Var("S"), identities.Var("T")
+_RECORDS = [
+    (Operation, {"symbol": "f", "arity": 1, "table": (1, 0)}),
+    (Variable, {"index": 2}),
+    (Apply, {"symbol": "f", "children": (Variable(0), Apply("c", ()))}),
+    (relations.RelLattice, {"kind": relations.RelKind.CONGRUENCE, "members": (relations.delta(2),)}),
+    (identities.Var, {"name": "S"}),
+    (identities.Delta, {}),
+    (identities.Nabla, {}),
+    (identities.Intersect, {"lhs": _S, "rhs": _T}),
+    (identities.Union, {"lhs": _S, "rhs": _T}),
+    (identities.Compose, {"lhs": _S, "rhs": _T}),
+    (identities.ComposeM, {"lhs": _S, "rhs": _T, "m": identities.INF}),
+    (identities.Plus, {"lhs": _S, "rhs": _T}),
+    (identities.Power, {"arg": _S, "h": 3}),
+    (identities.Converse, {"arg": _S}),
+    (identities.Star, {"arg": _S}),
+    (identities.Overline, {"arg": _S}),
+    (identities.ToleranceOf, {"arg": _S}),
+    (
+        identities.IdentityStatement,
+        {"quantifiers": (("S", relations.RelKind.REFL_ADM),), "relation": identities.StmtRel.EQUALS, "lhs": _S, "rhs": _S},
+    ),
+    (identities.Counterexample, {"assignment": (("S", relations.delta(2)),), "witness": (0, 1)}),
+    (identities.Verdict, {"holds": False, "checked": 3, "counterexample": None}),
+    (maltsev.DirectedGummSystem, {"k": 1, "p": Variable(2), "j": (Variable(2),)}),
+    (maltsev.DaySystem, {"k": 0, "d": (Variable(0),)}),
+    (
+        maltsev.SearchResult,
+        {"status": maltsev.SearchStatus.CAP_EXCEEDED, "system": None, "node_count": 0, "cap_error": CapExceeded("closure-size", 5, 6)},
+    ),
+    (
+        maltsev._PathCondition,
+        {"arity": 2, "start": 0, "head": None, "vertex": ("xy", "x"), "links": (("xx", "yy"),), "cycle": 0, "end": 1},
+    ),
+    (maltsev.WitnessStep, {"source": 0, "target": 1, "label": "S", "relation": relations.nabla(2)}),
+    (maltsev.WitnessChain, {"start": 0, "end": 0, "steps": (), "lam_blocks": 2}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", _RECORDS, ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_value_classes(cls, fields):
+    # built by position or by keyword: equal, equal hashes, the fields read
+    # back, a dataclass-style repr, and no assignment
+    a, b = cls(*fields.values()), cls(**fields)
+    assert a == b and hash(a) == hash(b)
+    assert {name: getattr(a, name) for name in fields} == fields
+    assert repr(a) == f"{cls.__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    for name in fields:
+        assert a != cls(**{**fields, name: object()})
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = None
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+
+
+def test_value_classes_compare_by_type():
+    # nodes with equal fields but different types differ, hashes included
+    pairs = [
+        (identities.Intersect(_S, _T), identities.Union(_S, _T)),
+        (identities.Compose(_S, _T), identities.Plus(_S, _T)),
+        (identities.Star(_S), identities.Overline(_S)),
+        (identities.Delta(), identities.Nabla()),
+    ]
+    for x, y in pairs:
+        assert x != y and hash(x) != hash(y)
+    assert len({x for pair in pairs for x in pair}) == 2 * len(pairs)
+
+
+def test_value_class_defaults():
+    status = maltsev.SearchStatus.FOUND
+    assert maltsev.SearchResult(status, None, 1) == maltsev.SearchResult(status, None, 1, None)
+    assert maltsev.SearchResult(status, None, node_count=1).cap_error is None
+    assert maltsev.WitnessChain(0, 1, ()).lam_blocks is None
+    assert maltsev.WitnessChain(start=0, end=1, steps=()) == maltsev.WitnessChain(0, 1, (), None)

@@ -85,6 +85,25 @@ def test_traced_run_installs_and_restores():
     assert report["changed"] == []
 
 
+def test_traced_cli_command_runs(tmp_path):
+    # the cli-readme workload's traced run: one README command under
+    # bench/cli_traced.py in a fresh interpreter, its counts in a snapshot
+    root = TRACING.parents[1]
+    snap = tmp_path / "snap.json"
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, str(root / "bench" / "cli_traced.py"), str(snap), "find-terms", "--algebra", "z2", "--family", "dgumm"],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    calls, _, _ = json.loads(snap.read_text(encoding="utf-8"))["stats"]["find_directed_gumm"]
+    assert calls >= 1
+
+
 def test_bench_selftest_passes():
     # the benchmark's own checks: pinned answers against tests/oracles.py,
     # and close_to_kind calls seen by the tracer = samples x quantifiers

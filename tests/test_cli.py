@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -9,20 +10,40 @@ import pytest
 
 from relmod import cli
 from relmod.corpus import builtin_json
+from relmod.identities import catalog_entry
 
 
 # the tree the tests import relmod from, so `python -m relmod` runs it too
 SRC = str(pathlib.Path(cli.__file__).resolve().parents[1])
 
 
-def run_cli(*argv):
+def _env():
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "relmod", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_cli(*argv):
+    return subprocess.run([sys.executable, "-m", "relmod", *argv], capture_output=True, text=True, env=_env())
+
+
+_IMPORT_CLI = """
+import json, sys
+before = set(sys.modules)
+import relmod.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_generates_no_code():
+    out = subprocess.run([sys.executable, "-c", _IMPORT_CLI], capture_output=True, text=True, env=_env())
+    assert out.returncode == 0, out.stderr
+    loaded = set(json.loads(out.stdout))
+    # dataclasses, with inspect behind it, would add about 20 ms to every
+    # command's start
+    assert not {"dataclasses", "inspect"} & loaded
+    # the benchmark's tracer (bench/tracing.py) finds the functions it wraps
+    # in these modules through sys.modules, so the CLI's import loads them all
+    assert {"relmod.algebras", "relmod.relations", "relmod.identities", "relmod.maltsev"} <= loaded
 
 
 def test_check_holds_exit_zero():
@@ -443,6 +464,20 @@ def test_catalog_params():
     assert ";^inf" in res.stdout
 
 
+def test_catalog_exponent_bounds_are_tight():
+    # the printed numbers must fit the interpreter's int-to-text limit; the
+    # largest h or k a usage error names is accepted, and one more is not
+    argv = ["check", "--algebra", "l2", "--identity", "(a1)", "--param"]
+    assert cli.main(argv + ["h=14283"]) == 0
+    assert cli.main(argv + ["h=14284"]) == 2
+    with pytest.raises(ValueError, match="k must be at most") as e:
+        catalog_entry("(a1)", k=10**4300)
+    k_max = int(re.search(r"at most (\d+)", str(e.value)).group(1))
+    catalog_entry("(a1)", k=k_max)
+    with pytest.raises(ValueError, match="k must be at most"):
+        catalog_entry("(a1)", k=k_max + 1)
+
+
 def test_timings_flag_off_by_default():
     plain = run_cli("check", "--algebra", "l2", "--identity", "(1.1)")
     timed = run_cli("check", "--algebra", "l2", "--identity", "(1.1)", "--timings")
@@ -497,11 +532,12 @@ _DAY_L2 = ("witness", "--algebra", "l2") + _DAY_BASE
     [
         (("catalog", "--param", "k=1"), "k must be an integer >= 2, got 1"),
         (("check", "--algebra", "l2", "--identity", "(A1)", "--param", "m=1"), "m must be an integer >= 2"),
+        (("check", "--algebra", "l2", "--identity", "(a1)", "--param", "h=20000"), "h must be at most 14283 when k=2"),
         (("check", "--algebra", "l2", "--identity", "(1.1)", "--sort", "X=CON"), "no quantifier named 'X'"),
         (_DAY_L2 + ("--rel", "Theta=nabla", "--rel", "S=0-7"), "bad --rel 'S=0-7'"),
         (_DAY_L2 + ("--rel", "Theta=nabla", "--rel", "S=delta+x"), "bad --rel 'S=delta+x'"),
     ],
-    ids=["catalog-k", "check-m", "sort-name", "rel-range", "rel-term"],
+    ids=["catalog-k", "check-m", "check-h", "sort-name", "rel-range", "rel-term"],
 )
 def test_library_input_errors_exit_two(args, message, capsys):
     # the user-input errors the library reports as ValueError reach the

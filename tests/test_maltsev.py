@@ -294,7 +294,14 @@ CORPUS_TERMS = {
 
 @pytest.mark.parametrize("family", ["dgumm", "day"])
 @pytest.mark.parametrize("name", corpus.builtin_names())
-def test_corpus_terms_pinned(name, family):
+def test_corpus_terms_pinned(name, family, monkeypatch):
+    search, searched = maltsev._search, []
+
+    def recording(*args):
+        searched.append(search(*args))
+        return searched[-1]
+
+    monkeypatch.setattr(maltsev, "_search", recording)
     if family == "dgumm":
         res = find_directed_gumm(corpus.builtin(name))
         terms = (res.system.p,) + res.system.j if res.found else None
@@ -309,6 +316,9 @@ def test_corpus_terms_pinned(name, family):
         [format_term(t) for t in terms] if terms else None,
     )
     assert got == CORPUS_TERMS[name, family]
+    # the search's status, node count and cap error survive the system's swap
+    (raw,) = searched
+    assert (res.status, res.node_count, res.cap_error) == (raw.status, raw.node_count, raw.cap_error)
 
 
 def test_closure_digest_pinned(monkeypatch):
