@@ -290,14 +290,22 @@ class FreeElement:
     """A g-ary term function, stored as its value vector plus a witnessing term.
 
     Equality and hashing are on the vector; the term records how the element
-    was first derived from the generators.
+    was first derived from the generators.  The vector reads as a tuple; one
+    given as bytes, as closures and term tables make them, is kept packed
+    until it is first read.
     """
 
-    __slots__ = ("vector", "term")
+    __slots__ = ("_vector", "term")
 
     def __init__(self, vector, term):
-        self.vector = tuple(vector)
+        self._vector = vector if type(vector) is bytes else tuple(vector)
         self.term = term
+
+    @property
+    def vector(self):
+        if type(self._vector) is bytes:
+            self._vector = tuple(self._vector)
+        return self._vector
 
     def __eq__(self, other):
         return isinstance(other, FreeElement) and self.vector == other.vector
@@ -372,13 +380,20 @@ def term_table(alg: FiniteAlgebra, t: Term, g: int, cap: int = DEFAULT_CAP) -> F
     return FreeElement(value(t), t)
 
 
-def generate_subuniverse(alg: FiniteAlgebra, width: int, generators, cap: int = DEFAULT_CAP):
+def generate_subuniverse(alg: FiniteAlgebra, width: int, generators, cap: int = DEFAULT_CAP, *, stop=None):
     """Least set of width-vectors containing the generators and closed under
     every operation applied coordinatewise.
 
     Returns the elements in deterministic breadth-first discovery order;
     each carries the first (shortest-discovered) term over the generators
     that produces it, with Variable(i) naming generator i.
+
+    stop, when given, is called after every round that adds elements, with
+    the vectors closed so far in discovery order (bytes, or tuples when
+    n > 256), which it must not change.  When it returns true, the elements
+    closed so far are returned: a prefix of the full closure, with the same
+    order and terms, since each round adds exactly the elements one level
+    deeper.
 
     Vectors are kept as bytes (tuples when n > 256) beside their big-endian
     ints, and an operation with n**arity <= 256 is applied to whole vectors
@@ -448,7 +463,7 @@ def generate_subuniverse(alg: FiniteAlgebra, width: int, generators, cap: int = 
                                 raise CapExceeded("closure-size", cap, len(vecs) + 1)
                             add(out, Apply(op.symbol, tuple(terms[i] for i in head) + (terms[j],)))
         first_round = False
-        if len(vecs) == round_len:
+        if len(vecs) == round_len or (stop is not None and stop(vecs)):
             return [FreeElement(vec, term) for vec, term in zip(vecs, terms)]
         frontier_start = round_len
 

@@ -38,7 +38,7 @@ from math import prod
 from operator import and_, or_
 from typing import NamedTuple
 
-from .algebras import DEFAULT_CAP, FiniteAlgebra, Record, _put
+from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra, Record, _put
 from .maltsev import q_bound, r_bound
 from . import relations as rel
 from .relations import BinRel, RelKind
@@ -151,6 +151,23 @@ def _operands(expr):
     return ()
 
 
+# The deepest a statement side may nest: at most this many parentheses
+# around any point, and at most this many operators on any path from the
+# root of its tree to a leaf.  The parser, the printer and _Program recurse
+# once per level, so each stays far inside the interpreter's recursion limit.
+_MAX_DEPTH = 100
+
+
+def _depth(expr):
+    """The most operators on a path from expr's root to a leaf."""
+    most, todo = 0, [(expr, 0)]
+    while todo:
+        e, depth = todo.pop()
+        most = max(most, depth)
+        todo += [(c, depth + 1) for c in _operands(e)]
+    return most
+
+
 class StmtRel(Enum):
     INCLUDED_IN = "<="
     EQUALS = "="
@@ -196,6 +213,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.declared = {}  # name -> RelKind, filled before the expressions are read
+        self.nesting = 0  # parentheses open at the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -227,12 +245,12 @@ class _Parser:
             self.next()
         self.declared = quantifiers
         self.expect_sym("|-")
-        lhs = self.parse_expr()
+        lhs = self.parse_side()
         kind, value, pos = self.next()
         if kind != "sym" or value not in ("<=", "="):
             raise ParseError(f"expected '<=' or '=', found {value!r}", pos)
         relation = StmtRel.INCLUDED_IN if value == "<=" else StmtRel.EQUALS
-        rhs = self.parse_expr()
+        rhs = self.parse_side()
         kind, value, pos = self.next()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {value!r}", pos)
@@ -250,6 +268,23 @@ class _Parser:
             return (name, RelKind(sort))
         except ValueError:
             raise ParseError(f"expected REFL, TOL or CON, found {sort!r}", pos) from None
+
+    def parse_side(self):
+        pos = self.peek()[2]
+        e = self.parse_expr()
+        if _depth(e) > _MAX_DEPTH:
+            raise ParseError(f"expression nests more than {_MAX_DEPTH} operators deep", pos)
+        return e
+
+    def parse_nested(self, pos):
+        """The expression inside a parenthesis, opened at pos or by the
+        operator name there."""
+        if self.nesting == _MAX_DEPTH:
+            raise ParseError(f"expression nests more than {_MAX_DEPTH} parentheses deep", pos)
+        self.nesting += 1
+        e = self.parse_expr()
+        self.nesting -= 1
+        return e
 
     def parse_expr(self, prec=1):
         """An expression whose outermost binary operators have precedence
@@ -284,7 +319,7 @@ class _Parser:
     def parse_atom(self):
         kind, value, pos = self.next()
         if kind == "sym" and value == "(":
-            e = self.parse_expr()
+            e = self.parse_nested(pos)
             self.expect_sym(")")
             return e
         if kind != "name":
@@ -294,7 +329,7 @@ class _Parser:
             return node()
         if node is not None:
             self.expect_sym("(")
-            arg = self.parse_expr()
+            arg = self.parse_nested(pos)
             if node is Power:
                 self.expect_sym(",")
                 hkind, h, hpos = self.next()
@@ -648,7 +683,8 @@ def check_identity(
     canonical order (declaration order outermost) and reports the least
     counterexample; sample mode draws `samples` >= 1 assignments, each by
     closing a random relation to its sort, reproducibly from the integer
-    seed.
+    seed.  cap bounds each lattice and, in exhaustive mode, the number of
+    assignments, checked before the first is run.
 
     The statement is compiled once into a `_Program` and run as generated
     code, one loop per quantifier in declaration order, with each subterm
@@ -671,6 +707,9 @@ def check_identity(
             raise ValueError(f"duplicate quantifier {name!r}")
     if mode == "exhaustive":
         lattices = [rel.enumerate_relations(alg, kind, cap=cap).members for kind in kinds]
+        total = prod(map(len, lattices))
+        if total > cap:
+            raise CapExceeded("assignments", cap, total)
     elif mode == "sample":
         if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
             raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
@@ -690,7 +729,7 @@ def check_identity(
     packed = [[r.bits for r in members] for members in lattices]
     found = program.search(stmt, exhaustive=True)(packed)
     if found is None:
-        return Verdict(True, prod(map(len, packed)), None)
+        return Verdict(True, total, None)
     small, big, *values = found
     index = [bits.index(v) for bits, v in zip(packed, values)]
     checked = 0
@@ -788,6 +827,9 @@ def _fields(k, h, m, l):
         raise ValueError(f"m must be an integer >= 2 or INF, got {m!r}")
     if not isinstance(l, int) or l < 1:
         raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    # the right sides of (turt) and (turtt) nest l+3 operators deep
+    if l > _MAX_DEPTH - 3:
+        raise ValueError(f"l must be at most {_MAX_DEPTH - 3}")
     # q+1 is the largest number the templates print; its text must have no
     # more digits than the interpreter converts (no limit before Python 3.10.7)
     digits = getattr(sys, "get_int_max_str_digits", int)()

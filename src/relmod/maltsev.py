@@ -5,10 +5,12 @@ Both term conditions are chains t_0..t_k whose links are identities between
 neighbours, so one engine decides both: each is a _PathCondition record,
 _search finds a shortest chain among the term functions restricted to the
 argument tuples the record reads, and _verify checks a chain against the
-record over every tuple of the algebra.  _verify keeps on the algebra the
-full term tables of each chain it verified, or None for one that failed,
-at most 2^10 chains; the witness replays read their term functions from
-those tables.
+record over every tuple of the algebra.  The search is anytime: _chain
+looks for a chain in the closure as it grows, and the first chain of the
+least length any algebra allows stops the closure.  _verify keeps on the
+algebra the full term tables of each chain it verified, or None for one
+that failed, at most 2^10 chains; the witness replays read their term
+functions from those tables.
 
 The witness constructors replay the inclusion proofs through one walker,
 _walk: a theorem lists its head step and its Lambda blocks as
@@ -73,7 +75,10 @@ class SearchStatus(Enum):
 
 
 class SearchResult(Record):
-    # node_count is 0 when the cap stopped the search before the graph was built
+    """A search's status, its system (None unless FOUND), the number of
+    restricted vertices among the elements closed when the search ended (0
+    when the cap stopped it), and the cap's error when it did."""
+
     __slots__ = ("status", "system", "node_count", "cap_error")
 
     def __init__(
@@ -183,24 +188,64 @@ def _verify(cond, alg, terms):
 
 def _search(cond, alg, cap):
     """Shortest chain for cond among the term functions of alg restricted to
-    the argument tuples its laws read.  The result's system is the tuple of
-    terms t_0..t_k; node_count counts the restricted vertices.
+    the argument tuples its laws read: the subpower of A^width generated by
+    the restricted projections, width the number of those tuples.  The
+    result's system is the tuple of terms t_0..t_k; node_count counts the
+    restricted vertices among the elements closed when the search ended.
+    cap bounds both the width and the closure size.
 
     The restriction is exact: every law reads only those tuples, so the
     restricted graph is the full one with vertices of equal restriction
     merged, and it has a chain of length k exactly when the full graph does.
-    The endpoints are generators, which keep their terms Variable(i).
+    The tuples are chosen so that the projections differ pairwise, and the
+    endpoints are generators, which keep their terms Variable(i).
+
+    _chain runs after each closure round that at least doubles the elements
+    since its last run, and on the full closure.  A chain of the least
+    length any algebra allows stops the closure: 1 when t_0 is free, else 2,
+    since t_0 = x links to t_1 = w only when x = w.  The closed elements are
+    a prefix of the full closure with the same terms, and at that length
+    the pick depends on each vertex alone, so it is the full search's.  A
+    longer chain, or none, on a prefix decides nothing.
     """
     identities = [cond.vertex] + ([cond.head] if cond.head else [])
     reads = {law: _read(alg.size, law) for law in identities + list(cond.links)}
-    codes = [c for law in identities for c in reads[law][0]]
-    codes += [c for law in cond.links for side in reads[law] for c in side]
+    codes = {c for law in identities for c in reads[law][0]}
+    codes |= {c for law in cond.links for side in reads[law] for c in side}
+    codes = sorted(codes)
+    column = {code: c for c, code in enumerate(codes)}
+    least = 1 if cond.start is None else 2
+    closed, found = 0, None  # elements at the last _chain run, and its answer
+
+    def stop(vecs):
+        nonlocal closed, found
+        if len(vecs) < 2 * closed:
+            return False
+        closed, found = len(vecs), _chain(cond, reads, column, vecs)
+        return found[1] is not None and len(found[1]) == least + 1
+
     try:
-        free, column = _restricted_free(alg, cond.arity, codes, cap)
+        if len(codes) > cap:
+            raise CapExceeded("vector-length", cap, len(codes))
+        n, g = alg.size, cond.arity
+        gens = [FreeElement([c // n ** (g - 1 - i) % n for c in codes], Variable(i)) for i in range(g)]
+        free = generate_subuniverse(alg, len(codes), gens, cap, stop=stop)
     except CapExceeded as e:
         return SearchResult(SearchStatus.CAP_EXCEEDED, None, 0, e)
+    if len(free) > closed:
+        found = _chain(cond, reads, column, [e.vector for e in free])
+    nodes, chain = found
+    if chain is None:
+        return SearchResult(SearchStatus.NOT_UP_TO, None, nodes)
+    return SearchResult(SearchStatus.FOUND, tuple(free[pos].term for pos in chain), nodes)
 
-    vec = [e.vector for e in free]
+
+def _chain(cond, reads, column, vec):
+    """The number of restricted vertices among the vectors vec, and the
+    positions in vec of the least chain t_0..t_k, or None when there is
+    none: the shortest, with t_1..t_k least in closure order, then the
+    least t_0 linked to t_1.  column maps each code that reads holds to its
+    coordinate."""
 
     def reader(codes):
         return itemgetter(*[column[c] for c in codes])
@@ -230,7 +275,7 @@ def _search(cond, alg, cap):
         seen |= frontier
         k += 1
     if not frontier:
-        return SearchResult(SearchStatus.NOT_UP_TO, None, len(vertices))
+        return len(vertices), None
 
     # 2. exact-length backward sets: from can[i], links i..k-1 reach the end
     can = {k: {cond.end}}
@@ -246,8 +291,7 @@ def _search(cond, alg, cap):
         path.append(next(v for v in linked(path[-1], _phase(cond, i)) if v in can[i + 1]))
     left, right = sides[0]
     head = next(h for h in heads if left(vec[h]) == right(vec[path[0]]))
-    terms = tuple(free[pos].term for pos in [head] + path)
-    return SearchResult(SearchStatus.FOUND, terms, len(vertices))
+    return len(vertices), [head] + path
 
 
 def verify_directed_gumm(alg: FiniteAlgebra, system: DirectedGummSystem) -> bool:
@@ -262,28 +306,6 @@ def verify_day(alg: FiniteAlgebra, system: DaySystem) -> bool:
     if system.k != len(system.d) - 1 or system.k < 0:
         return False
     return _verify(_DAY, alg, tuple(system.d)) is not None
-
-
-def _restricted_free(alg, g, codes, cap):
-    """The g-ary term functions of alg restricted to the argument tuples
-    with mixed-radix codes in codes: the subpower of A^len(codes) generated
-    by the restricted projections, in generate_subuniverse order.
-
-    Returns the elements and the code -> column map.  Callers pass codes on
-    which the g projections differ pairwise, so generator i keeps position i
-    and the term Variable(i).  cap bounds both the width len(codes) and the
-    closure size.
-    """
-    n = alg.size
-    codes = sorted(set(codes))
-    if len(codes) > cap:
-        raise CapExceeded("vector-length", cap, len(codes))
-    gens = [
-        FreeElement(tuple(code // n ** (g - 1 - i) % n for code in codes), Variable(i))
-        for i in range(g)
-    ]
-    free = generate_subuniverse(alg, len(codes), gens, cap)
-    return free, {code: column for column, code in enumerate(codes)}
 
 
 def find_directed_gumm(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:

@@ -10,7 +10,8 @@ import pytest
 
 from relmod import cli
 from relmod.corpus import builtin_json
-from relmod.identities import catalog_entry
+from relmod import identities
+from relmod.identities import catalog_entry, parse_identity
 
 
 # the tree the tests import relmod from, so `python -m relmod` runs it too
@@ -476,6 +477,52 @@ def test_catalog_exponent_bounds_are_tight():
     catalog_entry("(a1)", k=k_max)
     with pytest.raises(ValueError, match="k must be at most"):
         catalog_entry("(a1)", k=k_max + 1)
+
+
+def test_catalog_chain_length_bound_is_tight(capsys):
+    # the right sides of (turt) and (turtt) nest l+3 operators deep; the
+    # largest l a usage error names reaches the parser's depth bound, runs,
+    # and one more is refused
+    argv = ["check", "--algebra", "l2", "--identity", "(turt)", "--mode", "sample", "--samples", "1", "--param"]
+    assert cli.main(argv + ["l=1000"]) == 2
+    l_max = int(re.search(r"l must be at most (\d+)", capsys.readouterr().err).group(1))
+    for label in ("(turt)", "(turtt)"):
+        assert identities._depth(catalog_entry(label, l=l_max).rhs) == identities._MAX_DEPTH
+    assert cli.main(argv + [f"l={l_max}"]) == 0
+    assert cli.main(argv + [f"l={l_max + 1}"]) == 2
+    assert f"l must be at most {l_max}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("S:REFL |- " + "(" * 400 + "S" + ")" * 400 + " <= S", "more than 100 parentheses deep"),
+        ("S:REFL |- " + "conv(" * 101 + "S" + ")" * 101 + " <= S", "more than 100 parentheses deep"),
+        ("S:REFL |- S <= S" + " ; S" * 101, "more than 100 operators deep"),
+    ],
+    ids=["parentheses", "calls", "chain"],
+)
+def test_deeply_nested_text_exit_two(text, message, capsys):
+    # the parser refuses what it, the printer and the compiler could not
+    # recurse through, instead of raising RecursionError
+    assert cli.main(["check", "--algebra", "l2", "--identity-text", text]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_nesting_at_the_depth_bound_parses():
+    parse_identity("S:REFL |- " + "conv(" * 100 + "S" + ")" * 100 + " <= S")
+    parse_identity("S:REFL |- S <= S" + " ; S" * 100)
+
+
+def test_exhaustive_check_over_the_cap_exit_three(capsys):
+    # (turt) with l=50 quantifies 53 relations, 4^53 assignments on l2; the
+    # count is refused before the first assignment runs
+    argv = ["check", "--algebra", "l2", "--identity", "(turt)", "--param", "l=50"]
+    assert cli.main(argv) == 3
+    assert f"assignments cap exceeded: reached {4**53}, limit {2**20}" in capsys.readouterr().err
+    # (turt) with l=2 runs 4^5 = 1024 assignments: a cap of 1024 admits them
+    assert cli.main(["check", "--algebra", "l2", "--identity", "(turt)", "--cap", "1024"]) == 0
+    assert cli.main(["check", "--algebra", "l2", "--identity", "(turt)", "--cap", "1023"]) == 3
 
 
 def test_timings_flag_off_by_default():

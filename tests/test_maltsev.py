@@ -164,7 +164,10 @@ def test_find_day_m3(m3):
 
 
 # k, node_count and the printed d_0..d_k of the Day search on the pentagon
-# N5 and on Z6, whose restricted closures are among the largest that end
+# N5 and on Z6, whose restricted closures are among the largest that end.
+# node_count counts the restricted vertices closed when the search ended:
+# on Z6 the chain of the least length k=2 stops the closure early, with 16
+# vertices closed of the full closure's 36
 HARD_DAY = [
     (pentagon(), 3, 292, [
         "x",
@@ -172,7 +175,7 @@ HARD_DAY = [
         "meet(meet(join(x,z),join(x,w)),join(z,w))",
         "w",
     ]),
-    (FiniteAlgebra("z6", 6, [("add", 2, table(6, 2, lambda x, y: (x + y) % 6))]), 2, 36, [
+    (FiniteAlgebra("z6", 6, [("add", 2, table(6, 2, lambda x, y: (x + y) % 6))]), 2, 16, [
         "x",
         "add(add(add(y,z),z),add(add(z,z),add(z,w)))",
         "w",
@@ -189,9 +192,51 @@ def test_find_day_hard_cases(alg, k, nodes, terms):
 
 
 def test_find_directed_gumm_s3_runs_out_of_closure():
+    # the chain k=1 first appears in the closure round that grows the
+    # restricted subpower from 175 to 12,776 elements; the cap stops that
+    # round before the search can look
     res = find_directed_gumm(symmetric3(), cap=5000)
     assert res.status is SearchStatus.CAP_EXCEEDED
     assert res.cap_error.kind == "closure-size"
+
+
+def test_s3_searches_stop_at_the_least_k():
+    # S3 is a group, so it has a Maltsev term; uncapped, both searches stop
+    # the closure at the first chain of the least length, certified by the
+    # verifiers and the oracles' term evaluation
+    s3 = symmetric3()
+    res = find_directed_gumm(s3)
+    assert res.found and res.system.k == 1
+    assert verify_directed_gumm(s3, res.system) and dg_system_holds(s3, res.system)
+    res = find_day(s3)
+    assert res.found and res.system.k == 2
+    assert verify_day(s3, res.system) and day_system_holds(s3, res.system)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [corpus.builtin(name) for name in corpus.builtin_names()]
+    + [FiniteAlgebra(f"z{n}", n, [("add", 2, table(n, 2, lambda x, y, n=n: (x + y) % n))]) for n in (4, 6)],
+    ids=lambda alg: alg.name,
+)
+def test_stopped_closure_is_a_prefix(alg):
+    # a closure stopped after round r holds exactly the first elements, with
+    # their terms, of the full closure, as many as it had after round r
+    width = alg.size**3
+    gens = [projection(alg.size, 3, i) for i in range(3)]
+    sizes = []  # the element count after each round that adds any
+    full = generate_subuniverse(alg, width, gens, stop=lambda vecs: sizes.append(len(vecs)))
+    assert sizes[-1] == len(full)
+    for r, size in enumerate(sizes, 1):
+        rounds = []
+
+        def stop(vecs):
+            rounds.append(len(vecs))
+            return len(rounds) == r
+
+        part = generate_subuniverse(alg, width, gens, stop=stop)
+        assert rounds == sizes[:r]
+        assert [(e.vector, e.term) for e in part] == [(e.vector, e.term) for e in full[:size]]
 
 
 @st.composite
