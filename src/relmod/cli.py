@@ -22,6 +22,8 @@ from . import corpus
 from .identities import (
     INF,
     ParseError,
+    _SORT_CHOICES,
+    _SORTS,
     catalog,
     catalog_entry,
     check_identity,
@@ -62,14 +64,19 @@ def _load_algebra_arg(source):
         raise UsageError(f"algebra file {source!r} is not UTF-8 text: {e.reason}") from None
 
 
+# the catalog's parameters; their defaults are catalog's and catalog_entry's
+_PARAMS = ("k", "h", "m", "l")
+
+
 def _parse_params(pairs):
-    params = {"k": 2, "h": 1, "m": 2, "l": 2}
+    """The --param values given, by name; an omitted one keeps its default."""
+    params = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise UsageError(f"bad --param {pair!r}, expected NAME=VALUE")
         name, value = pair.split("=", 1)
-        if name not in params:
-            raise UsageError(f"unknown parameter {name!r}, expected one of k,h,m,l")
+        if name not in _PARAMS:
+            raise UsageError(f"unknown parameter {name!r}, expected one of {','.join(_PARAMS)}")
         if value == "inf":
             params[name] = INF
             continue
@@ -93,12 +100,12 @@ def _parse_sorts(pairs):
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
-            raise UsageError(f"bad --sort {pair!r}, expected NAME=REFL|TOL|CON")
+            raise UsageError(f"bad --sort {pair!r}, expected NAME={'|'.join(_SORTS)}")
         name, value = pair.split("=", 1)
         try:
             out[name] = RelKind(value)
         except ValueError:
-            raise UsageError(f"bad sort {value!r}, expected REFL, TOL or CON") from None
+            raise UsageError(f"bad sort {value!r}, expected {_SORT_CHOICES}") from None
     return out
 
 
@@ -367,9 +374,8 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="relmod", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, algebra=True):
-        if algebra:
-            p.add_argument("--algebra", required=True, help="built-in name or JSON file path")
+    def common(p):
+        p.add_argument("--algebra", required=True, help="built-in name or JSON file path")
         p.add_argument("--format", choices=("text", "structured"), default="text")
         p.add_argument("--timings", action="store_true", help="include timing fields")
         p.add_argument("--cap", type=_cap_arg, default=DEFAULT_CAP)

@@ -168,6 +168,13 @@ def _depth(expr):
     return most
 
 
+def _check_depth(expr):
+    """Refuse a tree built outside the parser that nests deeper than it
+    lets a side nest, before a recursive walk overflows on it."""
+    if _depth(expr) > _MAX_DEPTH:
+        raise ValueError(f"expression nests more than {_MAX_DEPTH} operators deep")
+
+
 class StmtRel(Enum):
     INCLUDED_IN = "<="
     EQUALS = "="
@@ -178,7 +185,11 @@ class IdentityStatement(Record):
     __slots__ = ("quantifiers", "relation", "lhs", "rhs")
 
 
-_RESERVED = set(_NAMED) | {kind.value for kind in RelKind} | {"inf"}
+# the quantifier sorts, and how messages list them: "REFL, TOL or CON"
+_SORTS = tuple(kind.value for kind in RelKind)
+_SORT_CHOICES = f"{', '.join(_SORTS[:-1])} or {_SORTS[-1]}"
+
+_RESERVED = set(_NAMED) | set(_SORTS) | {"inf"}
 
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
@@ -267,7 +278,7 @@ class _Parser:
         try:
             return (name, RelKind(sort))
         except ValueError:
-            raise ParseError(f"expected REFL, TOL or CON, found {sort!r}", pos) from None
+            raise ParseError(f"expected {_SORT_CHOICES}, found {sort!r}", pos) from None
 
     def parse_side(self):
         pos = self.peek()[2]
@@ -660,6 +671,7 @@ def _first_missing_pair(n, lhs, rhs):
 def eval_expr(alg: FiniteAlgebra, expr, env) -> BinRel:
     """The value of expr on alg with its variables bound by `env` (name ->
     BinRel): one run of the compiled program that `check_identity` uses."""
+    _check_depth(expr)
     program = _Program(alg, env)
     slot = program.slot(expr)
     values = tuple(env.values())
@@ -705,6 +717,8 @@ def check_identity(
     for p, name in enumerate(names):
         if name in names[:p]:
             raise ValueError(f"duplicate quantifier {name!r}")
+    _check_depth(stmt.lhs)
+    _check_depth(stmt.rhs)
     if mode == "exhaustive":
         lattices = [rel.enumerate_relations(alg, kind, cap=cap).members for kind in kinds]
         total = prod(map(len, lattices))

@@ -24,6 +24,7 @@ from relmod.algebras import (
     projection,
     term_table,
 )
+from relmod.corpus import _table
 
 SL2_TEXT = json.dumps(
     {"name": "sl2", "size": 2, "operations": [{"symbol": "meet", "arity": 2, "table": [0, 0, 0, 1]}]}
@@ -259,10 +260,6 @@ def closure_instances(draw):
     width = draw(st.integers(1, 3).filter(lambda w: n**w <= 49))
     gens = draw(st.lists(st.tuples(*[entries] * width), max_size=3))
     return FiniteAlgebra("r", n, ops), width, gens
-
-
-def _table(n, arity, fn):
-    return [fn(*args) for args in product(range(n), repeat=arity)]
 
 
 # whole-vector ops of every arity, on n = 3

@@ -31,14 +31,17 @@ _IMPORT_CLI = """
 import json, sys
 before = set(sys.modules)
 import relmod.cli
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(json.dumps({"loaded": sorted(set(sys.modules) - before), "built": sorted(relmod.corpus._BUILT)}))
 """
 
 
 def test_cli_import_generates_no_code():
     out = subprocess.run([sys.executable, "-c", _IMPORT_CLI], capture_output=True, text=True, env=_env())
     assert out.returncode == 0, out.stderr
-    loaded = set(json.loads(out.stdout))
+    report = json.loads(out.stdout)
+    # a command builds only the corpus algebra it names
+    assert report["built"] == []
+    loaded = set(report["loaded"])
     # dataclasses, with inspect behind it, would add about 20 ms to every
     # command's start
     assert not {"dataclasses", "inspect"} & loaded
@@ -168,6 +171,18 @@ def test_check_bad_sort_exit_two():
     assert "bad sort 'XX', expected REFL, TOL or CON" in res.stderr
 
 
+def test_sort_messages_list_every_sort(capsys):
+    base = ["check", "--algebra", "l2", "--identity", "(1.1)"]
+    assert cli.main(base + ["--sort", "Theta"]) == 2
+    assert "bad --sort 'Theta', expected NAME=REFL|TOL|CON" in capsys.readouterr().err
+
+
+def test_params_pass_only_what_is_given():
+    # the catalog's own defaults fill the rest
+    assert cli._parse_params(None) == {}
+    assert cli._parse_params(["m=inf", "k=3", "m=4"]) == {"m": 4, "k": 3}
+
+
 def test_check_bad_param_value_exit_two():
     res = run_cli("check", "--algebra", "l2", "--identity", "(1.1)", "--param", "k=x")
     assert res.returncode == 2
@@ -192,6 +207,12 @@ def test_algebra_from_file(tmp_path):
     assert res.returncode == 0
     assert "FOUND k=1" in res.stdout
     assert "xor(xor(x,y),z)" in res.stdout
+
+
+def test_find_terms_on_a_corpus_group_needs_no_file():
+    res = run_cli("find-terms", "--algebra", "s3", "--family", "dgumm")
+    assert res.returncode == 0, res.stderr
+    assert "[find-terms] dgumm: FOUND k=1" in res.stdout
 
 
 def test_bad_algebra_file_exit_two(tmp_path):

@@ -64,7 +64,7 @@ from oracles import (
     naive_star,
     naive_subuniverse,
 )
-from table_algebras import chain_lattice, pentagon, symmetric3, table, z3_maltsev
+from relmod.corpus import _chain, _table as table
 
 
 # --- basic operators ---------------------------------------------------------
@@ -361,7 +361,8 @@ def test_closures_match_oracles(sl2, z2, l2, z2xz2, sl3, m3):
     z10 = FiniteAlgebra("z10", 10, [("add", 2, table(10, 2, lambda x, y: (x + y) % 10))])
     unit = FiniteAlgebra("unit", 1, [("c", 0, [0]), ("f", 2, [0])])
     bare_unit = FiniteAlgebra("bare-unit", 1, [("g", 1, [0])])
-    algs = (sl2, z2, l2, z2xz2, sl3, m3, pointed, symmetric3(), z3_maltsev(), chain_lattice(9), c9, z10)
+    l9 = FiniteAlgebra("l9", 9, _chain(9))
+    algs = (sl2, z2, l2, z2xz2, sl3, m3, pointed, corpus.builtin("s3"), corpus.builtin("z3m"), l9, c9, z10)
     rng = random.Random(3)
     verdicts = []
     for alg in algs + (unit, bare_unit):
@@ -510,7 +511,8 @@ def test_is_admissible_builds_no_principal_table(m3):
 def test_closure_fills_at_most_one_slot(monkeypatch):
     # on the pentagon few dense draws close to nabla; each closure still
     # fills at most one principal slot and runs the kernel at most twice
-    alg = pentagon()
+    n5 = corpus.builtin("n5")
+    alg = FiniteAlgebra("n5-copy", n5.size, n5.operations)
     n = alg.size
     kernel = rel._pair_closure
     runs = []
@@ -569,15 +571,16 @@ def test_sampled_check_runs_kernel_once_per_slot_or_open_seed(monkeypatch, m3):
     assert len(runs) <= 2 * filled + open_seeds
 
 
-@pytest.mark.parametrize("make", [pentagon, lambda: chain_lattice(4)], ids=["n5", "l4"])
-def test_sampled_check_closes_each_kernel_input_once(monkeypatch, make):
+@pytest.mark.parametrize("name", ["n5", "l4"])
+def test_sampled_check_closes_each_kernel_input_once(monkeypatch, name):
     # on a lattice few seeds reach nabla, so most sampled closures run the
     # kernel; the closure cache keeps its result under the kernel's input,
     # so a (D3) sample runs it once per distinct input, besides the runs
     # that fill principal slots
     from relmod.identities import catalog_entry, check_identity
 
-    alg = make()
+    base = corpus.builtin(name)
+    alg = FiniteAlgebra(name + "-copy", base.size, base.operations)
     kernel = rel._pair_closure
     inputs = []
 
@@ -593,11 +596,11 @@ def test_sampled_check_closes_each_kernel_input_once(monkeypatch, make):
 
 
 def test_lattices_digest_pinned():
-    # the canonically ordered REFL, TOL and CON lattices of every corpus
-    # algebra and of l4, n5, s3 and z3m; the digest was taken from the
-    # pair-at-a-time product loop that the row kernel replaced
-    algs = [corpus.builtin(name) for name in corpus.builtin_names()]
-    algs += [chain_lattice(4), pentagon(), symmetric3(), z3_maltsev()]
+    # the canonically ordered REFL, TOL and CON lattices of ten corpus
+    # algebras; the digest was taken from the pair-at-a-time product loop
+    # that the row kernel replaced
+    names = ("l2", "m3", "sl2", "sl3", "z2", "z2xz2", "l4", "n5", "s3", "z3m")
+    algs = [corpus.builtin(name) for name in names]
     lines = []
     for alg in algs:
         for kind in RelKind:
