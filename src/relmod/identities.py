@@ -115,10 +115,10 @@ class ToleranceOf(_Unary):
 class _Op(NamedTuple):
     spelling: str  # a binary operator's symbol, or the name the node is written with
     prec: int  # binding strength, tightest highest; _ATOM_PREC for all but binary operators
-    rel: str  # the relation operator in relations.py
-    param: str | None = None  # the node's parameter field, passed to rel by that name
-    reads: str | None = None  # "alg" or "size": what of the algebra rel takes first
-    packed: object = None  # the int operator of the same symbol, which _Program writes inline in place of rel
+    rel: str  # the relation operator in relations.py; _Program calls its kernel, "_" + rel
+    param: str | None = None  # the node's parameter field, passed to the kernel by that name
+    alg: bool = False  # the kernel takes the algebra first, not its size
+    packed: object = None  # the int operator of the same symbol, which _Program writes inline
 
 
 _ATOM_PREC = 4
@@ -133,11 +133,11 @@ _OPS = {
     Intersect: _Op("&", 3, "intersect", packed=and_),
     Converse: _Op("conv", _ATOM_PREC, "converse"),
     Star: _Op("star", _ATOM_PREC, "star"),
-    Overline: _Op("cl", _ATOM_PREC, "refl_adm_closure", reads="alg"),
-    ToleranceOf: _Op("tol", _ATOM_PREC, "tolerance_of", reads="alg"),
+    Overline: _Op("cl", _ATOM_PREC, "refl_adm_closure", alg=True),
+    ToleranceOf: _Op("tol", _ATOM_PREC, "tolerance_of", alg=True),
     Power: _Op("pow", _ATOM_PREC, "power", param="h"),
-    Delta: _Op("delta", _ATOM_PREC, "delta", reads="size"),
-    Nabla: _Op("nabla", _ATOM_PREC, "nabla", reads="size"),
+    Delta: _Op("delta", _ATOM_PREC, "delta"),
+    Nabla: _Op("nabla", _ATOM_PREC, "nabla"),
 }
 _BINARY = {op.spelling: node for node, op in _OPS.items() if issubclass(node, _Binary)}
 _NAMED = {op.spelling: node for node, op in _OPS.items() if not issubclass(node, _Binary)}
@@ -436,43 +436,38 @@ class _Program:
     """Relation expressions over the quantifiers `names`, compiled for one
     algebra into interned slots and run as generated loop code.
 
-    Every distinct subterm is one slot.  Slots are interned bottom-up by
-    (node type, child slots, parameter), so nothing is hashed recursively
-    and a subterm met twice, in one statement or in several, is one slot.
-    Each slot records the ascending positions of its free variables in
-    `names`; a slot with none is a constant, computed when it is interned.
+    Every distinct subterm is one slot, interned bottom-up by (node type,
+    child slots, parameter), so a subterm met twice is one slot; pow(e, h)
+    is interned as e ;^h e.  Each slot records the ascending positions of
+    its free variables in `names`; a slot with none is a constant, computed
+    when it is interned.  Slot values are packed relations, ints as
+    `BinRel.bits`.  "|" and "&" are written inline as the int operators of
+    the same symbols; every other operator is a call of its kernel in
+    `relations`, bound to the algebra or its size and to the node's
+    parameter, on the slot ints.
 
-    Slot values are relations packed as `BinRel.bits` is: one n^2-bit int
-    with pair (a, b) at bit a*n + b, so row a is bits a*n .. a*n+n-1.  "|"
-    and "&" are written inline as the int operators of the same symbols,
-    and a missing pair is the lowest set bit of lhs & ~rhs, split by
-    divmod(i, n).  Every other operator is the one in `relations`, looked
-    up through `rel.` when its slot is interned and called on `BinRel`
-    views of the ints; there `compose` and the Warshall pass work on the
-    same ints, each in n steps that select a column by shift and mask and
-    copy a row into every row that has that column's bit by one multiply.
+    `search` writes a statement as Python source, kept in `source`, and
+    runs it through `exec` once.  Quantifier i gets its own function: one
+    `for` loop over its values, which calls quantifier i+1's function, so
+    the block nesting stays within CPython's limit.  Each slot is computed
+    in the loop of its last free variable, once per pass, except:
 
-    `search` writes a statement as Python source and runs it through `exec`
-    once.  Quantifier i gets its own function: one `for` loop over its
-    values, which calls quantifier i+1's function, so the block nesting
-    stays within CPython's limit however many quantifiers there are.  Each
-    slot is computed in the loop of its last free variable, once per pass
-    of that loop.  Which slots go through the cache depends on the form:
-
-    - exhaustive (whole lattices, run in product order): a slot whose free
-      variables are exactly positions 0..i, i its loop, meets each
-      combination of them once, so it is computed in place.  Every other
-      slot but "|" and "&" is looked up in the cache under (slot, packed
-      values of its free variables), since later passes of the outer loops
-      meet each combination again (conv(T) or S ;^inf T under R, S, T).
-    - one value per quantifier (`violation` and `_runner`): no value repeats
-      within a call, so every slot but "|", "&" and those over every
-      quantifier is cached by value, for later calls.
+    - exhaustive (whole lattices, run in product order): a slot over one
+      quantifier p > 0 alone (conv(T), tol(T), S | conv(S)) is computed
+      once per member of p's lattice before the loops start, by a function
+      T<p> that pairs each member with them, so p's loop takes them in its
+      header (`for v2, x8 in D[2]:`).  A slot whose
+      free variables are exactly 0..i, i its loop, meets each combination
+      once and is computed in place; any other but "|" and "&" is looked up
+      in the cache under (slot, values of its free variables), since later
+      passes of the outer loops meet it again (S ;^inf T under R, S, T).
+    - one value per quantifier (`violation` and `_runner`): every slot but
+      "|", "&" and those over every quantifier is cached by value, for
+      later calls.
 
     The one cache dict holds at most `_CACHE_CAP` entries and is emptied
     when full.  `_runner(slot)` generates, in the one-value form, a function
-    from a tuple of `BinRel` in the order of `names` to the slot's `BinRel`;
-    it reads and fills the same cache.
+    from a tuple of `BinRel` in the order of `names` to the slot's `BinRel`.
     """
 
     def __init__(self, alg: FiniteAlgebra, names):
@@ -482,9 +477,10 @@ class _Program:
         self._slots = {}  # (node type, child slots, parameter) -> slot
         self._keys = []  # slot -> (node type, child slots, parameter)
         self.free = []  # slot -> ascending positions of its free variables
-        self._fns = {}  # slot -> its operator in `relations`, unless written inline
+        self._fns = {}  # slot -> its bound kernel, unless written inline
         self._constants = {}  # slot without free variables -> its packed value
         self._cache = {}  # (slot, packed values of its free variables) -> packed value
+        self.source = None
 
     def slot(self, expr) -> int:
         """Compile expr and its subterms; return expr's slot."""
@@ -494,6 +490,8 @@ class _Program:
             if p is None:
                 raise ValueError(f"unbound variable {expr.name!r}")
             key = (Var, (), p)
+        elif node is Power:
+            key = (ComposeM, (self.slot(expr.arg),) * 2, expr.h)
         elif node in _OPS:
             param = _OPS[node].param
             kids = tuple(self.slot(e) for e in _operands(expr))
@@ -514,27 +512,20 @@ class _Program:
         free = tuple(sorted({p for k in kids for p in self.free[k]}))
         self.free.append(free)
         op = _OPS[node]
-        if not op.packed:
-            self._fns[slot] = self._operator(node, param)
+        fn = op.packed or self._kernel(node, param)
         if not free:
-            args = [self._constants[k] for k in kids]
-            if op.packed:
-                self._constants[slot] = op.packed(*args)
-            else:
-                n = self.alg.size
-                self._constants[slot] = self._fns[slot](*(BinRel._of(n, a) for a in args)).bits
+            self._constants[slot] = fn(*(self._constants[k] for k in kids))
+        elif not op.packed:
+            self._fns[slot] = fn
         return slot
 
-    def _operator(self, node, param):
-        if node is ComposeM and param == INF:
-            return rel.plus
+    def _kernel(self, node, param):
+        """node's kernel, bound to the algebra or its size and to param."""
         op = _OPS[node]
-        fn = getattr(rel, op.rel)
-        if op.reads:
-            fn = partial(fn, self.alg if op.reads == "alg" else self.alg.size)
-        if op.param:
-            fn = partial(fn, **{op.param: param})
-        return fn
+        first = self.alg if op.alg else self.alg.size
+        if node is ComposeM and param == INF:
+            return partial(rel._plus, first)
+        return partial(getattr(rel, "_" + op.rel), first, **({op.param: param} if op.param else {}))
 
     def _name(self, slot):
         """The name generated code reads slot's value by."""
@@ -555,6 +546,12 @@ class _Program:
                 todo.extend(self._keys[slot][1])
         return needed
 
+    def _tabled(self, slot, exhaustive):
+        """Whether slot is computed in a quantifier's table: exhaustively,
+        when it lies over one quantifier p > 0 alone."""
+        free = self.free[slot]
+        return exhaustive and len(free) == 1 and free[0] > 0
+
     def _lines(self, slot, exhaustive):
         """The generated lines that set x<slot> from its children."""
         node, kids, _ = self._keys[slot]
@@ -562,42 +559,58 @@ class _Program:
         args = [self._name(k) for k in kids]
         if op.packed:
             return [f"x{slot} = {args[0]} {op.spelling} {args[1]}"]
-        value = f"f{slot}({', '.join(f'O({self.alg.size}, {a})' for a in args)}).bits"
+        value = f"f{slot}({', '.join(args)})"
         free = self.free[slot]
-        # free is the prefix 0..i exactly when its last position is len - 1
-        if len(free) == (free[-1] + 1 if exhaustive else len(self.names)):
+        # in place when over every quantifier, or exhaustively over 0..i or over one
+        if len(free) == len(self.names) or exhaustive and (len(free) == 1 or free[-1] == len(free) - 1):
             return [f"x{slot} = {value}"]
         key = ", ".join([str(slot)] + [f"v{p}" for p in free])
         return [f"k = ({key})", f"x{slot} = get(k)", f"if x{slot} is None:", f"    x{slot} = put(k, {value})"]
 
     def _compile(self, depth, slots, tail, exhaustive):
         """Generate and exec the loops over quantifiers 0..depth-1, with
-        `slots` computed each in the loop of its last free variable and the
-        lines `tail` ending the innermost loop.  Returns the outermost loop's
-        function: given D, with D[i] the packed values of quantifier i, it
-        returns the first value `tail` returns, or None."""
+        `slots` computed each in the loop of its last free variable or in
+        its quantifier's table, and the lines `tail` ending the innermost
+        loop.  Returns the outermost loop's function: given D, with D[i] the
+        packed values of quantifier i, it returns the first value `tail`
+        returns, or None."""
         bodies = [[] for _ in range(depth)]
+        tables = [[] for _ in range(depth)]  # p -> the slots of p's table
         for slot in sorted(slots):
-            bodies[self.free[slot][-1]] += self._lines(slot, exhaustive)
+            if self._tabled(slot, exhaustive):
+                tables[self.free[slot][0]].append(slot)
+            else:
+                bodies[self.free[slot][-1]] += self._lines(slot, exhaustive)
         bodies[-1] += tail
+        heads = [f"v{i}" for i in range(depth)]
+        functions = []
+        for p, table in enumerate(tables):
+            if table:
+                heads[p] = ", ".join([heads[p]] + [f"x{s}" for s in table])
+                functions += [f"def T{p}(V):", "    out = []", f"    for v{p} in V:"]
+                functions += ["        " + line for s in table for line in self._lines(s, True)]
+                functions += [f"        out.append(({heads[p]},))", "    return out"]
 
         def level(name):
             i = int(name[1:])
             return i if name[0] == "v" else self.free[i][-1]
 
-        functions = []
         args = []
         for i in reversed(range(depth)):
             body = bodies[i]
             if i < depth - 1:
                 body += [f"r = L{i + 1}({', '.join(['D'] + args)})", "if r is not None:", "    return r"]
             args = sorted(name for name in set(_LOCAL_RE.findall("\n".join(body))) if level(name) < i)
-            functions += [f"def L{i}({', '.join(['D'] + args)}):", f"    for v{i} in D[{i}]:"]
+            functions.append(f"def L{i}({', '.join(['D'] + args)}):")
+            if i == 0 and any(tables):
+                functions.append(f"    D = [{', '.join(f'T{p}(D[{p}])' if t else f'D[{p}]' for p, t in enumerate(tables))}]")
+            functions.append(f"    for {heads[i]} in D[{i}]:")
             functions += ["        " + line for line in body]
-        namespace = {"O": BinRel._of, "get": self._cache.get, "put": partial(_put, self._cache, _CACHE_CAP)}
+        namespace = {"get": self._cache.get, "put": partial(_put, self._cache, _CACHE_CAP)}
         namespace.update((f"f{slot}", fn) for slot, fn in self._fns.items())
         namespace.update((f"c{slot}", value) for slot, value in self._constants.items())
-        exec("\n".join(functions), namespace)
+        self.source = "\n".join(functions)
+        exec(self.source, namespace)
         return namespace["L0"]
 
     def search(self, stmt: IdentityStatement, exhaustive: bool):
@@ -612,9 +625,9 @@ class _Program:
         compiled beside the statement into the same slots.  The bound lies
         inside the larger side, so an assignment it settles holds; only when
         the test fails is the larger side built.  The slots that only the
-        larger side needs and that sit in the innermost loop are computed
-        inside that branch.  For "=", rhs is then tested against lower(lhs)
-        the same way.
+        larger side needs and that sit in the innermost loop, but not in a
+        table, are computed inside that branch.  For "=", rhs is then tested
+        against lower(lhs) the same way.
         """
         sides = [(stmt.lhs, stmt.rhs)]
         if stmt.relation is StmtRel.EQUALS:
@@ -630,7 +643,7 @@ class _Program:
             test = [f"if {name} & ~{limit}:", f"    return ({name}, {limit}{values})"]
             if bound != big:
                 rest = self._needed([big]) - always
-                lazy = sorted(s for s in rest if self.free[s][-1] == depth - 1)
+                lazy = sorted(s for s in rest if self.free[s][-1] == depth - 1 and not self._tabled(s, exhaustive))
                 slots |= rest.difference(lazy)
                 test = [line for s in lazy for line in self._lines(s, exhaustive)] + test
                 test = [f"if {name} & ~{self._name(bound)}:"] + ["    " + line for line in test]
@@ -695,20 +708,19 @@ def check_identity(
     canonical order (declaration order outermost) and reports the least
     counterexample; sample mode draws `samples` >= 1 assignments, each by
     closing a random relation to its sort, reproducibly from the integer
-    seed.  cap bounds each lattice and, in exhaustive mode, the number of
-    assignments, checked before the first is run.
+    seed.  cap bounds each lattice and the number of assignments, run or
+    drawn, checked before the first.
 
-    The statement is compiled once into a `_Program` and run as generated
-    code, one loop per quantifier in declaration order, with each subterm
-    computed in the loop of its last free variable.  A subterm whose free
-    variables are that loop's quantifier and every outer one is computed
-    once per pass of the loop; any other subterm but "|" and "&" is cached under the values of
-    its free variables, while the bounded cache keeps it.  Sample mode runs
-    the same code on one value per quantifier.  In the innermost loop the
-    left side is tested first against `lower` of the right side, a
-    subrelation of it made of unions, intersections and converses of its
-    parts, and the rest of the right side is built only when that test
-    fails.  The witness is still the least pair of lhs outside the full rhs.
+    The statement is compiled once into a `_Program`: generated code, one
+    loop per quantifier in declaration order, that calls the relation
+    kernels on packed ints.  Exhaustively, each subterm over one later
+    quantifier alone is computed once per member of its lattice before the
+    loops start; any other is computed in the loop of its last free
+    variable, in place or through the bounded cache.  Sample mode runs the
+    same code on one value per quantifier.  In the innermost loop the left
+    side is tested first against `lower` of the right side, and the rest of
+    the right side is built only when that test fails.  The witness is
+    still the least pair of lhs outside the full rhs.
     """
     names = [name for name, _ in stmt.quantifiers]
     kinds = [kind for _, kind in stmt.quantifiers]
@@ -730,6 +742,8 @@ def check_identity(
         if not isinstance(seed, int) or isinstance(seed, bool):
             # None would seed from the OS and draw differently on every call
             raise ValueError(f"seed must be an integer, got {seed!r}")
+        if samples > cap:
+            raise CapExceeded("samples", cap, samples)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     program = _Program(alg, names)

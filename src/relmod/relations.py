@@ -1,68 +1,58 @@
 """Binary relations over a finite algebra's universe.
 
-Provides every operator the identity checker evaluates (composition,
-converse, intersection, union, alternating composition, powers, transitive
-closure, the saturating join ``plus``, reflexive-admissible / tolerance /
-congruence closures) and the enumeration of the corresponding relation
-lattices of a small algebra.
+Every operator the identity checker evaluates, and the enumeration of the
+relation lattices (REFL, TOL, CON) of a small algebra.
 
 A relation is held as one n^2-bit int, ``BinRel.bits``, with pair (a, b)
 at bit a*n + b, so row a is bits a*n .. a*n+n-1.  Union, intersection,
-inclusion, equality and the hash are one int operation each.  With
-``ones``, the int with the low bit of every row set, ``r >> b & ones`` is
-column b of r moved to the low bit of each row, and multiplying it by an
-n-bit row copies that row into every row that has bit b, with no carry
-from one row into the next.  ``compose`` is n such steps,
-``out |= (r >> b & ones) * row_b(s)``, and the Warshall pass behind
-``star`` and ``plus`` is n steps of ``bits |= (bits >> k & ones) *
-row_k(bits)``.
+inclusion, equality and the hash are one int operation each.  Every other
+operator is one kernel over such ints, named after its public function
+with a leading underscore: ``_compose(n, r, s)``, ``_converse``,
+``_m_compose`` (``power`` is ``m_compose`` of r with itself), ``_star``,
+``_plus``, and the closures ``_refl_adm_closure(alg, r)``,
+``_tolerance_of`` and ``_congruence_generated``.  Each public function is
+a one-line wrapper that checks sizes and wraps the kernel's int in a
+``BinRel``.  The identity checks and the lattice enumeration call the
+kernels on ints; the witness replays call the wrappers.
+
+With ``ones``, the int with the low bit of every row set, ``r >> b & ones``
+is column b of r moved to the low bit of each row, and multiplying it by
+an n-bit row copies that row into every row that has bit b, with no carry
+from one row into the next.  ``_compose`` is n such steps,
+``out |= (r >> b & ones) * row_b(s)``, and the Warshall pass of ``_star``
+is n steps of ``r |= (r >> k & ones) * row_k(r)``.
 
 Every closure comes from one kernel function, ``_pair_closure``, which
 takes a packed relation and returns, packed, the subuniverse of A x A
-that it generates.  It unpacks the rows into a list and works a whole row
-at a time: an operation applied to first coordinates a1..ak adds to row
-f(a1..ak) the image of rows[a1] x ... x rows[ak], read from per-operation
-image tables built once per algebra.  A full row cannot grow, so the
-kernel skips every tuple whose target row is full and stops as soon as
-every row is full: nabla is closed.  ``is_admissible`` asks that the
-kernel return r unchanged, which on an admissible r takes one round.
+that it generates, growing a whole row at a time through per-operation
+image tables.  ``is_admissible`` asks that it return r unchanged, which
+on an admissible r takes one round.
 
 A reflexive-admissible closure is the join of the principal closures of
-its pairs, so ``refl_adm_closure`` does not start the kernel from r: it
-starts it from the seed, the union of the closures cl({(a,b)} | delta) of
-r's off-diagonal pairs, and a seed that is already nabla is returned with
-no kernel round at all.  The principal closures are kept on the algebra in
-a table of n^2 slots, each one packed relation, slot a*n + b holding the
-closure of (a, b).  Each closure fills at most one empty slot, by a kernel
-run, and seeds from the slots filled so far, so no closure runs the
-kernel more than twice.  Only algebras of at most
-``_PRINCIPAL_TABLE_MAX_N`` = 8 elements keep a table: on the larger ones
-measured the slots cost more than they save.  Larger ones close r itself.
-The kernel's result is cached under its input, r | delta with the seed,
-not under r: random relations seldom repeat, but their seeds are unions
-of a few closed relations and do.  That cache, keyed only by kernel
-inputs, is the one closure memo; ``refl_adm_closure`` alone reads and
-fills it.  The other sorts are closed forms over it:
+its pairs, so ``_refl_adm_closure`` starts the kernel from the seed, the
+union of the closures cl({(a,b)} | delta) of r's off-diagonal pairs, and
+a seed that is already nabla needs no kernel round at all.  An algebra of
+at most ``_PRINCIPAL_TABLE_MAX_N`` elements keeps them in a table of n^2
+packed slots, slot a*n + b holding the closure of (a, b); each closure
+fills at most one empty slot, so it runs the kernel at most twice.  Larger
+algebras close r itself.  The kernel's result is cached under its input,
+r | delta with the seed, not under r: random relations seldom repeat, but
+their seeds are unions of a few closed relations and do.  That cache of
+ints is the one closure memo; ``_refl_adm_closure`` alone reads and fills
+it.  The other sorts are closed forms over it:
 
     tol(r) = cl(r | r^-1)
     Cg(r)  = star(tol(r))
 
 since the transitive closure of a tolerance is a congruence (its powers
 are reflexive, admissible and symmetric) and every congruence holding r
-holds tol(r).  The identity checks, the witness replays and the lattice
-enumeration all close through these three functions.
+holds tol(r).  Every closure, through a wrapper or a kernel, goes through
+these three kernels.
 
-The transitive closure ``star`` and the saturating join ``plus`` (the
-union over all m of r o_m s, which ``r ;^inf s`` also means) are closed
-forms over one Warshall pass, ``_warshall``:
-
-    star(r)    = Warshall(r)
-    plus(r, s) = star(r | s)           if r and s are both reflexive
-               = r | P | P ; r         otherwise, with P = star(r ; s)
-
-Every relation an identity check evaluates is reflexive: every quantifier
-sort (REFL, TOL, CON) is, so are delta and nabla, and every operator here
-keeps reflexivity.  So checks take the first case, and
+``_plus(r, s)``, the union over all m of r o_m s, which ``r ;^inf s`` also
+means, is ``star(r | s)`` when r and s are both reflexive.  Every relation
+an identity check evaluates is: every quantifier sort (REFL, TOL, CON) is,
+so are delta and nabla, and every operator here keeps reflexivity.  So
 ``identities.lower`` may bound each right side from below by a union of
 its operands.
 """
@@ -81,8 +71,7 @@ class BinRel:
     (a, b) is bit a*n + b, so row a is bits a*n .. a*n+n-1.
 
     Immutable by convention; hashable, so relations can key caches.
-    ``rows`` unpacks the n row bitmasks for the pair-closure kernel and
-    for callers.
+    ``rows`` unpacks the n row bitmasks.
     """
 
     __slots__ = ("n", "bits")
@@ -132,7 +121,7 @@ class BinRel:
         return tuple(self.bits >> i & 1 for i in range(self.n * self.n))
 
     def issubset(self, other):
-        _same_size(self, other)
+        _size(self, other)
         return self.bits & ~other.bits == 0
 
     def __eq__(self, other):
@@ -145,9 +134,18 @@ class BinRel:
         return f"BinRel({self.n}, {format_rel_literal(self)!r})"
 
 
-def _same_size(r: BinRel, s: BinRel):
+def _size(r: BinRel, s: BinRel):
+    """The size of r, which s must share."""
     if r.n != s.n:
         raise ValueError(f"relation size mismatch: {r.n} vs {s.n}")
+    return r.n
+
+
+def _on(alg: FiniteAlgebra, r: BinRel):
+    """The bits of r, which must be a relation on alg's universe."""
+    if r.n != alg.size:
+        raise ValueError(f"relation size {r.n} does not match algebra size {alg.size}")
+    return r.bits
 
 
 def _pack(n, rows):
@@ -163,42 +161,53 @@ def _masks(n):
     return (1 << n) - 1, ones, _pack(n, [1 << a for a in range(n)])
 
 
+def _delta(n):
+    return _masks(n)[2]
+
+
+def _nabla(n):
+    return (1 << n * n) - 1
+
+
 def delta(n: int) -> BinRel:
-    return BinRel._of(n, _masks(n)[2])
+    return BinRel._of(n, _delta(n))
 
 
 def nabla(n: int) -> BinRel:
-    return BinRel._of(n, (1 << n * n) - 1)
+    return BinRel._of(n, _nabla(n))
+
+
+def _compose(n, r, s):
+    """a (r o s) c iff there is b with a r b and b s c: for each b, every
+    row of r with bit b set takes in row b of s, by one multiply."""
+    full, ones, _ = _masks(n)
+    out = 0
+    for b in range(n):
+        column = r >> b & ones
+        if column:
+            out |= column * (s >> b * n & full)
+    return out
 
 
 def compose(r: BinRel, s: BinRel) -> BinRel:
-    """a (r o s) c iff there is b with a r b and b s c: for each b, every
-    row of r with bit b set takes in row b of s, by one multiply."""
-    _same_size(r, s)
-    n = r.n
-    full, ones, _ = _masks(n)
-    rb, sb = r.bits, s.bits
-    out = 0
-    for b in range(n):
-        column = rb >> b & ones
-        if column:
-            out |= column * (sb >> b * n & full)
-    return BinRel._of(n, out)
+    return BinRel._of(r.n, _compose(_size(r, s), r.bits, s.bits))
 
 
-def converse(r: BinRel) -> BinRel:
+def _converse(n, r):
     """b r^-1 a iff a r b: each row is cut into chunks of 8, and a chunk at
     column lo of row a goes to bit lo*n + a of the result spread to stride
     n, read from the byte table of ``_spread``: n * ceil(n/8) lookups."""
-    n = r.n
     spread = _spread(n)
-    bits = r.bits
     out = 0
     for lo in range(0, n, 8):
         chunk = (1 << min(8, n - lo)) - 1
         for a in range(n):
-            out |= spread[bits >> a * n + lo & chunk] << lo * n + a
-    return BinRel._of(n, out)
+            out |= spread[r >> a * n + lo & chunk] << lo * n + a
+    return out
+
+
+def converse(r: BinRel) -> BinRel:
+    return BinRel._of(r.n, _converse(r.n, r.bits))
 
 
 @lru_cache(maxsize=64)
@@ -213,33 +222,34 @@ def _spread(n):
 
 
 def intersect(r: BinRel, s: BinRel) -> BinRel:
-    _same_size(r, s)
-    return BinRel._of(r.n, r.bits & s.bits)
+    return BinRel._of(_size(r, s), r.bits & s.bits)
 
 
 def union(r: BinRel, s: BinRel) -> BinRel:
-    _same_size(r, s)
-    return BinRel._of(r.n, r.bits | s.bits)
+    return BinRel._of(_size(r, s), r.bits | s.bits)
 
 
-def m_compose(r: BinRel, s: BinRel, m: int) -> BinRel:
+def _m_compose(n, r, s, m):
     """r o s o r o ... with m alternating factors (m-1 composition signs):
     (r;s)^(m//2), then ; r when m is odd.  The power is taken by
     square-and-multiply, so m costs O(log m) compositions; powers of r;s
     commute, so each factor is put in front of the ones already taken."""
-    _same_size(r, s)
     if m < 1:
         raise ValueError("m must be >= 1")
     out = r if m % 2 else None
     k = m // 2
-    base = compose(r, s) if k else None
+    base = _compose(n, r, s) if k else None
     while k:
         if k & 1:
-            out = base if out is None else compose(base, out)
+            out = base if out is None else _compose(n, base, out)
         k >>= 1
         if k:
-            base = compose(base, base)
+            base = _compose(n, base, base)
     return out
+
+
+def m_compose(r: BinRel, s: BinRel, m: int) -> BinRel:
+    return BinRel._of(r.n, _m_compose(_size(r, s), r.bits, s.bits, m))
 
 
 def power(r: BinRel, h: int) -> BinRel:
@@ -247,62 +257,59 @@ def power(r: BinRel, h: int) -> BinRel:
     return m_compose(r, r, h)
 
 
+def _star(n, r):
+    """Transitive closure, by Warshall: for each pivot k in turn, every row
+    with bit k set takes in row k as it stands after the earlier pivots,
+    all rows at once by the multiply of ``_compose``.  Row k itself only
+    takes in row k, so reading it before the step is the same as after."""
+    full, ones, _ = _masks(n)
+    for k in range(n):
+        r |= (r >> k & ones) * (r >> k * n & full)
+    return r
+
+
 def star(r: BinRel) -> BinRel:
-    """Transitive closure: least transitive relation containing r, by one
-    Warshall pass over its bits."""
-    return BinRel._of(r.n, _warshall(r.n, r.bits))
+    return BinRel._of(r.n, _star(r.n, r.bits))
 
 
-def plus(r: BinRel, s: BinRel) -> BinRel:
+def _plus(n, r, s):
     """Union over all m >= 1 of r o_m s, in closed form.
 
     When r and s are both reflexive, r o_m s only grows with m, and a word
     of length L over {r, s} lies inside r o_2L s, so the union is
-    star(r | s): one Warshall pass.  Otherwise r o_2j s = (r;s)^j and
-    r o_2j+1 s = (r;s)^j ; r, so the union is r | P | P ; r with
-    P = star(r ; s).
+    star(r | s).  Otherwise r o_2j s = (r;s)^j and r o_2j+1 s = (r;s)^j ; r,
+    so the union is r | P | P ; r with P = star(r ; s).
     """
-    _same_size(r, s)
-    if is_reflexive(r) and is_reflexive(s):
-        return BinRel._of(r.n, _warshall(r.n, r.bits | s.bits))
-    p = star(compose(r, s))
-    return union(union(r, p), compose(p, r))
+    diag = _delta(n)
+    if r & s & diag == diag:
+        return _star(n, r | s)
+    p = _star(n, _compose(n, r, s))
+    return r | p | _compose(n, p, r)
 
 
-def _warshall(n, bits):
-    """Warshall's transitive closure of the packed relation ``bits``: for
-    each pivot k in turn, every row with bit k set takes in row k as it
-    stands after the earlier pivots, all rows at once by the multiply of
-    ``compose``.  Row k itself only takes in row k, so reading it before
-    the step is the same as after."""
-    full, ones, _ = _masks(n)
-    for k in range(n):
-        bits |= (bits >> k & ones) * (bits >> k * n & full)
-    return bits
+def plus(r: BinRel, s: BinRel) -> BinRel:
+    return BinRel._of(r.n, _plus(_size(r, s), r.bits, s.bits))
 
 
 def is_reflexive(r: BinRel) -> bool:
-    diag = _masks(r.n)[2]
+    diag = _delta(r.n)
     return r.bits & diag == diag
 
 
 def is_symmetric(r: BinRel) -> bool:
-    return r == converse(r)
+    return r.bits == _converse(r.n, r.bits)
 
 
 def is_transitive(r: BinRel) -> bool:
-    return compose(r, r).issubset(r)
+    return _compose(r.n, r.bits, r.bits) & ~r.bits == 0
 
 
 def is_admissible(alg: FiniteAlgebra, r: BinRel) -> bool:
     """True iff r is closed under every operation applied componentwise,
     i.e. r is a subuniverse of A x A: the pair-closure kernel returns r
-    unchanged.  On an admissible r that is its first round, which checks
-    every constant and every argument tuple whose target row is not full
-    and grows no row; nabla is admissible without a round."""
-    if r.n != alg.size:
-        raise ValueError(f"relation size {r.n} does not match algebra size {alg.size}")
-    return _pair_closure(alg, r.bits) == r.bits
+    unchanged, after one round that grows no row (none on nabla)."""
+    bits = _on(alg, r)
+    return _pair_closure(alg, bits) == bits
 
 
 def is_tolerance(alg: FiniteAlgebra, r: BinRel) -> bool:
@@ -406,7 +413,7 @@ def _pair_closure(alg: FiniteAlgebra, bits):
                         prepare(t)
                         grew = True
                         if rows[t] == full and rows.count(full) == n:
-                            return (1 << n * n) - 1
+                            return _nabla(n)
     return _pack(n, rows)
 
 
@@ -423,41 +430,28 @@ _CLOSURE_CACHE_CAP = 1 << 16
 # sl2, sl3, z2, z2xz2) the table is as fast at 10 draws and 1.3-6x faster
 # at 1000; on n = 15 to 18 (F_V(4) of sl2 and z2, F_V(3) of l2) it loses
 # up to 2.7x at 100 draws; on the 28-element F_V(3) of m3 it loses at
-# every count, 1.5x at 1000 dense draws.  Larger algebras close every
-# relation from the relation itself.
+# every count, 1.5x at 1000 dense draws.
 _PRINCIPAL_TABLE_MAX_N = 8
 
 
-def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
-    """Least reflexive admissible relation containing r: the subuniverse of
-    A x A generated by r together with the diagonal.
-
-    The kernel's input is r | delta with the seed, the union of the
-    principal closures cl({(a,b)} | delta) of those off-diagonal pairs of r
-    whose slots in the algebra's table are filled; the first empty slot
-    among r's pairs is filled on the way, by a kernel run from delta and
-    that pair.  Each lies inside cl(r), so closing the input gives cl(r).
-    A seed that is already nabla is the closure without a kernel round, and
-    so is the slot of r's only pair.  Algebras of more than
-    _PRINCIPAL_TABLE_MAX_N elements keep no table, and their input is
-    r | delta.  The kernel's result is kept in the closure cache under its
-    input's packed bits: an input is a union of closed relations and of r's
-    pairs outside them, so many relations share one, and each distinct
-    input is closed once while the cache holds it.  r | delta is looked up
-    before the seed is built: a union of closed relations, which the
-    lattice enumeration closes, is its own input."""
-    if r.n != alg.size:
-        raise ValueError(f"relation size {r.n} does not match algebra size {alg.size}")
-    n = r.n
-    diag = _masks(n)[2]
-    bits = r.bits | diag
+def _refl_adm_closure(alg: FiniteAlgebra, bits):
+    """Least reflexive admissible relation containing the packed relation
+    bits, through the principal table and the closure cache of the module
+    docstring.  The first empty slot among the off-diagonal pairs is filled
+    on the way; the seed is the union of the filled slots of the pairs, and
+    the kernel's input, bits | delta | seed, is looked up in the cache and
+    closed on a miss.  bits | delta is looked up first: a union of closed
+    relations, which the lattice enumeration closes, is its own input."""
+    n = alg.size
+    diag = _delta(n)
+    bits |= diag
     cache = alg._closures
     closed = cache.get(bits)
     if closed is None and n <= _PRINCIPAL_TABLE_MAX_N:
         table = alg._principals
         if table is None:
             table = alg._principals = [None] * (n * n)
-        every = (1 << n * n) - 1
+        every = _nabla(n)
         seed = pairs = 0
         fill = True
         m = bits ^ diag
@@ -471,33 +465,41 @@ def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
             if slot is not None:
                 seed |= slot
                 if seed == every:
-                    return nabla(n)
+                    return every
             pairs += 1
             m ^= low
         bits |= seed
         if pairs <= 1:
-            # delta, or the slot of r's one pair: closed already
-            return BinRel._of(n, bits)
+            # delta, or the slot of the one pair: closed already
+            return bits
         closed = cache.get(bits)
     if closed is None:
-        closed = _put(cache, _CLOSURE_CACHE_CAP, bits, BinRel._of(n, _pair_closure(alg, bits)))
+        closed = _put(cache, _CLOSURE_CACHE_CAP, bits, _pair_closure(alg, bits))
     return closed
 
 
+def _tolerance_of(alg: FiniteAlgebra, bits):
+    """Least tolerance containing bits: the reflexive-admissible closure
+    of bits together with its converse."""
+    return _refl_adm_closure(alg, bits | _converse(alg.size, bits))
+
+
+def _congruence_generated(alg: FiniteAlgebra, bits):
+    """Least congruence containing bits: the transitive closure of the
+    least tolerance containing it, a congruence (see the module docstring)."""
+    return _star(alg.size, _tolerance_of(alg, bits))
+
+
+def refl_adm_closure(alg: FiniteAlgebra, r: BinRel) -> BinRel:
+    return BinRel._of(r.n, _refl_adm_closure(alg, _on(alg, r)))
+
+
 def tolerance_of(alg: FiniteAlgebra, r: BinRel) -> BinRel:
-    """Least tolerance containing r: the reflexive-admissible closure of
-    r together with its converse."""
-    return refl_adm_closure(alg, union(r, converse(r)))
+    return BinRel._of(r.n, _tolerance_of(alg, _on(alg, r)))
 
 
 def congruence_generated(alg: FiniteAlgebra, r: BinRel) -> BinRel:
-    """Least congruence containing r: the transitive closure of the least
-    tolerance containing r.  That closure is the union of the tolerance's
-    powers, each reflexive and admissible, as relation products of such
-    relations are, and symmetric, as powers of a symmetric relation are; so
-    it is a congruence.  Every congruence holding r holds the tolerance,
-    and so its transitive closure."""
-    return star(tolerance_of(alg, r))
+    return BinRel._of(r.n, _congruence_generated(alg, _on(alg, r)))
 
 
 class RelKind(Enum):
@@ -510,6 +512,11 @@ _CLOSERS = {
     RelKind.REFL_ADM: refl_adm_closure,
     RelKind.TOLERANCE: tolerance_of,
     RelKind.CONGRUENCE: congruence_generated,
+}
+_KERNELS = {
+    RelKind.REFL_ADM: _refl_adm_closure,
+    RelKind.TOLERANCE: _tolerance_of,
+    RelKind.CONGRUENCE: _congruence_generated,
 }
 
 
@@ -533,33 +540,36 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
     Computes the principal members (closure of each single pair) and
     joins each new member with the principal members not below it;
     complete because every member is the join of the principals below it,
-    so adding one principal at a time reaches it.  Members come back in canonical order
-    (lexicographic on the flattened bit matrix).
+    so adding one principal at a time reaches it.  It closes and
+    deduplicates packed ints, and wraps the members in ``BinRel`` once, in
+    canonical order: lexicographic on the flattened bit matrix, which is
+    the order of the binary spellings read from bit 0 up.
     """
 
     def build():
-        close = _CLOSERS[kind]
+        close = _KERNELS[kind]
         n = alg.size
         members = set()
         work = []
 
-        def add(r):
-            if r not in members:
+        def add(bits):
+            if bits not in members:
                 if len(members) >= cap:
                     raise CapExceeded("lattice-size", cap, len(members) + 1)
-                members.add(r)
-                work.append(r)
+                members.add(bits)
+                work.append(bits)
 
-        for a in range(n):
-            for b in range(n):
-                add(close(alg, BinRel.from_pairs(n, [(a, b)])))
+        for i in range(n * n):
+            add(close(alg, 1 << i))
         principals = list(work)
         while work:
             x = work.pop()
             for y in principals:
-                if y.bits & ~x.bits:  # else x | y is x, a member already
-                    add(close(alg, union(x, y)))
-        return RelLattice(kind, tuple(sorted(members, key=BinRel.flat_bits)))
+                if y & ~x:  # else x | y is x, a member already
+                    add(close(alg, x | y))
+        width = f"0{n * n}b"
+        order = sorted(members, key=lambda bits: format(bits, width)[::-1])
+        return RelLattice(kind, tuple(BinRel._of(n, bits) for bits in order))
 
     lattice = alg._lattices.get(kind)
     if lattice is None:
@@ -573,19 +583,17 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
 def parse_rel_literal(text: str, n: int) -> BinRel:
     """Parse the relation literal syntax: '+'-joined terms, each "delta",
     "nabla", "empty", or a pair "a-b"."""
-    out = BinRel._of(n, 0)
+    out = 0
     text = text.strip()
     if not text:
         raise ValueError("empty relation literal")
     for part in text.split("+"):
         part = part.strip()
         if part == "delta":
-            out = union(out, delta(n))
+            out |= _delta(n)
         elif part == "nabla":
-            out = union(out, nabla(n))
-        elif part == "empty":
-            pass
-        else:
+            out |= _nabla(n)
+        elif part != "empty":
             bits = part.split("-")
             if len(bits) != 2:
                 raise ValueError(f"bad relation literal term {part!r}")
@@ -593,8 +601,8 @@ def parse_rel_literal(text: str, n: int) -> BinRel:
                 a, b = int(bits[0]), int(bits[1])
             except ValueError:
                 raise ValueError(f"bad relation literal term {part!r}") from None
-            out = union(out, BinRel.from_pairs(n, [(a, b)]))
-    return out
+            out |= BinRel.from_pairs(n, [(a, b)]).bits
+    return BinRel._of(n, out)
 
 
 def format_rel_literal(r: BinRel) -> str:

@@ -10,6 +10,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -116,3 +118,11 @@ def test_bench_selftest_passes():
         timeout=300,
     )
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+@pytest.mark.parametrize("workload", ["check-exhaustive", "check-sample"])
+def test_check_workloads_answer_correctly(workload, bench_workloads):
+    # each op once, judged by its own check against its pinned answer, so a
+    # wrong answer fails here before a benchmark run reports it
+    for op in bench_workloads.build(workload, 1):
+        assert op.check(op.run())[0] == "ok", op.label

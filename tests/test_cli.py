@@ -546,6 +546,15 @@ def test_exhaustive_check_over_the_cap_exit_three(capsys):
     assert cli.main(["check", "--algebra", "l2", "--identity", "(turt)", "--cap", "1023"]) == 3
 
 
+def test_sampled_check_over_the_cap_exit_three(capsys):
+    # 10^8 draws exceed the default cap of 2^20, so none is drawn
+    argv = ["check", "--algebra", "l2", "--identity", "(B1)", "--param", "m=inf", "--mode", "sample"]
+    assert cli.main(argv + ["--samples", "100000000"]) == 3
+    assert f"samples cap exceeded: reached 100000000, limit {2**20}" in capsys.readouterr().err
+    assert cli.main(argv + ["--samples", "8", "--cap", "8"]) == 0
+    assert cli.main(argv + ["--samples", "9", "--cap", "8"]) == 3
+
+
 def test_timings_flag_off_by_default():
     plain = run_cli("check", "--algebra", "l2", "--identity", "(1.1)")
     timed = run_cli("check", "--algebra", "l2", "--identity", "(1.1)", "--timings")
@@ -580,14 +589,14 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
-    # a ValueError from a relation operator is a bug, not a user mistake,
-    # so it surfaces instead of exiting 2
+    # a ValueError from a relation operator's kernel is a bug, not a user
+    # mistake, so it surfaces instead of exiting 2
     from relmod import relations
 
-    def broken(r, s):
+    def broken(n, r, s):
         raise ValueError("internal")
 
-    monkeypatch.setattr(relations, "compose", broken)
+    monkeypatch.setattr(relations, "_compose", broken)
     with pytest.raises(ValueError, match="internal"):
         cli.main(["check", "--algebra", "l2", "--identity", "(1.1)"])
 

@@ -1,8 +1,6 @@
 import hashlib
-import importlib.util
 import pathlib
 import re
-import sys
 from itertools import product
 
 from relmod.algebras import dump_algebra, load_algebra
@@ -45,18 +43,12 @@ def test_first_corpus_json_pinned():
     assert {name: hashlib.sha256(builtin_json(name).encode()).hexdigest() for name in pinned} == pinned
 
 
-def test_bench_algebras_are_the_corpus(monkeypatch):
+def test_bench_algebras_are_the_corpus(bench_workloads):
     # the benchmark builds some algebras itself; each must dump as the
-    # corpus algebra of its name does.  bench/workloads.py is loaded by
-    # path and only read
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    # dataclasses looks the module up while it builds the module's classes
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    assert workloads._BUILT
-    for name in workloads._BUILT:
-        assert dump_algebra(workloads.base_algebra(name)) == builtin_json(name), name
+    # corpus algebra of its name does
+    assert bench_workloads._BUILT
+    for name in bench_workloads._BUILT:
+        assert dump_algebra(bench_workloads.base_algebra(name)) == builtin_json(name), name
 
 
 def test_readme_lists_the_corpus():

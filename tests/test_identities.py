@@ -38,7 +38,7 @@ from relmod.identities import (
     print_statement,
     with_sorts,
 )
-from relmod.algebras import FiniteAlgebra
+from relmod.algebras import CapExceeded, FiniteAlgebra
 from relmod.maltsev import q_bound
 from relmod.relations import (
     BinRel,
@@ -363,6 +363,75 @@ def test_check_matches_reference_over_later_quantifiers(text, l2, z2xz2, sl3):
         )
 
 
+# Statements whose subterms over one quantifier p > 0 alone, which an
+# exhaustive check tabulates per member of p's lattice, are: only on the
+# right side past its lower bound (star(T)), nested (conv(tol(T))), under cl
+# (cl(conv(S))), or in a statement that fails after its first member
+# (star(U), conv(U), conv(T | conv(T)))
+_TABLED = [
+    "S:REFL, T:REFL |- S ; T <= S ;^inf star(T)",
+    "S:REFL, T:REFL |- S ; T <= S | star(T)",
+    "S:TOL, T:REFL |- S & conv(tol(T)) <= S & tol(T)",
+    "S:REFL, T:REFL |- conv(tol(T)) ; S <= S ; conv(tol(T))",
+    "T:TOL, S:REFL |- cl(conv(S)) & T <= T ; cl(conv(S))",
+    "T:TOL, S:REFL |- T ; cl(conv(S)) = cl(conv(S) | T)",
+    "S:REFL, T:REFL, U:REFL |- conv(U) & (S ; T) <= star(U) ; conv(T | conv(T))",
+]
+
+
+@pytest.mark.parametrize("name", ["l3", "n5", "sl3", "z2xz2"])
+def test_tabled_subterms_match_reference(name):
+    alg = corpus.builtin(name)
+    for text in _TABLED:
+        stmt = parse_identity(text)
+        kinds = [kind for _, kind in stmt.quantifiers]
+        lattices = [enumerate_relations(alg, kind).members for kind in kinds]
+        verdict = check_identity(alg, stmt)
+        assert verdict == _reference_check(alg, stmt, itertools.product(*lattices)), (name, text)
+        assert check_identity(alg, stmt, mode="sample", seed=6, samples=40) == _reference_check(
+            alg, stmt, _reference_draws(alg, kinds, 6, 40)
+        ), (name, text)
+    if name != "z2xz2":
+        # the last statement fails past the first member of its outer loop
+        assert not verdict.holds and verdict.checked > len(lattices[1]) * len(lattices[2])
+
+
+def test_D3_on_l3_tabulates_each_single_quantifier_subterm(monkeypatch):
+    # conv(R), conv(S) and conv(T) each lie over one quantifier: conv(R) is
+    # computed in R's loop, conv(S) and conv(T) in the tables of S and T,
+    # and tol(R) converses R once more inside its kernel, so every member
+    # of the lattice is conversed exactly four times, once per subterm
+    l3 = cold("l3")
+    stmt = catalog_entry("(D3)", m=INF)
+    seen = []
+    kernel = relations._converse
+    monkeypatch.setattr(relations, "_converse", lambda n, r: seen.append(r) or kernel(n, r))
+    verdict = check_identity(l3, stmt)
+    lattice = [r.bits for r in enumerate_relations(l3, RelKind.REFL_ADM).members]
+    assert verdict.holds and verdict.checked == 25**3
+    assert sorted(seen) == sorted(lattice * 4)
+    # no subterm over S or T alone goes through the cache
+    program = identities._Program(l3, ("R", "S", "T"))
+    program.search(stmt, exhaustive=True)
+    single = [s for s, free in enumerate(program.free) if free in ((1,), (2,)) and re.search(rf"\bx{s}\b", program.source)]
+    assert len(single) >= 3  # conv(S), S | conv(S), conv(T)
+    for s in single:
+        assert not re.search(rf"\bx{s} = get\(", program.source)
+    assert "get(" in program.source  # S ;^inf T and cl(...) over S and T still do
+
+
+def test_sampled_check_over_the_cap_draws_nothing(l2, monkeypatch):
+    stmt = catalog_entry("(B1)", m=INF)
+    draws = []
+    monkeypatch.setattr(relations, "close_to_kind", lambda *args: draws.append(args))
+    with pytest.raises(CapExceeded) as exc:
+        check_identity(l2, stmt, mode="sample", samples=101, cap=100)
+    assert (exc.value.kind, exc.value.limit, exc.value.reached) == ("samples", 100, 101)
+    assert draws == []
+    monkeypatch.undo()
+    assert check_identity(l2, stmt, mode="sample", samples=100, cap=100).checked == 100
+
+
 @pytest.mark.parametrize("l", [18, 20])
 def test_check_many_quantifiers_in_sample_mode(l, l2):
     # (turt) has l + 3 quantifiers, one generated loop each: more than the
@@ -391,9 +460,10 @@ def test_D3_on_l3_hoists_tol_and_caches_the_join(monkeypatch):
     # tol(R) lies over R alone, so it runs once per pass of R's loop;
     # S ;^inf T lies over S and T but not R, so it is cached and joined once
     # per distinct pair.  Every other join is one of the right side's three,
-    # built only when the lower bound fails, once per compose
+    # built only when the lower bound fails, once per compose.  The check
+    # calls the int kernels, so those are counted
     l3 = cold("l3")
-    counts = {"tolerance_of": 0, "compose": 0, "plus": 0}
+    counts = {"_tolerance_of": 0, "_compose": 0, "_plus": 0}
 
     def counting(name):
         original = getattr(relations, name)
@@ -409,10 +479,10 @@ def test_D3_on_l3_hoists_tol_and_caches_the_join(monkeypatch):
     verdict = check_identity(l3, catalog_entry("(D3)", m=INF))
     lattice = enumerate_relations(l3, RelKind.REFL_ADM).members
     assert verdict.holds and verdict.checked == len(lattice) ** 3 == 25**3
-    assert counts["tolerance_of"] <= 25
-    builds = counts["compose"]
+    assert counts["_tolerance_of"] <= 25
+    builds = counts["_compose"]
     assert 0 < builds * 10 < 25**3
-    assert counts["plus"] - 3 * builds <= 25**2
+    assert counts["_plus"] - 3 * builds <= 25**2
 
 
 def test_equality_failing_only_rightward_keeps_its_witness(sl3):
@@ -454,12 +524,13 @@ def test_lower_is_a_subrelation(label, params):
 def test_lower_bound_settles_without_building_the_right_side(monkeypatch):
     # S is inside lower(S ; T) = S | T, so no assignment composes
     calls = []
+    kernel = relations._compose
 
-    def counting_compose(r, s):
+    def counting_compose(n, r, s):
         calls.append((r, s))
-        return compose(r, s)
+        return kernel(n, r, s)
 
-    monkeypatch.setattr(relations, "compose", counting_compose)
+    monkeypatch.setattr(relations, "_compose", counting_compose)
     verdict = check_identity(cold("l3"), parse_identity("S:REFL, T:REFL |- S <= S ; T"))
     assert verdict.holds and verdict.checked == 25**2
     assert calls == []
@@ -472,12 +543,13 @@ def test_lower_bound_settles_most_of_D3_on_l3(monkeypatch):
     l3 = cold("l3")
     stmt = catalog_entry("(D3)", m=INF)
     calls = []
+    kernel = relations._plus
 
-    def counting_plus(r, s):
+    def counting_plus(n, r, s):
         calls.append((r, s))
-        return plus(r, s)
+        return kernel(n, r, s)
 
-    monkeypatch.setattr(relations, "plus", counting_plus)
+    monkeypatch.setattr(relations, "_plus", counting_plus)
     program = identities._Program(l3, ("R", "S", "T"))
     violation = program.violation(stmt)
     lhs = program._runner(program.slot(stmt.lhs))
@@ -558,12 +630,13 @@ def test_subterm_over_every_quantifier_is_computed_once_per_assignment(l2, monke
     # value of it, but its three uses within one assignment share one compose
     stmt = parse_identity("S:REFL, T:REFL |- (S ; T) & (S ; T) <= S ; T")
     calls = []
+    kernel = relations._compose
 
-    def counting_compose(r, s):
+    def counting_compose(n, r, s):
         calls.append((r, s))
-        return compose(r, s)
+        return kernel(n, r, s)
 
-    monkeypatch.setattr(relations, "compose", counting_compose)
+    monkeypatch.setattr(relations, "_compose", counting_compose)
     verdict = check_identity(l2, stmt)
     assert verdict.holds and len(calls) == verdict.checked
     calls.clear()
