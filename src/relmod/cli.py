@@ -77,6 +77,8 @@ def _parse_params(pairs):
         name, value = pair.split("=", 1)
         if name not in _PARAMS:
             raise UsageError(f"unknown parameter {name!r}, expected one of {','.join(_PARAMS)}")
+        if name in params:
+            raise UsageError(f"--param {name} is given twice")
         if value == "inf":
             params[name] = INF
             continue
@@ -102,6 +104,8 @@ def _parse_sorts(pairs):
         if "=" not in pair:
             raise UsageError(f"bad --sort {pair!r}, expected NAME={'|'.join(_SORTS)}")
         name, value = pair.split("=", 1)
+        if name in out:
+            raise UsageError(f"--sort {name} is given twice")
         try:
             out[name] = RelKind(value)
         except ValueError:

@@ -20,11 +20,13 @@ composition, ";^m" the m-fold alternation (";^inf" its saturation), "+" the
 saturating join, "|" plain set union, "cl" the reflexive-admissible closure
 and "tol" the least containing tolerance.
 
-The operator set is spelled once, in the table `_OPS`: each node class
-gives its symbol or function name, its precedence and the name of its
-operator in `relations`.  One precedence loop parses the binary operators
-from it, and the printer and the compiled `_Program` read it.  Binary nodes
-share the base `_Binary` (lhs, rhs), unary ones `_Unary` (arg).
+An expression is a `Var` or a `Node(op, args, param)`: op is the
+operator's spelling, args its operands and param the m of ";^m" or the h of
+"pow".  The operator set is spelled once, in the table `_OPS`, keyed by
+spelling: each row gives the operator's arity, its precedence, its kernel
+in `relations` and its parameter.  One precedence loop parses the binary
+operators from it, and the printer, `lower` and the compiled `_Program`
+read it.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ from typing import NamedTuple
 from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra, Record, _put
 from .maltsev import q_bound, r_bound
 from . import relations as rel
-from .relations import BinRel, RelKind
-
-INF = float("inf")
+from .relations import INF, BinRel, RelKind
 
 
 class ParseError(ValueError):
@@ -56,99 +56,42 @@ class Var(Record):
     __slots__ = ("name",)
 
 
-class Delta(Record):
-    __slots__ = ()
+class Node(Record):
+    # op: the operator's spelling, its key in _OPS; args: the operands;
+    # param: the m of ";^m" (an int >= 1 or INF) or the h of "pow", else None
+    __slots__ = ("op", "args", "param")
 
-
-class Nabla(Record):
-    __slots__ = ()
-
-
-class _Binary(Record):
-    __slots__ = ("lhs", "rhs")
-
-
-class _Unary(Record):
-    __slots__ = ("arg",)
-
-
-class Intersect(_Binary):
-    __slots__ = ()
-
-
-class Union(_Binary):
-    __slots__ = ()
-
-
-class Compose(_Binary):
-    __slots__ = ()
-
-
-class ComposeM(_Binary):
-    __slots__ = ("m",)  # int >= 1 or INF
-
-
-class Plus(_Binary):
-    __slots__ = ()
-
-
-class Power(_Unary):
-    __slots__ = ("h",)
-
-
-class Converse(_Unary):
-    __slots__ = ()
-
-
-class Star(_Unary):
-    __slots__ = ()
-
-
-class Overline(_Unary):
-    __slots__ = ()
-
-
-class ToleranceOf(_Unary):
-    __slots__ = ()
+    def __init__(self, op, args, param=None):
+        super().__init__(op, args, param)
 
 
 class _Op(NamedTuple):
-    spelling: str  # a binary operator's symbol, or the name the node is written with
-    prec: int  # binding strength, tightest highest; _ATOM_PREC for all but binary operators
-    rel: str  # the relation operator in relations.py; _Program calls its kernel, "_" + rel
-    param: str | None = None  # the node's parameter field, passed to the kernel by that name
+    arity: int  # 2 for an infix operator, 1 for one written name(e), 0 for a constant
+    prec: int  # binding strength, tightest highest; _ATOM_PREC for all but infix operators
+    kernel: object  # the operator on packed ints, after the size (or algebra) unless inline
+    param: str | None = None  # the kernel's keyword for Node.param; None if it has none
     alg: bool = False  # the kernel takes the algebra first, not its size
-    packed: object = None  # the int operator of the same symbol, which _Program writes inline
+    inline: bool = False  # the kernel is the int operator of the same symbol, written inline
 
 
 _ATOM_PREC = 4
 
-# The operator set of the language: the parser, the printer and _Program
-# all read it.
+# The operator set of the language, by spelling: the parser, the printer,
+# lower and _Program all read it.
 _OPS = {
-    Plus: _Op("+", 1, "plus"),
-    Union: _Op("|", 1, "union", packed=or_),
-    Compose: _Op(";", 2, "compose"),
-    ComposeM: _Op(";^", 2, "m_compose", param="m"),
-    Intersect: _Op("&", 3, "intersect", packed=and_),
-    Converse: _Op("conv", _ATOM_PREC, "converse"),
-    Star: _Op("star", _ATOM_PREC, "star"),
-    Overline: _Op("cl", _ATOM_PREC, "refl_adm_closure", alg=True),
-    ToleranceOf: _Op("tol", _ATOM_PREC, "tolerance_of", alg=True),
-    Power: _Op("pow", _ATOM_PREC, "power", param="h"),
-    Delta: _Op("delta", _ATOM_PREC, "delta"),
-    Nabla: _Op("nabla", _ATOM_PREC, "nabla"),
+    "+": _Op(2, 1, rel._plus),
+    "|": _Op(2, 1, or_, inline=True),
+    ";": _Op(2, 2, rel._compose),
+    ";^": _Op(2, 2, rel._m_compose, param="m"),
+    "&": _Op(2, 3, and_, inline=True),
+    "conv": _Op(1, _ATOM_PREC, rel._converse),
+    "star": _Op(1, _ATOM_PREC, rel._star),
+    "cl": _Op(1, _ATOM_PREC, rel._refl_adm_closure, alg=True),
+    "tol": _Op(1, _ATOM_PREC, rel._tolerance_of, alg=True),
+    "pow": _Op(1, _ATOM_PREC, rel._m_compose, param="m"),  # e ;^h e, as _Program interns it
+    "delta": _Op(0, _ATOM_PREC, rel._delta),
+    "nabla": _Op(0, _ATOM_PREC, rel._nabla),
 }
-_BINARY = {op.spelling: node for node, op in _OPS.items() if issubclass(node, _Binary)}
-_NAMED = {op.spelling: node for node, op in _OPS.items() if not issubclass(node, _Binary)}
-
-
-def _operands(expr):
-    if isinstance(expr, _Binary):
-        return (expr.lhs, expr.rhs)
-    if isinstance(expr, _Unary):
-        return (expr.arg,)
-    return ()
 
 
 # The deepest a statement side may nest: at most this many parentheses
@@ -164,7 +107,8 @@ def _depth(expr):
     while todo:
         e, depth = todo.pop()
         most = max(most, depth)
-        todo += [(c, depth + 1) for c in _operands(e)]
+        if type(e) is Node:
+            todo += [(c, depth + 1) for c in e.args]
     return most
 
 
@@ -189,12 +133,17 @@ class IdentityStatement(Record):
 _SORTS = tuple(kind.value for kind in RelKind)
 _SORT_CHOICES = f"{', '.join(_SORTS[:-1])} or {_SORTS[-1]}"
 
-_RESERVED = set(_NAMED) | set(_SORTS) | {"inf"}
+_RESERVED = {spelling for spelling, op in _OPS.items() if op.arity < 2} | set(_SORTS) | {"inf"}
 
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
     r"|(?P<sym>\|-|<=|;\^|[=,:;&+|()]))"
 )
+
+
+class _EndOfInput:
+    def __repr__(self):  # how messages show the token that ends the input
+        return "end of input"
 
 
 def _tokenize(text):
@@ -215,7 +164,7 @@ def _tokenize(text):
         else:
             tokens.append(("sym", m.group("sym"), m.start("sym")))
         pos = m.end()
-    tokens.append(("end", None, len(text)))
+    tokens.append(("end", _EndOfInput(), len(text)))
     return tokens
 
 
@@ -305,15 +254,12 @@ class _Parser:
         e = self.parse_expr(prec + 1)
         while True:
             kind, value, _ = self.peek()
-            node = _BINARY.get(value) if kind == "sym" else None
-            if node is None or _OPS[node].prec != prec:
+            op = _OPS.get(value) if kind == "sym" else None
+            if op is None or op.prec != prec:
                 return e
             self.next()
-            if node is ComposeM:
-                m = self.parse_count()
-                e = ComposeM(e, self.parse_expr(prec + 1), m)
-            else:
-                e = node(e, self.parse_expr(prec + 1))
+            param = self.parse_count() if op.param else None
+            e = Node(value, (e, self.parse_expr(prec + 1)), param)
 
     def parse_count(self):
         kind, value, pos = self.next()
@@ -335,26 +281,25 @@ class _Parser:
             return e
         if kind != "name":
             raise ParseError(f"expected an expression, found {value!r}", pos)
-        node = _NAMED.get(value)
-        if node is Delta or node is Nabla:
-            return node()
-        if node is not None:
-            self.expect_sym("(")
-            arg = self.parse_nested(pos)
-            if node is Power:
-                self.expect_sym(",")
-                hkind, h, hpos = self.next()
-                if hkind != "int" or h < 1:
-                    raise ParseError(f"pow exponent must be a positive integer, found {h!r}", hpos)
-                self.expect_sym(")")
-                return Power(arg, h)
-            self.expect_sym(")")
-            return node(arg)
-        if value in _RESERVED:
-            raise ParseError(f"{value!r} cannot be used here", pos)
-        if value not in self.declared:
-            raise ParseError(f"unquantified variable {value!r}", pos)
-        return Var(value)
+        op = _OPS.get(value)
+        if op is None:
+            if value in _RESERVED:
+                raise ParseError(f"{value!r} cannot be used here", pos)
+            if value not in self.declared:
+                raise ParseError(f"unquantified variable {value!r}", pos)
+            return Var(value)
+        if not op.arity:
+            return Node(value, ())
+        self.expect_sym("(")
+        args = (self.parse_nested(pos),)
+        param = None
+        if op.param:
+            self.expect_sym(",")
+            kind, param, hpos = self.next()
+            if kind != "int" or param < 1:
+                raise ParseError(f"pow exponent must be a positive integer, found {param!r}", hpos)
+        self.expect_sym(")")
+        return Node(value, args, param)
 
 
 def parse_identity(text: str) -> IdentityStatement:
@@ -366,18 +311,17 @@ def print_expr(expr) -> str:
 
 
 def _pp(expr, context):
-    if isinstance(expr, Var):
+    if type(expr) is Var:
         return expr.name
-    op = _OPS[type(expr)]
-    if isinstance(expr, _Unary):
-        param = f",{getattr(expr, op.param)}" if op.param else ""
-        return f"{op.spelling}({_pp(expr.arg, 0)}{param})"
-    if not isinstance(expr, _Binary):
-        return op.spelling
-    symbol = op.spelling
-    if op.param:
-        symbol += "inf" if expr.m == INF else str(expr.m)
-    text = f"{_pp(expr.lhs, op.prec)} {symbol} {_pp(expr.rhs, op.prec + 1)}"
+    op = _OPS[expr.op]
+    if op.arity == 0:
+        return expr.op
+    if op.arity == 1:
+        param = f",{expr.param}" if op.param else ""
+        return f"{expr.op}({_pp(expr.args[0], 0)}{param})"
+    symbol = f"{expr.op}{expr.param}" if op.param else expr.op  # str(INF) is "inf"
+    lhs, rhs = expr.args
+    text = f"{_pp(lhs, op.prec)} {symbol} {_pp(rhs, op.prec + 1)}"
     return f"({text})" if op.prec < context else text
 
 
@@ -397,20 +341,20 @@ def lower(expr):
     is r; star, pow and cl contain their argument; tol(a) contains
     a | conv(a); and &, | and conv, being monotone, pass to their operands.
     """
-    node = type(expr)
-    if node is ComposeM and expr.m == 1:
-        return lower(expr.lhs)
-    if node in (Compose, ComposeM, Plus):
-        return Union(lower(expr.lhs), lower(expr.rhs))
-    if node in (Intersect, Union):
-        return node(lower(expr.lhs), lower(expr.rhs))
-    if node in (Star, Power, Overline):
-        return lower(expr.arg)
-    if node is Converse:
-        return Converse(lower(expr.arg))
-    if node is ToleranceOf:
-        arg = lower(expr.arg)
-        return Union(arg, Converse(arg))
+    if type(expr) is Var:
+        return expr
+    op, args = expr.op, expr.args
+    if op == ";^" and expr.param == 1:
+        return lower(args[0])
+    if op in (";", ";^", "+"):
+        return Node("|", tuple(map(lower, args)))
+    if op in ("&", "|", "conv"):
+        return Node(op, tuple(map(lower, args)))
+    if op in ("star", "pow", "cl"):
+        return lower(args[0])
+    if op == "tol":
+        arg = lower(args[0])
+        return Node("|", (arg, Node("conv", (arg,))))
     return expr
 
 
@@ -436,7 +380,7 @@ class _Program:
     """Relation expressions over the quantifiers `names`, compiled for one
     algebra into interned slots and run as generated loop code.
 
-    Every distinct subterm is one slot, interned bottom-up by (node type,
+    Every distinct subterm is one slot, interned bottom-up by (operator,
     child slots, parameter), so a subterm met twice is one slot; pow(e, h)
     is interned as e ;^h e.  Each slot records the ascending positions of
     its free variables in `names`; a slot with none is a constant, computed
@@ -474,8 +418,8 @@ class _Program:
         self.alg = alg
         self.names = tuple(names)
         self._position = {name: p for p, name in enumerate(self.names)}
-        self._slots = {}  # (node type, child slots, parameter) -> slot
-        self._keys = []  # slot -> (node type, child slots, parameter)
+        self._slots = {}  # (operator, child slots, parameter) -> slot
+        self._keys = []  # slot -> (operator, child slots, parameter)
         self.free = []  # slot -> ascending positions of its free variables
         self._fns = {}  # slot -> its bound kernel, unless written inline
         self._constants = {}  # slot without free variables -> its packed value
@@ -484,18 +428,14 @@ class _Program:
 
     def slot(self, expr) -> int:
         """Compile expr and its subterms; return expr's slot."""
-        node = type(expr)
-        if node is Var:
+        if type(expr) is Var:
             p = self._position.get(expr.name)
             if p is None:
                 raise ValueError(f"unbound variable {expr.name!r}")
             key = (Var, (), p)
-        elif node is Power:
-            key = (ComposeM, (self.slot(expr.arg),) * 2, expr.h)
-        elif node in _OPS:
-            param = _OPS[node].param
-            kids = tuple(self.slot(e) for e in _operands(expr))
-            key = (node, kids, getattr(expr, param) if param else None)
+        elif type(expr) is Node and expr.op in _OPS and len(expr.args) == _OPS[expr.op].arity:
+            kids = tuple(self.slot(e) for e in expr.args)
+            key = (";^", kids * 2, expr.param) if expr.op == "pow" else (expr.op, kids, expr.param)
         else:
             raise TypeError(f"not a relation expression: {expr!r}")
         slot = self._slots.get(key)
@@ -512,20 +452,17 @@ class _Program:
         free = tuple(sorted({p for k in kids for p in self.free[k]}))
         self.free.append(free)
         op = _OPS[node]
-        fn = op.packed or self._kernel(node, param)
+        fn = op.kernel if op.inline else self._kernel(op, param)
         if not free:
             self._constants[slot] = fn(*(self._constants[k] for k in kids))
-        elif not op.packed:
+        elif not op.inline:
             self._fns[slot] = fn
         return slot
 
-    def _kernel(self, node, param):
-        """node's kernel, bound to the algebra or its size and to param."""
-        op = _OPS[node]
+    def _kernel(self, op, param):
+        """op's kernel, bound to the algebra or its size and to param."""
         first = self.alg if op.alg else self.alg.size
-        if node is ComposeM and param == INF:
-            return partial(rel._plus, first)
-        return partial(getattr(rel, "_" + op.rel), first, **({op.param: param} if op.param else {}))
+        return partial(op.kernel, first, **({op.param: param} if op.param else {}))
 
     def _name(self, slot):
         """The name generated code reads slot's value by."""
@@ -555,10 +492,9 @@ class _Program:
     def _lines(self, slot, exhaustive):
         """The generated lines that set x<slot> from its children."""
         node, kids, _ = self._keys[slot]
-        op = _OPS[node]
         args = [self._name(k) for k in kids]
-        if op.packed:
-            return [f"x{slot} = {args[0]} {op.spelling} {args[1]}"]
+        if _OPS[node].inline:
+            return [f"x{slot} = {args[0]} {node} {args[1]}"]
         value = f"f{slot}({', '.join(args)})"
         free = self.free[slot]
         # in place when over every quantifier, or exhaustively over 0..i or over one

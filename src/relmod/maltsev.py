@@ -308,6 +308,21 @@ def verify_day(alg: FiniteAlgebra, system: DaySystem) -> bool:
     return _verify(_DAY, alg, tuple(system.d)) is not None
 
 
+def _find(cond, alg, cap, trivial, verify, system_of):
+    """The search find_directed_gumm and find_day share: `trivial` on a
+    one-element algebra, else _search for cond's chain, built into a system
+    by system_of and checked by verify before it is returned."""
+    if alg.size == 1:
+        return SearchResult(SearchStatus.FOUND, trivial, 1)
+    res = _search(cond, alg, cap)
+    if not res.found:
+        return res
+    system = system_of(res.system)
+    if not verify(alg, system):
+        raise RuntimeError(f"internal error: the search produced an invalid {type(system).__name__}")
+    return SearchResult(res.status, system, res.node_count, res.cap_error)
+
+
 def find_directed_gumm(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
     """Shortest directed Gumm system for the variety generated by alg: the
     _DGUMM chain p, j_1..j_k, found by _search among the ternary term
@@ -315,17 +330,11 @@ def find_directed_gumm(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResu
     width 3n^2-2n instead of F(3)'s n^3.  The returned k is minimal; the
     graph is finite, so NOT_UP_TO means no chain of any length exists.  cap
     bounds the restricted width and the closure size."""
-    if alg.size == 1:
-        system = DirectedGummSystem(1, Variable(2), (Variable(2),))
-        return SearchResult(SearchStatus.FOUND, system, 1)
-    res = _search(_DGUMM, alg, cap)
-    if not res.found:
-        return res
-    p, *j = res.system
-    system = DirectedGummSystem(len(j), p, tuple(j))
-    if not verify_directed_gumm(alg, system):
-        raise RuntimeError("internal error: directed Gumm search produced an invalid system")
-    return SearchResult(res.status, system, res.node_count, res.cap_error)
+    trivial = DirectedGummSystem(1, Variable(2), (Variable(2),))
+    return _find(
+        _DGUMM, alg, cap, trivial, verify_directed_gumm,
+        lambda chain: DirectedGummSystem(len(chain) - 1, chain[0], chain[1:]),
+    )
 
 
 def find_day(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
@@ -335,16 +344,8 @@ def find_day(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
     (a,b,b,a): a subpower of width n^3+n^2-n instead of F(4)'s n^4.  The
     returned k is minimal; NOT_UP_TO means no chain of any length exists.
     cap bounds the restricted width and the closure size."""
-    if alg.size == 1:
-        system = DaySystem(0, (Variable(0),))
-        return SearchResult(SearchStatus.FOUND, system, 1)
-    res = _search(_DAY, alg, cap)
-    if not res.found:
-        return res
-    system = DaySystem(len(res.system) - 1, res.system)
-    if not verify_day(alg, system):
-        raise RuntimeError("internal error: Day search produced an invalid system")
-    return SearchResult(res.status, system, res.node_count, res.cap_error)
+    trivial = DaySystem(0, (Variable(0),))
+    return _find(_DAY, alg, cap, trivial, verify_day, lambda chain: DaySystem(len(chain) - 1, chain))
 
 
 def decide_modularity(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:

@@ -65,6 +65,8 @@ from itertools import product
 
 from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra, Record, _put
 
+INF = float("inf")
+
 
 class BinRel:
     """n x n boolean matrix packed into one n^2-bit int, ``bits``: pair
@@ -231,11 +233,14 @@ def union(r: BinRel, s: BinRel) -> BinRel:
 
 def _m_compose(n, r, s, m):
     """r o s o r o ... with m alternating factors (m-1 composition signs):
-    (r;s)^(m//2), then ; r when m is odd.  The power is taken by
-    square-and-multiply, so m costs O(log m) compositions; powers of r;s
-    commute, so each factor is put in front of the ones already taken."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    (r;s)^(m//2), then ; r when m is odd; ``_plus`` when m is INF.  The
+    power is taken by square-and-multiply, so m costs O(log m)
+    compositions; powers of r;s commute, so each factor is put in front of
+    the ones already taken."""
+    if m == INF:
+        return _plus(n, r, s)
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise ValueError(f"m must be an integer >= 1 or INF, got {m!r}")
     out = r if m % 2 else None
     k = m // 2
     base = _compose(n, r, s) if k else None
@@ -254,6 +259,8 @@ def m_compose(r: BinRel, s: BinRel, m: int) -> BinRel:
 
 def power(r: BinRel, h: int) -> BinRel:
     """h-fold composition of r with itself."""
+    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
+        raise ValueError(f"h must be an integer >= 1, got {h!r}")
     return m_compose(r, r, h)
 
 
@@ -508,11 +515,6 @@ class RelKind(Enum):
     CONGRUENCE = "CON"
 
 
-_CLOSERS = {
-    RelKind.REFL_ADM: refl_adm_closure,
-    RelKind.TOLERANCE: tolerance_of,
-    RelKind.CONGRUENCE: congruence_generated,
-}
 _KERNELS = {
     RelKind.REFL_ADM: _refl_adm_closure,
     RelKind.TOLERANCE: _tolerance_of,
@@ -521,7 +523,7 @@ _KERNELS = {
 
 
 def close_to_kind(alg: FiniteAlgebra, kind: RelKind, r: BinRel) -> BinRel:
-    return _CLOSERS[kind](alg, r)
+    return BinRel._of(r.n, _KERNELS[kind](alg, _on(alg, r)))
 
 
 class RelLattice(Record):

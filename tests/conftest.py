@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from relmod import corpus
+from relmod import corpus, identities, relations
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -18,6 +18,22 @@ def bench_workloads(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     return workloads
+
+
+@pytest.fixture
+def patch_kernel(monkeypatch):
+    """patch_kernel(name, fn) replaces the relations kernel `name` by fn for
+    the test: in the module, which the kernels call each other through,
+    and in every identities._OPS row that holds it, which checks call."""
+
+    def patch(name, fn):
+        old = getattr(relations, name)
+        monkeypatch.setattr(relations, name, fn)
+        for spelling, op in identities._OPS.items():
+            if op.kernel is old:
+                monkeypatch.setitem(identities._OPS, spelling, op._replace(kernel=fn))
+
+    return patch
 
 
 @pytest.fixture(scope="session")

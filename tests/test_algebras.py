@@ -383,7 +383,8 @@ def test_format_term():
         format_term(Apply("meet", (Variable(0), Variable(-1))))
 
 
-# One instance of every value class, as (class, fields in declaration order).
+# One instance of every value class, as (class, fields in declaration order),
+# then one Node per operator of the identity language, named after it.
 _S, _T = identities.Var("S"), identities.Var("T")
 _RECORDS = [
     (Operation, {"symbol": "f", "arity": 1, "table": (1, 0)}),
@@ -391,18 +392,6 @@ _RECORDS = [
     (Apply, {"symbol": "f", "children": (Variable(0), Apply("c", ()))}),
     (relations.RelLattice, {"kind": relations.RelKind.CONGRUENCE, "members": (relations.delta(2),)}),
     (identities.Var, {"name": "S"}),
-    (identities.Delta, {}),
-    (identities.Nabla, {}),
-    (identities.Intersect, {"lhs": _S, "rhs": _T}),
-    (identities.Union, {"lhs": _S, "rhs": _T}),
-    (identities.Compose, {"lhs": _S, "rhs": _T}),
-    (identities.ComposeM, {"lhs": _S, "rhs": _T, "m": identities.INF}),
-    (identities.Plus, {"lhs": _S, "rhs": _T}),
-    (identities.Power, {"arg": _S, "h": 3}),
-    (identities.Converse, {"arg": _S}),
-    (identities.Star, {"arg": _S}),
-    (identities.Overline, {"arg": _S}),
-    (identities.ToleranceOf, {"arg": _S}),
     (
         identities.IdentityStatement,
         {"quantifiers": (("S", relations.RelKind.REFL_ADM),), "relation": identities.StmtRel.EQUALS, "lhs": _S, "rhs": _S},
@@ -422,9 +411,26 @@ _RECORDS = [
     (maltsev.WitnessStep, {"source": 0, "target": 1, "label": "S", "relation": relations.nabla(2)}),
     (maltsev.WitnessChain, {"start": 0, "end": 0, "steps": (), "lam_blocks": 2}),
 ]
+_IDS = [cls.__name__ for cls, _ in _RECORDS]
+for _name, _op, _args, _param in [
+    ("Delta", "delta", (), None),
+    ("Nabla", "nabla", (), None),
+    ("Intersect", "&", (_S, _T), None),
+    ("Union", "|", (_S, _T), None),
+    ("Compose", ";", (_S, _T), None),
+    ("ComposeM", ";^", (_S, _T), identities.INF),
+    ("Plus", "+", (_S, _T), None),
+    ("Power", "pow", (_S,), 3),
+    ("Converse", "conv", (_S,), None),
+    ("Star", "star", (_S,), None),
+    ("Overline", "cl", (_S,), None),
+    ("ToleranceOf", "tol", (_S,), None),
+]:
+    _RECORDS.append((identities.Node, {"op": _op, "args": _args, "param": _param}))
+    _IDS.append(_name)
 
 
-@pytest.mark.parametrize("cls, fields", _RECORDS, ids=[cls.__name__ for cls, _ in _RECORDS])
+@pytest.mark.parametrize("cls, fields", _RECORDS, ids=_IDS)
 def test_value_classes(cls, fields):
     # built by position or by keyword: equal, equal hashes, the fields read
     # back, a dataclass-style repr, and no assignment
@@ -445,12 +451,14 @@ def test_value_classes(cls, fields):
 
 
 def test_value_classes_compare_by_type():
-    # nodes with equal fields but different types differ, hashes included
+    # nodes that differ only in op, or only in param, differ, hashes included
+    Node = identities.Node
     pairs = [
-        (identities.Intersect(_S, _T), identities.Union(_S, _T)),
-        (identities.Compose(_S, _T), identities.Plus(_S, _T)),
-        (identities.Star(_S), identities.Overline(_S)),
-        (identities.Delta(), identities.Nabla()),
+        (Node("&", (_S, _T)), Node("|", (_S, _T))),
+        (Node(";", (_S, _T)), Node("+", (_S, _T))),
+        (Node("star", (_S,)), Node("cl", (_S,))),
+        (Node("delta", ()), Node("nabla", ())),
+        (Node(";^", (_S, _T), 2), Node(";^", (_S, _T), identities.INF)),
     ]
     for x, y in pairs:
         assert x != y and hash(x) != hash(y)

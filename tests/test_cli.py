@@ -180,7 +180,27 @@ def test_sort_messages_list_every_sort(capsys):
 def test_params_pass_only_what_is_given():
     # the catalog's own defaults fill the rest
     assert cli._parse_params(None) == {}
-    assert cli._parse_params(["m=inf", "k=3", "m=4"]) == {"m": 4, "k": 3}
+    assert cli._parse_params(["m=inf", "k=3"]) == {"m": identities.INF, "k": 3}
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("catalog", "--param", "k=3", "--param", "k=4"), "--param k is given twice"),
+        (("catalog", "--param", "m=inf", "--param", "k=3", "--param", "m=4"), "--param m is given twice"),
+        (
+            ("check", "--algebra", "l2", "--identity", "(1.1)", "--sort", "S=CON", "--sort", "S=REFL"),
+            "--sort S is given twice",
+        ),
+    ],
+    ids=["param-k", "param-m", "sort-s"],
+)
+def test_repeated_param_or_sort_exit_two(args, message):
+    # a second value for the same name is a usage error, not a silent override
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert message in res.stderr
 
 
 def test_check_bad_param_value_exit_two():
@@ -588,15 +608,13 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
         cli.main(["enumerate", "--algebra", "l2", "--kind", "refl"])
 
 
-def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+def test_internal_value_error_is_not_a_usage_error(patch_kernel):
     # a ValueError from a relation operator's kernel is a bug, not a user
     # mistake, so it surfaces instead of exiting 2
-    from relmod import relations
-
     def broken(n, r, s):
         raise ValueError("internal")
 
-    monkeypatch.setattr(relations, "_compose", broken)
+    patch_kernel("_compose", broken)
     with pytest.raises(ValueError, match="internal"):
         cli.main(["check", "--algebra", "l2", "--identity", "(1.1)"])
 

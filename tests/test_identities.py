@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pathlib
 import random
 import re
 
@@ -9,22 +10,11 @@ from hypothesis import given, settings, strategies as st
 from relmod import corpus, identities, relations
 from relmod.identities import (
     INF,
-    Compose,
-    ComposeM,
-    Converse,
     Counterexample,
-    Delta,
     IdentityStatement,
-    Intersect,
-    Nabla,
-    Overline,
+    Node,
     ParseError,
-    Plus,
-    Power,
-    Star,
     StmtRel,
-    ToleranceOf,
-    Union,
     Var,
     Verdict,
     catalog,
@@ -76,8 +66,8 @@ def test_parse_identity_1_1():
     assert stmt == IdentityStatement(
         (("Theta", RelKind.TOLERANCE), ("S", RelKind.REFL_ADM)),
         StmtRel.INCLUDED_IN,
-        Intersect(Theta, Compose(S, S)),
-        Star(Intersect(Theta, S)),
+        Node("&", (Theta, Node(";", (S, S)))),
+        Node("star", (Node("&", (Theta, S)),)),
     )
     assert stmt == catalog_entry("(1.1)")
 
@@ -133,36 +123,107 @@ def test_parse_bad_compose_count():
         parse_identity("S:REFL |- pow(S,0) <= S")
 
 
+_DEEP_PARENS = "(" * 101 + "S" + ")" * 101
+_DEEP_CONV = "conv(" * 101 + "S" + ")" * 101
+_DEEP_CHAIN = " ; ".join(["S"] * 102)
+
+
+@pytest.mark.parametrize(
+    "text, message, pos",
+    [
+        ("S:REFL |- S <= S @", "unexpected character '@'", 17),
+        ("S:REFL |- (S <= S", "expected ')', found '<='", 13),
+        ("S:REFL |- S <= (S", "expected ')', found end of input", 17),
+        ("S:REFL |- conv(S <= S", "expected ')', found '<='", 17),
+        ("S:REFL |- conv S <= S", "expected '(', found 'S'", 15),
+        ("S:REFL |- pow(S) <= S", "expected ',', found ')'", 15),
+        ("S:REFL S <= S", "expected '|-', found 'S'", 7),
+        ("S REFL |- S <= S", "expected ':', found 'REFL'", 2),
+        ("S:REFL |- S", "expected '<=' or '=', found end of input", 11),
+        ("S:REFL |- S S", "expected '<=' or '=', found 'S'", 12),
+        ("S:REFL |- S <= S S", "unexpected trailing input 'S'", 17),
+        ("3:REFL |- S <= S", "expected a variable name, found 3", 0),
+        ("S:REFL,", "expected a variable name, found end of input", 7),
+        ("star:REFL |- S <= S", "'star' is reserved and cannot be quantified", 0),
+        ("S:REFL, S:TOL |- S <= S", "duplicate quantifier 'S'", 8),
+        ("S:EQ |- S <= S", "expected REFL, TOL or CON, found 'EQ'", 2),
+        ("S:", "expected REFL, TOL or CON, found end of input", 2),
+        ("S:REFL |- S ;^x S <= S", "expected an integer or 'inf' after ';^', found 'x'", 14),
+        ("S:REFL |- S ;^", "expected an integer or 'inf' after ';^', found end of input", 14),
+        ("S:REFL |- S ;^0 S <= S", "composition count must be >= 1", 14),
+        ("S:REFL |- REFL <= S", "'REFL' cannot be used here", 10),
+        ("S:REFL |- inf <= S", "'inf' cannot be used here", 10),
+        ("S:REFL |- <= S", "expected an expression, found '<='", 10),
+        ("S:REFL |- S <=", "expected an expression, found end of input", 14),
+        ("S:REFL |- pow(S,0) <= S", "pow exponent must be a positive integer, found 0", 16),
+        ("S:REFL |- pow(S,", "pow exponent must be a positive integer, found end of input", 16),
+        ("S:REFL |- S <= T", "unquantified variable 'T'", 15),
+        (f"S:REFL |- {_DEEP_PARENS} <= S", "expression nests more than 100 parentheses deep", 110),
+        (f"S:REFL |- {_DEEP_CONV} <= S", "expression nests more than 100 parentheses deep", 510),
+        (f"S:REFL |- {_DEEP_CHAIN} <= S", "expression nests more than 100 operators deep", 10),
+    ],
+)
+def test_parse_error_message_and_position(text, message, pos):
+    with pytest.raises(ParseError) as info:
+        parse_identity(text)
+    assert str(info.value) == f"{message} (at position {pos})"
+    assert info.value.pos == pos
+
+
+@pytest.mark.parametrize(
+    "expr", [3, Node("?", ()), Node("&", (S,)), Node("delta", (S,))], ids=["int", "unknown-op", "arity-1-of-2", "arity-1-of-0"]
+)
+def test_slot_rejects_a_non_expression(expr):
+    with pytest.raises(TypeError, match=rf"^not a relation expression: {re.escape(repr(expr))}$"):
+        identities._Program(corpus.builtin("l2"), ["S"]).slot(expr)
+
+
+def _grammar_spellings(grammar):
+    """The operator spellings quoted in an EBNF grammar's expr rule: each
+    quoted token with a trailing "(" dropped, less the punctuation and
+    "inf"."""
+    rule = grammar[grammar.index("expr  :="):]
+    return {token.rstrip("(") for token in re.findall(r'"([^"]*)"', rule)} - {"", ")", ",", "inf"}
+
+
+def test_documented_grammars_spell_the_operator_table():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Identity language", 1)[1].split("```")[1]
+    docstring = identities.__doc__.split("Grammar (EBNF)::", 1)[1].split("Precedence", 1)[0]
+    assert _grammar_spellings(block) == set(identities._OPS)
+    assert _grammar_spellings(docstring) == set(identities._OPS)
+
+
 def test_parse_precedence():
     stmt = parse_identity("S:REFL, T:REFL |- S & T ; S + T | S <= S")
     # & tightest, then ;, then +/| left-assoc
-    assert stmt.lhs == Union(Plus(Compose(Intersect(S, T), S), T), S)
+    assert stmt.lhs == Node("|", (Node("+", (Node(";", (Node("&", (S, T)), S)), T)), S))
 
 
 def test_parse_inf():
     stmt = parse_identity("S:REFL, T:REFL |- S ;^inf T <= S + T")
-    assert stmt.lhs == ComposeM(S, T, INF)
-    assert stmt.rhs == Plus(S, T)
+    assert stmt.lhs == Node(";^", (S, T), INF)
+    assert stmt.rhs == Node("+", (S, T))
 
 
 def _exprs(names=("S", "T")):
-    leaves = st.sampled_from([Var(n) for n in names] + [Delta(), Nabla()])
+    leaves = st.sampled_from([Var(n) for n in names] + [Node("delta", ()), Node("nabla", ())])
 
     def extend(children):
         unary = st.builds(
-            lambda cls, a: cls(a),
-            st.sampled_from([Converse, Star, Overline, ToleranceOf]),
+            lambda op, a: Node(op, (a,)),
+            st.sampled_from(["conv", "star", "cl", "tol"]),
             children,
         )
-        powers = st.builds(Power, children, st.integers(1, 3))
+        powers = st.builds(lambda a, h: Node("pow", (a,), h), children, st.integers(1, 3))
         binary = st.builds(
-            lambda cls, a, b: cls(a, b),
-            st.sampled_from([Intersect, Union, Compose, Plus]),
+            lambda op, a, b: Node(op, (a, b)),
+            st.sampled_from(["&", "|", ";", "+"]),
             children,
             children,
         )
         composem = st.builds(
-            ComposeM, children, children, st.sampled_from([1, 2, 3, INF])
+            lambda a, b, m: Node(";^", (a, b), m), children, children, st.sampled_from([1, 2, 3, INF])
         )
         return st.one_of(unary, powers, binary, composem)
 
@@ -189,31 +250,20 @@ def _reference(alg, e, env):
     """e's value, evaluated from scratch straight from the relation operators."""
     if isinstance(e, Var):
         return env[e.name]
-    if isinstance(e, Delta):
+    op, args = e.op, [_reference(alg, a, env) for a in e.args]
+    if op == "delta":
         return delta(alg.size)
-    if isinstance(e, Nabla):
+    if op == "nabla":
         return nabla(alg.size)
-    if isinstance(e, (Power, Converse, Star, Overline, ToleranceOf)):
-        arg = _reference(alg, e.arg, env)
-        if isinstance(e, Power):
-            return power(arg, e.h)
-        if isinstance(e, Converse):
-            return converse(arg)
-        if isinstance(e, Star):
-            return star(arg)
-        if isinstance(e, Overline):
-            return refl_adm_closure(alg, arg)
-        return tolerance_of(alg, arg)
-    lhs, rhs = _reference(alg, e.lhs, env), _reference(alg, e.rhs, env)
-    if isinstance(e, Intersect):
-        return intersect(lhs, rhs)
-    if isinstance(e, Union):
-        return union(lhs, rhs)
-    if isinstance(e, Compose):
-        return compose(lhs, rhs)
-    if isinstance(e, ComposeM) and e.m != INF:
-        return m_compose(lhs, rhs, e.m)
-    return plus(lhs, rhs)
+    if op == "pow":
+        return power(*args, e.param)
+    if op == ";^" and e.param != INF:
+        return m_compose(*args, e.param)
+    if op == "cl":
+        return refl_adm_closure(alg, *args)
+    if op == "tol":
+        return tolerance_of(alg, *args)
+    return {"conv": converse, "star": star, "&": intersect, "|": union, ";": compose, "+": plus, ";^": plus}[op](*args)
 
 
 @settings(deadline=None, max_examples=80)
@@ -396,7 +446,7 @@ def test_tabled_subterms_match_reference(name):
         assert not verdict.holds and verdict.checked > len(lattices[1]) * len(lattices[2])
 
 
-def test_D3_on_l3_tabulates_each_single_quantifier_subterm(monkeypatch):
+def test_D3_on_l3_tabulates_each_single_quantifier_subterm(patch_kernel):
     # conv(R), conv(S) and conv(T) each lie over one quantifier: conv(R) is
     # computed in R's loop, conv(S) and conv(T) in the tables of S and T,
     # and tol(R) converses R once more inside its kernel, so every member
@@ -405,7 +455,7 @@ def test_D3_on_l3_tabulates_each_single_quantifier_subterm(monkeypatch):
     stmt = catalog_entry("(D3)", m=INF)
     seen = []
     kernel = relations._converse
-    monkeypatch.setattr(relations, "_converse", lambda n, r: seen.append(r) or kernel(n, r))
+    patch_kernel("_converse", lambda n, r: seen.append(r) or kernel(n, r))
     verdict = check_identity(l3, stmt)
     lattice = [r.bits for r in enumerate_relations(l3, RelKind.REFL_ADM).members]
     assert verdict.holds and verdict.checked == 25**3
@@ -456,7 +506,7 @@ def test_check_many_quantifiers_exhaustively():
     assert verdict.holds and verdict.checked == 1
 
 
-def test_D3_on_l3_hoists_tol_and_caches_the_join(monkeypatch):
+def test_D3_on_l3_hoists_tol_and_caches_the_join(patch_kernel):
     # tol(R) lies over R alone, so it runs once per pass of R's loop;
     # S ;^inf T lies over S and T but not R, so it is cached and joined once
     # per distinct pair.  Every other join is one of the right side's three,
@@ -472,7 +522,7 @@ def test_D3_on_l3_hoists_tol_and_caches_the_join(monkeypatch):
             counts[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(relations, name, counted)
+        patch_kernel(name, counted)
 
     for name in counts:
         counting(name)
@@ -521,7 +571,7 @@ def test_lower_is_a_subrelation(label, params):
                 )
 
 
-def test_lower_bound_settles_without_building_the_right_side(monkeypatch):
+def test_lower_bound_settles_without_building_the_right_side(patch_kernel):
     # S is inside lower(S ; T) = S | T, so no assignment composes
     calls = []
     kernel = relations._compose
@@ -530,13 +580,13 @@ def test_lower_bound_settles_without_building_the_right_side(monkeypatch):
         calls.append((r, s))
         return kernel(n, r, s)
 
-    monkeypatch.setattr(relations, "_compose", counting_compose)
+    patch_kernel("_compose", counting_compose)
     verdict = check_identity(cold("l3"), parse_identity("S:REFL, T:REFL |- S <= S ; T"))
     assert verdict.holds and verdict.checked == 25**2
     assert calls == []
 
 
-def test_lower_bound_settles_most_of_D3_on_l3(monkeypatch):
+def test_lower_bound_settles_most_of_D3_on_l3(patch_kernel):
     # the right side of (D3) runs three saturating joins over R, S and T,
     # which every assignment built before the lower-bound test; the left
     # side is evaluated first, so the joins counted are the right side's
@@ -549,7 +599,7 @@ def test_lower_bound_settles_most_of_D3_on_l3(monkeypatch):
         calls.append((r, s))
         return kernel(n, r, s)
 
-    monkeypatch.setattr(relations, "_plus", counting_plus)
+    patch_kernel("_plus", counting_plus)
     program = identities._Program(l3, ("R", "S", "T"))
     violation = program.violation(stmt)
     lhs = program._runner(program.slot(stmt.lhs))
@@ -625,7 +675,7 @@ def test_closure_cache_cap_keeps_verdicts(monkeypatch):
         assert max(sizes) == 1
 
 
-def test_subterm_over_every_quantifier_is_computed_once_per_assignment(l2, monkeypatch):
+def test_subterm_over_every_quantifier_is_computed_once_per_assignment(l2, patch_kernel):
     # S ; T depends on both quantifiers, so no assignment can reuse another's
     # value of it, but its three uses within one assignment share one compose
     stmt = parse_identity("S:REFL, T:REFL |- (S ; T) & (S ; T) <= S ; T")
@@ -636,7 +686,7 @@ def test_subterm_over_every_quantifier_is_computed_once_per_assignment(l2, monke
         calls.append((r, s))
         return kernel(n, r, s)
 
-    monkeypatch.setattr(relations, "_compose", counting_compose)
+    patch_kernel("_compose", counting_compose)
     verdict = check_identity(l2, stmt)
     assert verdict.holds and len(calls) == verdict.checked
     calls.clear()
@@ -645,20 +695,20 @@ def test_subterm_over_every_quantifier_is_computed_once_per_assignment(l2, monke
 
 
 def test_eval_examples(z2xz2):
-    assert eval_expr(z2xz2, Compose(S, S), {"S": delta(4)}) == delta(4)
+    assert eval_expr(z2xz2, Node(";", (S, S)), {"S": delta(4)}) == delta(4)
     from relmod.relations import congruence_generated
 
     ker_lo = congruence_generated(z2xz2, BinRel.from_pairs(4, [(0, 1)]))
     ker_hi = congruence_generated(z2xz2, BinRel.from_pairs(4, [(0, 2)]))
-    assert eval_expr(z2xz2, ComposeM(S, T, INF), {"S": ker_lo, "T": ker_hi}) == nabla(4)
+    assert eval_expr(z2xz2, Node(";^", (S, T), INF), {"S": ker_lo, "T": ker_hi}) == nabla(4)
 
 
 def test_eval_overline_union_contained_in_compose(sl2):
     lattice = enumerate_relations(sl2, RelKind.REFL_ADM)
     for a in lattice:
         for b in lattice:
-            lhs = eval_expr(sl2, Overline(Union(S, T)), {"S": a, "T": b})
-            assert lhs.issubset(eval_expr(sl2, Compose(S, T), {"S": a, "T": b}))
+            lhs = eval_expr(sl2, Node("cl", (Node("|", (S, T)),)), {"S": a, "T": b})
+            assert lhs.issubset(eval_expr(sl2, Node(";", (S, T)), {"S": a, "T": b}))
 
 
 def test_eval_unbound_variable(sl2):
@@ -757,10 +807,10 @@ def test_sample_mode_draws_sorted_relations(sl3):
 @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
 def test_check_rejects_malformed_quantifiers(l2, quantifiers, message, mode):
     # what the parser rejects, though an expression alone may bind nothing
-    stmt = IdentityStatement(quantifiers, StmtRel.INCLUDED_IN, Delta(), Nabla())
+    stmt = IdentityStatement(quantifiers, StmtRel.INCLUDED_IN, Node("delta", ()), Node("nabla", ()))
     with pytest.raises(ValueError, match=message):
         check_identity(l2, stmt, mode=mode)
-    assert eval_expr(l2, Delta(), {}) == delta(2)
+    assert eval_expr(l2, Node("delta", ()), {}) == delta(2)
 
 
 def test_trees_built_in_python_keep_the_parsers_depth_bound(l2):
@@ -769,7 +819,7 @@ def test_trees_built_in_python_keep_the_parsers_depth_bound(l2):
     def converses(depth):
         e = Var("S")
         for _ in range(depth):
-            e = Converse(e)
+            e = Node("conv", (e,))
         return e
 
     order = BinRel(2, (0b11, 0b10))  # 0 <= 1
@@ -935,15 +985,16 @@ def test_catalog_1_2_shape():
 
 def test_catalog_B1_inf_shape():
     stmt = catalog_entry("(B1)", m=INF)
-    assert stmt.lhs == Intersect(Theta, ComposeM(S, Converse(S), INF))
-    assert stmt.rhs == Plus(Intersect(Theta, S), Intersect(Theta, Converse(S)))
+    conv_s = Node("conv", (S,))
+    assert stmt.lhs == Node("&", (Theta, Node(";^", (S, conv_s), INF)))
+    assert stmt.rhs == Node("+", (Node("&", (Theta, S)), Node("&", (Theta, conv_s))))
 
 
 def test_catalog_a2_exponent():
     stmt = catalog_entry("(a2)", h=1, k=2)
     assert q_bound(1, 2) == 2
-    inner = stmt.rhs.rhs  # the (tol(R)&S ;^q tol(R)&T) factor
-    assert isinstance(inner, ComposeM) and inner.m == 2
+    inner = stmt.rhs.args[1]  # the (tol(R)&S ;^q tol(R)&T) factor
+    assert inner.op == ";^" and inner.param == 2
 
 
 def test_catalog_turt_l_variables():

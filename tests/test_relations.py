@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,6 +159,19 @@ def test_m_compose_matches_naive(r, s, m):
     assert set(m_compose(r, s, m).pairs()) == cur
 
 
+@pytest.mark.parametrize("m", [0, -1, 2.0, 0.5, "2", None, True])
+def test_m_compose_rejects_a_count_that_is_not_a_positive_integer_or_inf(m):
+    r = rel_of(2, (0, 1))
+    with pytest.raises(ValueError, match=rf"^m must be an integer >= 1 or INF, got {re.escape(repr(m))}$"):
+        m_compose(r, r, m)
+
+
+@pytest.mark.parametrize("h", [0, -1, 2.0, INF, "2", None, True])
+def test_power_rejects_an_exponent_that_is_not_a_positive_integer(h):
+    with pytest.raises(ValueError, match=rf"^h must be an integer >= 1, got {re.escape(repr(h))}$"):
+        power(rel_of(2, (0, 1)), h)
+
+
 def test_power_trivial():
     r = rel_of(3, (0, 1))
     assert power(r, 1) == r
@@ -269,6 +283,7 @@ def test_packed_operators_match_row_reference(n):
             assert power(R, m).rows == oracles.rows_m_compose(r, r, m)
         assert star(R).rows == oracles.rows_star(r)
         assert plus(R, S).rows == oracles.rows_plus(r, s)
+        assert m_compose(R, S, INF).rows == oracles.rows_plus(r, s)
         branches.add(is_reflexive(R) and is_reflexive(S))
         for x, y in ((R, S), (S, R), (intersect(R, S), R), (R, union(R, S))):
             assert x.issubset(y) == oracles.rows_issubset(x.rows, y.rows)
@@ -546,20 +561,20 @@ def test_sampled_check_runs_kernel_once_per_slot_or_open_seed(monkeypatch, m3):
 
     alg = FiniteAlgebra("m3-copy", m3.size, m3.operations)
     n = alg.size
-    kernel, closure = rel._pair_closure, rel.refl_adm_closure
+    kernel, closure = rel._pair_closure, rel._refl_adm_closure
     runs, inputs = [], []
 
     def counted_kernel(alg, bits):
         runs.append(1)
         return kernel(alg, bits)
 
-    def recorded_closure(alg, r):
-        inputs.append(r)
-        return closure(alg, r)
+    def recorded_closure(alg, bits):
+        inputs.append(BinRel._of(alg.size, bits))
+        return closure(alg, bits)
 
     monkeypatch.setattr(rel, "_pair_closure", counted_kernel)
-    monkeypatch.setattr(rel, "refl_adm_closure", recorded_closure)
-    monkeypatch.setitem(rel._CLOSERS, RelKind.REFL_ADM, recorded_closure)
+    # the sampled draws close through close_to_kind's kernel table
+    monkeypatch.setitem(rel._KERNELS, RelKind.REFL_ADM, recorded_closure)
     verdict = check_identity(alg, catalog_entry("(D3)", m=INF), mode="sample", seed=5, samples=1000)
     assert verdict.holds and verdict.checked == 1000
     assert len(inputs) >= 3000
