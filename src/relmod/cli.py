@@ -193,16 +193,12 @@ def _cmd_check(args, alg):
             stmt = with_sorts(stmt, overrides)
         except ValueError as e:
             raise UsageError(e.args[0]) from None
-    if args.mode == "sample":
-        samples = 1000 if args.samples is None else args.samples
-        if samples < 1:
-            raise UsageError(f"samples must be >= 1, got {samples}")
-        sampling = {"seed": args.seed or 0, "samples": samples}
-    else:
-        for flag in ("samples", "seed"):
-            if getattr(args, flag) is not None:
-                raise UsageError(f"--{flag} applies only to --mode sample")
-        sampling = {}
+    # the --samples and --seed values given; an omitted one keeps check_identity's default
+    sampling = {flag: getattr(args, flag) for flag in ("samples", "seed") if getattr(args, flag) is not None}
+    if sampling and args.mode != "sample":
+        raise UsageError(f"--{next(iter(sampling))} applies only to --mode sample")
+    if sampling.get("samples", 1) < 1:
+        raise UsageError(f"samples must be >= 1, got {sampling['samples']}")
     verdict = check_identity(alg, stmt, mode=args.mode, cap=args.cap, **sampling)
     item = {
         "_kind": "check",
@@ -233,19 +229,11 @@ def _cmd_enumerate(args, alg):
 
 
 def _cmd_find_terms(args, alg):
-    if args.family == "dgumm":
-        res = find_directed_gumm(alg, cap=args.cap)
-
-        def term_names(system):
-            out = {"p": format_term(system.p)}
-            out.update((f"j{i}", format_term(t)) for i, t in enumerate(system.j, start=1))
-            return out
-
-    else:
-        res = find_day(alg, cap=args.cap)
-
-        def term_names(system):
-            return {f"d{i}": format_term(t) for i, t in enumerate(system.d)}
+    dgumm = args.family == "dgumm"
+    res = (find_directed_gumm if dgumm else find_day)(alg, cap=args.cap)
+    # t_0 is named first, and t_i for i >= 1 is named later + i
+    first, later = ("p", "j") if dgumm else ("d0", "d")
+    terms = res.system.terms if res.found else ()
     capped = res.status is SearchStatus.CAP_EXCEEDED
     item = {
         "_kind": "find-terms",
@@ -255,7 +243,7 @@ def _cmd_find_terms(args, alg):
         "node_count": None if capped else res.node_count,
         "definitive": res.definitive,
         "k": res.system.k if res.found else None,
-        "terms": term_names(res.system) if res.found else None,
+        "terms": {f"{later}{i}" if i else first: format_term(t) for i, t in enumerate(terms)} or None,
     }
     if capped:
         print(f"error: {res.cap_error}", file=sys.stderr)

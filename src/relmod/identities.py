@@ -102,19 +102,24 @@ _MAX_DEPTH = 100
 
 
 def _depth(expr):
-    """The most operators on a path from expr's root to a leaf."""
+    """The most operators on a path from expr's root to a leaf.  A subtree
+    that is neither a Var nor a Node whose operator _OPS has, with that
+    operator's arity, is a TypeError."""
     most, todo = 0, [(expr, 0)]
     while todo:
         e, depth = todo.pop()
         most = max(most, depth)
-        if type(e) is Node:
+        if type(e) is Node and e.op in _OPS and len(e.args) == _OPS[e.op].arity:
             todo += [(c, depth + 1) for c in e.args]
+        elif type(e) is not Var:
+            raise TypeError(f"not a relation expression: {e!r}")
     return most
 
 
 def _check_depth(expr):
-    """Refuse a tree built outside the parser that nests deeper than it
-    lets a side nest, before a recursive walk overflows on it."""
+    """Refuse a tree built outside the parser that is not a relation
+    expression, or nests deeper than the parser lets a side nest, before
+    a recursive walk fails or overflows on it; every public entry does."""
     if _depth(expr) > _MAX_DEPTH:
         raise ValueError(f"expression nests more than {_MAX_DEPTH} operators deep")
 
@@ -307,6 +312,7 @@ def parse_identity(text: str) -> IdentityStatement:
 
 
 def print_expr(expr) -> str:
+    _check_depth(expr)
     return _pp(expr, 0)
 
 
@@ -341,19 +347,24 @@ def lower(expr):
     is r; star, pow and cl contain their argument; tol(a) contains
     a | conv(a); and &, | and conv, being monotone, pass to their operands.
     """
+    _check_depth(expr)
+    return _lower(expr)
+
+
+def _lower(expr):
     if type(expr) is Var:
         return expr
     op, args = expr.op, expr.args
     if op == ";^" and expr.param == 1:
-        return lower(args[0])
+        return _lower(args[0])
     if op in (";", ";^", "+"):
-        return Node("|", tuple(map(lower, args)))
+        return Node("|", tuple(map(_lower, args)))
     if op in ("&", "|", "conv"):
-        return Node(op, tuple(map(lower, args)))
+        return Node(op, tuple(map(_lower, args)))
     if op in ("star", "pow", "cl"):
-        return lower(args[0])
+        return _lower(args[0])
     if op == "tol":
-        arg = lower(args[0])
+        arg = _lower(args[0])
         return Node("|", (arg, Node("conv", (arg,))))
     return expr
 
@@ -433,11 +444,9 @@ class _Program:
             if p is None:
                 raise ValueError(f"unbound variable {expr.name!r}")
             key = (Var, (), p)
-        elif type(expr) is Node and expr.op in _OPS and len(expr.args) == _OPS[expr.op].arity:
+        else:
             kids = tuple(self.slot(e) for e in expr.args)
             key = (";^", kids * 2, expr.param) if expr.op == "pow" else (expr.op, kids, expr.param)
-        else:
-            raise TypeError(f"not a relation expression: {expr!r}")
         slot = self._slots.get(key)
         if slot is None:
             slot = self._slots[key] = self._add(*key)
@@ -568,7 +577,7 @@ class _Program:
         sides = [(stmt.lhs, stmt.rhs)]
         if stmt.relation is StmtRel.EQUALS:
             sides.append((stmt.rhs, stmt.lhs))
-        checks = [(self.slot(small), self.slot(lower(big)), self.slot(big)) for small, big in sides]
+        checks = [(self.slot(small), self.slot(_lower(big)), self.slot(big)) for small, big in sides]
         depth = len(self.names)
         always = self._needed([s for small, bound, _ in checks for s in (small, bound)])
         slots = set(always)

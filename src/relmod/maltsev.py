@@ -29,6 +29,7 @@ from .algebras import (
     FiniteAlgebra,
     FreeElement,
     Record,
+    TermError,
     Variable,
     _put,
     generate_subuniverse,
@@ -56,16 +57,15 @@ class ElementError(ValueError):
     usage error rather than a failed precondition."""
 
 
-class DirectedGummSystem(Record):
-    """Terms p, j_1..j_k; k=1 degenerates to a Maltsev term."""
+class TermSystem(Record):
+    """A chain of terms t_0..t_k: directed Gumm terms p, j_1..j_k (k=1
+    degenerates to a Maltsev term) or Day terms d_0..d_k."""
 
-    __slots__ = ("k", "p", "j")
+    __slots__ = ("terms",)
 
-
-class DaySystem(Record):
-    """Quaternary terms d_0..d_k with the parity-alternating linking laws."""
-
-    __slots__ = ("k", "d")
+    @property
+    def k(self):
+        return len(self.terms) - 1
 
 
 class SearchStatus(Enum):
@@ -84,7 +84,7 @@ class SearchResult(Record):
     def __init__(
         self,
         status: SearchStatus,
-        system: DirectedGummSystem | DaySystem | None,
+        system: TermSystem | None,
         node_count: int,
         cap_error: CapExceeded | None = None,
     ):
@@ -125,17 +125,20 @@ class _PathCondition(Record):
     Link i is links[i] while there is one, then links[cycle:] repeat.  t_0
     is the generator start or, when start is None, any term satisfying the
     head identity; t_1..t_k satisfy the vertex identity; t_k is the
-    generator end.
+    generator end.  trivial is the shortest chain the condition allows,
+    which is the chain on a one-element algebra.
     """
 
-    __slots__ = ("arity", "start", "head", "vertex", "links", "cycle", "end")
+    __slots__ = ("arity", "start", "head", "vertex", "links", "cycle", "end", "trivial")
 
 
 # p(x,z,z)=x; j_i(x,y,x)=x; p(x,x,z)=j_1(x,x,z), then j_i(x,z,z)=j_{i+1}(x,x,z); j_k=z
-_DGUMM = _PathCondition(3, None, ("xzz", "x"), ("xyx", "x"), (("xxz", "xxz"), ("xzz", "xxz")), 1, 2)
+_DGUMM = _PathCondition(
+    3, None, ("xzz", "x"), ("xyx", "x"), (("xxz", "xxz"), ("xzz", "xxz")), 1, 2, (Variable(2), Variable(2))
+)
 # d_0=x; d_i(x,y,y,x)=x; d_i and d_{i+1} agree on (x,x,w,w) for even i and
 # on (x,y,y,w) for odd i; d_k=w
-_DAY = _PathCondition(4, 0, None, ("xyyx", "x"), (("xxww", "xxww"), ("xyyw", "xyyw")), 0, 3)
+_DAY = _PathCondition(4, 0, None, ("xyyx", "x"), (("xxww", "xxww"), ("xyyw", "xyyw")), 0, 3, (Variable(0),))
 
 
 def _phase(cond, i):
@@ -165,15 +168,21 @@ _CHAINS_CAP = 1 << 10
 
 def _verify(cond, alg, terms):
     """The full term tables of the chain terms = (t_0..t_k) when every law
-    of cond holds on it over every tuple of alg, else None.  The answer is
-    kept on alg under (cond, terms), so each chain is tabulated and
-    verified once per algebra, and the witness replays read the tables it
-    was verified on."""
+    of cond holds on it over every tuple of alg, else None.  A chain shorter
+    than cond.trivial, or with a term that is not a term of cond's arity
+    over alg, fails.  The answer is kept on alg under (cond, terms), so each
+    chain is tabulated and verified once per algebra, and the witness
+    replays read the tables it was verified on."""
+    if len(terms) < len(cond.trivial):
+        return None
     key = (cond, terms)
     if key in alg._chains:
         return alg._chains[key]
+    try:
+        tables = tuple(term_table(alg, t, cond.arity).vector for t in terms)
+    except TermError:
+        return _put(alg._chains, _CHAINS_CAP, key, None)
     every = _VARS[: cond.arity]
-    tables = tuple(term_table(alg, t, cond.arity).vector for t in terms)
     value = range(alg.size)  # an identity t(P) = v is a link to v's value
     checks = [
         (cond.head or (every, _VARS[cond.start]), tables[0], value),
@@ -190,7 +199,7 @@ def _search(cond, alg, cap):
     """Shortest chain for cond among the term functions of alg restricted to
     the argument tuples its laws read: the subpower of A^width generated by
     the restricted projections, width the number of those tuples.  The
-    result's system is the tuple of terms t_0..t_k; node_count counts the
+    result's system is the TermSystem t_0..t_k; node_count counts the
     restricted vertices among the elements closed when the search ended.
     cap bounds both the width and the closure size.
 
@@ -237,7 +246,7 @@ def _search(cond, alg, cap):
     nodes, chain = found
     if chain is None:
         return SearchResult(SearchStatus.NOT_UP_TO, None, nodes)
-    return SearchResult(SearchStatus.FOUND, tuple(free[pos].term for pos in chain), nodes)
+    return SearchResult(SearchStatus.FOUND, TermSystem(tuple(free[pos].term for pos in chain)), nodes)
 
 
 def _chain(cond, reads, column, vec):
@@ -294,33 +303,27 @@ def _chain(cond, reads, column, vec):
     return len(vertices), [head] + path
 
 
-def verify_directed_gumm(alg: FiniteAlgebra, system: DirectedGummSystem) -> bool:
-    """Check the five defining identities over every tuple of the algebra."""
-    if system.k != len(system.j) or system.k < 1:
-        return False
-    return _verify(_DGUMM, alg, (system.p, *system.j)) is not None
+def verify_directed_gumm(alg: FiniteAlgebra, system: TermSystem) -> bool:
+    """Check the directed Gumm identities of p, j_1..j_k, k >= 1, at every tuple."""
+    return _verify(_DGUMM, alg, tuple(system.terms)) is not None
 
 
-def verify_day(alg: FiniteAlgebra, system: DaySystem) -> bool:
-    """Check the Day linking conditions over every tuple of the algebra."""
-    if system.k != len(system.d) - 1 or system.k < 0:
-        return False
-    return _verify(_DAY, alg, tuple(system.d)) is not None
+def verify_day(alg: FiniteAlgebra, system: TermSystem) -> bool:
+    """Check the Day identities of d_0..d_k, k >= 0, at every tuple."""
+    return _verify(_DAY, alg, tuple(system.terms)) is not None
 
 
-def _find(cond, alg, cap, trivial, verify, system_of):
-    """The search find_directed_gumm and find_day share: `trivial` on a
-    one-element algebra, else _search for cond's chain, built into a system
-    by system_of and checked by verify before it is returned."""
+def _find(cond, verify, alg, cap):
+    """The search find_directed_gumm and find_day share: cond's trivial
+    chain on a one-element algebra, else _search's chain, checked by verify
+    before it is returned."""
     if alg.size == 1:
-        return SearchResult(SearchStatus.FOUND, trivial, 1)
-    res = _search(cond, alg, cap)
-    if not res.found:
-        return res
-    system = system_of(res.system)
-    if not verify(alg, system):
-        raise RuntimeError(f"internal error: the search produced an invalid {type(system).__name__}")
-    return SearchResult(res.status, system, res.node_count, res.cap_error)
+        res = SearchResult(SearchStatus.FOUND, TermSystem(cond.trivial), 1)
+    else:
+        res = _search(cond, alg, cap)
+    if res.found and not verify(alg, res.system):
+        raise RuntimeError("internal error: the search produced an invalid term system")
+    return res
 
 
 def find_directed_gumm(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
@@ -330,11 +333,7 @@ def find_directed_gumm(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResu
     width 3n^2-2n instead of F(3)'s n^3.  The returned k is minimal; the
     graph is finite, so NOT_UP_TO means no chain of any length exists.  cap
     bounds the restricted width and the closure size."""
-    trivial = DirectedGummSystem(1, Variable(2), (Variable(2),))
-    return _find(
-        _DGUMM, alg, cap, trivial, verify_directed_gumm,
-        lambda chain: DirectedGummSystem(len(chain) - 1, chain[0], chain[1:]),
-    )
+    return _find(_DGUMM, verify_directed_gumm, alg, cap)
 
 
 def find_day(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
@@ -344,8 +343,7 @@ def find_day(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
     (a,b,b,a): a subpower of width n^3+n^2-n instead of F(4)'s n^4.  The
     returned k is minimal; NOT_UP_TO means no chain of any length exists.
     cap bounds the restricted width and the closure size."""
-    trivial = DaySystem(0, (Variable(0),))
-    return _find(_DAY, alg, cap, trivial, verify_day, lambda chain: DaySystem(len(chain) - 1, chain))
+    return _find(_DAY, verify_day, alg, cap)
 
 
 def decide_modularity(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
@@ -367,9 +365,6 @@ class WitnessChain(Record):
 
     def __init__(self, start: int, end: int, steps: tuple, lam_blocks: int | None = None):
         super().__init__(start, end, steps, lam_blocks)
-
-    def elements(self):
-        return [self.start] + [s.target for s in self.steps]
 
     def validate(self) -> bool:
         cur = self.start
@@ -411,6 +406,14 @@ def _fn(n, vec):
     return fn
 
 
+def _term_functions(cond, alg, system, family):
+    """The term functions t_0..t_k of system, read from the tables it was
+    verified on against cond; a precondition error when it fails cond."""
+    tables = _verify(cond, alg, tuple(system.terms))
+    _require(tables is not None, f"term system fails the {family} identities")
+    return [_fn(alg.size, vec) for vec in tables]
+
+
 def _walk(a, c, moves, lam_blocks=None):
     """The chain from a through moves, each a (label, relation, next
     element); every step is re-checked against its relation, and the chain
@@ -440,7 +443,7 @@ def _check_turt_instance(alg, system, R, V, W, S, a, b, chain):
     named = [("a", a), ("b", b)] + [(f"chain[{i}]", x) for i, x in enumerate(chain)]
     _require_elements(alg, named)
     _require(system.k >= 2, f"witness construction needs k >= 2, system has k={system.k}")
-    _require(verify_directed_gumm(alg, system), "term system fails the directed Gumm identities")
+    j = _term_functions(_DGUMM, alg, system, "directed Gumm")[1:]
     _require(len(chain) == len(S) + 1, "chain must have one more element than S has relations")
     _require(chain[0] == a, f"chain must start at a={a}")
     c = chain[-1]
@@ -457,8 +460,6 @@ def _check_turt_instance(alg, system, R, V, W, S, a, b, chain):
             s.has(chain[i - 1], chain[i]),
             f"precondition ({chain[i - 1]},{chain[i]}) in S{i} fails",
         )
-    # the tables of j_1..j_k that the system was verified on, kept on alg
-    j = [_fn(alg.size, vec) for vec in _verify(_DGUMM, alg, (system.p, *system.j))[1:]]
     return c, j
 
 
@@ -496,7 +497,7 @@ def witness_day(alg, system, theta, s_rel, a, b, c) -> WitnessChain:
     """Chain of at most k-1 steps alternating Theta&S and Theta&conv(S),
     for (a,c) in Theta & (S ; conv(S)) with midpoint b."""
     _require_elements(alg, [("a", a), ("b", b), ("c", c)])
-    _require(verify_day(alg, system), "term system fails the Day identities")
+    d = _term_functions(_DAY, alg, system, "Day")
     _require(theta.n == alg.size and s_rel.n == alg.size, "relation size mismatch")
     _require(is_tolerance(alg, theta), "Theta is not a tolerance")
     _require_refl_adm(alg, "S", s_rel)
@@ -505,8 +506,6 @@ def witness_day(alg, system, theta, s_rel, a, b, c) -> WitnessChain:
     _require(s_rel.has(c, b), f"precondition (c,b)=({c},{b}) in conv(S) fails")
     if system.k == 0:
         _require(a == c, "k=0 system only certifies a=c")
-    # the tables of d_0..d_k that the system was verified on, kept on alg
-    d = [_fn(alg.size, vec) for vec in _verify(_DAY, alg, tuple(system.d))]
     fwd = ("Theta & S", intersect(theta, s_rel))
     bwd = ("Theta & conv(S)", intersect(theta, converse(s_rel)))
     # from a = d_1(a,a,c,c), odd d_i step by (a,b,b,c), even ones by (a,a,c,c)

@@ -311,9 +311,10 @@ def day_shortest(alg):
 def dg_system_holds(alg, system):
     """The directed Gumm identities for p, j_1..j_k, by term evaluation at
     every tuple."""
-    n, p, j = alg.size, system.p, system.j
-    if system.k != len(j) or not j:
+    n, terms = alg.size, system.terms
+    if len(terms) < 2:
         return False
+    p, j = terms[0], terms[1:]
 
     def ev(t, *args):
         return eval_term(alg, t, args)
@@ -330,8 +331,8 @@ def dg_system_holds(alg, system):
 
 def day_system_holds(alg, system):
     """The Day identities for d_0..d_k, by term evaluation at every tuple."""
-    n, d = alg.size, system.d
-    if system.k != len(d) - 1 or not d:
+    n, d = alg.size, system.terms
+    if not d:
         return False
 
     def ev(t, *args):

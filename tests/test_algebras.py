@@ -398,15 +398,17 @@ _RECORDS = [
     ),
     (identities.Counterexample, {"assignment": (("S", relations.delta(2)),), "witness": (0, 1)}),
     (identities.Verdict, {"holds": False, "checked": 3, "counterexample": None}),
-    (maltsev.DirectedGummSystem, {"k": 1, "p": Variable(2), "j": (Variable(2),)}),
-    (maltsev.DaySystem, {"k": 0, "d": (Variable(0),)}),
+    (maltsev.TermSystem, {"terms": (Variable(2), Variable(2))}),
     (
         maltsev.SearchResult,
         {"status": maltsev.SearchStatus.CAP_EXCEEDED, "system": None, "node_count": 0, "cap_error": CapExceeded("closure-size", 5, 6)},
     ),
     (
         maltsev._PathCondition,
-        {"arity": 2, "start": 0, "head": None, "vertex": ("xy", "x"), "links": (("xx", "yy"),), "cycle": 0, "end": 1},
+        {
+            "arity": 2, "start": 0, "head": None, "vertex": ("xy", "x"), "links": (("xx", "yy"),), "cycle": 0, "end": 1,
+            "trivial": (Variable(0),),
+        },
     ),
     (maltsev.WitnessStep, {"source": 0, "target": 1, "label": "S", "relation": relations.nabla(2)}),
     (maltsev.WitnessChain, {"start": 0, "end": 0, "steps": (), "lam_blocks": 2}),

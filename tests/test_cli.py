@@ -305,6 +305,26 @@ def test_find_terms_structured_keys(name, family):
     assert set(item) == {"family", "status", "node_count", "definitive", "k", "terms"}
 
 
+_L2_TERMS = {
+    "dgumm": {"p": "x", "j1": "meet(meet(join(x,y),join(x,z)),join(y,z))", "j2": "z"},
+    "day": {
+        "d0": "x",
+        "d1": "meet(meet(join(x,y),join(x,w)),join(y,w))",
+        "d2": "meet(meet(join(x,z),join(x,w)),join(z,w))",
+        "d3": "w",
+    },
+}
+
+
+@pytest.mark.parametrize("family", _L2_TERMS)
+def test_find_terms_names_the_terms(family):
+    # t_0..t_k are named p, j1..jk for directed Gumm terms and d0..dk for
+    # Day terms, in chain order
+    res = run_cli("find-terms", "--algebra", "l2", "--family", family, "--format", "structured")
+    (item,) = json.loads(res.stdout)["results"]
+    assert list(item["terms"].items()) == list(_L2_TERMS[family].items())
+
+
 def test_witness_turt():
     res = run_cli(
         "witness", "--algebra", "l2", "--theorem", "turt",

@@ -170,12 +170,26 @@ def test_parse_error_message_and_position(text, message, pos):
     assert info.value.pos == pos
 
 
+_ENTRIES = {
+    "print_expr": print_expr,
+    "lower": lower,
+    "eval_expr": lambda e: eval_expr(corpus.builtin("l2"), e, {"S": delta(2)}),
+    "check_identity": lambda e: check_identity(
+        corpus.builtin("l2"), IdentityStatement((("S", RelKind.REFL_ADM),), StmtRel.INCLUDED_IN, e, S)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
 @pytest.mark.parametrize(
     "expr", [3, Node("?", ()), Node("&", (S,)), Node("delta", (S,))], ids=["int", "unknown-op", "arity-1-of-2", "arity-1-of-0"]
 )
-def test_slot_rejects_a_non_expression(expr):
-    with pytest.raises(TypeError, match=rf"^not a relation expression: {re.escape(repr(expr))}$"):
-        identities._Program(corpus.builtin("l2"), ["S"]).slot(expr)
+def test_entry_points_reject_a_non_expression(expr, entry):
+    # a tree built outside the parser is checked by one walk before any
+    # entry point reads it, at the top and below
+    for tree in (expr, Node("conv", (expr,))):
+        with pytest.raises(TypeError, match=rf"^not a relation expression: {re.escape(repr(expr))}$"):
+            _ENTRIES[entry](tree)
 
 
 def _grammar_spellings(grammar):

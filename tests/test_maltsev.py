@@ -15,10 +15,9 @@ from relmod.algebras import (
     term_table,
 )
 from relmod.maltsev import (
-    DaySystem,
-    DirectedGummSystem,
     PreconditionError,
     SearchStatus,
+    TermSystem,
     decide_modularity,
     find_day,
     find_directed_gumm,
@@ -73,9 +72,9 @@ def test_find_directed_gumm_z2(z2):
     assert res.found and res.system.k == 1
     assert verify_directed_gumm(z2, res.system)
     # p is the parity function and j_1 the third projection
-    p_vec = term_table(z2, res.system.p, 3).vector
-    assert p_vec == tuple((c >> 2 ^ c >> 1 ^ c) & 1 for c in range(8))
-    assert term_table(z2, res.system.j[0], 3).vector == projection(2, 3, 2).vector
+    p, j1 = res.system.terms
+    assert term_table(z2, p, 3).vector == tuple((c >> 2 ^ c >> 1 ^ c) & 1 for c in range(8))
+    assert term_table(z2, j1, 3).vector == projection(2, 3, 2).vector
     assert _dg_shortest(z2) == 1
 
 
@@ -84,10 +83,11 @@ def test_find_directed_gumm_l2(l2):
     assert res.found and res.system.k == 2
     assert verify_directed_gumm(l2, res.system)
     # p behaves as the first projection, j_1 as the majority function
-    assert term_table(l2, res.system.p, 3).vector == projection(2, 3, 0).vector
+    p, j1, j2 = res.system.terms
+    assert term_table(l2, p, 3).vector == projection(2, 3, 0).vector
     maj = tuple(1 if bin(c).count("1") >= 2 else 0 for c in range(8))
-    assert term_table(l2, res.system.j[0], 3).vector == maj
-    assert term_table(l2, res.system.j[1], 3).vector == projection(2, 3, 2).vector
+    assert term_table(l2, j1, 3).vector == maj
+    assert term_table(l2, j2, 3).vector == projection(2, 3, 2).vector
     assert _dg_shortest(l2) == 2
 
 
@@ -189,7 +189,7 @@ HARD_DAY = [
 def test_find_day_hard_cases(alg, k, nodes, terms):
     res = find_day(alg)
     assert res.found and res.system.k == k and res.node_count == nodes
-    assert [format_term(t) for t in res.system.d] == terms
+    assert [format_term(t) for t in res.system.terms] == terms
     assert verify_day(alg, res.system)
 
 
@@ -287,26 +287,45 @@ def test_restricted_search_matches_oracles(alg):
 
 
 def test_verify_rejects_reversed_j(l2):
-    sys_ = find_directed_gumm(l2).system
-    reversed_sys = DirectedGummSystem(sys_.k, sys_.p, tuple(reversed(sys_.j)))
+    p, *j = find_directed_gumm(l2).system.terms
+    reversed_sys = TermSystem((p, *reversed(j)))
     assert not verify_directed_gumm(l2, reversed_sys)
     assert not dg_system_holds(l2, reversed_sys)
 
 
 def test_verify_rejects_wrong_day(l2):
     sys_ = find_day(l2).system
-    broken = DaySystem(sys_.k, tuple(reversed(sys_.d)))
+    broken = TermSystem(tuple(reversed(sys_.terms)))
     assert not verify_day(l2, broken)
     assert not day_system_holds(l2, broken)
 
 
 def test_verify_wrong_k(l2):
-    sys_ = find_directed_gumm(l2).system
-    assert not verify_directed_gumm(l2, DirectedGummSystem(sys_.k + 1, sys_.p, sys_.j))
-    day = find_day(l2).system
-    for k in (day.k - 1, day.k + 1):
-        assert not verify_day(l2, DaySystem(k, day.d))
-        assert not day_system_holds(l2, DaySystem(k, day.d))
+    # a chain one term longer (its next-to-last term repeated) or one term
+    # shorter (its last term dropped) fails
+    gumm, day = find_directed_gumm(l2).system.terms, find_day(l2).system.terms
+    cases = [
+        (verify_directed_gumm, dg_system_holds, gumm[:-1] + gumm[-2:]),
+        (verify_directed_gumm, dg_system_holds, gumm[:-1]),
+        (verify_day, day_system_holds, day[:-1] + day[-2:]),
+        (verify_day, day_system_holds, day[:-1]),
+    ]
+    for verify, holds, terms in cases:
+        assert not verify(l2, TermSystem(terms))
+        assert not holds(l2, TermSystem(terms))
+
+
+def test_verify_refuses_chains_too_short_for_the_family(l2):
+    # directed Gumm terms need k >= 1 and Day terms k >= 0; the shortest
+    # chains are refused without raising, even where their one term would
+    # satisfy every identity that reads it
+    z, x = find_directed_gumm(l2).system.terms[-1], find_day(l2).system.terms[0]
+    for alg in (l2, one_element_algebra()):
+        for terms in ((), (z,)):
+            assert not verify_directed_gumm(alg, TermSystem(terms))
+        assert not verify_day(alg, TermSystem(()))
+    assert verify_day(one_element_algebra(), TermSystem((x,)))
+    assert TermSystem(()).k == -1 and TermSystem((x,)).k == 0
 
 
 # status, k, node_count, definitive and the printed terms (p, j_1..j_k or
@@ -340,31 +359,16 @@ CORPUS_TERMS = {
 
 @pytest.mark.parametrize("family", ["dgumm", "day"])
 @pytest.mark.parametrize("name", FIRST_CORPUS)
-def test_corpus_terms_pinned(name, family, monkeypatch):
-    search, searched = maltsev._search, []
-
-    def recording(*args):
-        searched.append(search(*args))
-        return searched[-1]
-
-    monkeypatch.setattr(maltsev, "_search", recording)
-    if family == "dgumm":
-        res = find_directed_gumm(corpus.builtin(name))
-        terms = (res.system.p,) + res.system.j if res.found else None
-    else:
-        res = find_day(corpus.builtin(name))
-        terms = res.system.d if res.found else None
+def test_corpus_terms_pinned(name, family):
+    res = (find_directed_gumm if family == "dgumm" else find_day)(corpus.builtin(name))
     got = (
         res.status.value,
         res.system.k if res.found else None,
         res.node_count,
         res.definitive,
-        [format_term(t) for t in terms] if terms else None,
+        [format_term(t) for t in res.system.terms] if res.found else None,
     )
     assert got == CORPUS_TERMS[name, family]
-    # the search's status, node count and cap error survive the system's swap
-    (raw,) = searched
-    assert (res.status, res.node_count, res.cap_error) == (raw.status, raw.node_count, raw.cap_error)
 
 
 def test_closure_digest_pinned(monkeypatch):
@@ -474,6 +478,20 @@ def test_witness_rejects_maltsev_system(z2):
         witness_turt(z2, sys_, nb, nb, nb, [nb], 0, 0, [0, 0])
 
 
+def test_witness_refuses_a_chain_of_the_other_family(l2):
+    # a Day chain is no directed Gumm system, and a directed Gumm chain no
+    # Day system: the verifiers say so, and each replay names the
+    # identities the chain fails
+    gumm, day = find_directed_gumm(l2).system, find_day(l2).system
+    assert not verify_directed_gumm(l2, day) and not verify_day(l2, gumm)
+    nb = nabla(2)
+    for build in (witness_turt, witness_turtt):
+        with pytest.raises(PreconditionError, match="term system fails the directed Gumm identities"):
+            build(l2, day, nb, nb, nb, [nb], 0, 0, [0, 0])
+    with pytest.raises(PreconditionError, match="term system fails the Day identities"):
+        witness_day(l2, gumm, nb, nb, 0, 0, 0)
+
+
 def test_witness_precondition_messages(l2):
     sys_ = find_directed_gumm(l2).system
     dl, nb = delta(2), nabla(2)
@@ -524,7 +542,7 @@ def test_witness_turt_degenerate_delta(l2):
     dl = delta(2)
     chain = witness_turt(l2, sys_, dl, dl, dl, [dl], 1, 1, [1, 1])
     assert chain.validate()
-    assert set(chain.elements()) == {1}
+    assert {chain.start} | {step.target for step in chain.steps} == {1}
     assert all(step.relation == dl for step in chain.steps)
 
 
@@ -638,8 +656,8 @@ def test_witness_day_on_z2xz2(z2xz2):
 def _padded_gumm(alg, extra):
     """A valid system with a larger k: appending copies of the last term
     (the third projection) preserves all five defining identities."""
-    base = find_directed_gumm(alg).system
-    sys_ = DirectedGummSystem(base.k + extra, base.p, base.j + (base.j[-1],) * extra)
+    base = find_directed_gumm(alg).system.terms
+    sys_ = TermSystem(base + (base[-1],) * extra)
     assert verify_directed_gumm(alg, sys_)
     return sys_
 
@@ -675,9 +693,9 @@ def test_witness_chains_digest_pinned(z2, l2, m3, z2xz2):
                     w = build(l2, sys_, R, V, W, S, a, b, chain)
                     lines.append(_chain_line(f"{build.__name__.removeprefix('witness_')}:{tag}", w))
     for alg in (z2, l2):
-        base = find_day(alg).system
+        base = find_day(alg).system.terms
         for extra in (0, 1, 2):
-            sys_ = DaySystem(base.k + extra, base.d + (base.d[-1],) * extra)
+            sys_ = TermSystem(base + (base[-1],) * extra)
             for theta, s, a, b, c in _day_instances(alg):
                 chain = witness_day(alg, sys_, theta, s, a, b, c)
                 lines.append(_chain_line(f"day:{alg.name}:k{sys_.k}", chain))
@@ -716,10 +734,10 @@ def test_witness_verifies_a_system_once_per_algebra(monkeypatch, l2):
     day_instances = list(itertools.islice(_day_instances(fresh), 20))
     for theta, s, a, b, c in day_instances:
         witness_day(fresh, day, theta, s, a, b, c)
-    witness_turt(fresh, DirectedGummSystem(gumm.k, gumm.p, list(gumm.j)), *instances[0])
-    witness_day(fresh, DaySystem(day.k, list(day.d)), *day_instances[0])
+    witness_turt(fresh, TermSystem(list(gumm.terms)), *instances[0])
+    witness_day(fresh, TermSystem(list(day.terms)), *day_instances[0])
     assert calls == verified
-    broken = DirectedGummSystem(gumm.k, gumm.p, tuple(reversed(gumm.j)))
+    broken = TermSystem((gumm.terms[0], *reversed(gumm.terms[1:])))
     for _ in range(3):
         with pytest.raises(PreconditionError, match="directed Gumm identities"):
             witness_turt(fresh, broken, *instances[0])
@@ -755,7 +773,7 @@ def test_witness_tabulates_each_term_once_per_algebra(monkeypatch, l2):
         return chains
 
     chains = sweep(fresh)
-    assert calls == [(t, 3) for t in (gumm.p, *gumm.j)] + [(t, 4) for t in day.d]
+    assert calls == [(t, 3) for t in gumm.terms] + [(t, 4) for t in day.terms]
     monkeypatch.setattr(maltsev, "_CHAINS_CAP", 1)
     capped = FiniteAlgebra("l2-capped", l2.size, l2.operations)
     assert sweep(capped) == chains
@@ -765,9 +783,9 @@ def test_witness_tabulates_each_term_once_per_algebra(monkeypatch, l2):
 def test_witness_day_deep_chain(l2):
     # padding a Day system with copies of the last projection stays valid
     # and drives longer alternating chains
-    base = find_day(l2).system
+    base = find_day(l2).system.terms
     for extra in (1, 2):
-        sys_ = DaySystem(base.k + extra, base.d + (base.d[-1],) * extra)
+        sys_ = TermSystem(base + (base[-1],) * extra)
         assert verify_day(l2, sys_)
         s = union(delta(2), BinRel.from_pairs(2, [(0, 1)]))
         chain = witness_day(l2, sys_, nabla(2), s, 0, 1, 1)
