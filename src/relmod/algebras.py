@@ -142,6 +142,11 @@ class FiniteAlgebra:
         # principal closures, one packed n^2-bit int per pair, filled one
         # per closure; only algebras of at most 8 elements keep them
         self._principals = None
+        # beside them, the row memo: for each row a, (a*n, memo), where
+        # memo[m] is the union of the slots (a, b) over the bits b of an
+        # off-diagonal row mask m, kept once every one of them is filled, so
+        # at most n * 2^(n-1) entries
+        self._principal_rows = None
         self._lattices = {}  # RelKind -> RelLattice
         # (path condition, terms) -> the full term tables of a chain that
         # passed its laws here, or None for one that failed them; filled by

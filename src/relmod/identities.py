@@ -69,7 +69,7 @@ class _Op(NamedTuple):
     arity: int  # 2 for an infix operator, 1 for one written name(e), 0 for a constant
     prec: int  # binding strength, tightest highest; _ATOM_PREC for all but infix operators
     kernel: object  # the operator on packed ints, after the size (or algebra) unless inline
-    param: str | None = None  # the kernel's keyword for Node.param; None if it has none
+    param: str | None = None  # the name of Node.param, the kernel's keyword for ";^"; None if it has none
     alg: bool = False  # the kernel takes the algebra first, not its size
     inline: bool = False  # the kernel is the int operator of the same symbol, written inline
 
@@ -88,7 +88,7 @@ _OPS = {
     "star": _Op(1, _ATOM_PREC, rel._star),
     "cl": _Op(1, _ATOM_PREC, rel._refl_adm_closure, alg=True),
     "tol": _Op(1, _ATOM_PREC, rel._tolerance_of, alg=True),
-    "pow": _Op(1, _ATOM_PREC, rel._m_compose, param="m"),  # e ;^h e, as _Program interns it
+    "pow": _Op(1, _ATOM_PREC, rel._m_compose, param="h"),  # e ;^h e, as _Program interns it
     "delta": _Op(0, _ATOM_PREC, rel._delta),
     "nabla": _Op(0, _ATOM_PREC, rel._nabla),
 }
@@ -104,16 +104,31 @@ _MAX_DEPTH = 100
 def _depth(expr):
     """The most operators on a path from expr's root to a leaf.  A subtree
     that is neither a Var nor a Node whose operator _OPS has, with that
-    operator's arity, is a TypeError."""
+    operator's arity, is a TypeError; a Node whose param does not fit its
+    operator is a ValueError."""
     most, todo = 0, [(expr, 0)]
     while todo:
         e, depth = todo.pop()
         most = max(most, depth)
         if type(e) is Node and e.op in _OPS and len(e.args) == _OPS[e.op].arity:
+            _check_param(e)
             todo += [(c, depth + 1) for c in e.args]
         elif type(e) is not Var:
             raise TypeError(f"not a relation expression: {e!r}")
     return most
+
+
+def _check_param(node):
+    """The m of ";^" is an int >= 1 or INF, the h of pow an int >= 1, and
+    every other operator has no param."""
+    name, p = _OPS[node.op].param, node.param
+    if name is None:
+        if p is not None:
+            raise ValueError(f"{node.op!r} takes no parameter, got {p!r}")
+        return
+    inf = node.op == ";^"
+    if not (isinstance(p, int) and not isinstance(p, bool) and p >= 1 or inf and p == INF):
+        raise ValueError(f"{name} must be an integer >= 1{' or INF' if inf else ''}, got {p!r}")
 
 
 def _check_depth(expr):
@@ -662,7 +677,9 @@ def check_identity(
     quantifier alone is computed once per member of its lattice before the
     loops start; any other is computed in the loop of its last free
     variable, in place or through the bounded cache.  Sample mode runs the
-    same code on one value per quantifier.  In the innermost loop the left
+    same code on one value per quantifier, once per distinct assignment:
+    the packed values of those that held are kept, bounded like the cache,
+    and a repeated one is settled by a lookup.  In the innermost loop the left
     side is tested first against `lower` of the right side, and the rest of
     the right side is built only when that test fails.  The witness is
     still the least pair of lhs outside the full rhs.
@@ -694,10 +711,15 @@ def check_identity(
     program = _Program(alg, names)
     if mode == "sample":
         violation = program.violation(stmt)
+        held = {}  # packed assignments that held, bounded like the program cache
         for checked, values in enumerate(_draws(alg, kinds, seed, samples), 1):
+            key = tuple(v.bits for v in values)
+            if key in held:
+                continue
             witness = violation(values)
             if witness is not None:
                 return Verdict(False, checked, Counterexample(tuple(zip(names, values)), witness))
+            _put(held, _CACHE_CAP, key, None)
         return Verdict(True, samples, None)
     packed = [[r.bits for r in members] for members in lattices]
     found = program.search(stmt, exhaustive=True)(packed)
@@ -715,14 +737,18 @@ def check_identity(
 def _draws(alg, kinds, seed, samples):
     """`samples` assignments, each a random relation per quantifier closed to
     its sort, drawn lazily from one seeded generator."""
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
+    close = rel.close_to_kind
     n = alg.size
     shifts = range(0, n * n, n)
     for _ in range(samples):
-        yield tuple(
-            rel.close_to_kind(alg, kind, BinRel._of(n, sum(rng.getrandbits(n) << s for s in shifts)))
-            for kind in kinds
-        )
+        values = []
+        for kind in kinds:
+            r = 0
+            for s in shifts:
+                r |= bits(n) << s
+            values.append(close(alg, kind, BinRel._of(n, r)))
+        yield tuple(values)
 
 
 def with_sorts(stmt: IdentityStatement, overrides) -> IdentityStatement:

@@ -34,7 +34,10 @@ union of the closures cl({(a,b)} | delta) of r's off-diagonal pairs, and
 a seed that is already nabla needs no kernel round at all.  An algebra of
 at most ``_PRINCIPAL_TABLE_MAX_N`` elements keeps them in a table of n^2
 packed slots, slot a*n + b holding the closure of (a, b); each closure
-fills at most one empty slot, so it runs the kernel at most twice.  Larger
+fills at most one empty slot, so it runs the kernel at most twice.  Beside
+the table, a row memo keeps for row a and off-diagonal row mask m the
+union of the slots (a, b) over the bits b of m, once all of them are
+filled, so a seed is at most n lookups and ORs.  Larger
 algebras close r itself.  The kernel's result is cached under its input,
 r | delta with the seed, not under r: random relations seldom repeat, but
 their seeds are unions of a few closed relations and do.  That cache of
@@ -46,8 +49,9 @@ it.  The other sorts are closed forms over it:
 
 since the transitive closure of a tolerance is a congruence (its powers
 are reflexive, admissible and symmetric) and every congruence holding r
-holds tol(r).  Every closure, through a wrapper or a kernel, goes through
-these three kernels.
+holds tol(r).  tol(r) is nabla, with no converse taken, when the memoised
+rows of r already join to nabla, since they lie inside cl(r).  Every
+closure, through a wrapper or a kernel, goes through these three kernels.
 
 ``_plus(r, s)``, the union over all m of r o_m s, which ``r ;^inf s`` also
 means, is ``star(r | s)`` when r and s are both reflexive.  Every relation
@@ -437,16 +441,21 @@ _CLOSURE_CACHE_CAP = 1 << 16
 # sl2, sl3, z2, z2xz2) the table is as fast at 10 draws and 1.3-6x faster
 # at 1000; on n = 15 to 18 (F_V(4) of sl2 and z2, F_V(3) of l2) it loses
 # up to 2.7x at 100 draws; on the 28-element F_V(3) of m3 it loses at
-# every count, 1.5x at 1000 dense draws.
+# every count, 1.5x at 1000 dense draws.  Those runs read the table one
+# pair at a time; the row memo beside it (at most n * 2^(n-1) unions, 1024
+# at n = 8) makes a seed cheaper, and the bound has not been measured again
+# since.
 _PRINCIPAL_TABLE_MAX_N = 8
 
 
 def _refl_adm_closure(alg: FiniteAlgebra, bits):
     """Least reflexive admissible relation containing the packed relation
     bits, through the principal table and the closure cache of the module
-    docstring.  The first empty slot among the off-diagonal pairs is filled
-    on the way; the seed is the union of the filled slots of the pairs, and
-    the kernel's input, bits | delta | seed, is looked up in the cache and
+    docstring.  The seed is built a row at a time: the union of row a's
+    slots for its off-diagonal mask m is kept in row a's memo at [m] once
+    every one of them is filled, and a row not found there ORs its
+    slots, the first empty one of the call filled on the way.  The
+    kernel's input, bits | delta | seed, is looked up in the cache and
     closed on a miss.  bits | delta is looked up first: a union of closed
     relations, which the lattice enumeration closes, is its own input."""
     n = alg.size
@@ -455,28 +464,43 @@ def _refl_adm_closure(alg: FiniteAlgebra, bits):
     cache = alg._closures
     closed = cache.get(bits)
     if closed is None and n <= _PRINCIPAL_TABLE_MAX_N:
-        table = alg._principals
+        table, rows = alg._principals, alg._principal_rows
         if table is None:
             table = alg._principals = [None] * (n * n)
+            # row a's first bit, and its memo: an empty mask adds nothing, and
+            # a mask never has the row's own bit
+            rows = alg._principal_rows = [(a * n, [0] + [None] * ((1 << n) - 1)) for a in range(n)]
         every = _nabla(n)
-        seed = pairs = 0
+        full = (1 << n) - 1
+        off = bits ^ diag
+        seed = 0
         fill = True
-        m = bits ^ diag
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            slot = table[i]
-            if slot is None and fill:
-                slot = table[i] = _pair_closure(alg, diag | low)
-                fill = False
-            if slot is not None:
-                seed |= slot
-                if seed == every:
-                    return every
-            pairs += 1
-            m ^= low
+        for i, memo in rows:
+            m = off >> i & full
+            row = memo[m]
+            if row is None:
+                row = 0
+                known = True
+                rest = m
+                while rest:
+                    low = rest & -rest
+                    j = i + low.bit_length() - 1
+                    slot = table[j]
+                    if slot is None and fill:
+                        slot = table[j] = _pair_closure(alg, diag | 1 << j)
+                        fill = False
+                    if slot is None:
+                        known = False
+                    else:
+                        row |= slot
+                    rest ^= low
+                if known:
+                    memo[m] = row
+            seed |= row
+            if seed == every:
+                return every
         bits |= seed
-        if pairs <= 1:
+        if not off & off - 1:
             # delta, or the slot of the one pair: closed already
             return bits
         closed = cache.get(bits)
@@ -487,8 +511,24 @@ def _refl_adm_closure(alg: FiniteAlgebra, bits):
 
 def _tolerance_of(alg: FiniteAlgebra, bits):
     """Least tolerance containing bits: the reflexive-admissible closure
-    of bits together with its converse."""
-    return _refl_adm_closure(alg, bits | _converse(alg.size, bits))
+    of bits together with its converse.  It is nabla, with no converse
+    taken, when the row memo joins the rows of bits to nabla before it
+    misses one of them."""
+    n = alg.size
+    rows = alg._principal_rows
+    if rows is not None:
+        every = _nabla(n)
+        full = (1 << n) - 1
+        off = bits & ~_delta(n)
+        seed = 0
+        for i, memo in rows:
+            row = memo[off >> i & full]
+            if row is None:
+                break
+            seed |= row
+            if seed == every:
+                return every
+    return _refl_adm_closure(alg, bits | _converse(n, bits))
 
 
 def _congruence_generated(alg: FiniteAlgebra, bits):

@@ -192,6 +192,41 @@ def test_entry_points_reject_a_non_expression(expr, entry):
             _ENTRIES[entry](tree)
 
 
+@pytest.mark.parametrize("entry", _ENTRIES)
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        (Node("pow", (S,)), "h must be an integer >= 1, got None"),
+        (Node("pow", (S,), 0), "h must be an integer >= 1, got 0"),
+        (Node("pow", (S,), 2.0), "h must be an integer >= 1, got 2.0"),
+        (Node("pow", (S,), True), "h must be an integer >= 1, got True"),
+        (Node("pow", (S,), INF), "h must be an integer >= 1, got inf"),
+        (Node(";^", (S, S), 0), "m must be an integer >= 1 or INF, got 0"),
+        (Node(";^", (S, S)), "m must be an integer >= 1 or INF, got None"),
+        (Node(";^", (S, S), 2.0), "m must be an integer >= 1 or INF, got 2.0"),
+        (Node(";^", (S, S), True), "m must be an integer >= 1 or INF, got True"),
+        (Node("&", (S, S), 5), "'&' takes no parameter, got 5"),
+    ],
+    ids=["pow-None", "pow-0", "pow-2.0", "pow-True", "pow-inf", "m-0", "m-None", "m-2.0", "m-True", "and-5"],
+)
+def test_entry_points_reject_a_param_that_does_not_fit(expr, message, entry):
+    # the walk that refuses a non-expression also refuses a param its
+    # operator does not take, naming m or h, at the top and below
+    for tree in (expr, Node("conv", (expr,))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _ENTRIES[entry](tree)
+
+
+def test_entry_points_take_every_param_that_fits(l2):
+    # the bounds of the check above: m = 1, m = INF and h = 1 print, lower
+    # and evaluate as the parsed expressions do
+    for text in ("S ;^1 S", "S ;^inf S", "pow(S,1)"):
+        expr = parse_identity(f"S:REFL |- {text} <= S").lhs
+        assert print_expr(expr) == text
+        assert eval_expr(l2, expr, {"S": delta(2)}) == delta(2)
+        assert lower(expr) in (S, Node("|", (S, S)))
+
+
 def _grammar_spellings(grammar):
     """The operator spellings quoted in an EBNF grammar's expr rule: each
     quoted token with a trailing "(" dropped, less the punctuation and
@@ -463,8 +498,10 @@ def test_tabled_subterms_match_reference(name):
 def test_D3_on_l3_tabulates_each_single_quantifier_subterm(patch_kernel):
     # conv(R), conv(S) and conv(T) each lie over one quantifier: conv(R) is
     # computed in R's loop, conv(S) and conv(T) in the tables of S and T,
-    # and tol(R) converses R once more inside its kernel, so every member
-    # of the lattice is conversed exactly four times, once per subterm
+    # and tol(R) converses R once more inside its kernel, except nabla, whose
+    # rows the principal row memo already joins to nabla; so every member of
+    # the lattice is conversed exactly four times, once per subterm, and
+    # nabla three times
     l3 = cold("l3")
     stmt = catalog_entry("(D3)", m=INF)
     seen = []
@@ -473,7 +510,7 @@ def test_D3_on_l3_tabulates_each_single_quantifier_subterm(patch_kernel):
     verdict = check_identity(l3, stmt)
     lattice = [r.bits for r in enumerate_relations(l3, RelKind.REFL_ADM).members]
     assert verdict.holds and verdict.checked == 25**3
-    assert sorted(seen) == sorted(lattice * 4)
+    assert sorted(seen) == sorted(lattice * 3 + [bits for bits in lattice if bits != nabla(3).bits])
     # no subterm over S or T alone goes through the cache
     program = identities._Program(l3, ("R", "S", "T"))
     program.search(stmt, exhaustive=True)
@@ -691,7 +728,8 @@ def test_closure_cache_cap_keeps_verdicts(monkeypatch):
 
 def test_subterm_over_every_quantifier_is_computed_once_per_assignment(l2, patch_kernel):
     # S ; T depends on both quantifiers, so no assignment can reuse another's
-    # value of it, but its three uses within one assignment share one compose
+    # value of it, but its three uses within one assignment share one compose;
+    # a sampled assignment drawn again has held already and is not evaluated
     stmt = parse_identity("S:REFL, T:REFL |- (S ; T) & (S ; T) <= S ; T")
     calls = []
     kernel = relations._compose
@@ -705,7 +743,9 @@ def test_subterm_over_every_quantifier_is_computed_once_per_assignment(l2, patch
     assert verdict.holds and len(calls) == verdict.checked
     calls.clear()
     verdict = check_identity(l2, stmt, mode="sample", seed=3, samples=50)
-    assert verdict.holds and len(calls) == 50
+    kinds = [kind for _, kind in stmt.quantifiers]
+    distinct = {tuple(v.bits for v in values) for values in identities._draws(l2, kinds, 3, 50)}
+    assert verdict.holds and verdict.checked == 50 and len(calls) == len(distinct) < 50
 
 
 def test_eval_examples(z2xz2):
@@ -982,6 +1022,48 @@ def test_sampled_congruence_verdicts_digest_pinned():
     assert len(lines) == 10 * 2 * (2 + 200)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "4b2a129ff8ae62dbdec37601b70cb0125245a2839cb4de3ae5428d93f7917659"
+
+
+def test_draw_stream_digest_pinned():
+    # every REFL and TOL value that sample mode draws, on algebras whose
+    # principal tables start empty; the digest was taken from the draw loop
+    # of generator expressions and the pair-at-a-time seeds that the local
+    # loop and the row memo replaced
+    lines = []
+    for name in ("l4", "n5", "z6", "s3"):
+        alg = cold(name)
+        for seed in (5, 23):
+            for values in identities._draws(alg, [RelKind.REFL_ADM, RelKind.TOLERANCE], seed, 200):
+                lines.append(" ".join(map(format_rel_literal, values)))
+    assert len(lines) == 4 * 2 * 200
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "bf4ba096817b014454e690bc0ad95a4adbf4018cda4a9bf94219fb5fc9ad9935"
+
+
+def test_held_assignment_memo_is_bounded(monkeypatch):
+    # a sampled (D3) check on l4 draws 905 distinct assignments in 1000; the
+    # memo of those that held is bounded like the program cache and, at a
+    # cap of 8, is emptied when full, with the same verdict
+    stmt = catalog_entry("(D3)", m=INF)
+    kinds = [kind for _, kind in stmt.quantifiers]
+    drawn = [tuple(v.bits for v in values) for values in identities._draws(cold("l4"), kinds, 5, 1000)]
+    assert len(set(drawn)) == 905
+    normal = check_identity(cold("l4"), stmt, mode="sample", seed=5, samples=1000)
+    assert normal.holds and normal.checked == 1000
+    sizes = []
+    put = identities._put
+
+    def recording(cache, cap, key, value):
+        out = put(cache, cap, key, value)
+        if key in drawn:
+            sizes.append(len(cache))
+        return out
+
+    monkeypatch.setattr(identities, "_CACHE_CAP", 8)
+    monkeypatch.setattr(identities, "_put", recording)
+    assert check_identity(cold("l4"), stmt, mode="sample", seed=5, samples=1000) == normal
+    # each assignment that is not in the memo is evaluated and put there
+    assert 905 < len(sizes) <= 1000 and max(sizes) == 8
 
 
 def test_catalog_entry_matches_catalog():

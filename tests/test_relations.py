@@ -502,6 +502,50 @@ def test_seeded_closures_match_kernel_from_r(drawn):
             assert BinRel._of(n, slot) == kernel_closure(alg, rel_of(n, (a, b))), (a, b)
 
 
+@pytest.mark.parametrize("n", [rel._PRINCIPAL_TABLE_MAX_N - 1, rel._PRINCIPAL_TABLE_MAX_N])
+def test_row_seeds_match_kernel_from_r_at_the_largest_tables(n):
+    # a fresh algebra at the largest sizes that keep a principal table: a
+    # meet of a shuffled chain and a random unary map, whose closures are
+    # a mix of nabla and smaller relations.  The first closures read rows
+    # whose slots are still empty; every closure must equal the kernel
+    # started from r itself, dense rows and sparse pairs alike, and every
+    # row the memo keeps must be the union of that row's slots
+    rng = random.Random(f"rows:{n}")
+    order = list(range(n))
+    rng.shuffle(order)
+    rank = {x: i for i, x in enumerate(order)}
+    meet = table(n, 2, lambda a, b: order[min(rank[a], rank[b])])
+    alg = FiniteAlgebra(f"rand{n}", n, [("meet", 2, meet), ("g", 1, table(n, 1, lambda a: rng.randrange(n)))])
+    sizes = set()
+    for i in range(400):
+        if i % 2:
+            r = BinRel(n, tuple(rng.getrandbits(n) for _ in range(n)))
+        else:
+            r = rel_of(n, *((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3))))
+        where = format_rel_literal(r)
+        closed, tol = refl_adm_closure(alg, r), tolerance_of(alg, r)
+        assert closed == kernel_closure(alg, r), where
+        assert tol == kernel_closure(alg, union(r, converse(r))), where
+        sizes |= {len(closed.pairs()), len(tol.pairs())}
+        if i == 20:  # the table is still filling
+            assert None in [slot for j, slot in enumerate(alg._principals) if j % (n + 1)]
+    assert len(sizes) > 10 and n * n in sizes
+    assert [i for i, slot in enumerate(alg._principals) if slot is None] == list(range(0, n * n, n + 1))
+    kept = 0
+    for a, (i, memo) in enumerate(alg._principal_rows):
+        assert i == a * n
+        for m, row in enumerate(memo):
+            if row is not None:
+                assert not m >> a & 1
+                want = 0
+                for b in range(n):
+                    if m >> b & 1:
+                        want |= alg._principals[a * n + b]
+                assert row == want, (a, m)
+                kept += 1
+    assert n < kept <= n << n - 1
+
+
 @pytest.mark.parametrize("n", [rel._PRINCIPAL_TABLE_MAX_N, rel._PRINCIPAL_TABLE_MAX_N + 1])
 def test_principal_table_bound(n):
     # an algebra above the bound closes without the table, one at the
