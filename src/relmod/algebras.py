@@ -144,8 +144,9 @@ class FiniteAlgebra:
         self._principals = None
         # beside them, the row memo: for each row a, (a*n, memo), where
         # memo[m] is the union of the slots (a, b) over the bits b of an
-        # off-diagonal row mask m, kept once every one of them is filled, so
-        # at most n * 2^(n-1) entries
+        # off-diagonal row mask m, kept once every one of them is filled (or
+        # once the filled ones already join to nabla), so at most
+        # n * 2^(n-1) entries
         self._principal_rows = None
         self._lattices = {}  # RelKind -> RelLattice
         # (path condition, terms) -> the full term tables of a chain that

@@ -37,10 +37,11 @@ packed slots, slot a*n + b holding the closure of (a, b); each closure
 fills at most one empty slot, so it runs the kernel at most twice.  Beside
 the table, a row memo keeps for row a and off-diagonal row mask m the
 union of the slots (a, b) over the bits b of m, once all of them are
-filled, so a seed is at most n lookups and ORs.  Larger
-algebras close r itself.  The kernel's result is cached under its input,
-r | delta with the seed, not under r: random relations seldom repeat, but
-their seeds are unions of a few closed relations and do.  That cache of
+filled or the filled ones already join to nabla, so a seed is at most n
+lookups and ORs.  Larger algebras close r itself.  The kernel's result
+is cached under its input, r | delta with the seed, not under r: random
+relations seldom repeat, but their seeds are unions of a few closed
+relations and do.  That cache of
 ints is the one closure memo; ``_refl_adm_closure`` alone reads and fills
 it.  The other sorts are closed forms over it:
 
@@ -49,9 +50,8 @@ it.  The other sorts are closed forms over it:
 
 since the transitive closure of a tolerance is a congruence (its powers
 are reflexive, admissible and symmetric) and every congruence holding r
-holds tol(r).  tol(r) is nabla, with no converse taken, when the memoised
-rows of r already join to nabla, since they lie inside cl(r).  Every
-closure, through a wrapper or a kernel, goes through these three kernels.
+holds tol(r).  Every closure, through a wrapper or a kernel, goes through
+these three kernels.
 
 ``_plus(r, s)``, the union over all m of r o_m s, which ``r ;^inf s`` also
 means, is ``star(r | s)`` when r and s are both reflexive.  Every relation
@@ -454,8 +454,11 @@ def _refl_adm_closure(alg: FiniteAlgebra, bits):
     docstring.  The seed is built a row at a time: the union of row a's
     slots for its off-diagonal mask m is kept in row a's memo at [m] once
     every one of them is filled, and a row not found there ORs its
-    slots, the first empty one of the call filled on the way.  The
-    kernel's input, bits | delta | seed, is looked up in the cache and
+    slots one at a time, the first empty one of the call filled on the
+    way.  A seed that reaches nabla, at a row or at a slot, is returned
+    before any further slot is filled; a row whose slots read so far are
+    all filled and already join to nabla is kept as nabla.  The kernel's
+    input, bits | delta | seed, is looked up in the cache and
     closed on a miss.  bits | delta is looked up first: a union of closed
     relations, which the lattice enumeration closes, is its own input."""
     n = alg.size
@@ -493,6 +496,11 @@ def _refl_adm_closure(alg: FiniteAlgebra, bits):
                         known = False
                     else:
                         row |= slot
+                        if seed | row == every:
+                            if known and row == every:
+                                # the rest of the row cannot change nabla
+                                memo[m] = every
+                            return every
                     rest ^= low
                 if known:
                     memo[m] = row
@@ -511,24 +519,8 @@ def _refl_adm_closure(alg: FiniteAlgebra, bits):
 
 def _tolerance_of(alg: FiniteAlgebra, bits):
     """Least tolerance containing bits: the reflexive-admissible closure
-    of bits together with its converse.  It is nabla, with no converse
-    taken, when the row memo joins the rows of bits to nabla before it
-    misses one of them."""
-    n = alg.size
-    rows = alg._principal_rows
-    if rows is not None:
-        every = _nabla(n)
-        full = (1 << n) - 1
-        off = bits & ~_delta(n)
-        seed = 0
-        for i, memo in rows:
-            row = memo[off >> i & full]
-            if row is None:
-                break
-            seed |= row
-            if seed == every:
-                return every
-    return _refl_adm_closure(alg, bits | _converse(n, bits))
+    of bits together with its converse."""
+    return _refl_adm_closure(alg, bits | _converse(alg.size, bits))
 
 
 def _congruence_generated(alg: FiniteAlgebra, bits):

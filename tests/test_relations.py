@@ -594,6 +594,27 @@ def test_closure_fills_at_most_one_slot(monkeypatch):
     assert filled == n * n - n
 
 
+@pytest.mark.parametrize("later", [(0, 2), (1, 2)], ids=["same-row", "next-row"])
+def test_seed_at_nabla_fills_no_later_slot(monkeypatch, later):
+    # on z6 the closure of (0, 1) is nabla: once it is in the table, a
+    # closure of (0, 1) and a pair whose slot is still empty, after it in
+    # the same row or in a later row, is nabla with no kernel run
+    z6 = corpus.builtin("z6")
+    alg = FiniteAlgebra("z6-copy", z6.size, z6.operations)
+    n = alg.size
+    assert refl_adm_closure(alg, rel_of(n, (0, 1))) == nabla(n)
+    kernel = rel._pair_closure
+    runs = []
+
+    def counted_kernel(alg, bits):
+        runs.append(1)
+        return kernel(alg, bits)
+
+    monkeypatch.setattr(rel, "_pair_closure", counted_kernel)
+    assert refl_adm_closure(alg, rel_of(n, (0, 1), later)) == nabla(n)
+    assert runs == [] and alg._principals[later[0] * n + later[1]] is None
+
+
 def test_sampled_check_runs_kernel_once_per_slot_or_open_seed(monkeypatch, m3):
     # a (D3) sample on m3 runs the kernel once per principal slot it fills,
     # at most once more for each closure that filled a slot (its seed
