@@ -384,6 +384,25 @@ def _lower(expr):
     return expr
 
 
+def _fold(expr, chained=False):
+    """expr with every maximal tree of "+", ";^inf" and "star" nodes written
+    as one star of the union of its leaves, so that it runs one Warshall
+    pass; chained: expr lies under such a node, so it adds no star of its
+    own.  The union keeps the tree's shape, "|" for each binary node, so
+    `lower` of the result is `lower` of expr.
+
+    Exact on the reflexive values a check evaluates (see `lower`): there
+    r + s and r ;^inf s are star(r | s), and star(star(a) | b) is
+    star(a | b).  Not on other values, so only checks fold."""
+    if type(expr) is Var:
+        return expr
+    if expr.op in ("+", "star") or expr.op == ";^" and expr.param == INF:
+        args = tuple(_fold(e, True) for e in expr.args)
+        union = args[0] if expr.op == "star" else Node("|", args)
+        return union if chained else Node("star", (union,))
+    return Node(expr.op, tuple(map(_fold, expr.args)), expr.param)
+
+
 class Counterexample(Record):
     # assignment: ((name, BinRel), ...) in quantifier order; witness: (a, c)
     __slots__ = ("assignment", "witness")
@@ -393,13 +412,45 @@ class Verdict(Record):
     __slots__ = ("holds", "checked", "counterexample")
 
 
-# The most values one compiled program keeps cached.  A full cache is
-# emptied and refills, so a check never holds more than this many.
+# The most member values one compiled program keeps cached: a value for one
+# assignment counts one, a wide value (see _Program) one per member it
+# holds.  A cache that would pass it is emptied and refills, so a check
+# never holds more.
 _CACHE_CAP = 1 << 16
+
+# The most members of the innermost lattice one wide value holds.  An
+# exhaustive check packs that lattice into blocks of at most this many
+# members, n^2 bits each, so no int it builds or caches grows with the
+# lattice.
+_BLOCK = 64
 
 # The locals a generated line reads: quantifier values v<position> and
 # computed slots x<slot>.
 _LOCAL_RE = re.compile(r"\b[vx]\d+\b")
+
+
+def _blocks(nn, values):
+    """The packed relations `values`, nn bits each, in blocks of at most
+    _BLOCK: (j, V, R, I) for block j, with member i of V at bits i*nn, I
+    those shifts and R the sum of 1 << i*nn over them."""
+    out = []
+    for j, lo in enumerate(range(0, len(values), _BLOCK)):
+        members = values[lo : lo + _BLOCK]
+        shifts = range(0, len(members) * nn, nn)
+        packed = sum(v << i for v, i in zip(members, shifts))
+        out.append((j, packed, sum(1 << i for i in shifts), shifts))
+    return out
+
+
+def _failing(nn, bad):
+    """The shifts i*nn, ascending, of the members whose nn-bit segment of
+    the packed int bad is not zero."""
+    base = 0
+    while bad:
+        past = ((bad & -bad).bit_length() - 1) // nn * nn + nn
+        yield base + past - nn
+        bad >>= past
+        base += past
 
 
 class _Program:
@@ -422,22 +473,32 @@ class _Program:
     the block nesting stays within CPython's limit.  Each slot is computed
     in the loop of its last free variable, once per pass, except:
 
-    - exhaustive (whole lattices, run in product order): a slot over one
-      quantifier p > 0 alone (conv(T), tol(T), S | conv(S)) is computed
-      once per member of p's lattice before the loops start, by a function
-      T<p> that pairs each member with them, so p's loop takes them in its
-      header (`for v2, x8 in D[2]:`).  A slot whose
-      free variables are exactly 0..i, i its loop, meets each combination
-      once and is computed in place; any other but "|" and "&" is looked up
-      in the cache under (slot, values of its free variables), since later
-      passes of the outer loops meet it again (S ;^inf T under R, S, T).
+    - exhaustive (whole lattices, run in product order): the innermost
+      quantifier d is no loop over members.  `_blocks` packs its lattice
+      into blocks, member i at bits i*n^2, and d's function runs once per
+      block.  A slot over d has one wide value there, y<slot>, its value
+      at every member packed the same way: V, the block, for d itself;
+      one int operation for "|" and "&", an outer value broadcast by one
+      multiply with R = sum of 1 << i*n^2, which cannot carry as a value
+      is below 2^(n^2); one kernel call per member, packed, for any other
+      operator.  A slot over one quantifier p > 0 alone (conv(T), tol(T),
+      S | conv(S)) is computed before the loops start, once per member of
+      p's lattice, or per block when p is d, by a function T<p> that pairs
+      the member or block with them, so p's loop takes them in its header
+      (`for v1, x6, x7 in D[1]:`).  A slot whose free variables are
+      exactly 0..i, i its loop, meets each combination once and is
+      computed in place; any other but "|" and "&" is looked up in the
+      cache under (slot, values of its free variables), the block's index
+      j standing for d's, since later passes of the outer loops meet it
+      again (S ;^inf T under R, S, T).
     - one value per quantifier (`violation` and `_runner`): every slot but
       "|", "&" and those over every quantifier is cached by value, for
       later calls.
 
-    The one cache dict holds at most `_CACHE_CAP` entries and is emptied
-    when full.  `_runner(slot)` generates, in the one-value form, a function
-    from a tuple of `BinRel` in the order of `names` to the slot's `BinRel`.
+    The one cache dict holds at most `_CACHE_CAP` member values, a wide
+    one counting each of its block's members, and is emptied when full.
+    `_runner(slot)` generates, in the one-value form, a function from a
+    tuple of `BinRel` in the order of `names` to the slot's `BinRel`.
     """
 
     def __init__(self, alg: FiniteAlgebra, names):
@@ -450,6 +511,7 @@ class _Program:
         self._fns = {}  # slot -> its bound kernel, unless written inline
         self._constants = {}  # slot without free variables -> its packed value
         self._cache = {}  # (slot, packed values of its free variables) -> packed value
+        self._held = 0  # the member values in _cache
         self.source = None
 
     def slot(self, expr) -> int:
@@ -488,12 +550,39 @@ class _Program:
         first = self.alg if op.alg else self.alg.size
         return partial(op.kernel, first, **({op.param: param} if op.param else {}))
 
+    def _put(self, key, value, members=1):
+        """Cache value under key as `members` member values: a cache they
+        would take past `_CACHE_CAP` is emptied first, and a value of more
+        members than the cap is not kept.  Returns value."""
+        if members <= _CACHE_CAP:
+            if self._held + members > _CACHE_CAP:
+                self._cache.clear()
+                self._held = 0
+            self._cache[key] = value
+            self._held += members
+        return value
+
     def _name(self, slot):
         """The name generated code reads slot's value by."""
         node, _, param = self._keys[slot]
         if node is Var:
             return f"v{param}"
         return f"c{slot}" if slot in self._constants else f"x{slot}"
+
+    def _wide_name(self, slot, d):
+        """What a wide line reads slot's wide value by: V for quantifier d,
+        y<slot> for another slot over d, else its value broadcast."""
+        free = self.free[slot]
+        if free and free[-1] == d:
+            return "V" if self._keys[slot][0] is Var else f"y{slot}"
+        return f"({self._name(slot)} * R)"
+
+    def _member(self, slot, d):
+        """What a wide line reads slot's value at the member at bit i by."""
+        free = self.free[slot]
+        if free and free[-1] == d:
+            return f"({self._wide_name(slot, d)} >> i & M)"
+        return self._name(slot)
 
     def _needed(self, roots):
         """The slots that computing `roots` runs: every slot below them but
@@ -527,29 +616,59 @@ class _Program:
         key = ", ".join([str(slot)] + [f"v{p}" for p in free])
         return [f"k = ({key})", f"x{slot} = get(k)", f"if x{slot} is None:", f"    x{slot} = put(k, {value})"]
 
+    def _wide_lines(self, slot, depth):
+        """The generated lines that set y<slot>, slot's wide value over a
+        block of the innermost lattice, from its children."""
+        node, kids, _ = self._keys[slot]
+        d = depth - 1
+        if _OPS[node].inline:
+            return [f"y{slot} = {self._wide_name(kids[0], d)} {node} {self._wide_name(kids[1], d)}"]
+        value = f"sum(f{slot}({', '.join(self._member(k, d) for k in kids)}) << i for i in I)"
+        free = self.free[slot]
+        # in place when over every quantifier or over d alone
+        if len(free) == depth or len(free) == 1:
+            return [f"y{slot} = {value}"]
+        key = ", ".join([str(slot), "j"] + [f"v{p}" for p in free[:-1]])
+        return [f"k = ({key})", f"y{slot} = get(k)", f"if y{slot} is None:", f"    y{slot} = put(k, {value}, len(I))"]
+
     def _compile(self, depth, slots, tail, exhaustive):
         """Generate and exec the loops over quantifiers 0..depth-1, with
         `slots` computed each in the loop of its last free variable or in
         its quantifier's table, and the lines `tail` ending the innermost
-        loop.  Returns the outermost loop's function: given D, with D[i] the
-        packed values of quantifier i, it returns the first value `tail`
-        returns, or None."""
+        level; exhaustively that level runs once per block, with the wide
+        values of the slots over it.  Returns the outermost loop's
+        function: given D, with D[i] the packed values of quantifier i, it
+        returns the first value `tail` returns, or None."""
+        d = depth - 1
         bodies = [[] for _ in range(depth)]
         tables = [[] for _ in range(depth)]  # p -> the slots of p's table
         for slot in sorted(slots):
+            free = self.free[slot]
             if self._tabled(slot, exhaustive):
-                tables[self.free[slot][0]].append(slot)
+                tables[free[0]].append(slot)
+            elif exhaustive and free[-1] == d:
+                bodies[d] += self._wide_lines(slot, depth)
             else:
-                bodies[self.free[slot][-1]] += self._lines(slot, exhaustive)
-        bodies[-1] += tail
+                bodies[free[-1]] += self._lines(slot, exhaustive)
+        bodies[d] += tail
         heads = [f"v{i}" for i in range(depth)]
         functions = []
+        made = set()  # the quantifiers p whose values come from T<p>
         for p, table in enumerate(tables):
-            if table:
+            if exhaustive and p == d:
+                heads[p] = ", ".join(["j, V, R, I"] + [f"y{s}" for s in table])
+                loop = "for j, V, R, I in blocks(values):"
+                lines = [line for s in table for line in self._wide_lines(s, depth)]
+            elif table:
                 heads[p] = ", ".join([heads[p]] + [f"x{s}" for s in table])
-                functions += [f"def T{p}(V):", "    out = []", f"    for v{p} in V:"]
-                functions += ["        " + line for s in table for line in self._lines(s, True)]
-                functions += [f"        out.append(({heads[p]},))", "    return out"]
+                loop = f"for v{p} in values:"
+                lines = [line for s in table for line in self._lines(s, True)]
+            else:
+                continue
+            functions += [f"def T{p}(values):", "    out = []", f"    {loop}"]
+            functions += ["        " + line for line in lines + [f"out.append(({heads[p]},))"]]
+            functions.append("    return out")
+            made.add(p)
 
         def level(name):
             i = int(name[1:])
@@ -558,15 +677,17 @@ class _Program:
         args = []
         for i in reversed(range(depth)):
             body = bodies[i]
-            if i < depth - 1:
+            if i < d:
                 body += [f"r = L{i + 1}({', '.join(['D'] + args)})", "if r is not None:", "    return r"]
             args = sorted(name for name in set(_LOCAL_RE.findall("\n".join(body))) if level(name) < i)
             functions.append(f"def L{i}({', '.join(['D'] + args)}):")
-            if i == 0 and any(tables):
-                functions.append(f"    D = [{', '.join(f'T{p}(D[{p}])' if t else f'D[{p}]' for p, t in enumerate(tables))}]")
+            if i == 0 and made:
+                functions.append(f"    D = [{', '.join(f'T{p}(D[{p}])' if p in made else f'D[{p}]' for p in range(depth))}]")
             functions.append(f"    for {heads[i]} in D[{i}]:")
             functions += ["        " + line for line in body]
-        namespace = {"get": self._cache.get, "put": partial(_put, self._cache, _CACHE_CAP)}
+        n = self.alg.size
+        namespace = {"get": self._cache.get, "put": self._put, "M": rel._nabla(n)}
+        namespace.update(blocks=partial(_blocks, n * n), failing=partial(_failing, n * n))
         namespace.update((f"f{slot}", fn) for slot, fn in self._fns.items())
         namespace.update((f"c{slot}", value) for slot, value in self._constants.items())
         self.source = "\n".join(functions)
@@ -581,23 +702,26 @@ class _Program:
         small the packed side that is not inside the packed side big, or
         None.
 
-        Each inclusion is first tested against `lower` of its larger side,
-        compiled beside the statement into the same slots.  The bound lies
-        inside the larger side, so an assignment it settles holds; only when
-        the test fails is the larger side built.  The slots that only the
-        larger side needs and that sit in the innermost loop, but not in a
-        table, are computed inside that branch.  For "=", rhs is then tested
-        against lower(lhs) the same way.
+        Each side is compiled through `_fold`, so a chain of "+", ";^inf"
+        and "star" is one Warshall pass.  Each inclusion is first tested
+        against `lower` of its larger side, compiled beside the statement
+        into the same slots.  The bound lies inside the larger side, so an
+        assignment it settles holds; only when the test fails is the larger
+        side built.  The slots that only the larger side needs and that
+        sit in the innermost loop, but not in a table, are computed inside
+        that branch.  For "=", rhs is then tested against lower(lhs) the
+        same way.  Exhaustively the bound test runs on wide values, and
+        only the members that fail it are taken out, see `_wide_tail`.
         """
         sides = [(stmt.lhs, stmt.rhs)]
         if stmt.relation is StmtRel.EQUALS:
             sides.append((stmt.rhs, stmt.lhs))
-        checks = [(self.slot(small), self.slot(_lower(big)), self.slot(big)) for small, big in sides]
+        checks = [(self.slot(_fold(small)), self.slot(_lower(big)), self.slot(_fold(big))) for small, big in sides]
         depth = len(self.names)
         always = self._needed([s for small, bound, _ in checks for s in (small, bound)])
         slots = set(always)
         values = "".join(f", v{p}" for p in range(depth))
-        tail = []
+        tests = []
         for small, bound, big in checks:
             name, limit = self._name(small), self._name(big)
             test = [f"if {name} & ~{limit}:", f"    return ({name}, {limit}{values})"]
@@ -606,9 +730,34 @@ class _Program:
                 lazy = sorted(s for s in rest if self.free[s][-1] == depth - 1 and not self._tabled(s, exhaustive))
                 slots |= rest.difference(lazy)
                 test = [line for s in lazy for line in self._lines(s, exhaustive)] + test
-                test = [f"if {name} & ~{self._name(bound)}:"] + ["    " + line for line in test]
-            tail += test
+                if not exhaustive:
+                    test = [f"if {name} & ~{self._name(bound)}:"] + ["    " + line for line in test]
+            tests.append(test)
+        if exhaustive:
+            tail = self._wide_tail(checks, tests, slots, depth)
+        else:
+            tail = [line for test in tests for line in test]
         return self._compile(depth, slots, tail, exhaustive)
+
+    def _wide_tail(self, checks, tests, slots, depth):
+        """The tail of the wide innermost level.  Each check's test against
+        its bound runs on wide values, b<t>; then each member at which one
+        fails, in ascending order, has its values taken out by shift and
+        mask, and runs the one-value `tests` of the checks that failed
+        there, which build the rest of the larger side and test it.  So the
+        first member that fails is the one a loop over members finds."""
+        d = depth - 1
+        fails = [
+            f"b{t} = {self._wide_name(small, d)} & ~{self._wide_name(bound, d)}" for t, (small, bound, _) in enumerate(checks)
+        ]
+        if len(tests) == 1:
+            body = tests[0]
+        else:
+            body = [line for t, test in enumerate(tests) for line in [f"if b{t} >> i & M:"] + ["    " + x for x in test]]
+        used = set(_LOCAL_RE.findall("\n".join(body)))
+        take = [f"x{s} = y{s} >> i & M" for s in sorted(slots) if f"x{s}" in used and self.free[s][-1] == d]
+        loop = [f"for i in failing({' | '.join(f'b{t}' for t in range(len(tests)))}):", f"    v{d} = V >> i & M"]
+        return fails + loop + ["    " + line for line in take + body]
 
     def violation(self, stmt: IdentityStatement):
         """`search` in the one-value form: a function from an assignment, a
@@ -673,16 +822,22 @@ def check_identity(
 
     The statement is compiled once into a `_Program`: generated code, one
     loop per quantifier in declaration order, that calls the relation
-    kernels on packed ints.  Exhaustively, each subterm over one later
-    quantifier alone is computed once per member of its lattice before the
-    loops start; any other is computed in the loop of its last free
-    variable, in place or through the bounded cache.  Sample mode runs the
-    same code on one value per quantifier, once per distinct assignment:
-    the packed values of those that held are kept, bounded like the cache,
-    and a repeated one is settled by a lookup.  In the innermost loop the left
-    side is tested first against `lower` of the right side, and the rest of
-    the right side is built only when that test fails.  The witness is
-    still the least pair of lhs outside the full rhs.
+    kernels on packed ints.  Every chain of "+", ";^inf" and "star" is
+    compiled as one star of the union of its operands, exact on the
+    reflexive values a check evaluates.  Exhaustively, the innermost
+    quantifier is no loop: its lattice is packed side by side into blocks
+    of wide ints, and "|", "&" and the lower-bound test below run once per
+    block on them.  Each subterm over one later quantifier alone is
+    computed once per member of its lattice before the loops start; any
+    other is computed in the loop of its last free variable, in place or
+    through the bounded cache.  Sample mode runs the one-value form of the
+    same code, once per distinct assignment: the packed values of those
+    that held are kept, bounded like the cache, and a repeated one is
+    settled by a lookup.  At the innermost level the left side is tested
+    first against `lower` of the right side, and the rest of the right
+    side is built, for each member that fails the test in turn, only
+    then.  The witness is still the least pair of lhs outside the full
+    rhs, at the first assignment in product order that fails.
     """
     names = [name for name, _ in stmt.quantifiers]
     kinds = [kind for _, kind in stmt.quantifiers]

@@ -58,7 +58,11 @@ means, is ``star(r | s)`` when r and s are both reflexive.  Every relation
 an identity check evaluates is: every quantifier sort (REFL, TOL, CON) is,
 so are delta and nabla, and every operator here keeps reflexivity.  So
 ``identities.lower`` may bound each right side from below by a union of
-its operands.
+its operands, and a check compiles each tree of ``+``, ``;^inf`` and
+``star`` as one ``_star`` of the union of its leaves, one Warshall pass:
+``star(star(a) | b)`` is ``star(a | b)``.  Checks never call ``_plus``;
+``eval_expr`` and the wrappers do, on relations that need not be
+reflexive.
 """
 
 from __future__ import annotations
@@ -546,6 +550,10 @@ class RelKind(Enum):
     TOLERANCE = "TOL"
     CONGRUENCE = "CON"
 
+    # members are singletons and Enum equality is identity, so the identity
+    # hash keys the same dicts as Enum's name hash, without a Python call
+    __hash__ = object.__hash__
+
 
 _KERNELS = {
     RelKind.REFL_ADM: _refl_adm_closure,
@@ -574,10 +582,13 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
     Computes the principal members (closure of each single pair) and
     joins each new member with the principal members not below it;
     complete because every member is the join of the principals below it,
-    so adding one principal at a time reaches it.  It closes and
-    deduplicates packed ints, and wraps the members in ``BinRel`` once, in
-    canonical order: lexicographic on the flattened bit matrix, which is
-    the order of the binary spellings read from bit 0 up.
+    so adding one principal at a time reaches it.  A principal is closed
+    by its kind's kernel.  A join x | y of two symmetric members is
+    symmetric already, so a TOL join is its reflexive-admissible closure,
+    with no converse, and a CON join the transitive closure of that.  It
+    closes and deduplicates packed ints, and wraps the members in
+    ``BinRel`` once, in canonical order: lexicographic on the flattened bit
+    matrix, which is the order of the binary spellings read from bit 0 up.
     """
 
     def build():
@@ -585,6 +596,10 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
         n = alg.size
         members = set()
         work = []
+
+        def join(bits):
+            closed = _refl_adm_closure(alg, bits)
+            return _star(n, closed) if kind is RelKind.CONGRUENCE else closed
 
         def add(bits):
             if bits not in members:
@@ -600,7 +615,7 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
             x = work.pop()
             for y in principals:
                 if y & ~x:  # else x | y is x, a member already
-                    add(close(alg, x | y))
+                    add(join(x | y))
         width = f"0{n * n}b"
         order = sorted(members, key=lambda bits: format(bits, width)[::-1])
         return RelLattice(kind, tuple(BinRel._of(n, bits) for bits in order))

@@ -411,23 +411,23 @@ def test_check_matches_reference_loop(name, stmt, seed, samples):
     )
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "S:REFL, T:REFL |- T <= S ;^1 T",
-        "S:REFL, T:REFL |- S ;^1 T = S",
-        "Theta:TOL, S:REFL |- Theta & (S ; conv(S)) <= Theta & S ;^1 Theta & conv(S)",
-        "S:REFL, T:TOL |- tol(S) & T <= S ;^1 T",
-        "S:REFL |- tol(S) <= S | conv(S)",
-        "S:REFL |- tol(S) <= S",
-        "S:REFL |- conv(S) <= S",
-        "S:REFL, T:REFL |- S <= conv(S ; T) & T",
-        "S:REFL |- pow(S,3) <= pow(S,2)",
-        "S:REFL |- pow(S,2) <= S",
-        "S:REFL, T:REFL |- conv(S ; T) = conv(T) ; conv(S)",
-        "S:REFL |- S = star(S)",
-    ],
-)
+_EXAMPLES = [
+    "S:REFL, T:REFL |- T <= S ;^1 T",
+    "S:REFL, T:REFL |- S ;^1 T = S",
+    "Theta:TOL, S:REFL |- Theta & (S ; conv(S)) <= Theta & S ;^1 Theta & conv(S)",
+    "S:REFL, T:TOL |- tol(S) & T <= S ;^1 T",
+    "S:REFL |- tol(S) <= S | conv(S)",
+    "S:REFL |- tol(S) <= S",
+    "S:REFL |- conv(S) <= S",
+    "S:REFL, T:REFL |- S <= conv(S ; T) & T",
+    "S:REFL |- pow(S,3) <= pow(S,2)",
+    "S:REFL |- pow(S,2) <= S",
+    "S:REFL, T:REFL |- conv(S ; T) = conv(T) ; conv(S)",
+    "S:REFL |- S = star(S)",
+]
+
+
+@pytest.mark.parametrize("text", _EXAMPLES)
 def test_check_matches_reference_examples(text, l2, sl3, z2xz2):
     # each operator whose lower bound has its own rule, through the
     # lower-bound test and its fall-through to the full right side
@@ -495,6 +495,51 @@ def test_tabled_subterms_match_reference(name):
         assert not verdict.holds and verdict.checked > len(lattices[1]) * len(lattices[2])
 
 
+def test_blocks_of_the_innermost_lattice_match_reference(monkeypatch, l2, sl3, z2xz2):
+    # the innermost lattice cut into blocks of one member and of three, so
+    # that blocks end inside every lattice and a check that fails may fail
+    # at any place in a block; each verdict is the reference loop's
+    cases = [(corpus.builtin(name), parse_identity(text)) for name in ("l3", "n5", "sl3", "z2xz2") for text in _TABLED]
+    cases += [(alg, parse_identity(text)) for alg in (l2, sl3, z2xz2) for text in _EXAMPLES]
+    cases += [(corpus.builtin(name), catalog_entry(label, m=INF)) for name in ("l3", "n5", "sl3") for label in ("(D3)", "(1.4)")]
+    references = []
+    for alg, stmt in cases:
+        lattices = [enumerate_relations(alg, kind).members for _, kind in stmt.quantifiers]
+        references.append(_reference_check(alg, stmt, itertools.product(*lattices)))
+    assert [v.holds for v in references[-6:]] == [True] * 4 + [False] * 2  # sl3 is not modular
+    for block in (1, 3):
+        monkeypatch.setattr(identities, "_BLOCK", block)
+        for (alg, stmt), reference in zip(cases, references):
+            assert check_identity(alg, stmt) == reference, (block, alg.name, print_statement(stmt))
+
+
+@pytest.mark.parametrize("block", [3, identities._BLOCK], ids=["3", "default"])
+@pytest.mark.parametrize("cap", [1, 5])
+def test_cache_counts_each_member_of_a_wide_value(cap, block, monkeypatch, l2, sl3):
+    # a wide value counts one member value per member of its block toward
+    # _CACHE_CAP, so the cache never holds more than the cap, and a value
+    # wider than the cap is not kept; verdicts stay those of the default cap
+    runs = [(cold("l3"), catalog_entry("(D3)", m=INF)), (sl3, catalog_entry("(1.4)")), (l2, catalog_entry("(B1)", m=INF))]
+    runs.append((sl3, parse_identity("S:REFL, T:REFL |- conv(S ; T) = conv(T) ; conv(S)")))
+    normal = [check_identity(alg, stmt) for alg, stmt in runs]
+    put = identities._Program._put
+    weights, held = {}, []
+
+    def recording(self, key, value, members=1):
+        weights[key] = members
+        out = put(self, key, value, members)
+        held.append(sum(weights[k] for k in self._cache))
+        return out
+
+    monkeypatch.setattr(identities._Program, "_put", recording)
+    monkeypatch.setattr(identities, "_BLOCK", block)
+    monkeypatch.setattr(identities, "_CACHE_CAP", cap)
+    for (alg, stmt), verdict in zip(runs, normal):
+        assert check_identity(alg, stmt) == verdict
+    assert held and max(held) <= cap
+    assert max(weights.values()) == min(block, 36)  # the widest: a block of sl3's 36 REFL members
+
+
 def test_D3_on_l3_tabulates_each_single_quantifier_subterm(patch_kernel):
     # conv(R), conv(S) and conv(T) each lie over one quantifier: conv(R) is
     # computed in R's loop, conv(S) and conv(T) in the tables of S and T,
@@ -509,14 +554,18 @@ def test_D3_on_l3_tabulates_each_single_quantifier_subterm(patch_kernel):
     lattice = [r.bits for r in enumerate_relations(l3, RelKind.REFL_ADM).members]
     assert verdict.holds and verdict.checked == 25**3
     assert sorted(seen) == sorted(lattice * 4)
-    # no subterm over S or T alone goes through the cache
+    # no subterm over S or T alone goes through the cache: those over S
+    # are x<slot> in S's table, those over T, the innermost quantifier,
+    # one wide y<slot> per block of T's lattice, built in T's table
     program = identities._Program(l3, ("R", "S", "T"))
     program.search(stmt, exhaustive=True)
-    single = [s for s, free in enumerate(program.free) if free in ((1,), (2,)) and re.search(rf"\bx{s}\b", program.source)]
+    single = [s for s, free in enumerate(program.free) if free in ((1,), (2,)) and re.search(rf"\b[xy]{s}\b", program.source)]
     assert len(single) >= 3  # conv(S), S | conv(S), conv(T)
     for s in single:
-        assert not re.search(rf"\bx{s} = get\(", program.source)
-    assert "get(" in program.source  # S ;^inf T and cl(...) over S and T still do
+        assert not re.search(rf"\b[xy]{s} = get\(", program.source)
+    assert re.search(r"^def T2\(values\):\n.*\n    for j, V, R, I in blocks\(values\):\n        y\d+ = sum\(", program.source, re.M)
+    assert not re.search(r"\bfor v2\b", program.source)  # no loop over T's members
+    assert "get(" in program.source  # star(S | T) and cl(...) over S and T still do
 
 
 def test_sampled_check_over_the_cap_draws_nothing(l2, monkeypatch):
@@ -557,12 +606,14 @@ def test_check_many_quantifiers_exhaustively():
 
 def test_D3_on_l3_hoists_tol_and_caches_the_join(patch_kernel):
     # tol(R) lies over R alone, so it runs once per pass of R's loop;
-    # S ;^inf T lies over S and T but not R, so it is cached and joined once
-    # per distinct pair.  Every other join is one of the right side's three,
-    # built only when the lower bound fails, once per compose.  The check
-    # calls the int kernels, so those are counted
+    # S ;^inf T, folded to star(S | T), lies over S and T but not R, so it
+    # is cached per S for the block of every T and built once per distinct
+    # pair.  The right side's three joins fold into one star, built only
+    # when the lower bound fails, once per compose: 1359 of the 25^3
+    # assignments.  No saturating join runs.  The check calls the int
+    # kernels, so those are counted
     l3 = cold("l3")
-    counts = {"_tolerance_of": 0, "_compose": 0, "_plus": 0}
+    counts = {"_tolerance_of": 0, "_compose": 0, "_plus": 0, "_star": 0}
 
     def counting(name):
         original = getattr(relations, name)
@@ -578,10 +629,7 @@ def test_D3_on_l3_hoists_tol_and_caches_the_join(patch_kernel):
     verdict = check_identity(l3, catalog_entry("(D3)", m=INF))
     lattice = enumerate_relations(l3, RelKind.REFL_ADM).members
     assert verdict.holds and verdict.checked == len(lattice) ** 3 == 25**3
-    assert counts["_tolerance_of"] <= 25
-    builds = counts["_compose"]
-    assert 0 < builds * 10 < 25**3
-    assert counts["_plus"] - 3 * builds <= 25**2
+    assert counts == {"_tolerance_of": 25, "_compose": 1359, "_plus": 0, "_star": 25**2 + 1359}
 
 
 def test_equality_failing_only_rightward_keeps_its_witness(sl3):
@@ -635,32 +683,70 @@ def test_lower_bound_settles_without_building_the_right_side(patch_kernel):
     assert calls == []
 
 
+def test_eval_does_not_fold_saturating_joins(l2):
+    # on S and T that are not reflexive, S + T and S ;^inf T are not
+    # star(S | T), which a check folds them to; eval_expr keeps plus
+    s, t = BinRel.from_pairs(2, [(0, 1)]), BinRel.from_pairs(2, [(1, 0)])
+    env = {"S": s, "T": t}
+    want = plus(s, t)
+    assert want != star(union(s, t)) == nabla(2)
+    for expr in (Node("+", (S, T)), Node(";^", (S, T), INF)):
+        assert eval_expr(l2, expr, env) == want
+        assert eval_expr(l2, Node("star", (expr,)), env) == star(want) != nabla(2)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_exprs(), st.integers(0, 2**16))
+def test_fold_keeps_lower_and_every_reflexive_value(expr, seed):
+    # lower of the folded tree is lower of the tree, and on reflexive
+    # values, the only ones a check evaluates, both trees are equal
+    assert lower(identities._fold(expr)) == lower(expr)
+    alg = corpus.builtin("sl3")
+    lattice = enumerate_relations(alg, RelKind.REFL_ADM).members
+    rng = random.Random(seed)
+    env = {"S": rng.choice(lattice), "T": rng.choice(lattice)}
+    assert eval_expr(alg, identities._fold(expr), env) == eval_expr(alg, expr, env)
+
+
+def test_fold_makes_one_star_of_each_chain():
+    # (D3)'s right side joins four terms by "+": folded, one Warshall pass
+    # over their union; its left side's S ;^inf T is star(S | T)
+    stmt = catalog_entry("(D3)", m=INF)
+    rhs, lhs = identities._fold(stmt.rhs), identities._fold(stmt.lhs)
+    assert print_expr(rhs) == (
+        "R & cl(S | conv(S) | T | conv(T)) ; star(tol(R) & S | tol(R) & T | tol(R) & conv(S) | tol(R) & conv(T))"
+    )
+    assert print_expr(lhs) == "R & star(S | T)"
+    assert identities._fold(parse_identity("S:REFL, T:REFL |- S <= star(star(S) + T ;^2 star(S))").rhs) == (
+        Node("star", (Node("|", (S, Node(";^", (T, Node("star", (S,))), 2))),))
+    )
+
+
 def test_lower_bound_settles_most_of_D3_on_l3(patch_kernel):
-    # the right side of (D3) runs three saturating joins over R, S and T,
-    # which every assignment built before the lower-bound test; the left
-    # side is evaluated first, so the joins counted are the right side's
+    # the right side of (D3) folds its three saturating joins into one star
+    # over R, S and T, which every assignment built before the lower-bound
+    # test; now only an assignment whose left side escapes the bound builds
+    # it.  The left side's S ;^inf T, folded to star(S | T), is built once
+    # per (S, T), so each check runs one star per pair and one per escape
     l3 = cold("l3")
     stmt = catalog_entry("(D3)", m=INF)
-    calls = []
-    kernel = relations._plus
-
-    def counting_plus(n, r, s):
-        calls.append((r, s))
-        return kernel(n, r, s)
-
-    patch_kernel("_plus", counting_plus)
-    program = identities._Program(l3, ("R", "S", "T"))
-    violation = program.violation(stmt)
-    lhs = program._runner(program.slot(stmt.lhs))
     lattice = enumerate_relations(l3, RelKind.REFL_ADM).members
-    built = 0
-    for values in itertools.product(lattice, repeat=3):
-        lhs(values)
-        before = len(calls)
+    reference = identities._Program(l3, ("R", "S", "T"))
+    lhs = reference._runner(reference.slot(stmt.lhs))
+    bound = reference._runner(reference.slot(lower(stmt.rhs)))
+    assignments = list(itertools.product(lattice, repeat=3))
+    escapes = sum(not lhs(values).issubset(bound(values)) for values in assignments)
+    assert len(assignments) == 15625 and escapes == 1359
+    calls = []
+    kernel = relations._star
+    patch_kernel("_star", lambda n, r: calls.append(r) or kernel(n, r))
+    violation = identities._Program(l3, ("R", "S", "T")).violation(stmt)
+    for values in assignments:
         assert violation(values) is None
-        built += len(calls) > before
-    assert len(lattice) ** 3 == 15625
-    assert 0 < built * 10 < 15625
+    assert len(calls) == 25**2 + escapes
+    calls.clear()
+    assert check_identity(l3, stmt) == Verdict(True, 15625, None)
+    assert len(calls) == 25**2 + escapes
 
 
 def test_cache_cap_keeps_verdicts(l2, sl3, monkeypatch):

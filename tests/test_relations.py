@@ -754,6 +754,20 @@ def test_enumerate_members_pass_their_predicate(sl2, z2, l2, sl3, z2xz2, m3):
                     assert is_congruence(alg, r)
 
 
+@pytest.mark.parametrize("kind, members", [(RelKind.TOLERANCE, 14), (RelKind.CONGRUENCE, 8)])
+def test_symmetric_joins_take_no_converse(monkeypatch, kind, members):
+    # a join of two tolerances or congruences is symmetric already, so
+    # enumeration closes it with no converse: on a cold l4, only the n^2
+    # principals take one
+    alg = corpus.builtin("l4")
+    alg = FiniteAlgebra(alg.name + "-copy", alg.size, alg.operations)
+    calls = []
+    kernel = rel._converse
+    monkeypatch.setattr(rel, "_converse", lambda n, r: calls.append(r) or kernel(n, r))
+    assert len(enumerate_relations(alg, kind)) == members
+    assert len(calls) == alg.size**2 == 16
+
+
 def test_enumerate_closed_under_meet_and_join(sl2, sl3, l2):
     for alg in (sl2, sl3, l2):
         lattice = enumerate_relations(alg, RelKind.REFL_ADM)
