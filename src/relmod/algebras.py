@@ -139,14 +139,13 @@ class FiniteAlgebra:
         # pair-closure image tables, built on first use: at most 32 ints,
         # each an n-bit mask, per entry of each operation table
         self._image_tables = None
-        # principal closures, one packed n^2-bit int per pair, filled one
-        # per closure; only algebras of at most 8 elements keep them
-        self._principals = None
-        # beside them, the row memo: for each row a, (a*n, memo), where
-        # memo[m] is the union of the slots (a, b) over the bits b of an
-        # off-diagonal row mask m, kept once every one of them is filled (or
-        # once the filled ones already join to nabla), so at most
-        # n * 2^(n-1) entries
+        # the principal closures, kept only by algebras of at most 8
+        # elements: for each row a, (a*n, memo), where memo[1 << b] is the
+        # slot of pair (a, b), its packed closure, filled at most one per
+        # closure, and memo[m] for a wider off-diagonal row mask m is the
+        # union of the slots over the bits of m, kept once every one of them
+        # is filled (or once the filled ones already join to nabla), so at
+        # most n * 2^(n-1) entries
         self._principal_rows = None
         self._lattices = {}  # RelKind -> RelLattice
         # (path condition, terms) -> the full term tables of a chain that

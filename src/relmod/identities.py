@@ -481,16 +481,16 @@ class _Program:
       one int operation for "|" and "&", an outer value broadcast by one
       multiply with R = sum of 1 << i*n^2, which cannot carry as a value
       is below 2^(n^2); one kernel call per member, packed, for any other
-      operator.  A slot over one quantifier p > 0 alone (conv(T), tol(T),
-      S | conv(S)) is computed before the loops start, once per member of
-      p's lattice, or per block when p is d, by a function T<p> that pairs
-      the member or block with them, so p's loop takes them in its header
-      (`for v1, x6, x7 in D[1]:`).  A slot whose free variables are
-      exactly 0..i, i its loop, meets each combination once and is
-      computed in place; any other but "|" and "&" is looked up in the
-      cache under (slot, values of its free variables), the block's index
-      j standing for d's, since later passes of the outer loops meet it
-      again (S ;^inf T under R, S, T).
+      operator.  A slot over d alone (conv(T), tol(T), T | conv(T)) is
+      computed before the loops start, once per block, by the one table
+      function T, which pairs each block with those wide values, so d's
+      function takes them in its header (`for j, V, R, I, y9 in D[2]:`).
+      A slot whose free variables are exactly 0..i, i its loop, meets each
+      combination once and is computed in place; any other but "|" and
+      "&" is looked up in the cache under (slot, values of its free
+      variables), the block's index j standing for d's, since later passes
+      of the outer loops meet it again (conv(S) under R, S; S ;^inf T
+      under R, S, T).
     - one value per quantifier (`violation` and `_runner`): every slot but
       "|", "&" and those over every quantifier is cached by value, for
       later calls.
@@ -597,10 +597,9 @@ class _Program:
         return needed
 
     def _tabled(self, slot, exhaustive):
-        """Whether slot is computed in a quantifier's table: exhaustively,
-        when it lies over one quantifier p > 0 alone."""
-        free = self.free[slot]
-        return exhaustive and len(free) == 1 and free[0] > 0
+        """Whether slot is computed in T, the innermost quantifier's table:
+        exhaustively, when it lies over that quantifier alone."""
+        return exhaustive and self.free[slot] == (len(self.names) - 1,)
 
     def _lines(self, slot, exhaustive):
         """The generated lines that set x<slot> from its children."""
@@ -610,8 +609,8 @@ class _Program:
             return [f"x{slot} = {args[0]} {node} {args[1]}"]
         value = f"f{slot}({', '.join(args)})"
         free = self.free[slot]
-        # in place when over every quantifier, or exhaustively over 0..i or over one
-        if len(free) == len(self.names) or exhaustive and (len(free) == 1 or free[-1] == len(free) - 1):
+        # in place when over every quantifier, or exhaustively over 0..i
+        if len(free) == len(self.names) or exhaustive and free[-1] == len(free) - 1:
             return [f"x{slot} = {value}"]
         key = ", ".join([str(slot)] + [f"v{p}" for p in free])
         return [f"k = ({key})", f"x{slot} = get(k)", f"if x{slot} is None:", f"    x{slot} = put(k, {value})"]
@@ -634,18 +633,18 @@ class _Program:
     def _compile(self, depth, slots, tail, exhaustive):
         """Generate and exec the loops over quantifiers 0..depth-1, with
         `slots` computed each in the loop of its last free variable or in
-        its quantifier's table, and the lines `tail` ending the innermost
-        level; exhaustively that level runs once per block, with the wide
-        values of the slots over it.  Returns the outermost loop's
-        function: given D, with D[i] the packed values of quantifier i, it
-        returns the first value `tail` returns, or None."""
+        T, and the lines `tail` ending the innermost level; exhaustively
+        that level runs once per block, with the wide values of the slots
+        over it.  Returns the outermost loop's function: given D, with D[i]
+        the packed values of quantifier i, it returns the first value
+        `tail` returns, or None."""
         d = depth - 1
         bodies = [[] for _ in range(depth)]
-        tables = [[] for _ in range(depth)]  # p -> the slots of p's table
+        table = []  # the slots of T
         for slot in sorted(slots):
             free = self.free[slot]
             if self._tabled(slot, exhaustive):
-                tables[free[0]].append(slot)
+                table.append(slot)
             elif exhaustive and free[-1] == d:
                 bodies[d] += self._wide_lines(slot, depth)
             else:
@@ -653,22 +652,11 @@ class _Program:
         bodies[d] += tail
         heads = [f"v{i}" for i in range(depth)]
         functions = []
-        made = set()  # the quantifiers p whose values come from T<p>
-        for p, table in enumerate(tables):
-            if exhaustive and p == d:
-                heads[p] = ", ".join(["j, V, R, I"] + [f"y{s}" for s in table])
-                loop = "for j, V, R, I in blocks(values):"
-                lines = [line for s in table for line in self._wide_lines(s, depth)]
-            elif table:
-                heads[p] = ", ".join([heads[p]] + [f"x{s}" for s in table])
-                loop = f"for v{p} in values:"
-                lines = [line for s in table for line in self._lines(s, True)]
-            else:
-                continue
-            functions += [f"def T{p}(values):", "    out = []", f"    {loop}"]
-            functions += ["        " + line for line in lines + [f"out.append(({heads[p]},))"]]
-            functions.append("    return out")
-            made.add(p)
+        if exhaustive:
+            heads[d] = ", ".join(["j, V, R, I"] + [f"y{s}" for s in table])
+            functions += ["def T(values):", "    out = []", "    for j, V, R, I in blocks(values):"]
+            functions += ["        " + line for s in table for line in self._wide_lines(s, depth)]
+            functions += [f"        out.append(({heads[d]},))", "    return out"]
 
         def level(name):
             i = int(name[1:])
@@ -681,8 +669,8 @@ class _Program:
                 body += [f"r = L{i + 1}({', '.join(['D'] + args)})", "if r is not None:", "    return r"]
             args = sorted(name for name in set(_LOCAL_RE.findall("\n".join(body))) if level(name) < i)
             functions.append(f"def L{i}({', '.join(['D'] + args)}):")
-            if i == 0 and made:
-                functions.append(f"    D = [{', '.join(f'T{p}(D[{p}])' if p in made else f'D[{p}]' for p in range(depth))}]")
+            if i == 0 and exhaustive:
+                functions.append(f"    D = [*D[:{d}], T(D[{d}])]")
             functions.append(f"    for {heads[i]} in D[{i}]:")
             functions += ["        " + line for line in body]
         n = self.alg.size
@@ -708,7 +696,7 @@ class _Program:
         into the same slots.  The bound lies inside the larger side, so an
         assignment it settles holds; only when the test fails is the larger
         side built.  The slots that only the larger side needs and that
-        sit in the innermost loop, but not in a table, are computed inside
+        sit in the innermost loop, but not in T, are computed inside
         that branch.  For "=", rhs is then tested against lower(lhs) the
         same way.  Exhaustively the bound test runs on wide values, and
         only the members that fail it are taken out, see `_wide_tail`.
@@ -827,10 +815,10 @@ def check_identity(
     reflexive values a check evaluates.  Exhaustively, the innermost
     quantifier is no loop: its lattice is packed side by side into blocks
     of wide ints, and "|", "&" and the lower-bound test below run once per
-    block on them.  Each subterm over one later quantifier alone is
-    computed once per member of its lattice before the loops start; any
-    other is computed in the loop of its last free variable, in place or
-    through the bounded cache.  Sample mode runs the one-value form of the
+    block on them.  Each subterm over the innermost quantifier alone is
+    computed once per block before the loops start; any other is computed
+    in the loop of its last free variable, in place or through the bounded
+    cache.  Sample mode runs the one-value form of the
     same code, once per distinct assignment: the packed values of those
     that held are kept, bounded like the cache, and a repeated one is
     settled by a lookup.  At the innermost level the left side is tested
@@ -843,9 +831,10 @@ def check_identity(
     kinds = [kind for _, kind in stmt.quantifiers]
     if not names:
         raise ValueError("a statement needs at least one quantifier")
-    for p, name in enumerate(names):
+    for p, (name, kind) in enumerate(stmt.quantifiers):
         if name in names[:p]:
             raise ValueError(f"duplicate quantifier {name!r}")
+        _check_sort(name, kind)
     _check_depth(stmt.lhs)
     _check_depth(stmt.rhs)
     if mode == "exhaustive":
@@ -906,12 +895,21 @@ def _draws(alg, kinds, seed, samples):
         yield tuple(values)
 
 
+def _check_sort(name, kind):
+    """Reject a quantifier sort that is not a `RelKind`, such as its
+    spelling "TOL"."""
+    if not isinstance(kind, RelKind):
+        raise ValueError(f"quantifier {name!r} has sort {kind!r}, expected a RelKind ({_SORT_CHOICES})")
+
+
 def with_sorts(stmt: IdentityStatement, overrides) -> IdentityStatement:
-    """Replace quantifier sorts by name; unknown names are rejected."""
+    """Replace quantifier sorts by name; unknown names and sorts that are
+    not a `RelKind` are rejected."""
     known = {name for name, _ in stmt.quantifiers}
-    for name in overrides:
+    for name, kind in overrides.items():
         if name not in known:
             raise ValueError(f"no quantifier named {name!r}")
+        _check_sort(name, kind)
     quants = tuple(
         (name, overrides.get(name, kind)) for name, kind in stmt.quantifiers
     )

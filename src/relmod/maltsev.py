@@ -313,15 +313,15 @@ def verify_day(alg: FiniteAlgebra, system: TermSystem) -> bool:
     return _verify(_DAY, alg, tuple(system.terms)) is not None
 
 
-def _find(cond, verify, alg, cap):
+def _find(cond, alg, cap):
     """The search find_directed_gumm and find_day share: cond's trivial
-    chain on a one-element algebra, else _search's chain, checked by verify
-    before it is returned."""
+    chain on a one-element algebra, else _search's chain, checked by
+    _verify before it is returned."""
     if alg.size == 1:
         res = SearchResult(SearchStatus.FOUND, TermSystem(cond.trivial), 1)
     else:
         res = _search(cond, alg, cap)
-    if res.found and not verify(alg, res.system):
+    if res.found and _verify(cond, alg, tuple(res.system.terms)) is None:
         raise RuntimeError("internal error: the search produced an invalid term system")
     return res
 
@@ -333,7 +333,7 @@ def find_directed_gumm(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResu
     width 3n^2-2n instead of F(3)'s n^3.  The returned k is minimal; the
     graph is finite, so NOT_UP_TO means no chain of any length exists.  cap
     bounds the restricted width and the closure size."""
-    return _find(_DGUMM, verify_directed_gumm, alg, cap)
+    return _find(_DGUMM, alg, cap)
 
 
 def find_day(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
@@ -343,7 +343,7 @@ def find_day(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:
     (a,b,b,a): a subpower of width n^3+n^2-n instead of F(4)'s n^4.  The
     returned k is minimal; NOT_UP_TO means no chain of any length exists.
     cap bounds the restricted width and the closure size."""
-    return _find(_DAY, verify_day, alg, cap)
+    return _find(_DAY, alg, cap)
 
 
 def decide_modularity(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SearchResult:

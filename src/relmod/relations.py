@@ -32,18 +32,18 @@ A reflexive-admissible closure is the join of the principal closures of
 its pairs, so ``_refl_adm_closure`` starts the kernel from the seed, the
 union of the closures cl({(a,b)} | delta) of r's off-diagonal pairs, and
 a seed that is already nabla needs no kernel round at all.  An algebra of
-at most ``_PRINCIPAL_TABLE_MAX_N`` elements keeps them in a table of n^2
-packed slots, slot a*n + b holding the closure of (a, b); each closure
-fills at most one empty slot, so it runs the kernel at most twice.  Beside
-the table, a row memo keeps for row a and off-diagonal row mask m the
-union of the slots (a, b) over the bits b of m, once all of them are
-filled or the filled ones already join to nabla, so a seed is at most n
-lookups and ORs.  Larger algebras close r itself.  The kernel's result
-is cached under its input, r | delta with the seed, not under r: random
-relations seldom repeat, but their seeds are unions of a few closed
-relations and do.  That cache of
-ints is the one closure memo; ``_refl_adm_closure`` alone reads and fills
-it.  The other sorts are closed forms over it:
+at most ``_PRINCIPAL_TABLE_MAX_N`` elements keeps them in one memo per
+row: row a's memo at an off-diagonal row mask m holds the union of the
+closures of the pairs (a, b) over the bits b of m, so at the one-bit mask
+1 << b it is the slot of (a, b), the closure of that pair.  Each closure
+fills at most one empty slot, so it runs the kernel at most twice, and a
+wider mask is kept once all of its slots are filled or the filled ones
+already join to nabla, so a seed is at most n lookups and ORs.  Larger
+algebras close r itself.  The kernel's result is cached under its input,
+r | delta with the seed, not under r: random relations seldom repeat, but
+their seeds are unions of a few closed relations and do.  That cache of
+ints is the one memo of kernel results; ``_refl_adm_closure`` alone reads
+and fills it.  The other sorts are closed forms over it:
 
     tol(r) = cl(r | r^-1)
     Cg(r)  = star(tol(r))
@@ -437,29 +437,29 @@ def _pair_closure(alg: FiniteAlgebra, bits):
 # grow it without bound.
 _CLOSURE_CACHE_CAP = 1 << 16
 
-# The largest algebra that keeps a table of principal closures (n^2 slots
-# of n^2 bits).  A slot costs one kernel run, which on a larger algebra
+# The largest algebra that keeps the principal closures, each the one-bit
+# slot of its row's memo (n^2 slots of n^2 bits, and at most n * 2^(n-1)
+# unions of them).  A slot costs one kernel run, which on a larger algebra
 # can cost more than the closures it saves.  Measured on free algebras
 # F_V(g), closing 10, 100 and 1000 seeded random draws (dense rows, and
 # 1-3 pairs), table against closing r itself: on n = 7 and 8 (F_V(3) of
 # sl2, sl3, z2, z2xz2) the table is as fast at 10 draws and 1.3-6x faster
 # at 1000; on n = 15 to 18 (F_V(4) of sl2 and z2, F_V(3) of l2) it loses
 # up to 2.7x at 100 draws; on the 28-element F_V(3) of m3 it loses at
-# every count, 1.5x at 1000 dense draws.  Those runs read the table one
-# pair at a time; the row memo beside it (at most n * 2^(n-1) unions, 1024
-# at n = 8) makes a seed cheaper, and the bound has not been measured again
-# since.
+# every count, 1.5x at 1000 dense draws.  Those runs read the slots one
+# pair at a time; the row unions (1024 at n = 8) make a seed cheaper, and
+# the bound has not been measured again since.
 _PRINCIPAL_TABLE_MAX_N = 8
 
 
 def _refl_adm_closure(alg: FiniteAlgebra, bits):
     """Least reflexive admissible relation containing the packed relation
-    bits, through the principal table and the closure cache of the module
+    bits, through the row memos and the closure cache of the module
     docstring.  The seed is built a row at a time: the union of row a's
     slots for its off-diagonal mask m is kept in row a's memo at [m] once
-    every one of them is filled, and a row not found there ORs its
-    slots one at a time, the first empty one of the call filled on the
-    way.  A seed that reaches nabla, at a row or at a slot, is returned
+    every one of them is filled, and a row not found there ORs its slots,
+    memo[1 << b], one at a time, the first empty one of the call filled on
+    the way.  A seed that reaches nabla, at a row or at a slot, is returned
     before any further slot is filled; a row whose slots read so far are
     all filled and already join to nabla is kept as nabla.  The kernel's
     input, bits | delta | seed, is looked up in the cache and
@@ -471,9 +471,8 @@ def _refl_adm_closure(alg: FiniteAlgebra, bits):
     cache = alg._closures
     closed = cache.get(bits)
     if closed is None and n <= _PRINCIPAL_TABLE_MAX_N:
-        table, rows = alg._principals, alg._principal_rows
-        if table is None:
-            table = alg._principals = [None] * (n * n)
+        rows = alg._principal_rows
+        if rows is None:
             # row a's first bit, and its memo: an empty mask adds nothing, and
             # a mask never has the row's own bit
             rows = alg._principal_rows = [(a * n, [0] + [None] * ((1 << n) - 1)) for a in range(n)]
@@ -491,10 +490,9 @@ def _refl_adm_closure(alg: FiniteAlgebra, bits):
                 rest = m
                 while rest:
                     low = rest & -rest
-                    j = i + low.bit_length() - 1
-                    slot = table[j]
+                    slot = memo[low]
                     if slot is None and fill:
-                        slot = table[j] = _pair_closure(alg, diag | 1 << j)
+                        slot = memo[low] = _pair_closure(alg, diag | low << i)
                         fill = False
                     if slot is None:
                         known = False

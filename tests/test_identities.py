@@ -463,8 +463,9 @@ def test_check_matches_reference_over_later_quantifiers(text, l2, z2xz2, sl3):
 
 
 # Statements whose subterms over one quantifier p > 0 alone, which an
-# exhaustive check tabulates per member of p's lattice, are: only on the
-# right side past its lower bound (star(T)), nested (conv(tol(T))), under cl
+# exhaustive check tabulates per block when p is the innermost quantifier
+# and caches per member of p's lattice otherwise, are: only on the right
+# side past its lower bound (star(T)), nested (conv(tol(T))), under cl
 # (cl(conv(S))), or in a statement that fails after its first member
 # (star(U), conv(U), conv(T | conv(T)))
 _TABLED = [
@@ -542,9 +543,10 @@ def test_cache_counts_each_member_of_a_wide_value(cap, block, monkeypatch, l2, s
 
 def test_D3_on_l3_tabulates_each_single_quantifier_subterm(patch_kernel):
     # conv(R), conv(S) and conv(T) each lie over one quantifier: conv(R) is
-    # computed in R's loop, conv(S) and conv(T) in the tables of S and T,
-    # and tol(R) converses R once more inside its kernel, so every member
-    # of the lattice is conversed exactly four times, once per subterm
+    # computed in R's loop, conv(S) in S's loop through the cache, conv(T)
+    # in T's table, and tol(R) converses R once more inside its kernel, so
+    # every member of the lattice is conversed exactly four times, once per
+    # subterm
     l3 = cold("l3")
     stmt = catalog_entry("(D3)", m=INF)
     seen = []
@@ -554,16 +556,20 @@ def test_D3_on_l3_tabulates_each_single_quantifier_subterm(patch_kernel):
     lattice = [r.bits for r in enumerate_relations(l3, RelKind.REFL_ADM).members]
     assert verdict.holds and verdict.checked == 25**3
     assert sorted(seen) == sorted(lattice * 4)
-    # no subterm over S or T alone goes through the cache: those over S
-    # are x<slot> in S's table, those over T, the innermost quantifier,
-    # one wide y<slot> per block of T's lattice, built in T's table
+    # the subterms over T alone, the innermost quantifier, are one wide
+    # y<slot> per block of T's lattice, built in T's table, the only table;
+    # conv(S), over the middle quantifier S alone, is looked up in the cache
     program = identities._Program(l3, ("R", "S", "T"))
     program.search(stmt, exhaustive=True)
     single = [s for s, free in enumerate(program.free) if free in ((1,), (2,)) and re.search(rf"\b[xy]{s}\b", program.source)]
     assert len(single) >= 3  # conv(S), S | conv(S), conv(T)
     for s in single:
-        assert not re.search(rf"\b[xy]{s} = get\(", program.source)
-    assert re.search(r"^def T2\(values\):\n.*\n    for j, V, R, I in blocks\(values\):\n        y\d+ = sum\(", program.source, re.M)
+        if program.free[s] == (2,):
+            assert not re.search(rf"\b[xy]{s} = get\(", program.source)
+    assert len(re.findall(r"^def T\(", program.source, re.M)) == 1
+    assert re.search(r"^def T\(values\):\n.*\n    for j, V, R, I in blocks\(values\):\n        y\d+ = sum\(", program.source, re.M)
+    conv_s = program.slot(parse_identity("S:REFL |- conv(S) <= S").lhs)
+    assert program.free[conv_s] == (1,) and re.search(rf"\bx{conv_s} = get\(", program.source)
     assert not re.search(r"\bfor v2\b", program.source)  # no loop over T's members
     assert "get(" in program.source  # star(S | T) and cl(...) over S and T still do
 
@@ -644,9 +650,8 @@ def test_equality_failing_only_rightward_keeps_its_witness(sl3):
 
 def _subterms(expr):
     yield expr
-    for child in ("lhs", "rhs", "arg"):
-        if hasattr(expr, child):
-            yield from _subterms(getattr(expr, child))
+    for child in getattr(expr, "args", ()):
+        yield from _subterms(child)
 
 
 @pytest.mark.parametrize("params", [{}, {"k": 3, "m": INF}], ids=["k2-m2", "k3-minf"])
@@ -1199,6 +1204,24 @@ def test_catalog_param_validation():
 def test_with_sorts_unknown_name():
     with pytest.raises(ValueError, match="no quantifier named"):
         with_sorts(catalog_entry("(1.1)"), {"X": RelKind.CONGRUENCE})
+
+
+def test_with_sorts_rejects_a_sort_that_is_not_a_relkind():
+    # the spelling of a sort is not the sort
+    with pytest.raises(ValueError, match=r"quantifier 'S' has sort 'TOL', expected a RelKind \(REFL, TOL or CON\)"):
+        with_sorts(catalog_entry("(1.1)"), {"S": "TOL"})
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+def test_check_rejects_a_hand_built_sort_before_any_enumeration_or_draw(mode, l2, monkeypatch):
+    stmt = catalog_entry("(1.1)")
+    stmt = IdentityStatement((stmt.quantifiers[0], ("S", "TOL")), stmt.relation, stmt.lhs, stmt.rhs)
+    calls = []
+    monkeypatch.setattr(relations, "enumerate_relations", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(relations, "close_to_kind", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"quantifier 'S' has sort 'TOL', expected a RelKind \(REFL, TOL or CON\)"):
+        check_identity(l2, stmt, mode=mode)
+    assert calls == []
 
 
 def test_monotone_m_failures(sl3):

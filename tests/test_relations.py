@@ -427,6 +427,16 @@ def kernel_congruence(alg, r):
         cur = nxt
 
 
+def principal_slots(alg):
+    """The n^2 principal slots, slot a*n + b the closure of (a, b) that row
+    a's memo keeps at the one-bit mask 1 << b, or None while it is empty;
+    None for an algebra that keeps no row memos."""
+    rows = alg._principal_rows
+    if rows is None:
+        return None
+    return [memo[1 << b] for _, memo in rows for b in range(alg.size)]
+
+
 @st.composite
 def mixed_algebras(draw):
     """A random algebra with one to four operations of arity 0 to 3, mixed
@@ -494,7 +504,7 @@ def test_seeded_closures_match_kernel_from_r(drawn):
     for a in range(n):
         for b in range(n):
             assert refl_adm_closure(alg, rel_of(n, (a, b))) == kernel_closure(alg, rel_of(n, (a, b)))
-    for i, slot in enumerate(alg._principals):
+    for i, slot in enumerate(principal_slots(alg)):
         a, b = divmod(i, n)
         if a == b:
             assert slot is None
@@ -504,7 +514,7 @@ def test_seeded_closures_match_kernel_from_r(drawn):
 
 @pytest.mark.parametrize("n", [rel._PRINCIPAL_TABLE_MAX_N - 1, rel._PRINCIPAL_TABLE_MAX_N])
 def test_row_seeds_match_kernel_from_r_at_the_largest_tables(n):
-    # a fresh algebra at the largest sizes that keep a principal table: a
+    # a fresh algebra at the largest sizes that keep principal slots: a
     # meet of a shuffled chain and a random unary map, whose closures are
     # a mix of nabla and smaller relations.  The first closures read rows
     # whose slots are still empty; every closure must equal the kernel
@@ -527,10 +537,11 @@ def test_row_seeds_match_kernel_from_r_at_the_largest_tables(n):
         assert closed == kernel_closure(alg, r), where
         assert tol == kernel_closure(alg, union(r, converse(r))), where
         sizes |= {len(closed.pairs()), len(tol.pairs())}
-        if i == 20:  # the table is still filling
-            assert None in [slot for j, slot in enumerate(alg._principals) if j % (n + 1)]
+        if i == 20:  # the slots are still filling
+            assert None in [slot for j, slot in enumerate(principal_slots(alg)) if j % (n + 1)]
     assert len(sizes) > 10 and n * n in sizes
-    assert [i for i, slot in enumerate(alg._principals) if slot is None] == list(range(0, n * n, n + 1))
+    slots = principal_slots(alg)
+    assert [i for i, slot in enumerate(slots) if slot is None] == list(range(0, n * n, n + 1))
     kept = 0
     for a, (i, memo) in enumerate(alg._principal_rows):
         assert i == a * n
@@ -540,7 +551,7 @@ def test_row_seeds_match_kernel_from_r_at_the_largest_tables(n):
                 want = 0
                 for b in range(n):
                     if m >> b & 1:
-                        want |= alg._principals[a * n + b]
+                        want |= slots[a * n + b]
                 assert row == want, (a, m)
                 kept += 1
     assert n < kept <= n << n - 1
@@ -548,13 +559,13 @@ def test_row_seeds_match_kernel_from_r_at_the_largest_tables(n):
 
 @pytest.mark.parametrize("n", [rel._PRINCIPAL_TABLE_MAX_N, rel._PRINCIPAL_TABLE_MAX_N + 1])
 def test_principal_table_bound(n):
-    # an algebra above the bound closes without the table, one at the
-    # bound builds it
+    # an algebra above the bound closes without the row memos, one at the
+    # bound builds them
     cycle = FiniteAlgebra("cycle", n, [("succ", 1, table(n, 1, lambda x: (x + 1) % n))])
     step2 = rel_of(n, *[(x, (x + 2) % n) for x in range(n)])
     assert refl_adm_closure(cycle, rel_of(n, (0, 2))) == union(delta(n), step2)
     assert tolerance_of(cycle, rel_of(n, (0, 2))) == union(union(delta(n), step2), converse(step2))
-    assert (cycle._principals is None) == (n > rel._PRINCIPAL_TABLE_MAX_N)
+    assert (cycle._principal_rows is None) == (n > rel._PRINCIPAL_TABLE_MAX_N)
 
 
 def test_is_admissible_builds_no_principal_table(m3):
@@ -565,7 +576,7 @@ def test_is_admissible_builds_no_principal_table(m3):
     }
     verdicts |= {is_admissible(fresh, r) for r in enumerate_relations(m3, RelKind.REFL_ADM)}
     assert verdicts == {True, False}
-    assert fresh._principals is None
+    assert fresh._principal_rows is None
 
 
 def test_closure_fills_at_most_one_slot(monkeypatch):
@@ -588,7 +599,7 @@ def test_closure_fills_at_most_one_slot(monkeypatch):
         runs.clear()
         r = BinRel(n, tuple(rng.getrandbits(n) for _ in range(n)))
         assert refl_adm_closure(alg, r) == kernel_closure(alg, r)
-        now = sum(slot is not None for slot in alg._principals)
+        now = sum(slot is not None for slot in principal_slots(alg))
         assert now - filled <= 1 and len(runs) - 1 <= 2  # kernel_closure ran once
         filled = now
     assert filled == n * n - n
@@ -596,7 +607,7 @@ def test_closure_fills_at_most_one_slot(monkeypatch):
 
 @pytest.mark.parametrize("later", [(0, 2), (1, 2)], ids=["same-row", "next-row"])
 def test_seed_at_nabla_fills_no_later_slot(monkeypatch, later):
-    # on z6 the closure of (0, 1) is nabla: once it is in the table, a
+    # on z6 the closure of (0, 1) is nabla: once it is in its slot, a
     # closure of (0, 1) and a pair whose slot is still empty, after it in
     # the same row or in a later row, is nabla with no kernel run
     z6 = corpus.builtin("z6")
@@ -612,7 +623,7 @@ def test_seed_at_nabla_fills_no_later_slot(monkeypatch, later):
 
     monkeypatch.setattr(rel, "_pair_closure", counted_kernel)
     assert refl_adm_closure(alg, rel_of(n, (0, 1), later)) == nabla(n)
-    assert runs == [] and alg._principals[later[0] * n + later[1]] is None
+    assert runs == [] and principal_slots(alg)[later[0] * n + later[1]] is None
 
 
 def test_sampled_check_runs_kernel_once_per_slot_or_open_seed(monkeypatch, m3):
@@ -648,7 +659,7 @@ def test_sampled_check_runs_kernel_once_per_slot_or_open_seed(monkeypatch, m3):
     principal = {p: naive_subuniverse(alg, 2, diag | {p}) for p in everything - diag}
     seeds = [set().union(*(principal[p] for p in r.pairs() if p in principal)) for r in inputs]
     open_seeds = sum(seed != everything for seed in seeds)
-    filled = sum(slot is not None for slot in alg._principals or ())
+    filled = sum(slot is not None for slot in principal_slots(alg) or ())
     assert len(runs) <= 2 * filled + open_seeds
 
 
@@ -672,7 +683,7 @@ def test_sampled_check_closes_each_kernel_input_once(monkeypatch, name):
     monkeypatch.setattr(rel, "_pair_closure", recorded_kernel)
     verdict = check_identity(alg, catalog_entry("(D3)", m=INF), mode="sample", seed=5, samples=1000)
     assert verdict.holds and verdict.checked == 1000
-    filled = sum(slot is not None for slot in alg._principals)
+    filled = sum(slot is not None for slot in principal_slots(alg))
     assert len(inputs) <= len(set(inputs)) + filled
 
 
