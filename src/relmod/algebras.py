@@ -137,7 +137,10 @@ class FiniteAlgebra:
         # refl_adm_closure is its only reader and writer
         self._closures = {}
         # pair-closure image tables, built on first use: at most 32 ints,
-        # each an n-bit mask, per entry of each operation table
+        # each an n-bit mask, per entry of each operation table, and beside
+        # each table a memo from the argument row masks, packed n bits
+        # apart, to their image, which depends on that key alone; at most
+        # relations._CLOSURE_CACHE_CAP images per operation, emptied when full
         self._image_tables = None
         # the principal closures, kept only by algebras of at most 8
         # elements: for each row a, (a*n, memo), where memo[1 << b] is the

@@ -25,8 +25,12 @@ is n steps of ``r |= (r >> k & ones) * row_k(r)``.
 Every closure comes from one kernel function, ``_pair_closure``, which
 takes a packed relation and returns, packed, the subuniverse of A x A
 that it generates, growing a whole row at a time through per-operation
-image tables.  ``is_admissible`` asks that it return r unchanged, which
-on an admissible r takes one round.
+image tables.  Each operation also keeps a memo of images: its key is the
+argument rows' masks m1..mk packed n bits apart, its value the image of
+m1 x ... x mk, which depends on the key alone, so every later kernel call
+on the algebra reads it.  The memo holds at most ``_CLOSURE_CACHE_CAP``
+images and is emptied when full.  ``is_admissible`` asks that the kernel
+return r unchanged, which on an admissible r takes one round.
 
 A reflexive-admissible closure is the join of the principal closures of
 its pairs, so ``_refl_adm_closure`` starts the kernel from the seed, the
@@ -336,8 +340,8 @@ def is_congruence(alg: FiniteAlgebra, r: BinRel) -> bool:
 
 
 def _image_tables(alg: FiniteAlgebra):
-    """(arity, table, img) for each operation of positive arity, built on
-    first use and kept on the algebra.
+    """(arity, table, img, memo) for each operation of positive arity,
+    built on first use and kept on the algebra.
 
     The last argument's values are cut into chunks of 8 (one chunk when
     n <= 8).  For each code p of the first arity-1 arguments, img holds
@@ -346,6 +350,12 @@ def _image_tables(alg: FiniteAlgebra):
     table[p*n + lo + j] over the bits j of m, for the chunk whose first
     value is lo.  A chunk of w values takes 2**w <= 32*w entries, so img
     has at most 32 entries per entry of the operation table.
+
+    memo maps row masks m1..mk, packed n bits apart with m1 highest, to
+    the image of m1 x ... x mk under the operation.  The image depends on
+    the key alone, so the memo outlives every kernel call; it holds at
+    most ``_CLOSURE_CACHE_CAP`` images and is emptied by ``_put`` when
+    full, so it refills.
     """
     tables = alg._image_tables
     if tables is None:
@@ -362,7 +372,7 @@ def _image_tables(alg: FiniteAlgebra):
                         bit = 1 << v
                         block += [m | bit for m in block]
                     img += block
-            tables.append((op.arity, op.table, img))
+            tables.append((op.arity, op.table, img, {}))
         alg._image_tables = tables
     return tables
 
@@ -374,14 +384,18 @@ def _pair_closure(alg: FiniteAlgebra, bits):
     The kernel unpacks the relation into a list of row bitmasks.  A nullary
     c adds (c, c) once.  An operation f of arity k, applied to first
     coordinates a1..ak whose rows are non-empty, adds to row f(a1..ak) the
-    image of rows[a1] x ... x rows[ak]: the OR, over every prefix
-    b1..b(k-1) drawn from the first k-1 rows, of the image-table entries for
-    the chunks of rows[ak].  Each round applies every operation to every
-    such tuple, and rows grow in place as it goes, so later tuples read the
-    grown rows.  A tuple whose target row is full is skipped before its
-    image is built, since a full row cannot grow.  The closure is reached
-    when a round grows no row, or at once when every row is full, even in
-    the middle of a round: nabla is closed.
+    image of rows[a1] x ... x rows[ak], looked up in f's memo under the k
+    masks packed n bits apart: hkey packs the head a1..a(k-1), and the key
+    is hkey | rows[ak].  On a miss the image is the OR, over every prefix
+    b1..b(k-1) drawn from the head's masks, of the image-table entries for
+    the chunks of rows[ak]; the prefixes are listed once per head, on its
+    first miss, from the masks in hkey, since rows grow in place during a
+    round and a grown row would not match the key.  Each round applies
+    every operation to every such tuple, so later tuples read the grown
+    rows.  A tuple whose target row is full is skipped before its image is
+    looked up, since a full row cannot grow.  The closure is reached when
+    a round grows no row, or at once when every row is full, even in the
+    middle of a round: nabla is closed.
     """
     n = alg.size
     full = (1 << n) - 1
@@ -393,39 +407,42 @@ def _pair_closure(alg: FiniteAlgebra, bits):
     tables = _image_tables(alg)
     lows = range(0, n, 8)
     stride = sum(1 << min(8, n - lo) for lo in lows)  # img entries per prefix
-    offs = [None] * n  # b*stride for each b in the row
-    keys = [None] * n  # 32*lo + the row's chunk at lo, for each non-empty chunk
-
-    def prepare(a):
-        m = rows[a]
-        offs[a] = [b * stride for b in range(n) if m >> b & 1]
-        keys[a] = [32 * lo + (m >> lo & 255) for lo in lows if m >> lo & 255]
-
-    for a in range(n):
-        prepare(a)
     grew = rows.count(full) < n
     while grew:
         grew = False
         live = [a for a in range(n) if rows[a]]
-        for arity, tab, img in tables:
+        for arity, tab, img, memo in tables:
+            get = memo.get
             for head in product(live, repeat=arity - 1):
-                code = 0
-                prefix = [0]
+                code = hkey = 0
                 for a in head:
                     code = code * n + a
-                    prefix = [x * n + y for x in prefix for y in offs[a]]
+                    hkey = (hkey | rows[a]) << n
                 code *= n
+                prefix = None
                 for a in live:
                     t = tab[code + a]
                     if rows[t] == full:
                         continue
-                    image = 0
-                    for k in keys[a]:
-                        for o in prefix:
-                            image |= img[o + k]
+                    m = rows[a]
+                    key = hkey | m
+                    image = get(key)
+                    if image is None:
+                        if prefix is None:
+                            prefix = [0]
+                            for shift in range((arity - 1) * n, 0, -n):
+                                h = hkey >> shift & full
+                                prefix = [x * n + b * stride for x in prefix for b in range(n) if h >> b & 1]
+                        image = 0
+                        for lo in lows:
+                            k = m >> lo & 255
+                            if k:
+                                k += 32 * lo
+                                for o in prefix:
+                                    image |= img[o + k]
+                        _put(memo, _CLOSURE_CACHE_CAP, key, image)
                     if image & ~rows[t]:
                         rows[t] |= image
-                        prepare(t)
                         grew = True
                         if rows[t] == full and rows.count(full) == n:
                             return _nabla(n)
@@ -441,14 +458,16 @@ _CLOSURE_CACHE_CAP = 1 << 16
 # slot of its row's memo (n^2 slots of n^2 bits, and at most n * 2^(n-1)
 # unions of them).  A slot costs one kernel run, which on a larger algebra
 # can cost more than the closures it saves.  Measured on free algebras
-# F_V(g), closing 10, 100 and 1000 seeded random draws (dense rows, and
-# 1-3 pairs), table against closing r itself: on n = 7 and 8 (F_V(3) of
-# sl2, sl3, z2, z2xz2) the table is as fast at 10 draws and 1.3-6x faster
-# at 1000; on n = 15 to 18 (F_V(4) of sl2 and z2, F_V(3) of l2) it loses
-# up to 2.7x at 100 draws; on the 28-element F_V(3) of m3 it loses at
-# every count, 1.5x at 1000 dense draws.  Those runs read the slots one
-# pair at a time; the row unions (1024 at n = 8) make a seed cheaper, and
-# the bound has not been measured again since.
+# F_V(3) with the row memos and the kernel's image memos, closing 10, 100
+# and 1000 seeded random draws on a fresh algebra, dense rows and 1-3
+# pairs apart, closing r itself over the table's time (2-core VM, Python
+# 3.11): on n = 7 (sl2, sl3) 0.5-0.8 at 10 draws, 0.6-1.2 at 100 and
+# 0.9-1.4 at 1000; on n = 8 (z2, z2xz2) 0.3-0.7, 0.6-0.9 and 1.7-3.2; on
+# the 18-element F_V(3) of l2 0.06-0.23, 0.23-0.58 and 0.9-1.0.  On the
+# 28-element F_V(3) of m3 the row memos would be 28 lists of 2^28 entries,
+# too large to build; closing r itself takes 11, 124 and 1262 ms dense
+# and 56, 236 and 2885 ms sparse.  The table pays only from about 1000
+# draws at n <= 8, which a sampled check of 1000 samples reaches.
 _PRINCIPAL_TABLE_MAX_N = 8
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from relmod import INF, corpus
 from relmod import relations as rel
-from relmod.algebras import FiniteAlgebra
+from relmod.algebras import FiniteAlgebra, _apply, free_algebra
 from relmod.relations import (
     BinRel,
     RelKind,
@@ -410,6 +410,106 @@ def test_closures_match_oracles(sl2, z2, l2, z2xz2, sl3, m3):
                 assert is_admissible(alg, s) == want, (alg.name, format_rel_literal(s))
                 verdicts.append(want)
     assert True in verdicts and False in verdicts
+
+
+def memo_images_hold(alg):
+    """Every image an operation's memo keeps is the image of the masks its
+    key packs, n bits apart with the first argument highest."""
+    n = alg.size
+    full = (1 << n) - 1
+    for arity, tab, _, memo in alg._image_tables:
+        for key, image in memo.items():
+            masks = [key >> (arity - 1 - j) * n & full for j in range(arity)]
+            want = 0
+            for args in itertools.product(*[[b for b in range(n) if m >> b & 1] for m in masks]):
+                code = 0
+                for b in args:
+                    code = code * n + b
+                want |= 1 << tab[code]
+            assert image == want, (alg.name, arity, masks)
+
+
+def test_warm_image_memo_matches_naive_oracle(monkeypatch):
+    # one algebra per branch of the kernel: two binary operations (l4), a
+    # ternary one (z3m), a unary one beside a binary one (s3), a constant
+    # (pointed) and rows of two 8-element chunks (z10).  A long seeded
+    # sequence of kernel runs on each shares one warm memo per operation;
+    # every result is the naive subuniverse, and again when the memos hold
+    # at most 3 images each, so they are emptied and refilled mid-run
+    pointed = FiniteAlgebra(
+        "pointed", 3, [("c", 0, [2]), ("f", 2, table(3, 2, lambda x, y: min(x, y) if x else y))]
+    )
+    z10 = FiniteAlgebra("z10", 10, [("add", 2, table(10, 2, lambda x, y: (x + y) % 10))])
+    bases = [corpus.builtin(name) for name in ("l4", "z3m", "s3")] + [pointed, z10]
+    rng = random.Random(11)
+    sequences = []
+    for base in bases:
+        n = base.size
+        diag = delta(n).pairs()
+        draws = []
+        for i in range(40):
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3))]
+            if i % 4 == 3:
+                pairs += [(a, b) for a in range(n) for b in range(n) if rng.random() < 0.3]
+            draws.append(pairs + diag if i % 2 else pairs)
+        draws += draws[:10]  # repeated inputs read only warm images
+        want = [naive_subuniverse(base, 2, pairs) for pairs in draws]
+        sequences.append((base, [rel_of(n, *pairs).bits for pairs in draws], want))
+
+    def close_all(cap):
+        """The most images any memo held on each algebra."""
+        most = []
+        for base, inputs, want in sequences:
+            alg = FiniteAlgebra(base.name + "-copy", base.size, base.operations)
+            n = alg.size
+            held = 0
+            for bits, pairs in zip(inputs, want):
+                closed = rel._pair_closure(alg, bits)
+                assert set(BinRel._of(n, closed).pairs()) == pairs, (alg.name, format_rel_literal(BinRel._of(n, bits)))
+                held = max(held, *(len(memo) for *_, memo in alg._image_tables))
+            memo_images_hold(alg)
+            most.append(held)
+        return most
+
+    assert min(close_all(rel._CLOSURE_CACHE_CAP)) > 3  # so a cap of 3 empties every memo
+    monkeypatch.setattr(rel, "_CLOSURE_CACHE_CAP", 3)
+    assert max(close_all(3)) <= 3
+
+
+def free_algebra_of(alg, g):
+    """F_V(g) of alg's variety as an algebra: the g-ary term functions,
+    numbered in discovery order, each operation applied coordinatewise."""
+    n = alg.size
+    vecs = [bytes(fe.vector) for fe in free_algebra(alg, g)]
+    index = {vec: i for i, vec in enumerate(vecs)}
+    ops = []
+    for op in alg.operations:
+        args = itertools.product(vecs, repeat=op.arity)
+        ops.append((op.symbol, op.arity, [index[_apply(op, n, n**g, list(a), None)] for a in args]))
+    return FiniteAlgebra(f"F{g}({alg.name})", len(vecs), ops)
+
+
+def test_free_algebra_closures_match_naive_oracle(l2):
+    # F_V(3) of the 2-element lattice has 18 elements, above the principal
+    # table bound, so every closure runs the kernel from r itself through
+    # the image memos; sparse seeds keep the naive oracle fast
+    free = free_algebra_of(l2, 3)
+    n = free.size
+    assert n == 18 and n > rel._PRINCIPAL_TABLE_MAX_N
+    diag = set(delta(n).pairs())
+    rng = random.Random(29)
+    sizes = set()
+    for _ in range(20):
+        pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3))}
+        r = rel_of(n, *pairs)
+        where = format_rel_literal(r)
+        closed = set(refl_adm_closure(free, r).pairs())
+        assert closed == naive_subuniverse(free, 2, pairs | diag), where
+        sym = pairs | {(b, a) for a, b in pairs} | diag
+        assert set(tolerance_of(free, r).pairs()) == naive_subuniverse(free, 2, sym), where
+        sizes.add(len(closed))
+    assert len(sizes) > 5 and free._principal_rows is None
+    memo_images_hold(free)
 
 
 def kernel_closure(alg, r):
