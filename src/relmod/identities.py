@@ -72,6 +72,7 @@ class _Op(NamedTuple):
     param: str | None = None  # the name of Node.param, the kernel's keyword for ";^"; None if it has none
     alg: bool = False  # the kernel takes the algebra first, not its size
     inline: bool = False  # the kernel is the int operator of the same symbol, written inline
+    wide: bool = False  # the kernel takes width=, relations packed n^2 bits apart, all in one call
 
 
 _ATOM_PREC = 4
@@ -79,16 +80,16 @@ _ATOM_PREC = 4
 # The operator set of the language, by spelling: the parser, the printer,
 # lower and _Program all read it.
 _OPS = {
-    "+": _Op(2, 1, rel._plus),
+    "+": _Op(2, 1, rel._plus, wide=True),
     "|": _Op(2, 1, or_, inline=True),
-    ";": _Op(2, 2, rel._compose),
-    ";^": _Op(2, 2, rel._m_compose, param="m"),
+    ";": _Op(2, 2, rel._compose, wide=True),
+    ";^": _Op(2, 2, rel._m_compose, param="m", wide=True),
     "&": _Op(2, 3, and_, inline=True),
     "conv": _Op(1, _ATOM_PREC, rel._converse),
-    "star": _Op(1, _ATOM_PREC, rel._star),
+    "star": _Op(1, _ATOM_PREC, rel._star, wide=True),
     "cl": _Op(1, _ATOM_PREC, rel._refl_adm_closure, alg=True),
     "tol": _Op(1, _ATOM_PREC, rel._tolerance_of, alg=True),
-    "pow": _Op(1, _ATOM_PREC, rel._m_compose, param="h"),  # e ;^h e, as _Program interns it
+    "pow": _Op(1, _ATOM_PREC, rel._m_compose, param="h", wide=True),  # e ;^h e, as _Program interns it
     "delta": _Op(0, _ATOM_PREC, rel._delta),
     "nabla": _Op(0, _ATOM_PREC, rel._nabla),
 }
@@ -442,17 +443,6 @@ def _blocks(nn, values):
     return out
 
 
-def _failing(nn, bad):
-    """The shifts i*nn, ascending, of the members whose nn-bit segment of
-    the packed int bad is not zero."""
-    base = 0
-    while bad:
-        past = ((bad & -bad).bit_length() - 1) // nn * nn + nn
-        yield base + past - nn
-        bad >>= past
-        base += past
-
-
 class _Program:
     """Relation expressions over the quantifiers `names`, compiled for one
     algebra into interned slots and run as generated loop code.
@@ -480,8 +470,10 @@ class _Program:
       at every member packed the same way: V, the block, for d itself;
       one int operation for "|" and "&", an outer value broadcast by one
       multiply with R = sum of 1 << i*n^2, which cannot carry as a value
-      is below 2^(n^2); one kernel call per member, packed, for any other
-      operator.  A slot over d alone (conv(T), tol(T), T | conv(T)) is
+      is below 2^(n^2); one kernel call per block, on the wide operands,
+      for ";", ";^", pow and star, whose kernels take `width` (_OPS'
+      `wide`); one kernel call per member, packed, for cl, tol and conv.
+      A slot over d alone (conv(T), tol(T), T | conv(T)) is
       computed before the loops start, once per block, by the one table
       function T, which pairs each block with those wide values, so d's
       function takes them in its header (`for j, V, R, I, y9 in D[2]:`).
@@ -620,9 +612,13 @@ class _Program:
         block of the innermost lattice, from its children."""
         node, kids, _ = self._keys[slot]
         d = depth - 1
-        if _OPS[node].inline:
+        op = _OPS[node]
+        if op.inline:
             return [f"y{slot} = {self._wide_name(kids[0], d)} {node} {self._wide_name(kids[1], d)}"]
-        value = f"sum(f{slot}({', '.join(self._member(k, d) for k in kids)}) << i for i in I)"
+        if op.wide:
+            value = f"f{slot}({', '.join(self._wide_name(k, d) for k in kids)}, width=W)"
+        else:
+            value = f"sum(f{slot}({', '.join(self._member(k, d) for k in kids)}) << i for i in I)"
         free = self.free[slot]
         # in place when over every quantifier or over d alone
         if len(free) == depth or len(free) == 1:
@@ -674,8 +670,8 @@ class _Program:
             functions.append(f"    for {heads[i]} in D[{i}]:")
             functions += ["        " + line for line in body]
         n = self.alg.size
-        namespace = {"get": self._cache.get, "put": self._put, "M": rel._nabla(n)}
-        namespace.update(blocks=partial(_blocks, n * n), failing=partial(_failing, n * n))
+        namespace = {"get": self._cache.get, "put": self._put, "M": rel._nabla(n), "NN": n * n, "W": _BLOCK}
+        namespace.update(blocks=partial(_blocks, n * n))
         namespace.update((f"f{slot}", fn) for slot, fn in self._fns.items())
         namespace.update((f"c{slot}", value) for slot, value in self._constants.items())
         self.source = "\n".join(functions)
@@ -698,54 +694,58 @@ class _Program:
         side built.  The slots that only the larger side needs and that
         sit in the innermost loop, but not in T, are computed inside
         that branch.  For "=", rhs is then tested against lower(lhs) the
-        same way.  Exhaustively the bound test runs on wide values, and
-        only the members that fail it are taken out, see `_wide_tail`.
+        same way.  Exhaustively all of it runs on wide values, once per
+        block: a block where some member escapes the bound builds the rest
+        of the larger side wide and tests it wide, and only the first
+        member that fails is taken out, see `_first_failure`.
         """
         sides = [(stmt.lhs, stmt.rhs)]
         if stmt.relation is StmtRel.EQUALS:
             sides.append((stmt.rhs, stmt.lhs))
         checks = [(self.slot(_fold(small)), self.slot(_lower(big)), self.slot(_fold(big))) for small, big in sides]
         depth = len(self.names)
+        d = depth - 1
         always = self._needed([s for small, bound, _ in checks for s in (small, bound)])
         slots = set(always)
         values = "".join(f", v{p}" for p in range(depth))
-        tests = []
-        for small, bound, big in checks:
-            name, limit = self._name(small), self._name(big)
-            test = [f"if {name} & ~{limit}:", f"    return ({name}, {limit}{values})"]
+        tail = []
+        for t, (small, bound, big) in enumerate(checks):
+            lazy = []
             if bound != big:
                 rest = self._needed([big]) - always
-                lazy = sorted(s for s in rest if self.free[s][-1] == depth - 1 and not self._tabled(s, exhaustive))
+                lazy = sorted(s for s in rest if self.free[s][-1] == d and not self._tabled(s, exhaustive))
                 slots |= rest.difference(lazy)
-                test = [line for s in lazy for line in self._lines(s, exhaustive)] + test
-                if not exhaustive:
-                    test = [f"if {name} & ~{self._name(bound)}:"] + ["    " + line for line in test]
-            tests.append(test)
+            if exhaustive:
+                # b<t>: nonzero in the segment of each member where check t fails
+                name, limit, low = (self._wide_name(s, d) for s in (small, big, bound))
+                test = [f"b{t} = {name} & ~{limit}"]
+                guard = [f"b{t} = {name} & ~{low}", f"if b{t}:"]
+                build = [line for s in lazy for line in self._wide_lines(s, depth)]
+            else:
+                name, limit, low = (self._name(s) for s in (small, big, bound))
+                test = [f"if {name} & ~{limit}:", f"    return ({name}, {limit}{values})"]
+                guard = [f"if {name} & ~{low}:"]
+                build = [line for s in lazy for line in self._lines(s, exhaustive)]
+            if bound != big:
+                test = guard + ["    " + line for line in build + test]
+            tail += test
         if exhaustive:
-            tail = self._wide_tail(checks, tests, slots, depth)
-        else:
-            tail = [line for test in tests for line in test]
+            tail += self._first_failure(checks, d)
         return self._compile(depth, slots, tail, exhaustive)
 
-    def _wide_tail(self, checks, tests, slots, depth):
-        """The tail of the wide innermost level.  Each check's test against
-        its bound runs on wide values, b<t>; then each member at which one
-        fails, in ascending order, has its values taken out by shift and
-        mask, and runs the one-value `tests` of the checks that failed
-        there, which build the rest of the larger side and test it.  So the
-        first member that fails is the one a loop over members finds."""
-        d = depth - 1
-        fails = [
-            f"b{t} = {self._wide_name(small, d)} & ~{self._wide_name(bound, d)}" for t, (small, bound, _) in enumerate(checks)
-        ]
-        if len(tests) == 1:
-            body = tests[0]
-        else:
-            body = [line for t, test in enumerate(tests) for line in [f"if b{t} >> i & M:"] + ["    " + x for x in test]]
-        used = set(_LOCAL_RE.findall("\n".join(body)))
-        take = [f"x{s} = y{s} >> i & M" for s in sorted(slots) if f"x{s}" in used and self.free[s][-1] == d]
-        loop = [f"for i in failing({' | '.join(f'b{t}' for t in range(len(tests)))}):", f"    v{d} = V >> i & M"]
-        return fails + loop + ["    " + line for line in take + body]
+    def _first_failure(self, checks, d):
+        """The end of the wide innermost level, after each check t has set
+        b<t>, nonzero in the n^2-bit segment of each member at which it
+        fails: the lowest set bit of their union lies in the first failing
+        member, whose values are taken out by shift and mask and returned
+        with the first check that fails there."""
+        lines = [f"b = {' | '.join(f'b{t}' for t in range(len(checks)))}"]
+        lines += ["if b:", "    i = ((b & -b).bit_length() - 1) // NN * NN"]
+        values = "".join([f", v{p}" for p in range(d)] + [", V >> i & M"])
+        for t, (small, _, big) in enumerate(checks):
+            found = f"return ({self._wide_name(small, d)} >> i & M, {self._wide_name(big, d)} >> i & M{values})"
+            lines += [f"    if b{t} >> i & M:", f"        {found}"] if t < len(checks) - 1 else [f"    {found}"]
+        return lines
 
     def violation(self, stmt: IdentityStatement):
         """`search` in the one-value form: a function from an assignment, a
@@ -814,18 +814,20 @@ def check_identity(
     compiled as one star of the union of its operands, exact on the
     reflexive values a check evaluates.  Exhaustively, the innermost
     quantifier is no loop: its lattice is packed side by side into blocks
-    of wide ints, and "|", "&" and the lower-bound test below run once per
-    block on them.  Each subterm over the innermost quantifier alone is
-    computed once per block before the loops start; any other is computed
-    in the loop of its last free variable, in place or through the bounded
-    cache.  Sample mode runs the one-value form of the
-    same code, once per distinct assignment: the packed values of those
-    that held are kept, bounded like the cache, and a repeated one is
-    settled by a lookup.  At the innermost level the left side is tested
-    first against `lower` of the right side, and the rest of the right
-    side is built, for each member that fails the test in turn, only
-    then.  The witness is still the least pair of lhs outside the full
-    rhs, at the first assignment in product order that fails.
+    of wide ints, and "|", "&", ";", ";^m", "pow", "star" and the tests
+    below run once per block on them; "cl", "tol" and "conv" run once per
+    member.  Each subterm over the innermost quantifier alone is computed
+    once per block before the loops start; any other is computed in the
+    loop of its last free variable, in place or through the bounded cache.
+    Sample mode runs the one-value form of the same code, once per
+    distinct assignment: the packed values of those that held are kept,
+    bounded like the cache, and a repeated one is settled by a lookup.  At
+    the innermost level the left side is tested first against `lower` of
+    the right side, and the rest of the right side is built only for a
+    block (or, sampled, an assignment) where some member fails that test.
+    The witness is still the least pair of lhs outside the full rhs, at
+    the first assignment in product order that fails: only that member is
+    taken out of its block.
     """
     names = [name for name, _ in stmt.quantifiers]
     kinds = [kind for _, kind in stmt.quantifiers]

@@ -15,12 +15,22 @@ a one-line wrapper that checks sizes and wraps the kernel's int in a
 ``BinRel``.  The identity checks and the lattice enumeration call the
 kernels on ints; the witness replays call the wrappers.
 
-With ``ones``, the int with the low bit of every row set, ``r >> b & ones``
-is column b of r moved to the low bit of each row, and multiplying it by
-an n-bit row copies that row into every row that has bit b, with no carry
-from one row into the next.  ``_compose`` is n such steps,
-``out |= (r >> b & ones) * row_b(s)``, and the Warshall pass of ``_star``
-is n steps of ``r |= (r >> k & ones) * row_k(r)``.
+``_compose``, ``_star``, ``_m_compose`` and ``_plus`` take ``width``, a
+number of relations packed n^2 bits apart, member i at bits i*n^2 ..; they
+handle them all in one call, and width 1 is one relation.  A member past
+the last one packed is empty and stays so.  An exhaustive check calls them
+once per block of its innermost lattice; the other operators run once per
+member.  With ``ones``, the int with the low bit of every row of every
+member set, ``r >> b & ones`` is column b of each member moved to the low
+bit of each row, and multiplying it by ``full``, one n-bit row of ones,
+fills every row that has bit b.  With ``row0``, row 0 of every member,
+``s >> b*n & row0`` is row b of each member moved to its row 0, and
+multiplying it by ``one``, the low bit of every row of one member, copies
+it into each of that member's rows.  Neither multiply carries from one row
+or member into the next.  So ``_compose`` is n steps of
+``out |= (r >> b & ones) * full & (s >> b*n & row0) * one`` (every row of
+r with bit b takes in row b of s), and the Warshall pass of ``_star`` is n
+such steps of r with itself, for each pivot k in turn.
 
 Every closure comes from one kernel function, ``_pair_closure``, which
 takes a packed relation and returns, packed, the subuniverse of A x A
@@ -167,16 +177,20 @@ def _pack(n, rows):
     return sum(m << a * n for a, m in enumerate(rows))
 
 
-@lru_cache(maxsize=64)
-def _masks(n):
-    """(full, ones, diag) for size n: one full row, the low bit of every
-    row, and the diagonal, the last two as packed n^2-bit ints."""
-    ones = _pack(n, [1] * n)
-    return (1 << n) - 1, ones, _pack(n, [1 << a for a in range(n)])
+@lru_cache(maxsize=256)
+def _masks(n, width=1):
+    """(full, one, ones, row0, diag) for `width` relations of size n packed
+    n^2 bits apart: one full n-bit row, the low bit of every row of one
+    relation, then the low bit of every row, row 0 and the diagonal of
+    every member, as packed ints."""
+    full = (1 << n) - 1
+    one = _pack(n, [1] * n)
+    every = sum(1 << i for i in range(0, width * n * n, n * n))
+    return full, one, one * every, full * every, _pack(n, [1 << a for a in range(n)]) * every
 
 
 def _delta(n):
-    return _masks(n)[2]
+    return _masks(n)[4]
 
 
 def _nabla(n):
@@ -191,15 +205,15 @@ def nabla(n: int) -> BinRel:
     return BinRel._of(n, _nabla(n))
 
 
-def _compose(n, r, s):
+def _compose(n, r, s, width=1):
     """a (r o s) c iff there is b with a r b and b s c: for each b, every
-    row of r with bit b set takes in row b of s, by one multiply."""
-    full, ones, _ = _masks(n)
+    row of r with bit b set takes in row b of s, in every member at once."""
+    full, one, ones, row0, _ = _masks(n, width)
     out = 0
     for b in range(n):
         column = r >> b & ones
         if column:
-            out |= column * (s >> b * n & full)
+            out |= column * full & (s >> b * n & row0) * one
     return out
 
 
@@ -243,25 +257,25 @@ def union(r: BinRel, s: BinRel) -> BinRel:
     return BinRel._of(_size(r, s), r.bits | s.bits)
 
 
-def _m_compose(n, r, s, m):
+def _m_compose(n, r, s, m, width=1):
     """r o s o r o ... with m alternating factors (m-1 composition signs):
     (r;s)^(m//2), then ; r when m is odd; ``_plus`` when m is INF.  The
     power is taken by square-and-multiply, so m costs O(log m)
     compositions; powers of r;s commute, so each factor is put in front of
     the ones already taken."""
     if m == INF:
-        return _plus(n, r, s)
+        return _plus(n, r, s, width)
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError(f"m must be an integer >= 1 or INF, got {m!r}")
     out = r if m % 2 else None
     k = m // 2
-    base = _compose(n, r, s) if k else None
+    base = _compose(n, r, s, width) if k else None
     while k:
         if k & 1:
-            out = base if out is None else _compose(n, base, out)
+            out = base if out is None else _compose(n, base, out, width)
         k >>= 1
         if k:
-            base = _compose(n, base, base)
+            base = _compose(n, base, base, width)
     return out
 
 
@@ -276,14 +290,15 @@ def power(r: BinRel, h: int) -> BinRel:
     return m_compose(r, r, h)
 
 
-def _star(n, r):
+def _star(n, r, width=1):
     """Transitive closure, by Warshall: for each pivot k in turn, every row
     with bit k set takes in row k as it stands after the earlier pivots,
-    all rows at once by the multiply of ``_compose``.  Row k itself only
-    takes in row k, so reading it before the step is the same as after."""
-    full, ones, _ = _masks(n)
+    all rows of every member at once by the step of ``_compose``.  Row k
+    itself only takes in row k, so reading it before the step is the same
+    as after."""
+    full, one, ones, row0, _ = _masks(n, width)
     for k in range(n):
-        r |= (r >> k & ones) * (r >> k * n & full)
+        r |= (r >> k & ones) * full & (r >> k * n & row0) * one
     return r
 
 
@@ -291,19 +306,21 @@ def star(r: BinRel) -> BinRel:
     return BinRel._of(r.n, _star(r.n, r.bits))
 
 
-def _plus(n, r, s):
+def _plus(n, r, s, width=1):
     """Union over all m >= 1 of r o_m s, in closed form.
 
     When r and s are both reflexive, r o_m s only grows with m, and a word
     of length L over {r, s} lies inside r o_2L s, so the union is
     star(r | s).  Otherwise r o_2j s = (r;s)^j and r o_2j+1 s = (r;s)^j ; r,
-    so the union is r | P | P ; r with P = star(r ; s).
+    so the union is r | P | P ; r with P = star(r ; s).  The second form
+    holds for every r and s, so it is taken unless every member of both is
+    reflexive.
     """
-    diag = _delta(n)
+    diag = _masks(n, width)[4]
     if r & s & diag == diag:
-        return _star(n, r | s)
-    p = _star(n, _compose(n, r, s))
-    return r | p | _compose(n, p, r)
+        return _star(n, r | s, width)
+    p = _star(n, _compose(n, r, s, width), width)
+    return r | p | _compose(n, p, r, width)
 
 
 def plus(r: BinRel, s: BinRel) -> BinRel:

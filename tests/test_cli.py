@@ -631,7 +631,7 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
 def test_internal_value_error_is_not_a_usage_error(patch_kernel):
     # a ValueError from a relation operator's kernel is a bug, not a user
     # mistake, so it surfaces instead of exiting 2
-    def broken(n, r, s):
+    def broken(*args, **kwargs):
         raise ValueError("internal")
 
     patch_kernel("_compose", broken)

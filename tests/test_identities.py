@@ -496,19 +496,65 @@ def test_tabled_subterms_match_reference(name):
         assert not verdict.holds and verdict.checked > len(lattices[1]) * len(lattices[2])
 
 
+# Statements whose first failing block, in blocks of the default size, has
+# an earlier member that escapes the lower bound but holds on the full right
+# side ("<="), or whose first failing member fails only rhs <= lhs while a
+# later member of its block fails lhs <= rhs ("=")
+_FIRST_FAILURES = [
+    ("sl3", "S:REFL, T:REFL |- star(T) ; S <= S ; star(T)"),
+    ("l3", "S:REFL, T:REFL |- T ; S ; T <= S ; star(T)"),
+    ("sl3", "S:REFL, T:REFL |- T ; S ; T = S ; tol(T)"),
+    ("l3", "S:REFL, T:REFL |- star(S | T) = tol(T) ; S"),
+]
+
+
+def _first_failing_block(alg, stmt):
+    """The block of the innermost lattice, in blocks of the default size,
+    that holds the first failing assignment, and that member's index in it.
+    Each member is (lhs escapes lower(rhs), lhs <= rhs fails, rhs <= lhs
+    fails), the last False for "<="."""
+    names = [name for name, _ in stmt.quantifiers]
+    lattices = [enumerate_relations(alg, kind).members for _, kind in stmt.quantifiers]
+    first = None
+    for values in itertools.product(*lattices):
+        i = lattices[-1].index(values[-1])
+        if i % identities._BLOCK == 0:
+            if first is not None:
+                break
+            block = []
+        env = dict(zip(names, values))
+        lhs, rhs = _reference(alg, stmt.lhs, env), _reference(alg, stmt.rhs, env)
+        escapes = not lhs.issubset(_reference(alg, lower(stmt.rhs), env))
+        block.append((escapes, not lhs.issubset(rhs), stmt.relation is StmtRel.EQUALS and not rhs.issubset(lhs)))
+        if first is None and (block[-1][1] or block[-1][2]):
+            first = len(block) - 1
+    return block, first
+
+
 def test_blocks_of_the_innermost_lattice_match_reference(monkeypatch, l2, sl3, z2xz2):
-    # the innermost lattice cut into blocks of one member and of three, so
-    # that blocks end inside every lattice and a check that fails may fail
-    # at any place in a block; each verdict is the reference loop's
+    # the innermost lattice cut into blocks of one member, of three and of
+    # the default size, so that blocks end inside every lattice and a check
+    # that fails may fail at any place in a block; each verdict is the
+    # reference loop's, so the first failing member of a block is found
+    # whatever the members before it and after it do
     cases = [(corpus.builtin(name), parse_identity(text)) for name in ("l3", "n5", "sl3", "z2xz2") for text in _TABLED]
     cases += [(alg, parse_identity(text)) for alg in (l2, sl3, z2xz2) for text in _EXAMPLES]
     cases += [(corpus.builtin(name), catalog_entry(label, m=INF)) for name in ("l3", "n5", "sl3") for label in ("(D3)", "(1.4)")]
+    for name, text in _FIRST_FAILURES:
+        alg, stmt = corpus.builtin(name), parse_identity(text)
+        block, first = _first_failing_block(alg, stmt)
+        _, fails, fails_back = block[first]
+        if stmt.relation is StmtRel.EQUALS:
+            assert fails_back and not fails and any(f for _, f, _ in block[first + 1 :])
+        else:
+            assert fails and any(escapes and not f for escapes, f, _ in block[:first])
+        cases.append((alg, stmt))
     references = []
     for alg, stmt in cases:
         lattices = [enumerate_relations(alg, kind).members for _, kind in stmt.quantifiers]
         references.append(_reference_check(alg, stmt, itertools.product(*lattices)))
-    assert [v.holds for v in references[-6:]] == [True] * 4 + [False] * 2  # sl3 is not modular
-    for block in (1, 3):
+    assert [v.holds for v in references[-10:-4]] == [True] * 4 + [False] * 2  # sl3 is not modular
+    for block in (1, 3, identities._BLOCK):
         monkeypatch.setattr(identities, "_BLOCK", block)
         for (alg, stmt), reference in zip(cases, references):
             assert check_identity(alg, stmt) == reference, (block, alg.name, print_statement(stmt))
@@ -613,20 +659,22 @@ def test_check_many_quantifiers_exhaustively():
 def test_D3_on_l3_hoists_tol_and_caches_the_join(patch_kernel):
     # tol(R) lies over R alone, so it runs once per pass of R's loop;
     # S ;^inf T, folded to star(S | T), lies over S and T but not R, so it
-    # is cached per S for the block of every T and built once per distinct
-    # pair.  The right side's three joins fold into one star, built only
-    # when the lower bound fails, once per compose: 1359 of the 25^3
-    # assignments.  No saturating join runs.  The check calls the int
-    # kernels, so those are counted
+    # is cached per S for the block of every T and built by one wide star
+    # per block: 25, as T's 25 members are one block.  The right side's
+    # three joins fold into one star, built with its compose only in a
+    # block where some member escapes the lower bound, one wide call each:
+    # 144 of the 25^2 blocks (1359 of the 25^3 assignments escape).  No
+    # saturating join runs.  The check calls the int kernels, so those are
+    # counted
     l3 = cold("l3")
     counts = {"_tolerance_of": 0, "_compose": 0, "_plus": 0, "_star": 0}
 
     def counting(name):
         original = getattr(relations, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             counts[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         patch_kernel(name, counted)
 
@@ -635,7 +683,7 @@ def test_D3_on_l3_hoists_tol_and_caches_the_join(patch_kernel):
     verdict = check_identity(l3, catalog_entry("(D3)", m=INF))
     lattice = enumerate_relations(l3, RelKind.REFL_ADM).members
     assert verdict.holds and verdict.checked == len(lattice) ** 3 == 25**3
-    assert counts == {"_tolerance_of": 25, "_compose": 1359, "_plus": 0, "_star": 25**2 + 1359}
+    assert counts == {"_tolerance_of": 25, "_compose": 144, "_plus": 0, "_star": 25 + 144}
 
 
 def test_equality_failing_only_rightward_keeps_its_witness(sl3):
@@ -678,9 +726,9 @@ def test_lower_bound_settles_without_building_the_right_side(patch_kernel):
     calls = []
     kernel = relations._compose
 
-    def counting_compose(n, r, s):
+    def counting_compose(n, r, s, **kwargs):
         calls.append((r, s))
-        return kernel(n, r, s)
+        return kernel(n, r, s, **kwargs)
 
     patch_kernel("_compose", counting_compose)
     verdict = check_identity(cold("l3"), parse_identity("S:REFL, T:REFL |- S <= S ; T"))
@@ -732,7 +780,10 @@ def test_lower_bound_settles_most_of_D3_on_l3(patch_kernel):
     # over R, S and T, which every assignment built before the lower-bound
     # test; now only an assignment whose left side escapes the bound builds
     # it.  The left side's S ;^inf T, folded to star(S | T), is built once
-    # per (S, T), so each check runs one star per pair and one per escape
+    # per (S, T), so the one-value form runs one star per pair and one per
+    # escape.  The exhaustive check runs each wide, once per block of T's
+    # lattice, which on l3 is one block: one star per S, and one per (R, S)
+    # block where some T escapes
     l3 = cold("l3")
     stmt = catalog_entry("(D3)", m=INF)
     lattice = enumerate_relations(l3, RelKind.REFL_ADM).members
@@ -740,18 +791,19 @@ def test_lower_bound_settles_most_of_D3_on_l3(patch_kernel):
     lhs = reference._runner(reference.slot(stmt.lhs))
     bound = reference._runner(reference.slot(lower(stmt.rhs)))
     assignments = list(itertools.product(lattice, repeat=3))
-    escapes = sum(not lhs(values).issubset(bound(values)) for values in assignments)
-    assert len(assignments) == 15625 and escapes == 1359
+    escaping = [values for values in assignments if not lhs(values).issubset(bound(values))]
+    escapes, escaping_blocks = len(escaping), len({values[:2] for values in escaping})
+    assert len(assignments) == 15625 and escapes == 1359 and escaping_blocks == 144
     calls = []
     kernel = relations._star
-    patch_kernel("_star", lambda n, r: calls.append(r) or kernel(n, r))
+    patch_kernel("_star", lambda n, r, **kwargs: calls.append(r) or kernel(n, r, **kwargs))
     violation = identities._Program(l3, ("R", "S", "T")).violation(stmt)
     for values in assignments:
         assert violation(values) is None
     assert len(calls) == 25**2 + escapes
     calls.clear()
     assert check_identity(l3, stmt) == Verdict(True, 15625, None)
-    assert len(calls) == 25**2 + escapes
+    assert len(calls) == 25 + escaping_blocks
 
 
 def test_cache_cap_keeps_verdicts(l2, sl3, monkeypatch):
@@ -818,18 +870,20 @@ def test_closure_cache_cap_keeps_verdicts(monkeypatch):
 def test_subterm_over_every_quantifier_is_computed_once_per_assignment(l2, patch_kernel):
     # S ; T depends on both quantifiers, so no assignment can reuse another's
     # value of it, but its three uses within one assignment share one compose;
-    # a sampled assignment drawn again has held already and is not evaluated
+    # exhaustively that compose is one wide call per S and block of T's
+    # lattice, here one block of l2's 4 members; a sampled assignment drawn
+    # again has held already and is not evaluated
     stmt = parse_identity("S:REFL, T:REFL |- (S ; T) & (S ; T) <= S ; T")
     calls = []
     kernel = relations._compose
 
-    def counting_compose(n, r, s):
+    def counting_compose(n, r, s, **kwargs):
         calls.append((r, s))
-        return kernel(n, r, s)
+        return kernel(n, r, s, **kwargs)
 
     patch_kernel("_compose", counting_compose)
     verdict = check_identity(l2, stmt)
-    assert verdict.holds and len(calls) == verdict.checked
+    assert verdict.holds and verdict.checked == 16 and len(calls) == 4
     calls.clear()
     verdict = check_identity(l2, stmt, mode="sample", seed=3, samples=50)
     kinds = [kind for _, kind in stmt.quantifiers]

@@ -141,7 +141,7 @@ def test_m_compose_small(monkeypatch):
     # a large alternation count takes O(log m) compositions, not m - 1
     calls = []
     kernel = rel._compose
-    monkeypatch.setattr(rel, "_compose", lambda n, x, y: calls.append(1) or kernel(n, x, y))
+    monkeypatch.setattr(rel, "_compose", lambda n, x, y, width=1: calls.append(1) or kernel(n, x, y, width))
     assert m_compose(r, s, 1 << 25) == compose(r, s)
     assert len(calls) <= 51
 
@@ -293,6 +293,58 @@ def test_packed_operators_match_row_reference(n):
             assert rel.is_symmetric(x) == oracles.rows_is_symmetric(x.rows)
             assert rel.is_transitive(x) == oracles.rows_is_transitive(x.rows)
     assert branches == {True, False}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_width_kernels_match_row_oracles_member_by_member(n):
+    # _compose, _star, _m_compose and _plus on `width` relations packed n^2
+    # bits apart, as an exhaustive check's innermost level calls them on a
+    # block, against the row oracles on each member: blocks full and short
+    # (the last block of a lattice holds fewer members than its width, and
+    # the members past it must stay empty), with delta, nabla and empty
+    # members, with one operand an outer value broadcast as x * R, and with
+    # every member reflexive, so that _plus takes both of its branches
+    rng = random.Random(n)
+    nn = n * n
+    diag = rel._delta(n)
+    pool = [0, diag, rel._nabla(n)] + [rng.getrandbits(nn) | diag * (k % 2) for k in range(7)]
+    reflexive = [bits for bits in pool if bits & diag == diag]
+    rows = {bits: BinRel._of(n, bits).rows for bits in pool}
+    memo = {}
+
+    def want(name, operands, *params):
+        # the oracle rows_<name> on the packed operands' rows, memoized
+        key = (name, operands, params)
+        if key not in memo:
+            memo[key] = getattr(oracles, "rows_" + name)(*(rows[a] for a in operands), *params)
+        return memo[key]
+
+    def members(packed, count):
+        assert packed >> count * nn == 0  # the members past the last are empty
+        return [BinRel._of(n, packed >> i * nn & (1 << nn) - 1).rows for i in range(count)]
+
+    for width in (1, 2, 3, 63, 64):
+        for count in sorted({width, (width + 1) // 2}):
+            R = sum(1 << i * nn for i in range(count))
+            rs = (pool[:3] + [rng.choice(pool) for _ in range(count)])[:count]
+            ss = [rng.choice(pool) for _ in range(count)]
+            rng.shuffle(rs)
+            x = rng.choice(pool)
+            refl = [[rng.choice(reflexive) for _ in range(count)] for _ in "rs"]
+            for left, right in ((rs, ss), (rs, [x] * count), ([x] * count, ss), refl):
+                # a side of one repeated value is packed as the broadcast
+                # x * R of generated code
+                r, s = (x * R if side == [x] * count else sum(v << i * nn for i, v in enumerate(side)) for side in (left, right))
+                pairs = list(zip(left, right))
+                got = members(rel._compose(n, r, s, width), count)
+                assert got == [want("compose", p) for p in pairs], (width, count)
+                got = members(rel._star(n, r, width), count)
+                assert got == [want("star", (a,)) for a in left], (width, count)
+                for m in range(1, 6):
+                    got = members(rel._m_compose(n, r, s, m, width), count)
+                    assert got == [want("m_compose", p, m) for p in pairs], (width, count, m)
+                for got in (rel._plus(n, r, s, width), rel._m_compose(n, r, s, INF, width)):
+                    assert members(got, count) == [want("plus", p) for p in pairs], (width, count)
 
 
 def test_plus_of_kernels_is_nabla(z2xz2):
