@@ -137,7 +137,8 @@ class FiniteAlgebra:
         # refl_adm_closure is its only reader and writer
         self._closures = {}
         # pair-closure image tables, built on first use: at most 32 ints,
-        # each an n-bit mask, per entry of each operation table, and beside
+        # each an n-bit mask, per entry of each operation table, and at most
+        # relations._IMAGE_TABLE_CAP in all, else none is built; beside
         # each table a memo from the argument row masks, packed n bits
         # apart, to their image, which depends on that key alone; at most
         # relations._CLOSURE_CACHE_CAP images per operation, emptied when full
@@ -179,6 +180,12 @@ def _is_int(value):
     """An int that is not a bool: bool is an int subclass, so JSON true and
     false would otherwise pass as 1 and 0."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_cap(cap):
+    """Refuse a cap that is not a positive int."""
+    if not _is_int(cap) or cap < 1:
+        raise ValueError(f"cap must be a positive integer, got {cap!r}")
 
 
 def load_algebra(text: str) -> FiniteAlgebra:
@@ -365,6 +372,7 @@ def term_table(alg: FiniteAlgebra, t: Term, g: int, cap: int = DEFAULT_CAP) -> F
     The term is evaluated bottom-up on whole vectors, from the projections,
     with each shared subterm evaluated once; errors are eval_term's.
     """
+    _check_cap(cap)
     n = alg.size
     width = n ** g
     if width > cap:
@@ -406,12 +414,27 @@ def generate_subuniverse(alg: FiniteAlgebra, width: int, generators, cap: int = 
     Vectors are kept as bytes (tuples when n > 256) beside their big-endian
     ints, and an operation with n**arity <= 256 is applied to whole vectors
     at once, as in _apply.
+
+    A commutative binary operation is applied once per unordered pair: a
+    round applies it to (a, b) with a in the frontier and b older or in the
+    frontier at or after a, and skips the rest.  The swap of each skipped
+    pair was applied earlier in the same round, since the pass with the
+    head in the frontier runs first and takes its heads in order.  So the
+    skipped values are already seen, and the order, the terms, the
+    prefixes passed to stop and the point where the cap is hit are those
+    of applying the operation to every pair.
+
+    cap, a positive int, bounds the number of elements, generators
+    included.
     """
+    _check_cap(cap)
     n = alg.size
     vecs, ints, terms = [], [], []
     seen = set()
 
     def add(vec, term):
+        if len(vecs) >= cap:
+            raise CapExceeded("closure-size", cap, len(vecs) + 1)
         seen.add(vec)
         vecs.append(vec)
         ints.append(int.from_bytes(vec, "big") if n <= 256 else None)
@@ -428,29 +451,36 @@ def generate_subuniverse(alg: FiniteAlgebra, width: int, generators, cap: int = 
         if vec not in seen:
             add(vec, Variable(i))
 
+    # each operation with its translate table, and whether it is binary and
+    # commutative: row a of its table equals column a
+    plans = [
+        (op, _translation(op, n), op.arity == 2 and all(op.table[a * n : a * n + n] == op.table[a::n] for a in range(n)))
+        for op in alg.operations
+    ]
     frontier_start = 0
     first_round = True
     while True:
         round_len = len(vecs)
-        for op in alg.operations:
-            ar, tab = op.arity, _translation(op, n)
+        for op, tab, commutative in plans:
+            ar = op.arity
             if ar == 0:
                 out = _apply(op, n, width, [], tab)
                 if first_round and out not in seen:
-                    if len(vecs) >= cap:
-                        raise CapExceeded("closure-size", cap, len(vecs) + 1)
                     add(out, Apply(op.symbol, ()))
                 continue
             # tuples over the pre-round elements with >=1 coordinate in the
             # frontier, in product order: each head of ar-1 arguments, then
-            # every last argument
-            for r in range(ar):
+            # every last argument.  A commutative operation runs only the
+            # frontier-head pass and skips each frontier last below its head
+            for r in range(1 if commutative else ar):
                 *pools, last = (
                     [range(frontier_start)] * r
                     + [range(frontier_start, round_len)]
                     + [range(round_len)] * (ar - 1 - r)
                 )
                 for head in product(*pools):
+                    if commutative:
+                        last = [*range(frontier_start), *range(head[0], round_len)]
                     if tab is None:
                         args = [vecs[i] for i in head]
                         outs = [_apply(op, n, width, args + [vecs[j]], None) for j in last]
@@ -459,16 +489,15 @@ def generate_subuniverse(alg: FiniteAlgebra, width: int, generators, cap: int = 
                         acc = 0
                         for i in head:
                             acc = (acc + ints[i]) * n
-                        outs = [
-                            (acc + u).to_bytes(width, "big").translate(tab)
-                            for u in ints[last.start : last.stop]
-                        ]
+                        if commutative:
+                            us = ints[:frontier_start] + ints[head[0] : round_len]
+                        else:
+                            us = ints[last.start : last.stop]
+                        outs = [(acc + u).to_bytes(width, "big").translate(tab) for u in us]
                     if seen.issuperset(outs):  # most batches add nothing
                         continue
                     for j, out in zip(last, outs):
                         if out not in seen:
-                            if len(vecs) >= cap:
-                                raise CapExceeded("closure-size", cap, len(vecs) + 1)
                             add(out, Apply(op.symbol, tuple(terms[i] for i in head) + (terms[j],)))
         first_round = False
         if len(vecs) == round_len or (stop is not None and stop(vecs)):
@@ -488,6 +517,9 @@ def projection(n: int, g: int, i: int) -> FreeElement:
 def free_algebra(alg: FiniteAlgebra, g: int, cap: int = DEFAULT_CAP):
     """All g-ary term functions of alg: the subalgebra of A^(A^g) generated
     by the projections."""
+    if not _is_int(g) or g < 0:
+        raise ValueError(f"g must be a non-negative integer, got {g!r}")
+    _check_cap(cap)
     width = alg.size ** g
     if width > cap:
         raise CapExceeded("vector-length", cap, width)

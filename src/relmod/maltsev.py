@@ -31,6 +31,7 @@ from .algebras import (
     Record,
     TermError,
     Variable,
+    _check_cap,
     _put,
     generate_subuniverse,
     term_table,
@@ -317,6 +318,7 @@ def _find(cond, alg, cap):
     """The search find_directed_gumm and find_day share: cond's trivial
     chain on a one-element algebra, else _search's chain, checked by
     _verify before it is returned."""
+    _check_cap(cap)
     if alg.size == 1:
         res = SearchResult(SearchStatus.FOUND, TermSystem(cond.trivial), 1)
     else:

@@ -356,6 +356,20 @@ def is_congruence(alg: FiniteAlgebra, r: BinRel) -> bool:
     return is_tolerance(alg, r) and is_transitive(r)
 
 
+# The most entries the image tables of one algebra may hold, about 32 per
+# entry of its operation tables.  It admits the 99-element F_V(3) of n5
+# (0.61 M entries) and the 166-element F_V(4) of l2 (1.72 M); the
+# 972-element F_V(2) of s3 would need 30.2 M, which took 8 s and about
+# 4 GB to build (2-core x86-64 VM, Python 3.11).
+_IMAGE_TABLE_CAP = 1 << 22
+
+
+def _image_stride(n):
+    """The image-table entries per code of an operation's first arity-1
+    arguments: 2**w for each chunk of w <= 8 last-argument values."""
+    return sum(1 << min(8, n - lo) for lo in range(0, n, 8))
+
+
 def _image_tables(alg: FiniteAlgebra):
     """(arity, table, img, memo) for each operation of positive arity,
     built on first use and kept on the algebra.
@@ -373,10 +387,16 @@ def _image_tables(alg: FiniteAlgebra):
     the key alone, so the memo outlives every kernel call; it holds at
     most ``_CLOSURE_CACHE_CAP`` images and is emptied by ``_put`` when
     full, so it refills.
+
+    Raises CapExceeded, before building anything, when the tables would
+    hold more than ``_IMAGE_TABLE_CAP`` entries in all.
     """
     tables = alg._image_tables
     if tables is None:
         n = alg.size
+        size = sum(n ** (op.arity - 1) * _image_stride(n) for op in alg.operations if op.arity)
+        if size > _IMAGE_TABLE_CAP:
+            raise CapExceeded("image-table", _IMAGE_TABLE_CAP, size)
         tables = []
         for op in alg.operations:
             if op.arity == 0:
@@ -423,7 +443,7 @@ def _pair_closure(alg: FiniteAlgebra, bits):
             rows[c] |= 1 << c
     tables = _image_tables(alg)
     lows = range(0, n, 8)
-    stride = sum(1 << min(8, n - lo) for lo in lows)  # img entries per prefix
+    stride = _image_stride(n)
     grew = rows.count(full) < n
     while grew:
         grew = False

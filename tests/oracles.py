@@ -1,14 +1,14 @@
 """Independent reference implementations used to cross-check the package:
 pairs-set relation semantics, relation operators on row tuples, brute-force
-lattice filters, a naive subpower
-closure, term-level graph searches recomputed without the production
-signatures, and term system certificates written straight from the defining
-identities."""
+lattice filters, a naive subpower closure and one in the documented
+discovery order, term-level graph searches recomputed without the
+production signatures, and term system certificates written straight from
+the defining identities."""
 
 from itertools import product
 from operator import and_, or_
 
-from relmod.algebras import eval_term, free_algebra, projection
+from relmod.algebras import Apply, Variable, eval_term, free_algebra, projection
 from relmod.relations import RelKind
 
 
@@ -206,6 +206,53 @@ def naive_subuniverse(alg, width, generators):
         if new <= elems:
             return elems
         elems |= new
+
+
+def ordered_subuniverse(alg, width, generators, stop=None):
+    """The closure in generate_subuniverse's documented order, applying
+    every operation to every argument tuple it is due, with no tuple
+    skipped.  Each round takes the operations in turn: a nullary one in
+    the first round only, and one of arity k to every k-tuple over the
+    elements before the round with some coordinate in the frontier, the
+    elements the last round added, grouped by the position r of the first
+    such coordinate and in product order within each group.  A new vector
+    gets the term of the tuple that first produced it.  stop is called as
+    generate_subuniverse calls it, with the vectors as tuples.  Returns the
+    vectors, as tuples, and their terms, both in discovery order."""
+    n = alg.size
+    vecs, terms, seen = [], [], set()
+
+    def add(vec, term):
+        if vec not in seen:
+            seen.add(vec)
+            vecs.append(vec)
+            terms.append(term)
+
+    for i, gen in enumerate(generators):
+        add(tuple(gen), Variable(i))
+    start, first = 0, True
+    while True:
+        end = len(vecs)
+        for op in alg.operations:
+            k = op.arity
+            if k == 0:
+                if first:
+                    add((op.table[0],) * width, Apply(op.symbol, ()))
+                continue
+            for r in range(k):
+                pools = [range(start)] * r + [range(start, end)] + [range(end)] * (k - 1 - r)
+                for args in product(*pools):
+                    out = []
+                    for coord in range(width):
+                        code = 0
+                        for i in args:
+                            code = code * n + vecs[i][coord]
+                        out.append(op.table[code])
+                    add(tuple(out), Apply(op.symbol, tuple(terms[i] for i in args)))
+        first = False
+        if len(vecs) == end or (stop is not None and stop(vecs)):
+            return vecs, terms
+        start = end
 
 
 def naive_congruence(alg, pairs):

@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import naive_subuniverse
-from relmod import identities, maltsev, relations
+from oracles import naive_subuniverse, ordered_subuniverse
+from relmod import algebras, identities, maltsev, relations
 from relmod.algebras import (
     AlgebraError,
     Apply,
@@ -237,6 +237,42 @@ def test_closure_cap(sl2):
     assert exc.value.kind == "closure-size"
 
 
+def test_closure_counts_the_generators_against_the_cap(sl2):
+    # three distinct generators already exceed a cap of 2; a repeated one
+    # adds no element
+    gens = [projection(2, 3, i) for i in range(3)]
+    with pytest.raises(CapExceeded, match="closure-size cap exceeded: reached 3, limit 2"):
+        generate_subuniverse(sl2, 8, gens, cap=2)
+    with pytest.raises(CapExceeded, match="reached 3, limit 2"):
+        generate_subuniverse(sl2, 8, gens[:2] + gens[:1], cap=2)
+
+
+@pytest.mark.parametrize("g", [-1, 1.0, True, None])
+def test_free_algebra_refuses_a_bad_g(sl2, g):
+    with pytest.raises(ValueError, match=f"g must be a non-negative integer, got {g!r}"):
+        free_algebra(sl2, g)
+
+
+@pytest.mark.parametrize("cap", [0, -5, 2.5, True, None])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda alg, cap: generate_subuniverse(alg, 1, [], cap),
+        lambda alg, cap: free_algebra(alg, 2, cap),
+        lambda alg, cap: term_table(alg, Variable(0), 2, cap),
+        lambda alg, cap: maltsev.find_directed_gumm(alg, cap),
+        lambda alg, cap: maltsev.find_day(alg, cap),
+    ],
+    ids=["generate_subuniverse", "free_algebra", "term_table", "find_directed_gumm", "find_day"],
+)
+def test_subpower_entry_points_refuse_a_bad_cap(sl2, entry, cap):
+    # a cap that is not a positive int is a usage error, not a capped result
+    with pytest.raises(ValueError, match=f"cap must be a positive integer, got {cap!r}"):
+        entry(sl2, cap)
+    with pytest.raises(ValueError, match="cap must be a positive integer"):
+        entry(FiniteAlgebra("one", 1, []), cap)
+
+
 def test_closure_rejects_entries_outside_the_universe(z2):
     # a negative entry would read the table from its end, and one >= n the
     # zero padding of the byte-packed table
@@ -248,15 +284,18 @@ def test_closure_rejects_entries_outside_the_universe(z2):
 
 @st.composite
 def closure_instances(draw):
-    """A random algebra with n = 1..7 and arities 0..3, a width with at most
-    49 vectors, and up to three generators."""
+    """A random algebra with n = 1..7 and arities 0..3, some binary tables
+    symmetrised so that they are commutative, a width with at most 49
+    vectors, and up to three generators."""
     n = draw(st.integers(1, 7))
     entries = st.integers(0, n - 1)
     arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    ops = [
-        (f"f{i}", ar, draw(st.lists(entries, min_size=n**ar, max_size=n**ar)))
-        for i, ar in enumerate(arities)
-    ]
+    ops = []
+    for i, ar in enumerate(arities):
+        table = draw(st.lists(entries, min_size=n**ar, max_size=n**ar))
+        if ar == 2 and draw(st.booleans()):
+            table = [table[min(a, b) * n + max(a, b)] for a in range(n) for b in range(n)]
+        ops.append((f"f{i}", ar, table))
     width = draw(st.integers(1, 3).filter(lambda w: n**w <= 49))
     gens = draw(st.lists(st.tuples(*[entries] * width), max_size=3))
     return FiniteAlgebra("r", n, ops), width, gens
@@ -275,6 +314,9 @@ PACKED = FiniteAlgebra(
 )
 # 7**3 argument codes do not fit a byte: one coordinate at a time
 UNPACKED = FiniteAlgebra("unpacked", 7, [("m", 3, _table(7, 3, lambda x, y, z: (x * y + z) % 7))])
+# 17**2 argument codes do not fit a byte either: a commutative binary
+# operation applied one coordinate at a time
+UNPACKED_BINARY = FiniteAlgebra("unpacked-binary", 17, [("j", 2, _table(17, 2, lambda x, y: (x * y + x + y) % 17))])
 # 257 elements do not fit a byte: tuple vectors, one coordinate at a time
 WIDE = FiniteAlgebra(
     "wide",
@@ -297,6 +339,56 @@ def test_closure_matches_naive_oracle(instance):
     for fe in result:
         for coord in range(width):
             assert eval_term(alg, fe.term, [g[coord] for g in gens]) == fe.vector[coord]
+
+
+@settings(deadline=None, max_examples=60)
+@given(closure_instances(), st.integers(1, 3))
+@example((PACKED, 3, [(0, 1, 1), (1, 0, 2)]), 2)
+@example((UNPACKED, 2, [(0, 1), (3, 5)]), 1)
+@example((UNPACKED_BINARY, 2, [(0, 1), (3, 5)]), 2)
+@example((WIDE, 1, [(3,)]), 3)
+def test_closure_matches_ordered_reference(instance, stop_at):
+    # a commutative operation skips the swaps of the pairs it has applied:
+    # the same vectors in the same order with the same terms, and the same
+    # prefixes passed to stop, run to the end or stopped at its stop_at-th
+    # call
+    alg, width, gens = instance
+
+    def stop_after(calls, prefixes):
+        def stop(vecs):
+            prefixes.append([tuple(v) for v in vecs])
+            return len(prefixes) == calls
+
+        return stop
+
+    for calls in (None, stop_at):
+        got_prefixes, want_prefixes = [], []
+        got = generate_subuniverse(alg, width, [FreeElement(g, None) for g in gens], stop=stop_after(calls, got_prefixes))
+        want = ordered_subuniverse(alg, width, gens, stop=stop_after(calls, want_prefixes))
+        assert [fe.vector for fe in got] == want[0]
+        assert [fe.term for fe in got] == want[1]
+        assert got_prefixes == want_prefixes
+
+
+@pytest.mark.parametrize(
+    "alg, width, gens, symbol", [(UNPACKED_BINARY, 2, [(0, 1), (3, 5), (0, 1)], "j"), (WIDE, 1, [(3,), (7,)], "f")]
+)
+def test_commutative_operation_is_applied_once_per_unordered_pair(monkeypatch, alg, width, gens, symbol):
+    # a round with O older elements and a frontier of F applies a
+    # commutative operation F*O + F(F+1)/2 times, not F*O twice and F^2
+    calls = []
+    apply = algebras._apply
+
+    def counting(op, *args):
+        calls.append(op.symbol)
+        return apply(op, *args)
+
+    monkeypatch.setattr(algebras, "_apply", counting)
+    ends = [0, len(set(gens))]  # the element count before each round
+    result = generate_subuniverse(alg, width, [FreeElement(g, None) for g in gens], stop=lambda vecs: ends.append(len(vecs)))
+    assert len(ends) >= 4 and len(result) == ends[-1]
+    want = sum((new - old) * old + (new - old) * (new - old + 1) // 2 for old, new in zip(ends, ends[1:]))
+    assert calls.count(symbol) == want
 
 
 @st.composite

@@ -595,6 +595,15 @@ def test_sampled_check_over_the_cap_exit_three(capsys):
     assert cli.main(argv + ["--samples", "9", "--cap", "8"]) == 3
 
 
+def test_image_tables_over_the_cap_exit_three(tmp_path, capsys):
+    # a binary operation on 400 elements would take 5.12 M image-table
+    # entries, above the cap of 2^22
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "big", "size": 400, "operations": [{"symbol": "f", "arity": 2, "table": [0] * 400**2}]}))
+    assert cli.main(["enumerate", "--algebra", str(path), "--kind", "tol"]) == 3
+    assert f"image-table cap exceeded: reached 5120000, limit {2**22}" in capsys.readouterr().err
+
+
 def test_timings_flag_off_by_default():
     plain = run_cli("check", "--algebra", "l2", "--identity", "(1.1)")
     timed = run_cli("check", "--algebra", "l2", "--identity", "(1.1)", "--timings")

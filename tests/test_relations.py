@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from relmod import INF, corpus
 from relmod import relations as rel
-from relmod.algebras import FiniteAlgebra, _apply, free_algebra
+from relmod.algebras import CapExceeded, FiniteAlgebra, _apply, free_algebra
 from relmod.relations import (
     BinRel,
     RelKind,
@@ -562,6 +562,17 @@ def test_free_algebra_closures_match_naive_oracle(l2):
         sizes.add(len(closed))
     assert len(sizes) > 5 and free._principal_rows is None
     memo_images_hold(free)
+
+
+def test_image_tables_over_the_cap_are_refused_unbuilt():
+    # a binary operation on 400 elements would take 400 * 50 * 256 image
+    # entries, above the cap of 2^22: the closure stops before building any
+    n = 400
+    alg = FiniteAlgebra("big", n, [("f", 2, [0] * n * n)])
+    with pytest.raises(CapExceeded) as exc:
+        refl_adm_closure(alg, rel_of(n, (0, 1)))
+    assert (exc.value.kind, exc.value.limit, exc.value.reached) == ("image-table", 1 << 22, 5_120_000)
+    assert alg._image_tables is None
 
 
 def kernel_closure(alg, r):
