@@ -40,7 +40,7 @@ from math import prod
 from operator import and_, or_
 from typing import NamedTuple
 
-from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra, Record, _put
+from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra, Record, _check_cap, _put
 from .maltsev import q_bound, r_bound
 from . import relations as rel
 from .relations import INF, BinRel, RelKind
@@ -432,15 +432,33 @@ _LOCAL_RE = re.compile(r"\b[vx]\d+\b")
 
 def _blocks(nn, values):
     """The packed relations `values`, nn bits each, in blocks of at most
-    _BLOCK: (j, V, R, I) for block j, with member i of V at bits i*nn, I
-    those shifts and R the sum of 1 << i*nn over them."""
+    _BLOCK: (V, R, I) per block, with member i of V at bits i*nn, I those
+    shifts and R the sum of 1 << i*nn over them."""
     out = []
-    for j, lo in enumerate(range(0, len(values), _BLOCK)):
+    for lo in range(0, len(values), _BLOCK):
         members = values[lo : lo + _BLOCK]
         shifts = range(0, len(members) * nn, nn)
         packed = sum(v << i for v, i in zip(members, shifts))
-        out.append((j, packed, sum(1 << i for i in shifts), shifts))
+        out.append((packed, sum(1 << i for i in shifts), shifts))
     return out
+
+
+def _each(kernel, wide, shifts, mask):
+    """The one-operand kernel on each member of the wide value `wide`, at
+    the bit offsets `shifts`, packed the same way."""
+    out = 0
+    for i in shifts:
+        out |= kernel(wide >> i & mask) << i
+    return out
+
+
+def _assignment(values, d):
+    """D for the loops over quantifiers 0..d run on one assignment, the
+    `BinRel`s `values` in quantifier order: quantifier d's value is a block
+    of one member."""
+    D = [(v.bits,) for v in values]
+    D[d] = [(values[d].bits, 1, range(1))]
+    return D
 
 
 class _Program:
@@ -460,37 +478,36 @@ class _Program:
     `search` writes a statement as Python source, kept in `source`, and
     runs it through `exec` once.  Quantifier i gets its own function: one
     `for` loop over its values, which calls quantifier i+1's function, so
-    the block nesting stays within CPython's limit.  Each slot is computed
-    in the loop of its last free variable, once per pass, except:
+    the block nesting stays within CPython's limit.  The innermost
+    quantifier d is no loop over members: its values come in blocks
+    (V, R, I), member i at bits i*n^2 of V, I those shifts and R the sum of
+    1 << i*n^2 over them, and d's function runs once per block.  An
+    exhaustive check passes d's lattice cut by `_blocks`; one assignment, a
+    sampled draw or an `eval_expr` call, passes the block of one member
+    (bits, 1, range(1)), so it runs the same code.
 
-    - exhaustive (whole lattices, run in product order): the innermost
-      quantifier d is no loop over members.  `_blocks` packs its lattice
-      into blocks, member i at bits i*n^2, and d's function runs once per
-      block.  A slot over d has one wide value there, y<slot>, its value
-      at every member packed the same way: V, the block, for d itself;
-      one int operation for "|" and "&", an outer value broadcast by one
-      multiply with R = sum of 1 << i*n^2, which cannot carry as a value
-      is below 2^(n^2); one kernel call per block, on the wide operands,
-      for ";", ";^", pow and star, whose kernels take `width` (_OPS'
-      `wide`); one kernel call per member, packed, for cl, tol and conv.
-      A slot over d alone (conv(T), tol(T), T | conv(T)) is
-      computed before the loops start, once per block, by the one table
-      function T, which pairs each block with those wide values, so d's
-      function takes them in its header (`for j, V, R, I, y9 in D[2]:`).
-      A slot whose free variables are exactly 0..i, i its loop, meets each
-      combination once and is computed in place; any other but "|" and
-      "&" is looked up in the cache under (slot, values of its free
-      variables), the block's index j standing for d's, since later passes
-      of the outer loops meet it again (conv(S) under R, S; S ;^inf T
-      under R, S, T).
-    - one value per quantifier (`violation` and `_runner`): every slot but
-      "|", "&" and those over every quantifier is cached by value, for
-      later calls.
+    Each slot is computed in the loop of its last free variable, once per
+    pass.  A slot over d has one wide value there, y<slot>, its value at
+    every member packed the same way: V for d itself; one int operation for
+    "|" and "&", an outer value broadcast by one multiply with R, which
+    cannot carry as a value is below 2^(n^2); one kernel call per block, on
+    the wide operands, for ";", ";^", pow and star, whose kernels take
+    `width` (_OPS' `wide`); one kernel call per member, packed, for cl, tol
+    and conv.  A slot over d alone (conv(T), tol(T), T | conv(T)) is
+    computed before the loops start, once per block, by the one table
+    function T, which pairs each block with those wide values, so d's
+    function takes them in its header (`for V, R, I, y9 in D[2]:`).
 
-    The one cache dict holds at most `_CACHE_CAP` member values, a wide
-    one counting each of its block's members, and is emptied when full.
-    `_runner(slot)` generates, in the one-value form, a function from a
-    tuple of `BinRel` in the order of `names` to the slot's `BinRel`.
+    One rule says which slots are cached: "|", "&" and a slot over every
+    quantifier of the loops are computed in place; every other slot is
+    looked up in the cache under (slot, values of its free variables), V
+    standing last for d's, since a later pass of the outer loops or a later
+    assignment meets it again (tol(R) in the next draw, conv(S) under R,
+    S; S ;^inf T under R, S, T).  A block of one member is keyed as its
+    one assignment.  The cache holds at most `_CACHE_CAP` member values, a
+    wide one counting each of its block's members, and is emptied when
+    full.  `violation` and `_runner(slot)` run the loops on one assignment,
+    a tuple of `BinRel` in the order of `names`.
     """
 
     def __init__(self, alg: FiniteAlgebra, names):
@@ -569,13 +586,6 @@ class _Program:
             return "V" if self._keys[slot][0] is Var else f"y{slot}"
         return f"({self._name(slot)} * R)"
 
-    def _member(self, slot, d):
-        """What a wide line reads slot's value at the member at bit i by."""
-        free = self.free[slot]
-        if free and free[-1] == d:
-            return f"({self._wide_name(slot, d)} >> i & M)"
-        return self._name(slot)
-
     def _needed(self, roots):
         """The slots that computing `roots` runs: every slot below them but
         variables and constants."""
@@ -588,70 +598,49 @@ class _Program:
                 todo.extend(self._keys[slot][1])
         return needed
 
-    def _tabled(self, slot, exhaustive):
-        """Whether slot is computed in T, the innermost quantifier's table:
-        exhaustively, when it lies over that quantifier alone."""
-        return exhaustive and self.free[slot] == (len(self.names) - 1,)
-
-    def _lines(self, slot, exhaustive):
-        """The generated lines that set x<slot> from its children."""
+    def _lines(self, slot, d):
+        """The generated lines that set slot's value from its children in
+        the loops over quantifiers 0..d: x<slot> for a slot not over d, else
+        y<slot>, its wide value over a block of d's values."""
         node, kids, _ = self._keys[slot]
-        args = [self._name(k) for k in kids]
-        if _OPS[node].inline:
-            return [f"x{slot} = {args[0]} {node} {args[1]}"]
-        value = f"f{slot}({', '.join(args)})"
         free = self.free[slot]
-        # in place when over every quantifier, or exhaustively over 0..i
-        if len(free) == len(self.names) or exhaustive and free[-1] == len(free) - 1:
-            return [f"x{slot} = {value}"]
-        key = ", ".join([str(slot)] + [f"v{p}" for p in free])
-        return [f"k = ({key})", f"x{slot} = get(k)", f"if x{slot} is None:", f"    x{slot} = put(k, {value})"]
-
-    def _wide_lines(self, slot, depth):
-        """The generated lines that set y<slot>, slot's wide value over a
-        block of the innermost lattice, from its children."""
-        node, kids, _ = self._keys[slot]
-        d = depth - 1
         op = _OPS[node]
+        wide = free[-1] == d
+        target = f"y{slot}" if wide else f"x{slot}"
+        args = [self._wide_name(k, d) if wide else self._name(k) for k in kids]
         if op.inline:
-            return [f"y{slot} = {self._wide_name(kids[0], d)} {node} {self._wide_name(kids[1], d)}"]
-        if op.wide:
-            value = f"f{slot}({', '.join(self._wide_name(k, d) for k in kids)}, width=W)"
-        else:
-            value = f"sum(f{slot}({', '.join(self._member(k, d) for k in kids)}) << i for i in I)"
-        free = self.free[slot]
-        # in place when over every quantifier or over d alone
-        if len(free) == depth or len(free) == 1:
-            return [f"y{slot} = {value}"]
-        key = ", ".join([str(slot), "j"] + [f"v{p}" for p in free[:-1]])
-        return [f"k = ({key})", f"y{slot} = get(k)", f"if y{slot} is None:", f"    y{slot} = put(k, {value}, len(I))"]
+            return [f"{target} = {args[0]} {node} {args[1]}"]
+        members = ", len(I)" if wide else ""
+        if not wide:
+            value = f"f{slot}({', '.join(args)})"
+        elif op.wide:
+            value = f"f{slot}({', '.join(args)}, width=len(I))"
+        else:  # a kernel without width has one operand
+            value = f"each(f{slot}, {args[0]}, I, M)"
+        if len(free) == d + 1:  # over every quantifier: in place
+            return [f"{target} = {value}"]
+        key = ", ".join([str(slot)] + ["V" if p == d else f"v{p}" for p in free])
+        return [f"k = ({key})", f"{target} = get(k)", f"if {target} is None:", f"    {target} = put(k, {value}{members})"]
 
-    def _compile(self, depth, slots, tail, exhaustive):
+    def _compile(self, depth, slots, tail):
         """Generate and exec the loops over quantifiers 0..depth-1, with
         `slots` computed each in the loop of its last free variable or in
-        T, and the lines `tail` ending the innermost level; exhaustively
-        that level runs once per block, with the wide values of the slots
-        over it.  Returns the outermost loop's function: given D, with D[i]
-        the packed values of quantifier i, it returns the first value
-        `tail` returns, or None."""
+        T, and the lines `tail` ending the innermost level, which runs once
+        per block with the wide values of the slots over it.  Returns the
+        outermost loop's function: given D, with D[i] the packed values of
+        quantifier i and D[depth-1] the blocks (V, R, I) of the innermost,
+        it returns the first value `tail` returns, or None."""
         d = depth - 1
         bodies = [[] for _ in range(depth)]
-        table = []  # the slots of T
-        for slot in sorted(slots):
-            free = self.free[slot]
-            if self._tabled(slot, exhaustive):
-                table.append(slot)
-            elif exhaustive and free[-1] == d:
-                bodies[d] += self._wide_lines(slot, depth)
-            else:
-                bodies[free[-1]] += self._lines(slot, exhaustive)
+        table = sorted(s for s in slots if self.free[s] == (d,))  # the slots of T
+        for slot in sorted(slots.difference(table)):
+            bodies[self.free[slot][-1]] += self._lines(slot, d)
         bodies[d] += tail
-        heads = [f"v{i}" for i in range(depth)]
+        heads = [f"v{i}" for i in range(d)] + [", ".join(["V, R, I"] + [f"y{s}" for s in table])]
         functions = []
-        if exhaustive:
-            heads[d] = ", ".join(["j, V, R, I"] + [f"y{s}" for s in table])
-            functions += ["def T(values):", "    out = []", "    for j, V, R, I in blocks(values):"]
-            functions += ["        " + line for s in table for line in self._wide_lines(s, depth)]
+        if table:
+            functions += ["def T(blocks):", "    out = []", "    for V, R, I in blocks:"]
+            functions += ["        " + line for s in table for line in self._lines(s, d)]
             functions += [f"        out.append(({heads[d]},))", "    return out"]
 
         def level(name):
@@ -665,38 +654,35 @@ class _Program:
                 body += [f"r = L{i + 1}({', '.join(['D'] + args)})", "if r is not None:", "    return r"]
             args = sorted(name for name in set(_LOCAL_RE.findall("\n".join(body))) if level(name) < i)
             functions.append(f"def L{i}({', '.join(['D'] + args)}):")
-            if i == 0 and exhaustive:
+            if i == 0 and table:
                 functions.append(f"    D = [*D[:{d}], T(D[{d}])]")
             functions.append(f"    for {heads[i]} in D[{i}]:")
             functions += ["        " + line for line in body]
         n = self.alg.size
-        namespace = {"get": self._cache.get, "put": self._put, "M": rel._nabla(n), "NN": n * n, "W": _BLOCK}
-        namespace.update(blocks=partial(_blocks, n * n))
+        namespace = {"get": self._cache.get, "put": self._put, "each": _each, "M": rel._nabla(n), "NN": n * n}
         namespace.update((f"f{slot}", fn) for slot, fn in self._fns.items())
         namespace.update((f"c{slot}", value) for slot, value in self._constants.items())
         self.source = "\n".join(functions)
         exec(self.source, namespace)
         return namespace["L0"]
 
-    def search(self, stmt: IdentityStatement, exhaustive: bool):
+    def search(self, stmt: IdentityStatement):
         """Compile a statement whose quantifiers are among `names` into loops
         over all of `names`.  The function returned takes D, with D[i] the
-        packed values of quantifier i, runs the assignments in product order
-        and returns (small, big, v0, v1, ...) for the first that fails, with
-        small the packed side that is not inside the packed side big, or
-        None.
+        packed values of quantifier i and, for the innermost, its blocks
+        (V, R, I); it runs the assignments in product order and returns
+        (small, big, v0, v1, ...) for the first that fails, with small the
+        packed side that is not inside the packed side big, or None.
 
         Each side is compiled through `_fold`, so a chain of "+", ";^inf"
         and "star" is one Warshall pass.  Each inclusion is first tested
         against `lower` of its larger side, compiled beside the statement
         into the same slots.  The bound lies inside the larger side, so an
-        assignment it settles holds; only when the test fails is the larger
-        side built.  The slots that only the larger side needs and that
-        sit in the innermost loop, but not in T, are computed inside
-        that branch.  For "=", rhs is then tested against lower(lhs) the
-        same way.  Exhaustively all of it runs on wide values, once per
-        block: a block where some member escapes the bound builds the rest
-        of the larger side wide and tests it wide, and only the first
+        assignment it settles holds.  All of it runs on wide values, once
+        per block: only a block where some member escapes the bound builds
+        the slots over the innermost quantifier, but not in T, that only
+        the larger side needs, and tests the larger side wide.  For "=",
+        rhs is then tested against lower(lhs) the same way.  Only the first
         member that fails is taken out, see `_first_failure`.
         """
         sides = [(stmt.lhs, stmt.rhs)]
@@ -707,31 +693,19 @@ class _Program:
         d = depth - 1
         always = self._needed([s for small, bound, _ in checks for s in (small, bound)])
         slots = set(always)
-        values = "".join(f", v{p}" for p in range(depth))
         tail = []
         for t, (small, bound, big) in enumerate(checks):
-            lazy = []
+            # b<t>: nonzero in the segment of each member where check t fails
+            name, limit, low = (self._wide_name(s, d) for s in (small, big, bound))
+            test = [f"b{t} = {name} & ~{limit}"]
             if bound != big:
                 rest = self._needed([big]) - always
-                lazy = sorted(s for s in rest if self.free[s][-1] == d and not self._tabled(s, exhaustive))
+                lazy = sorted(s for s in rest if self.free[s][-1] == d and self.free[s] != (d,))
                 slots |= rest.difference(lazy)
-            if exhaustive:
-                # b<t>: nonzero in the segment of each member where check t fails
-                name, limit, low = (self._wide_name(s, d) for s in (small, big, bound))
-                test = [f"b{t} = {name} & ~{limit}"]
-                guard = [f"b{t} = {name} & ~{low}", f"if b{t}:"]
-                build = [line for s in lazy for line in self._wide_lines(s, depth)]
-            else:
-                name, limit, low = (self._name(s) for s in (small, big, bound))
-                test = [f"if {name} & ~{limit}:", f"    return ({name}, {limit}{values})"]
-                guard = [f"if {name} & ~{low}:"]
-                build = [line for s in lazy for line in self._lines(s, exhaustive)]
-            if bound != big:
-                test = guard + ["    " + line for line in build + test]
+                build = [line for s in lazy for line in self._lines(s, d)]
+                test = [f"b{t} = {name} & ~{low}", f"if b{t}:"] + ["    " + line for line in build + test]
             tail += test
-        if exhaustive:
-            tail += self._first_failure(checks, d)
-        return self._compile(depth, slots, tail, exhaustive)
+        return self._compile(depth, slots, tail + self._first_failure(checks, d))
 
     def _first_failure(self, checks, d):
         """The end of the wide innermost level, after each check t has set
@@ -748,26 +722,28 @@ class _Program:
         return lines
 
     def violation(self, stmt: IdentityStatement):
-        """`search` in the one-value form: a function from an assignment, a
-        tuple of `BinRel`, to the least pair of lhs outside rhs (then, for
-        "=", of rhs outside lhs), or None if the statement holds there."""
-        loops = self.search(stmt, exhaustive=False)
-        n = self.alg.size
+        """`search` run on one assignment: a function from a tuple of
+        `BinRel` to the least pair of lhs outside rhs (then, for "=", of
+        rhs outside lhs), or None if the statement holds there."""
+        loops = self.search(stmt)
+        n, d = self.alg.size, len(self.names) - 1
 
         def violation(values):
-            found = loops(tuple((v.bits,) for v in values))
+            found = loops(_assignment(values, d))
             return None if found is None else _first_missing_pair(n, found[0], found[1])
 
         return violation
 
     def _runner(self, slot):
+        """A function from a tuple of `BinRel` to slot's `BinRel` there."""
         n = self.alg.size
         free = self.free[slot]
         if not free:
             value = BinRel._of(n, self._constants[slot])
             return lambda values: value
-        loops = self._compile(free[-1] + 1, self._needed([slot]), [f"return {self._name(slot)}"], False)
-        return lambda values: BinRel._of(n, loops(tuple((v.bits,) for v in values)))
+        d = free[-1]
+        loops = self._compile(d + 1, self._needed([slot]), [f"return {self._wide_name(slot, d)}"])
+        return lambda values: BinRel._of(n, loops(_assignment(values, d)))
 
 
 def _first_missing_pair(n, lhs, rhs):
@@ -780,15 +756,16 @@ def _first_missing_pair(n, lhs, rhs):
 
 def eval_expr(alg: FiniteAlgebra, expr, env) -> BinRel:
     """The value of expr on alg with its variables bound by `env` (name ->
-    BinRel): one run of the compiled program that `check_identity` uses."""
+    BinRel on alg's universe, each checked whether expr reads it or not): one
+    run of the compiled program that `check_identity` uses."""
     _check_depth(expr)
+    for name, value in env.items():
+        if not isinstance(value, BinRel):
+            raise TypeError(f"{name} must be a BinRel, got {value!r}")
+        if value.n != alg.size:
+            raise ValueError(f"size mismatch: {name} has n={value.n}, algebra n={alg.size}")
     program = _Program(alg, env)
-    slot = program.slot(expr)
-    values = tuple(env.values())
-    for p in program.free[slot]:
-        if values[p].n != alg.size:
-            raise ValueError(f"size mismatch: {program.names[p]} has n={values[p].n}, algebra n={alg.size}")
-    return program._runner(slot)(values)
+    return program._runner(program.slot(expr))(tuple(env.values()))
 
 
 def check_identity(
@@ -805,30 +782,33 @@ def check_identity(
     canonical order (declaration order outermost) and reports the least
     counterexample; sample mode draws `samples` >= 1 assignments, each by
     closing a random relation to its sort, reproducibly from the integer
-    seed.  cap bounds each lattice and the number of assignments, run or
-    drawn, checked before the first.
+    seed.  cap, a positive int, bounds each lattice and the number of
+    assignments, run or drawn, checked before the first.
 
     The statement is compiled once into a `_Program`: generated code, one
     loop per quantifier in declaration order, that calls the relation
     kernels on packed ints.  Every chain of "+", ";^inf" and "star" is
     compiled as one star of the union of its operands, exact on the
-    reflexive values a check evaluates.  Exhaustively, the innermost
-    quantifier is no loop: its lattice is packed side by side into blocks
-    of wide ints, and "|", "&", ";", ";^m", "pow", "star" and the tests
-    below run once per block on them; "cl", "tol" and "conv" run once per
-    member.  Each subterm over the innermost quantifier alone is computed
-    once per block before the loops start; any other is computed in the
-    loop of its last free variable, in place or through the bounded cache.
-    Sample mode runs the one-value form of the same code, once per
-    distinct assignment: the packed values of those that held are kept,
-    bounded like the cache, and a repeated one is settled by a lookup.  At
-    the innermost level the left side is tested first against `lower` of
-    the right side, and the rest of the right side is built only for a
-    block (or, sampled, an assignment) where some member fails that test.
-    The witness is still the least pair of lhs outside the full rhs, at
-    the first assignment in product order that fails: only that member is
+    reflexive values a check evaluates.  The innermost quantifier is no
+    loop: its values come packed side by side into blocks of wide ints,
+    and "|", "&", ";", ";^m", "pow", "star" and the tests below run once
+    per block on them; "cl", "tol" and "conv" run once per member.
+    Exhaustively, its lattice is cut into blocks of at most `_BLOCK`
+    members; sample mode runs each distinct draw as a block of one member:
+    the packed values of the assignments that held are kept, bounded like
+    the cache, and a repeated one is settled by a lookup.  Each subterm
+    over the innermost quantifier alone is computed once per block before
+    the loops start; any other in the loop of its last free variable.
+    "|", "&" and a subterm over every quantifier are computed in place,
+    every other subterm through the bounded cache, under the values of its
+    free variables.  At the innermost level the left side is tested first
+    against `lower` of the right side, and the rest of the right side is
+    built only for a block where some member fails that test.  The
+    witness is still the least pair of lhs outside the full rhs, at the
+    first assignment in product order that fails: only that member is
     taken out of its block.
     """
+    _check_cap(cap)
     names = [name for name, _ in stmt.quantifiers]
     kinds = [kind for _, kind in stmt.quantifiers]
     if not names:
@@ -868,7 +848,7 @@ def check_identity(
             _put(held, _CACHE_CAP, key, None)
         return Verdict(True, samples, None)
     packed = [[r.bits for r in members] for members in lattices]
-    found = program.search(stmt, exhaustive=True)(packed)
+    found = program.search(stmt)([*packed[:-1], _blocks(alg.size**2, packed[-1])])
     if found is None:
         return Verdict(True, total, None)
     small, big, *values = found

@@ -85,7 +85,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 
-from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra, Record, _put
+from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra, Record, _check_cap, _put
 
 INF = float("inf")
 
@@ -643,7 +643,9 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
     closes and deduplicates packed ints, and wraps the members in
     ``BinRel`` once, in canonical order: lexicographic on the flattened bit
     matrix, which is the order of the binary spellings read from bit 0 up.
+    cap, a positive int, bounds the members.
     """
+    _check_cap(cap)
 
     def build():
         close = _KERNELS[kind]

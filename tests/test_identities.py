@@ -589,10 +589,10 @@ def test_cache_counts_each_member_of_a_wide_value(cap, block, monkeypatch, l2, s
 
 def test_D3_on_l3_tabulates_each_single_quantifier_subterm(patch_kernel):
     # conv(R), conv(S) and conv(T) each lie over one quantifier: conv(R) is
-    # computed in R's loop, conv(S) in S's loop through the cache, conv(T)
-    # in T's table, and tol(R) converses R once more inside its kernel, so
-    # every member of the lattice is conversed exactly four times, once per
-    # subterm
+    # computed in R's loop, conv(S) in S's loop, conv(T) in T's table, each
+    # through the cache, and tol(R) converses R once more inside its kernel,
+    # so every member of the lattice is conversed exactly four times, once
+    # per subterm
     l3 = cold("l3")
     stmt = catalog_entry("(D3)", m=INF)
     seen = []
@@ -603,17 +603,19 @@ def test_D3_on_l3_tabulates_each_single_quantifier_subterm(patch_kernel):
     assert verdict.holds and verdict.checked == 25**3
     assert sorted(seen) == sorted(lattice * 4)
     # the subterms over T alone, the innermost quantifier, are one wide
-    # y<slot> per block of T's lattice, built in T's table, the only table;
-    # conv(S), over the middle quantifier S alone, is looked up in the cache
+    # y<slot> per block of T's lattice, built in T's table, the only table,
+    # and looked up in the cache under (slot, block); conv(S), over the
+    # middle quantifier S alone, is looked up in the cache too
     program = identities._Program(l3, ("R", "S", "T"))
-    program.search(stmt, exhaustive=True)
+    program.search(stmt)
     single = [s for s, free in enumerate(program.free) if free in ((1,), (2,)) and re.search(rf"\b[xy]{s}\b", program.source)]
     assert len(single) >= 3  # conv(S), S | conv(S), conv(T)
     for s in single:
         if program.free[s] == (2,):
-            assert not re.search(rf"\b[xy]{s} = get\(", program.source)
+            assert re.search(rf"\bk = \({s}, V\)\n +y{s} = get\(k\)", program.source)
     assert len(re.findall(r"^def T\(", program.source, re.M)) == 1
-    assert re.search(r"^def T\(values\):\n.*\n    for j, V, R, I in blocks\(values\):\n        y\d+ = sum\(", program.source, re.M)
+    assert re.search(r"^def T\(blocks\):\n.*\n    for V, R, I in blocks:\n        k = \(\d+, V\)\n        y\d+ = get\(k\)", program.source, re.M)
+    assert "blocks(values)" not in program.source
     conv_s = program.slot(parse_identity("S:REFL |- conv(S) <= S").lhs)
     assert program.free[conv_s] == (1,) and re.search(rf"\bx{conv_s} = get\(", program.source)
     assert not re.search(r"\bfor v2\b", program.source)  # no loop over T's members
@@ -780,8 +782,9 @@ def test_lower_bound_settles_most_of_D3_on_l3(patch_kernel):
     # over R, S and T, which every assignment built before the lower-bound
     # test; now only an assignment whose left side escapes the bound builds
     # it.  The left side's S ;^inf T, folded to star(S | T), is built once
-    # per (S, T), so the one-value form runs one star per pair and one per
-    # escape.  The exhaustive check runs each wide, once per block of T's
+    # per (S, T), so a run on one assignment at a time, each a block of one
+    # member, runs one star per pair and one per escape.  The exhaustive
+    # check runs each wide, once per block of T's
     # lattice, which on l3 is one block: one star per S, and one per (R, S)
     # block where some T escapes
     l3 = cold("l3")
@@ -918,6 +921,22 @@ def test_eval_size_mismatch(sl2):
         eval_expr(sl2, S, {"S": delta(3)})
 
 
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        ("x", TypeError, "T must be a BinRel, got 'x'"),
+        (None, TypeError, "T must be a BinRel, got None"),
+        (delta(3), ValueError, "size mismatch: T has n=3, algebra n=2"),
+    ],
+    ids=["str", "None", "size-3"],
+)
+def test_eval_refuses_a_bad_env_value(l2, value, error, message):
+    # every env value is checked, also one the expression does not read
+    for expr in (S, T):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            eval_expr(l2, expr, {"S": delta(2), "T": value})
+
+
 def test_check_1_1_on_l2(l2):
     verdict = check_identity(l2, catalog_entry("(1.1)"))
     assert verdict.holds
@@ -1032,6 +1051,27 @@ def test_trees_built_in_python_keep_the_parsers_depth_bound(l2):
     assert eval_expr(l2, converses(100), {"S": order}) == order
     verdict = check_identity(l2, IdentityStatement(quantifiers, StmtRel.EQUALS, converses(100), Var("S")))
     assert verdict.holds and verdict.checked == 4
+
+
+@pytest.mark.parametrize("cap", [0, -1, 2.5, True, None])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda alg, cap: check_identity(alg, catalog_entry("(B1)", m=INF), cap=cap),
+        lambda alg, cap: check_identity(alg, catalog_entry("(B1)", m=INF), mode="sample", samples=10, cap=cap),
+        lambda alg, cap: enumerate_relations(alg, RelKind.TOLERANCE, cap=cap),
+    ],
+    ids=["exhaustive", "sample", "enumerate_relations"],
+)
+def test_checks_and_enumeration_refuse_a_bad_cap(entry, cap, monkeypatch):
+    # a cap that is not a positive int is a usage error, not a resource
+    # stop, refused before any lattice is enumerated or any draw is made
+    alg = cold("l2")
+    draws = []
+    monkeypatch.setattr(relations, "close_to_kind", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match=f"^cap must be a positive integer, got {re.escape(repr(cap))}$"):
+        entry(alg, cap)
+    assert alg._lattices == {} and draws == []
 
 
 @pytest.mark.parametrize("samples", [0, -5, True, 2.5])
@@ -1207,6 +1247,30 @@ def test_held_assignment_memo_is_bounded(monkeypatch):
     assert check_identity(cold("l4"), stmt, mode="sample", seed=5, samples=1000) == normal
     # each assignment that is not in the memo is evaluated and put there
     assert 905 < len(sizes) <= 1000 and max(sizes) == 8
+
+
+def test_sampled_D3_on_l4_runs_each_closure_once_per_distinct_value(patch_kernel):
+    # each draw runs as a block of one member of the same code an exhaustive
+    # check runs; every subterm not over all of R, S and T, tol(R) and
+    # conv(T) among them, is looked up in the cache under the values of its
+    # free variables, so the 905 distinct assignments of 1000 run the
+    # closure kernels only for values not met before
+    counts = dict.fromkeys(("_converse", "_tolerance_of", "_refl_adm_closure"), 0)
+
+    def counting(name):
+        original = getattr(relations, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        patch_kernel(name, counted)
+
+    for name in counts:
+        counting(name)
+    verdict = check_identity(cold("l4"), catalog_entry("(D3)", m=INF), mode="sample", seed=5, samples=1000)
+    assert verdict.holds and verdict.checked == 1000
+    assert counts == {"_converse": 484, "_tolerance_of": 118, "_refl_adm_closure": 156}
 
 
 def test_catalog_entry_matches_catalog():
