@@ -145,11 +145,10 @@ class FiniteAlgebra:
         self._image_tables = None
         # the principal closures, kept only by algebras of at most 8
         # elements: for each row a, (a*n, memo), where memo[1 << b] is the
-        # slot of pair (a, b), its packed closure, filled at most one per
-        # closure, and memo[m] for a wider off-diagonal row mask m is the
-        # union of the slots over the bits of m, kept once every one of them
-        # is filled (or once the filled ones already join to nabla), so at
-        # most n * 2^(n-1) entries
+        # slot of pair (a, b), its packed closure, filled the first time a
+        # closure needs it, and memo[m] for a wider off-diagonal row mask m
+        # is the union of the slots over the bits of m, kept by the closure
+        # that first reads row a at m, so at most n * 2^(n-1) entries
         self._principal_rows = None
         self._lattices = {}  # RelKind -> RelLattice
         # (path condition, terms) -> the full term tables of a chain that

@@ -40,10 +40,10 @@ from math import prod
 from operator import and_, or_
 from typing import NamedTuple
 
-from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra, Record, _check_cap, _put
+from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra, Record, _check_cap, _is_int, _put
 from .maltsev import q_bound, r_bound
 from . import relations as rel
-from .relations import INF, BinRel, RelKind
+from .relations import INF, BinRel, RelKind, _SORT_CHOICES, _SORTS
 
 
 class ParseError(ValueError):
@@ -128,7 +128,7 @@ def _check_param(node):
             raise ValueError(f"{node.op!r} takes no parameter, got {p!r}")
         return
     inf = node.op == ";^"
-    if not (isinstance(p, int) and not isinstance(p, bool) and p >= 1 or inf and p == INF):
+    if not (_is_int(p) and p >= 1 or inf and p == INF):
         raise ValueError(f"{name} must be an integer >= 1{' or INF' if inf else ''}, got {p!r}")
 
 
@@ -149,10 +149,6 @@ class IdentityStatement(Record):
     # quantifiers: ((name, RelKind), ...)
     __slots__ = ("quantifiers", "relation", "lhs", "rhs")
 
-
-# the quantifier sorts, and how messages list them: "REFL, TOL or CON"
-_SORTS = tuple(kind.value for kind in RelKind)
-_SORT_CHOICES = f"{', '.join(_SORTS[:-1])} or {_SORTS[-1]}"
 
 _RESERVED = {spelling for spelling, op in _OPS.items() if op.arity < 2} | set(_SORTS) | {"inf"}
 
@@ -493,21 +489,19 @@ class _Program:
     cannot carry as a value is below 2^(n^2); one kernel call per block, on
     the wide operands, for ";", ";^", pow and star, whose kernels take
     `width` (_OPS' `wide`); one kernel call per member, packed, for cl, tol
-    and conv.  A slot over d alone (conv(T), tol(T), T | conv(T)) is
-    computed before the loops start, once per block, by the one table
-    function T, which pairs each block with those wide values, so d's
-    function takes them in its header (`for V, R, I, y9 in D[2]:`).
+    and conv.
 
     One rule says which slots are cached: "|", "&" and a slot over every
     quantifier of the loops are computed in place; every other slot is
     looked up in the cache under (slot, values of its free variables), V
     standing last for d's, since a later pass of the outer loops or a later
     assignment meets it again (tol(R) in the next draw, conv(S) under R,
-    S; S ;^inf T under R, S, T).  A block of one member is keyed as its
-    one assignment.  The cache holds at most `_CACHE_CAP` member values, a
-    wide one counting each of its block's members, and is emptied when
-    full.  `violation` and `_runner(slot)` run the loops on one assignment,
-    a tuple of `BinRel` in the order of `names`.
+    S; S ;^inf T under R, S, T; conv(T), over d alone, under R, S).  A
+    block of one member is keyed as its one assignment.  The cache holds
+    at most `_CACHE_CAP` member values, a wide one counting each of its
+    block's members, and is emptied when full.  `violation` and
+    `_runner(slot)` run the loops on one assignment, a tuple of `BinRel`
+    in the order of `names`.
     """
 
     def __init__(self, alg: FiniteAlgebra, names):
@@ -624,24 +618,18 @@ class _Program:
 
     def _compile(self, depth, slots, tail):
         """Generate and exec the loops over quantifiers 0..depth-1, with
-        `slots` computed each in the loop of its last free variable or in
-        T, and the lines `tail` ending the innermost level, which runs once
-        per block with the wide values of the slots over it.  Returns the
-        outermost loop's function: given D, with D[i] the packed values of
+        `slots` computed each in the loop of its last free variable, and the
+        lines `tail` ending the innermost level, which runs once per block,
+        after the wide values of the slots over it.  Returns the outermost
+        loop's function: given D, with D[i] the packed values of
         quantifier i and D[depth-1] the blocks (V, R, I) of the innermost,
         it returns the first value `tail` returns, or None."""
         d = depth - 1
         bodies = [[] for _ in range(depth)]
-        table = sorted(s for s in slots if self.free[s] == (d,))  # the slots of T
-        for slot in sorted(slots.difference(table)):
+        for slot in sorted(slots):
             bodies[self.free[slot][-1]] += self._lines(slot, d)
         bodies[d] += tail
-        heads = [f"v{i}" for i in range(d)] + [", ".join(["V, R, I"] + [f"y{s}" for s in table])]
         functions = []
-        if table:
-            functions += ["def T(blocks):", "    out = []", "    for V, R, I in blocks:"]
-            functions += ["        " + line for s in table for line in self._lines(s, d)]
-            functions += [f"        out.append(({heads[d]},))", "    return out"]
 
         def level(name):
             i = int(name[1:])
@@ -654,9 +642,7 @@ class _Program:
                 body += [f"r = L{i + 1}({', '.join(['D'] + args)})", "if r is not None:", "    return r"]
             args = sorted(name for name in set(_LOCAL_RE.findall("\n".join(body))) if level(name) < i)
             functions.append(f"def L{i}({', '.join(['D'] + args)}):")
-            if i == 0 and table:
-                functions.append(f"    D = [*D[:{d}], T(D[{d}])]")
-            functions.append(f"    for {heads[i]} in D[{i}]:")
+            functions.append(f"    for {f'v{i}' if i < d else 'V, R, I'} in D[{i}]:")
             functions += ["        " + line for line in body]
         n = self.alg.size
         namespace = {"get": self._cache.get, "put": self._put, "each": _each, "M": rel._nabla(n), "NN": n * n}
@@ -680,10 +666,10 @@ class _Program:
         into the same slots.  The bound lies inside the larger side, so an
         assignment it settles holds.  All of it runs on wide values, once
         per block: only a block where some member escapes the bound builds
-        the slots over the innermost quantifier, but not in T, that only
-        the larger side needs, and tests the larger side wide.  For "=",
-        rhs is then tested against lower(lhs) the same way.  Only the first
-        member that fails is taken out, see `_first_failure`.
+        the slots over the innermost quantifier that only the larger side
+        needs, and tests the larger side wide.  For "=", rhs is then tested
+        against lower(lhs) the same way.  Only the first member that fails
+        is taken out, see `_first_failure`.
         """
         sides = [(stmt.lhs, stmt.rhs)]
         if stmt.relation is StmtRel.EQUALS:
@@ -700,7 +686,7 @@ class _Program:
             test = [f"b{t} = {name} & ~{limit}"]
             if bound != big:
                 rest = self._needed([big]) - always
-                lazy = sorted(s for s in rest if self.free[s][-1] == d and self.free[s] != (d,))
+                lazy = sorted(s for s in rest if self.free[s][-1] == d)
                 slots |= rest.difference(lazy)
                 build = [line for s in lazy for line in self._lines(s, d)]
                 test = [f"b{t} = {name} & ~{low}", f"if b{t}:"] + ["    " + line for line in build + test]
@@ -796,9 +782,9 @@ def check_identity(
     Exhaustively, its lattice is cut into blocks of at most `_BLOCK`
     members; sample mode runs each distinct draw as a block of one member:
     the packed values of the assignments that held are kept, bounded like
-    the cache, and a repeated one is settled by a lookup.  Each subterm
-    over the innermost quantifier alone is computed once per block before
-    the loops start; any other in the loop of its last free variable.
+    the cache, and a repeated one is settled by a lookup.  Each subterm is
+    computed in the loop of its last free variable, the innermost level
+    for a subterm over the innermost quantifier, alone or not.
     "|", "&" and a subterm over every quantifier are computed in place,
     every other subterm through the bounded cache, under the values of its
     free variables.  At the innermost level the left side is tested first
@@ -825,9 +811,9 @@ def check_identity(
         if total > cap:
             raise CapExceeded("assignments", cap, total)
     elif mode == "sample":
-        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+        if not _is_int(samples) or samples < 1:
             raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        if not _is_int(seed):
             # None would seed from the OS and draw differently on every call
             raise ValueError(f"seed must be an integer, got {seed!r}")
         if samples > cap:
@@ -880,8 +866,7 @@ def _draws(alg, kinds, seed, samples):
 def _check_sort(name, kind):
     """Reject a quantifier sort that is not a `RelKind`, such as its
     spelling "TOL"."""
-    if not isinstance(kind, RelKind):
-        raise ValueError(f"quantifier {name!r} has sort {kind!r}, expected a RelKind ({_SORT_CHOICES})")
+    rel._check_kind(kind, f"quantifier {name!r} has sort")
 
 
 def with_sorts(stmt: IdentityStatement, overrides) -> IdentityStatement:
@@ -953,13 +938,13 @@ _CATALOG = {
 
 def _fields(k, h, m, l):
     """Validate the catalog parameters and derive the template fields."""
-    if not isinstance(k, int) or k < 2:
+    if not _is_int(k) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
-    if not isinstance(h, int) or h < 1:
+    if not _is_int(h) or h < 1:
         raise ValueError(f"h must be an integer >= 1, got {h!r}")
-    if m != INF and (not isinstance(m, int) or m < 2):
+    if m != INF and (not _is_int(m) or m < 2):
         raise ValueError(f"m must be an integer >= 2 or INF, got {m!r}")
-    if not isinstance(l, int) or l < 1:
+    if not _is_int(l) or l < 1:
         raise ValueError(f"l must be an integer >= 1, got {l!r}")
     # the right sides of (turt) and (turtt) nest l+3 operators deep
     if l > _MAX_DEPTH - 3:

@@ -32,6 +32,7 @@ from .algebras import (
     TermError,
     Variable,
     _check_cap,
+    _is_int,
     _put,
     generate_subuniverse,
     term_table,
@@ -101,15 +102,18 @@ class SearchResult(Record):
         return self.status is SearchStatus.NOT_UP_TO
 
 
+def _check_bound_args(h, k):
+    if not (_is_int(h) and _is_int(k) and h >= 1 and k >= 2):
+        raise ValueError(f"require integers h >= 1 and k >= 2, got h={h!r}, k={k!r}")
+
+
 def q_bound(h: int, k: int) -> int:
-    if h < 1 or k < 2:
-        raise ValueError(f"require h >= 1 and k >= 2, got h={h}, k={k}")
+    _check_bound_args(h, k)
     return (2 ** (h + 1) - 2) * (2 * k - 3)
 
 
 def r_bound(h: int, k: int) -> int:
-    if h < 1 or k < 2:
-        raise ValueError(f"require h >= 1 and k >= 2, got h={h}, k={k}")
+    _check_bound_args(h, k)
     return 1 + (2 ** (h + 1) - 2) * (k - 1)
 
 

@@ -49,15 +49,15 @@ a seed that is already nabla needs no kernel round at all.  An algebra of
 at most ``_PRINCIPAL_TABLE_MAX_N`` elements keeps them in one memo per
 row: row a's memo at an off-diagonal row mask m holds the union of the
 closures of the pairs (a, b) over the bits b of m, so at the one-bit mask
-1 << b it is the slot of (a, b), the closure of that pair.  Each closure
-fills at most one empty slot, so it runs the kernel at most twice, and a
-wider mask is kept once all of its slots are filled or the filled ones
-already join to nabla, so a seed is at most n lookups and ORs.  Larger
-algebras close r itself.  The kernel's result is cached under its input,
-r | delta with the seed, not under r: random relations seldom repeat, but
-their seeds are unions of a few closed relations and do.  That cache of
-ints is the one memo of kernel results; ``_refl_adm_closure`` alone reads
-and fills it.  The other sorts are closed forms over it:
+1 << b it is the slot of (a, b), the closure of that pair.  A closure
+fills each empty slot its rows need and keeps each row it computes, so a
+slot runs the kernel once per algebra and a seed is at most n lookups
+and ORs.  Larger algebras close r itself.  The kernel's result is cached
+under its input, r | delta with the seed, not under r: random relations
+seldom repeat, but their seeds are unions of a few closed relations and
+do.  That cache of ints is the one memo of kernel results;
+``_refl_adm_closure`` alone reads and fills it.  The other sorts are
+closed forms over it:
 
     tol(r) = cl(r | r^-1)
     Cg(r)  = star(tol(r))
@@ -494,33 +494,29 @@ _CLOSURE_CACHE_CAP = 1 << 16
 # The largest algebra that keeps the principal closures, each the one-bit
 # slot of its row's memo (n^2 slots of n^2 bits, and at most n * 2^(n-1)
 # unions of them).  A slot costs one kernel run, which on a larger algebra
-# can cost more than the closures it saves.  Measured on free algebras
-# F_V(3) with the row memos and the kernel's image memos, closing 10, 100
-# and 1000 seeded random draws on a fresh algebra, dense rows and 1-3
-# pairs apart, closing r itself over the table's time (2-core VM, Python
-# 3.11): on n = 7 (sl2, sl3) 0.5-0.8 at 10 draws, 0.6-1.2 at 100 and
-# 0.9-1.4 at 1000; on n = 8 (z2, z2xz2) 0.3-0.7, 0.6-0.9 and 1.7-3.2; on
-# the 18-element F_V(3) of l2 0.06-0.23, 0.23-0.58 and 0.9-1.0.  On the
-# 28-element F_V(3) of m3 the row memos would be 28 lists of 2^28 entries,
-# too large to build; closing r itself takes 11, 124 and 1262 ms dense
-# and 56, 236 and 2885 ms sparse.  The table pays only from about 1000
-# draws at n <= 8, which a sampled check of 1000 samples reaches.
+# can cost more than the closures it saves.  Closing 10, 100 and 1000
+# seeded random draws, dense rows and 1-3 pairs apart, on a fresh F_V(3)
+# with the image memos took this long closing r itself over the time
+# through the row memos (2-core VM, Python 3.11, medians of 7 seeds):
+# 0.23-0.68, 0.78-1.00 and 1.09-1.37 on n = 7 (sl2, sl3); 0.13-0.62,
+# 0.55-1.07 and 3.0-3.5 on n = 8 (z2, z2xz2); 0.03-0.23, 0.18-0.48 and
+# 0.93-1.26 on l2's, of 18 elements.  So the table pays only from about
+# 1000 draws, which a sampled check of 1000 samples reaches at n <= 8.
+# On m3's, of 28 elements, the row memos would not fit (28 lists of 2^28).
 _PRINCIPAL_TABLE_MAX_N = 8
 
 
 def _refl_adm_closure(alg: FiniteAlgebra, bits):
     """Least reflexive admissible relation containing the packed relation
     bits, through the row memos and the closure cache of the module
-    docstring.  The seed is built a row at a time: the union of row a's
-    slots for its off-diagonal mask m is kept in row a's memo at [m] once
-    every one of them is filled, and a row not found there ORs its slots,
-    memo[1 << b], one at a time, the first empty one of the call filled on
-    the way.  A seed that reaches nabla, at a row or at a slot, is returned
-    before any further slot is filled; a row whose slots read so far are
-    all filled and already join to nabla is kept as nabla.  The kernel's
-    input, bits | delta | seed, is looked up in the cache and
-    closed on a miss.  bits | delta is looked up first: a union of closed
-    relations, which the lattice enumeration closes, is its own input."""
+    docstring.  The seed is built a row at a time: a row mask missing from
+    its row's memo is the OR of its slots, each empty one filled on the
+    way, and is kept; a seed that is nabla after a row is returned.  So
+    all closures on one algebra run at most n(n-1) principal kernels
+    between them, and each call runs the kernel at most once more, on
+    bits | delta | seed, looked up in the cache first.  bits | delta is
+    looked up before all of it: a union of closed relations, which the
+    lattice enumeration closes, is its own input."""
     n = alg.size
     diag = _delta(n)
     bits |= diag
@@ -536,32 +532,18 @@ def _refl_adm_closure(alg: FiniteAlgebra, bits):
         full = (1 << n) - 1
         off = bits ^ diag
         seed = 0
-        fill = True
         for i, memo in rows:
             m = off >> i & full
             row = memo[m]
             if row is None:
                 row = 0
-                known = True
-                rest = m
-                while rest:
-                    low = rest & -rest
-                    slot = memo[low]
-                    if slot is None and fill:
-                        slot = memo[low] = _pair_closure(alg, diag | low << i)
-                        fill = False
-                    if slot is None:
-                        known = False
-                    else:
+                for b in range(n):
+                    if m >> b & 1:
+                        slot = memo[1 << b]
+                        if slot is None:
+                            slot = memo[1 << b] = _pair_closure(alg, diag | 1 << i + b)
                         row |= slot
-                        if seed | row == every:
-                            if known and row == every:
-                                # the rest of the row cannot change nabla
-                                memo[m] = every
-                            return every
-                    rest ^= low
-                if known:
-                    memo[m] = row
+                memo[m] = row
             seed |= row
             if seed == every:
                 return every
@@ -609,6 +591,17 @@ class RelKind(Enum):
     __hash__ = object.__hash__
 
 
+# the sorts' spellings, and how messages list them: "REFL, TOL or CON"
+_SORTS = tuple(kind.value for kind in RelKind)
+_SORT_CHOICES = f"{', '.join(_SORTS[:-1])} or {_SORTS[-1]}"
+
+
+def _check_kind(kind, what="sort"):
+    """Refuse a sort that is not a `RelKind`, such as its spelling "TOL"."""
+    if not isinstance(kind, RelKind):
+        raise ValueError(f"{what} {kind!r}, expected a RelKind ({_SORT_CHOICES})")
+
+
 _KERNELS = {
     RelKind.REFL_ADM: _refl_adm_closure,
     RelKind.TOLERANCE: _tolerance_of,
@@ -617,7 +610,12 @@ _KERNELS = {
 
 
 def close_to_kind(alg: FiniteAlgebra, kind: RelKind, r: BinRel) -> BinRel:
-    return BinRel._of(r.n, _KERNELS[kind](alg, _on(alg, r)))
+    try:
+        close = _KERNELS[kind]
+    except (KeyError, TypeError):  # not a RelKind; no test on the sampled path
+        _check_kind(kind)
+        raise
+    return BinRel._of(r.n, close(alg, _on(alg, r)))
 
 
 class RelLattice(Record):
@@ -645,6 +643,7 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
     matrix, which is the order of the binary spellings read from bit 0 up.
     cap, a positive int, bounds the members.
     """
+    _check_kind(kind)
     _check_cap(cap)
 
     def build():

@@ -29,7 +29,7 @@ from relmod.identities import (
     with_sorts,
 )
 from relmod.algebras import CapExceeded, FiniteAlgebra
-from relmod.maltsev import q_bound
+from relmod.maltsev import q_bound, r_bound
 from relmod.relations import (
     BinRel,
     RelKind,
@@ -588,11 +588,10 @@ def test_cache_counts_each_member_of_a_wide_value(cap, block, monkeypatch, l2, s
 
 
 def test_D3_on_l3_tabulates_each_single_quantifier_subterm(patch_kernel):
-    # conv(R), conv(S) and conv(T) each lie over one quantifier: conv(R) is
-    # computed in R's loop, conv(S) in S's loop, conv(T) in T's table, each
-    # through the cache, and tol(R) converses R once more inside its kernel,
-    # so every member of the lattice is conversed exactly four times, once
-    # per subterm
+    # conv(R), conv(S) and conv(T) each lie over one quantifier and are
+    # computed in its loop, each through the cache, and tol(R) converses R
+    # once more inside its kernel, so every member of the lattice is
+    # conversed exactly four times, once per subterm
     l3 = cold("l3")
     stmt = catalog_entry("(D3)", m=INF)
     seen = []
@@ -603,23 +602,48 @@ def test_D3_on_l3_tabulates_each_single_quantifier_subterm(patch_kernel):
     assert verdict.holds and verdict.checked == 25**3
     assert sorted(seen) == sorted(lattice * 4)
     # the subterms over T alone, the innermost quantifier, are one wide
-    # y<slot> per block of T's lattice, built in T's table, the only table,
-    # and looked up in the cache under (slot, block); conv(S), over the
-    # middle quantifier S alone, is looked up in the cache too
+    # y<slot> per block of T's lattice, computed in T's function L2 like
+    # every other slot over T and looked up in the cache under (slot,
+    # block); conv(S), over the middle quantifier S alone, is looked up in
+    # the cache too.  No table function is generated
     program = identities._Program(l3, ("R", "S", "T"))
     program.search(stmt)
     single = [s for s, free in enumerate(program.free) if free in ((1,), (2,)) and re.search(rf"\b[xy]{s}\b", program.source)]
     assert len(single) >= 3  # conv(S), S | conv(S), conv(T)
+    assert "def T(" not in program.source
+    innermost = program.source[program.source.index("def L2(") : program.source.index("def L1(")]
     for s in single:
         if program.free[s] == (2,):
-            assert re.search(rf"\bk = \({s}, V\)\n +y{s} = get\(k\)", program.source)
-    assert len(re.findall(r"^def T\(", program.source, re.M)) == 1
-    assert re.search(r"^def T\(blocks\):\n.*\n    for V, R, I in blocks:\n        k = \(\d+, V\)\n        y\d+ = get\(k\)", program.source, re.M)
-    assert "blocks(values)" not in program.source
+            assert re.search(rf"\bk = \({s}, V\)\n +y{s} = get\(k\)", innermost)
     conv_s = program.slot(parse_identity("S:REFL |- conv(S) <= S").lhs)
     assert program.free[conv_s] == (1,) and re.search(rf"\bx{conv_s} = get\(", program.source)
     assert not re.search(r"\bfor v2\b", program.source)  # no loop over T's members
     assert "get(" in program.source  # star(S | T) and cl(...) over S and T still do
+
+
+@pytest.mark.parametrize("name", ["l3", "n5", "sl3"])
+def test_subterm_over_the_innermost_quantifier_alone_waits_for_the_bound(name, patch_kernel):
+    # cl(T) lies over T alone, and only the right side needs it; S & T is
+    # inside lower(S | cl(T)) = S | T, so every block is settled by the
+    # bound and no closure runs once the lattice is enumerated
+    alg = cold(name)
+    lattice = enumerate_relations(alg, RelKind.REFL_ADM).members
+    calls = []
+    kernel = relations._refl_adm_closure
+    patch_kernel("_refl_adm_closure", lambda alg, bits: calls.append(bits) or kernel(alg, bits))
+    verdict = check_identity(alg, parse_identity("S:REFL, T:REFL |- S & T <= S | cl(T)"))
+    assert verdict.holds and verdict.checked == len(lattice) ** 2
+    assert calls == []
+
+
+def test_no_catalog_source_has_a_table_function(l2):
+    # every slot, over the innermost quantifier alone or not, is computed
+    # in the loop of its last free variable
+    for label, stmt in catalog():
+        program = identities._Program(l2, [name for name, _ in stmt.quantifiers])
+        program.search(stmt)
+        assert "def T(" not in program.source, label
+        assert len(re.findall(r"^def ", program.source, re.M)) == len(stmt.quantifiers), label
 
 
 def test_sampled_check_over_the_cap_draws_nothing(l2, monkeypatch):
@@ -1340,6 +1364,28 @@ def test_check_rejects_a_hand_built_sort_before_any_enumeration_or_draw(mode, l2
     with pytest.raises(ValueError, match=r"quantifier 'S' has sort 'TOL', expected a RelKind \(REFL, TOL or CON\)"):
         check_identity(l2, stmt, mode=mode)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "fn, args, kwargs",
+    [
+        (catalog_entry, ("(a1)",), {"h": True}),
+        (catalog_entry, ("(turt)",), {"l": True}),
+        (catalog_entry, ("(day)",), {"k": 3.0}),
+        (catalog_entry, ("(A1)",), {"m": 2.5}),
+        (catalog_entry, ("(A1)",), {"m": True}),
+        (q_bound, (1.5, 2), {}),
+        (q_bound, (True, 2), {}),
+        (r_bound, (1, 2.0), {}),
+        (r_bound, (1, True), {}),
+    ],
+    ids=["a1-h-True", "turt-l-True", "day-k-3.0", "A1-m-2.5", "A1-m-True", "q-1.5", "q-True", "r-2.0", "r-True"],
+)
+def test_a_bool_or_float_parameter_is_refused(fn, args, kwargs):
+    # bool is an int subclass and a float compares with ints, so neither
+    # may pass for the int a bound or a catalog parameter needs
+    with pytest.raises(ValueError, match="integer"):
+        fn(*args, **kwargs)
 
 
 def test_monotone_m_failures(sl3):

@@ -12,6 +12,7 @@ from relmod.algebras import CapExceeded, FiniteAlgebra, _apply, free_algebra
 from relmod.relations import (
     BinRel,
     RelKind,
+    close_to_kind,
     compose,
     congruence_generated,
     converse,
@@ -700,8 +701,6 @@ def test_row_seeds_match_kernel_from_r_at_the_largest_tables(n):
         assert closed == kernel_closure(alg, r), where
         assert tol == kernel_closure(alg, union(r, converse(r))), where
         sizes |= {len(closed.pairs()), len(tol.pairs())}
-        if i == 20:  # the slots are still filling
-            assert None in [slot for j, slot in enumerate(principal_slots(alg)) if j % (n + 1)]
     assert len(sizes) > 10 and n * n in sizes
     slots = principal_slots(alg)
     assert [i for i, slot in enumerate(slots) if slot is None] == list(range(0, n * n, n + 1))
@@ -742,37 +741,45 @@ def test_is_admissible_builds_no_principal_table(m3):
     assert fresh._principal_rows is None
 
 
-def test_closure_fills_at_most_one_slot(monkeypatch):
-    # on the pentagon few dense draws close to nabla; each closure still
-    # fills at most one principal slot and runs the kernel at most twice
+def test_closures_compute_each_slot_once(monkeypatch):
+    # on the pentagon few dense draws close to nabla; a closure fills every
+    # empty slot its rows need, so over all closures on one algebra each
+    # slot's kernel runs once, n(n-1) runs at most, and each closure runs
+    # the kernel on its seed at most once besides
     n5 = corpus.builtin("n5")
     alg = FiniteAlgebra("n5-copy", n5.size, n5.operations)
     n = alg.size
+    diag = delta(n).bits
     kernel = rel._pair_closure
     runs = []
 
-    def counted_kernel(alg, bits):
-        runs.append(1)
+    def recorded_kernel(alg, bits):
+        runs.append(bits)
         return kernel(alg, bits)
 
-    monkeypatch.setattr(rel, "_pair_closure", counted_kernel)
+    monkeypatch.setattr(rel, "_pair_closure", recorded_kernel)
     rng = random.Random(3)
-    filled = 0
+    principal, closed = [], []
     for _ in range(60):
         runs.clear()
         r = BinRel(n, tuple(rng.getrandbits(n) for _ in range(n)))
-        assert refl_adm_closure(alg, r) == kernel_closure(alg, r)
-        now = sum(slot is not None for slot in principal_slots(alg))
-        assert now - filled <= 1 and len(runs) - 1 <= 2  # kernel_closure ran once
-        filled = now
-    assert filled == n * n - n
+        closed.append((r, refl_adm_closure(alg, r)))
+        # a slot's input is delta and its one pair; a seed has two or more
+        slots = [bits for bits in runs if not (bits ^ diag) & (bits ^ diag) - 1]
+        assert len(runs) - len(slots) <= 1
+        principal += slots
+    assert len(set(principal)) == len(principal) <= n * (n - 1)
+    assert len(principal) == sum(slot is not None for slot in principal_slots(alg))
+    monkeypatch.undo()
+    for r, got in closed:
+        assert got == kernel_closure(alg, r), format_rel_literal(r)
 
 
-@pytest.mark.parametrize("later", [(0, 2), (1, 2)], ids=["same-row", "next-row"])
+@pytest.mark.parametrize("later", [(1, 2)], ids=["next-row"])
 def test_seed_at_nabla_fills_no_later_slot(monkeypatch, later):
     # on z6 the closure of (0, 1) is nabla: once it is in its slot, a
-    # closure of (0, 1) and a pair whose slot is still empty, after it in
-    # the same row or in a later row, is nabla with no kernel run
+    # closure of (0, 1) and a pair whose slot is still empty, in a later
+    # row, is nabla with no kernel run
     z6 = corpus.builtin("z6")
     alg = FiniteAlgebra("z6-copy", z6.size, z6.operations)
     n = alg.size
@@ -1055,6 +1062,19 @@ def test_m_compose_monotone_for_reflexive(sl3):
             cur = m_compose(r, s, m)
             assert prev.issubset(cur)
             prev = cur
+
+
+@pytest.mark.parametrize("entry", ["enumerate_relations", "close_to_kind"])
+@pytest.mark.parametrize("kind", ["REFL", "TOL", "CON", None, ["TOL"]])
+def test_a_sort_that_is_not_a_relkind_is_refused(l2, entry, kind):
+    # the spelling of a sort is not the sort: both entries refuse it as
+    # check_identity does, naming the choices
+    message = rf"^sort {re.escape(repr(kind))}, expected a RelKind \(REFL, TOL or CON\)$"
+    with pytest.raises(ValueError, match=message):
+        if entry == "enumerate_relations":
+            enumerate_relations(l2, kind)
+        else:
+            close_to_kind(l2, kind, delta(l2.size))
 
 
 def test_sort_ordering_is_flat_bits():
