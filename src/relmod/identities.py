@@ -421,6 +421,14 @@ _CACHE_CAP = 1 << 16
 # lattice.
 _BLOCK = 64
 
+# The most compiled checks one process keeps, keyed by their generated
+# source.  The source is a function of a program's slot table, never of
+# its algebra, whose kernels, constants and cache reach the code through
+# the namespace it runs in; a store that would pass the cap is emptied and
+# refills.
+_CODE_CAP = 256
+_CODE = {}  # generated source -> its compiled code object
+
 # The locals a generated line reads: quantifier values v<position> and
 # computed slots x<slot>.
 _LOCAL_RE = re.compile(r"\b[vx]\d+\b")
@@ -472,7 +480,10 @@ class _Program:
     parameter, on the slot ints.
 
     `search` writes a statement as Python source, kept in `source`, and
-    runs it through `exec` once.  Quantifier i gets its own function: one
+    runs it through `exec` once, into a namespace of its own that binds
+    the kernels, constants and cache.  The compiled code is shared by
+    source text within a process (`_CODE`), since nothing of the algebra
+    is in the source.  Quantifier i gets its own function: one
     `for` loop over its values, which calls quantifier i+1's function, so
     the block nesting stays within CPython's limit.  The innermost
     quantifier d is no loop over members: its values come in blocks
@@ -620,10 +631,12 @@ class _Program:
         """Generate and exec the loops over quantifiers 0..depth-1, with
         `slots` computed each in the loop of its last free variable, and the
         lines `tail` ending the innermost level, which runs once per block,
-        after the wide values of the slots over it.  Returns the outermost
-        loop's function: given D, with D[i] the packed values of
-        quantifier i and D[depth-1] the blocks (V, R, I) of the innermost,
-        it returns the first value `tail` returns, or None."""
+        after the wide values of the slots over it.  The source is compiled
+        only if `_CODE` does not hold it yet, and run into a fresh namespace
+        that binds this program's kernels, constants and cache.  Returns
+        the outermost loop's function: given D, with D[i] the packed values
+        of quantifier i and D[depth-1] the blocks (V, R, I) of the
+        innermost, it returns the first value `tail` returns, or None."""
         d = depth - 1
         bodies = [[] for _ in range(depth)]
         for slot in sorted(slots):
@@ -649,7 +662,10 @@ class _Program:
         namespace.update((f"f{slot}", fn) for slot, fn in self._fns.items())
         namespace.update((f"c{slot}", value) for slot, value in self._constants.items())
         self.source = "\n".join(functions)
-        exec(self.source, namespace)
+        code = _CODE.get(self.source)
+        if code is None:
+            code = _put(_CODE, _CODE_CAP, self.source, compile(self.source, "<string>", "exec"))
+        exec(code, namespace)
         return namespace["L0"]
 
     def search(self, stmt: IdentityStatement):
@@ -773,12 +789,15 @@ def check_identity(
 
     The statement is compiled once into a `_Program`: generated code, one
     loop per quantifier in declaration order, that calls the relation
-    kernels on packed ints.  Every chain of "+", ";^inf" and "star" is
-    compiled as one star of the union of its operands, exact on the
-    reflexive values a check evaluates.  The innermost quantifier is no
-    loop: its values come packed side by side into blocks of wide ints,
-    and "|", "&", ";", ";^m", "pow", "star" and the tests below run once
-    per block on them; "cl", "tol" and "conv" run once per member.
+    kernels on packed ints.  The code reads the algebra only through the
+    namespace it runs in, so a process compiles each generated source
+    once and shares it between checks, in a store bounded at `_CODE_CAP`.
+    Every chain of "+", ";^inf" and "star" is compiled as one star of the
+    union of its operands, exact on the reflexive values a check
+    evaluates.  The innermost quantifier is no loop: its values come
+    packed side by side into blocks of wide ints, and "|", "&", ";",
+    ";^m", "pow", "star" and the tests below run once per block on them;
+    "cl", "tol" and "conv" run once per member.
     Exhaustively, its lattice is cut into blocks of at most `_BLOCK`
     members; sample mode runs each distinct draw as a block of one member:
     the packed values of the assignments that held are kept, bounded like

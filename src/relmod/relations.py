@@ -85,7 +85,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 
-from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra, Record, _check_cap, _put
+from .algebras import CapExceeded, DEFAULT_CAP, FiniteAlgebra, Record, _check_cap, _is_int, _put
 
 INF = float("inf")
 
@@ -265,7 +265,7 @@ def _m_compose(n, r, s, m, width=1):
     the ones already taken."""
     if m == INF:
         return _plus(n, r, s, width)
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError(f"m must be an integer >= 1 or INF, got {m!r}")
     out = r if m % 2 else None
     k = m // 2
@@ -285,7 +285,7 @@ def m_compose(r: BinRel, s: BinRel, m: int) -> BinRel:
 
 def power(r: BinRel, h: int) -> BinRel:
     """h-fold composition of r with itself."""
-    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
+    if not _is_int(h) or h < 1:
         raise ValueError(f"h must be an integer >= 1, got {h!r}")
     return m_compose(r, r, h)
 
@@ -613,9 +613,10 @@ def close_to_kind(alg: FiniteAlgebra, kind: RelKind, r: BinRel) -> BinRel:
     try:
         close = _KERNELS[kind]
     except (KeyError, TypeError):  # not a RelKind; no test on the sampled path
-        _check_kind(kind)
-        raise
-    return BinRel._of(r.n, close(alg, _on(alg, r)))
+        pass
+    else:
+        return BinRel._of(r.n, close(alg, _on(alg, r)))
+    _check_kind(kind)  # raises outside the handler, so with no context
 
 
 class RelLattice(Record):

@@ -20,6 +20,13 @@ def bench_workloads(monkeypatch):
     return workloads
 
 
+@pytest.fixture(autouse=True)
+def empty_code_store(monkeypatch):
+    """An empty store of compiled checks for each test, so what a test
+    compiles does not depend on the tests run before it."""
+    monkeypatch.setattr(identities, "_CODE", {})
+
+
 @pytest.fixture
 def patch_kernel(monkeypatch):
     """patch_kernel(name, fn) replaces the relations kernel `name` by fn for

@@ -894,6 +894,57 @@ def test_closure_cache_cap_keeps_verdicts(monkeypatch):
         assert max(sizes) == 1
 
 
+def test_each_generated_source_is_compiled_once(l2, z2xz2, monkeypatch):
+    # the generated source depends on the statement, not the algebra, and
+    # a sampled draw runs the code an exhaustive check runs: one (dist)
+    # source on both algebras in both modes, one run function for both
+    # eval_expr calls
+    compiled = []
+
+    def counted(source, *args):
+        compiled.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(identities, "compile", counted, raising=False)
+    stmt = catalog_entry("(dist)")
+    for alg in (l2, z2xz2):
+        for mode in ("exhaustive", "sample"):
+            check_identity(alg, stmt, mode=mode, seed=5, samples=50)
+    assert len(compiled) == 1
+    env = {"S": nabla(4), "T": delta(4)}
+    expr = parse_identity("S:REFL, T:REFL |- conv(S) ; T <= S").lhs
+    assert eval_expr(z2xz2, expr, env) == eval_expr(z2xz2, expr, env) == nabla(4)
+    assert len(compiled) == len(set(compiled)) == 2
+    assert set(identities._CODE) == set(compiled)
+
+
+def test_code_store_cap_keeps_verdicts(monkeypatch):
+    # at a cap of 2 the store of compiled checks is emptied whenever a third
+    # source comes, and every verdict, count and counterexample is that of
+    # a check that compiles its source afresh
+    runs = [
+        (name, catalog_entry(label, m=m), mode)
+        for name in ("l2", "sl3", "z2xz2")
+        for label in ("(1.1)", "(dist)", "(B1)", "(D3)")
+        for m in (2, INF)
+        for mode in ("exhaustive", "sample")
+    ]
+
+    def check(name, stmt, mode):
+        return check_identity(corpus.builtin(name), stmt, mode=mode, seed=5, samples=100)
+
+    afresh = []
+    for run in runs:
+        identities._CODE.clear()
+        afresh.append(check(*run))
+    assert not all(v.holds for v in afresh)  # sl3 and z2xz2 are not distributive
+    monkeypatch.setattr(identities, "_CODE", {})
+    monkeypatch.setattr(identities, "_CODE_CAP", 2)
+    for run, verdict in zip(runs, afresh):
+        assert check(*run) == verdict
+        assert len(identities._CODE) <= 2
+
+
 def test_subterm_over_every_quantifier_is_computed_once_per_assignment(l2, patch_kernel):
     # S ; T depends on both quantifiers, so no assignment can reuse another's
     # value of it, but its three uses within one assignment share one compose;
