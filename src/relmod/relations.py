@@ -364,6 +364,7 @@ def is_congruence(alg: FiniteAlgebra, r: BinRel) -> bool:
 _IMAGE_TABLE_CAP = 1 << 22
 
 
+@lru_cache(maxsize=64)
 def _image_stride(n):
     """The image-table entries per code of an operation's first arity-1
     arguments: 2**w for each chunk of w <= 8 last-argument values."""
@@ -632,17 +633,40 @@ class RelLattice(Record):
 def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CAP) -> RelLattice:
     """All relations of the given kind on alg.
 
-    Computes the principal members (closure of each single pair) and
-    joins each new member with the principal members not below it;
-    complete because every member is the join of the principals below it,
-    so adding one principal at a time reaches it.  A principal is closed
-    by its kind's kernel.  A join x | y of two symmetric members is
-    symmetric already, so a TOL join is its reflexive-admissible closure,
-    with no converse, and a CON join the transitive closure of that.  It
-    closes and deduplicates packed ints, and wraps the members in
-    ``BinRel`` once, in canonical order: lexicographic on the flattened bit
-    matrix, which is the order of the binary spellings read from bit 0 up.
-    cap, a positive int, bounds the members.
+    Every member is the join of its principals, the closures of its single
+    pairs, so joining the members found so far with one principal at a
+    time reaches it.  The principals y_1..y_P are the distinct closures of
+    the single pairs, in bit order, each closed by its kind's kernel.
+    ``members`` maps each member found to a mask of principals whose
+    union is exactly that member: a principal's own bit, S | 1 << j for a
+    join that is the union x | y_j of a member x of mask S and y_j, and
+    otherwise the mask of every principal below the member, whose union
+    is the member by the argument above.
+
+    The joins of two principals come first, and fill the pair table: bit
+    i of ``pairs[j]`` is set when y_i | y_j is admissible, that is, its own
+    reflexive-admissible closure.  Then each member x that a join found,
+    of mask S, is joined with each principal y_j.  A union u = x | y_j
+    that is already a member is its own join, and is skipped before any
+    closure.  When every operation has arity at most 2 and S lies in
+    pairs[j], u is admissible with no kernel run: a binary f takes p in
+    y_i, for i in S, and q in y_j into y_i | y_j, pairs inside x stay in x
+    and pairs inside y_j stay in y_j, and a unary or nullary operation
+    never mixes the two parts.  So u, reflexive, and symmetric when x and
+    y_j are, is the REFL or TOL join.  An operation of arity 3 or more can
+    take its arguments from three principals, so on such an algebra, as
+    for CON, the table stays empty and every union is closed.
+
+    A union x | y of two symmetric members is symmetric already, so a TOL
+    join is its reflexive-admissible closure, with no converse.  A CON
+    join is the transitive closure of x | y, with no kernel: it is
+    admissible, since along chains of pairs in x or y a term's value moves
+    one argument at a time by a pair of one reflexive admissible relation.
+
+    The members are packed ints, wrapped in ``BinRel`` once, in canonical
+    order: lexicographic on the flattened bit matrix, which is the order of
+    the binary spellings read from bit 0 up.  cap, a positive int, bounds
+    the members.
     """
     _check_kind(kind)
     _check_cap(cap)
@@ -650,28 +674,50 @@ def enumerate_relations(alg: FiniteAlgebra, kind: RelKind, cap: int = DEFAULT_CA
     def build():
         close = _KERNELS[kind]
         n = alg.size
-        members = set()
+        members = {}
         work = []
+        principals = []
 
-        def join(bits):
-            closed = _refl_adm_closure(alg, bits)
-            return _star(n, closed) if kind is RelKind.CONGRUENCE else closed
+        def add(bits, mask):
+            if len(members) >= cap:
+                raise CapExceeded("lattice-size", cap, len(members) + 1)
+            members[bits] = mask
+            work.append(bits)
 
-        def add(bits):
-            if bits not in members:
-                if len(members) >= cap:
-                    raise CapExceeded("lattice-size", cap, len(members) + 1)
-                members.add(bits)
-                work.append(bits)
+        def join(u, mask):
+            """Add the join of the union u of the principals in mask, and
+            say whether it is u itself."""
+            closed = _star(n, u) if kind is RelKind.CONGRUENCE else _refl_adm_closure(alg, u)
+            if closed not in members:
+                if closed != u:
+                    mask = sum(1 << i for i, y in enumerate(principals) if not y & ~closed)
+                add(closed, mask)
+            return closed == u
 
         for i in range(n * n):
-            add(close(alg, 1 << i))
-        principals = list(work)
+            y = close(alg, 1 << i)
+            if y not in members:
+                add(y, 1 << len(principals))
+                principals.append(y)
+        work.clear()  # a principal's joins are the pair joins below
+        pairs = [0] * len(principals)
+        binary = kind is not RelKind.CONGRUENCE and all(op.arity <= 2 for op in alg.operations)
+        for j, y in enumerate(principals):
+            for i in range(j):
+                u = principals[i] | y
+                if (u in members or join(u, 1 << i | 1 << j)) and binary:
+                    pairs[i] |= 1 << j
+                    pairs[j] |= 1 << i
         while work:
             x = work.pop()
-            for y in principals:
-                if y & ~x:  # else x | y is x, a member already
-                    add(join(x | y))
+            mask = members[x]
+            for j, y in enumerate(principals):
+                u = x | y
+                if u not in members:
+                    if mask & ~pairs[j]:
+                        join(u, mask | 1 << j)
+                    else:
+                        add(u, mask | 1 << j)
         width = f"0{n * n}b"
         order = sorted(members, key=lambda bits: format(bits, width)[::-1])
         return RelLattice(kind, tuple(BinRel._of(n, bits) for bits in order))

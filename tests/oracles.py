@@ -161,14 +161,16 @@ def brute_force_relations(alg, kind):
     """All relations of the given kind, by filtering every subset of AxA
     through the defining predicates: reflexive and admissible (REFL), also
     symmetric (TOL), also transitive (CON).  It reads all 2^(n*n) subsets,
-    so it is for n <= 4."""
+    turning away those that miss a diagonal bit before listing their
+    pairs, so it is for n <= 4."""
     n = alg.size
     all_pairs = [(a, b) for a in range(n) for b in range(n)]
+    diagonal = sum(1 << a * n + a for a in range(n))
     out = set()
     for bits in range(1 << (n * n)):
-        pairs = {p for i, p in enumerate(all_pairs) if bits >> i & 1}
-        if not all((a, a) in pairs for a in range(n)):
+        if bits & diagonal != diagonal:  # not reflexive
             continue
+        pairs = {p for i, p in enumerate(all_pairs) if bits >> i & 1}
         if kind is not RelKind.REFL_ADM and any((b, a) not in pairs for a, b in pairs):
             continue
         if kind is RelKind.CONGRUENCE and not naive_compose(pairs, pairs) <= pairs:

@@ -1013,6 +1013,78 @@ def test_enumerate_matches_brute_force_on_random_algebras(alg):
         assert list(fast) == sorted(fast, key=BinRel.flat_bits)
 
 
+def two_element_product(seed, arities):
+    """The product of two 2-element algebras with random operations of the
+    given arities, drawn from seed; the pair (a, b) is element 2a + b."""
+    rng = random.Random(seed)
+    ops = []
+    for i, k in enumerate(arities):
+        left, right = ([rng.randrange(2) for _ in range(2**k)] for _ in range(2))
+        table = []
+        for args in itertools.product(range(4), repeat=k):
+            a = b = 0
+            for x in args:
+                a, b = 2 * a + (x >> 1), 2 * b + (x & 1)
+            table.append(2 * left[a] + right[b])
+        ops.append((f"f{i}", k, table))
+    return FiniteAlgebra(f"product{seed}", 4, ops)
+
+
+def test_enumerate_matches_brute_force_where_unions_close():
+    # algebras on which the pair table proves most unions admissible with
+    # no kernel run: lattices and semilattices, bare sets, where every
+    # union is admissible and CON joins grow by their transitive closure,
+    # and products of two-element algebras of arity at most 2; the last
+    # product has a ternary operation, so every union is closed
+    algs = [corpus.builtin(name) for name in ("l3", "sl3", "l4")]
+    algs += [FiniteAlgebra(f"set{n}", n, []) for n in (3, 4)]
+    algs += [two_element_product(seed, arities) for seed, arities in [(3, (0, 2)), (1, (1, 2)), (2, (0, 1, 2)), (3, (1, 3))]]
+    for alg in algs:
+        for kind in RelKind:
+            fast = enumerate_relations(FiniteAlgebra(alg.name, alg.size, alg.operations), kind).members
+            assert {frozenset(r.pairs()) for r in fast} == brute_force_relations(alg, kind), (alg.name, kind)
+            assert list(fast) == sorted(fast, key=BinRel.flat_bits)
+
+
+def test_enumeration_closes_few_unions(monkeypatch):
+    # on a lattice most unions of members are admissible, and many are
+    # members already: those run no kernel, so TOL then REFL on a fresh l4
+    # run the n(n-1) principal slots and at most one kernel per pair of
+    # distinct principals besides, not one per member found
+    base = corpus.builtin("l4")
+    alg = FiniteAlgebra("l4-copy", base.size, base.operations)
+    n = alg.size
+    kernel = rel._pair_closure
+    runs = []
+    monkeypatch.setattr(rel, "_pair_closure", lambda alg, bits: runs.append(bits) or kernel(alg, bits))
+    assert len(enumerate_relations(alg, RelKind.TOLERANCE)) == 14
+    assert len(enumerate_relations(alg, RelKind.REFL_ADM)) == 196
+    monkeypatch.undo()
+    principals = {refl_adm_closure(alg, rel_of(n, (a, b))) for a in range(n) for b in range(n)}
+    p = len(principals)
+    assert len(runs) <= n * (n - 1) + p * (p - 1) // 2
+
+
+@pytest.mark.parametrize("name", ["l4", "z2xz2"])
+def test_congruence_joins_run_no_kernel(monkeypatch, name):
+    # the transitive closure of the union of two congruences is admissible
+    # already, so enumerating CON runs only the kernels that close its
+    # principals, the congruences of single pairs
+    base = corpus.builtin(name)
+    n = base.size
+    kernel = rel._pair_closure
+    runs = []
+    monkeypatch.setattr(rel, "_pair_closure", lambda alg, bits: runs.append(bits) or kernel(alg, bits))
+    enumerate_relations(FiniteAlgebra(name + "-copy", n, base.operations), RelKind.CONGRUENCE)
+    enumerated = runs[:]
+    runs.clear()
+    alg = FiniteAlgebra(name + "-copy", n, base.operations)
+    for a in range(n):
+        for b in range(n):
+            congruence_generated(alg, rel_of(n, (a, b)))
+    assert enumerated == runs
+
+
 def test_enumerate_cap(m3):
     from relmod.algebras import CapExceeded
 
