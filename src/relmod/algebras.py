@@ -50,12 +50,16 @@ class Record:
     fields.  An instance is built from its fields by position or keyword,
     equals another of the same class with equal fields, hashes by its class
     and fields, prints as ``Name(field=value, ...)`` and refuses assignment.
-    The methods are written out once here, so defining a subclass compiles
-    and generates no code at import.
+    A subclass may map fields to the values a call that omits them gets in
+    ``_defaults``.  The methods are written out once here, so defining a
+    subclass compiles and generates no code at import.  Only `Apply`
+    writes its own constructor, two plain stores, since term search builds
+    one Apply per element it discovers.
     """
 
     __slots__ = ()
     _fields = ()
+    _defaults = {}  # field -> its value when a call omits it
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -70,9 +74,12 @@ class Record:
         for field, value in zip(fields, args):
             _set(self, field, value)
         for field in fields[len(args):]:
-            if field not in kwargs:
+            if field in kwargs:
+                _set(self, field, kwargs.pop(field))
+            elif field in self._defaults:
+                _set(self, field, self._defaults[field])
+            else:
                 raise TypeError(f"{type(self).__name__}() missing argument {field!r}")
-            _set(self, field, kwargs.pop(field))
         if kwargs:
             raise TypeError(f"{type(self).__name__}() got an unexpected argument {next(iter(kwargs))!r}")
 
@@ -228,39 +235,17 @@ def dump_algebra(alg: FiniteAlgebra) -> str:
     )
 
 
-# Terms are built and hashed throughout term search, so Variable and Apply
-# spell out their constructors, equality and hashing.
-
-
 class Variable(Record):
     __slots__ = ("index",)
-
-    def __init__(self, index):
-        _set(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is Variable:
-            return self.index == other.index
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((Variable, self.index))
 
 
 class Apply(Record):
     __slots__ = ("symbol", "children")
 
+    # term search builds one Apply per element it discovers
     def __init__(self, symbol, children):
         _set(self, "symbol", symbol)
         _set(self, "children", children)
-
-    def __eq__(self, other):
-        if other.__class__ is Apply:
-            return self.symbol == other.symbol and self.children == other.children
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((Apply, self.symbol, self.children))
 
 
 Term = Variable | Apply

@@ -68,17 +68,27 @@ def _load_algebra_arg(source):
 _PARAMS = ("k", "h", "m", "l")
 
 
+def _named(pairs, flag, form):
+    """Each NAME=VALUE of the repeated option `flag`, in order, as (name,
+    value, pair), split at the first "="; a pair without "=", or a name
+    given twice, is a usage error."""
+    seen = set()
+    for pair in pairs or ():
+        if "=" not in pair:
+            raise UsageError(f"bad {flag} {pair!r}, expected NAME={form}")
+        name, value = pair.split("=", 1)
+        if name in seen:
+            raise UsageError(f"{flag} {name} is given twice")
+        seen.add(name)
+        yield name, value, pair
+
+
 def _parse_params(pairs):
     """The --param values given, by name; an omitted one keeps its default."""
     params = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise UsageError(f"bad --param {pair!r}, expected NAME=VALUE")
-        name, value = pair.split("=", 1)
+    for name, value, pair in _named(pairs, "--param", "VALUE"):
         if name not in _PARAMS:
             raise UsageError(f"unknown parameter {name!r}, expected one of {','.join(_PARAMS)}")
-        if name in params:
-            raise UsageError(f"--param {name} is given twice")
         if value == "inf":
             params[name] = INF
             continue
@@ -100,12 +110,7 @@ def _catalog_call(fn, *args, **params):
 
 def _parse_sorts(pairs):
     out = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise UsageError(f"bad --sort {pair!r}, expected NAME={'|'.join(_SORTS)}")
-        name, value = pair.split("=", 1)
-        if name in out:
-            raise UsageError(f"--sort {name} is given twice")
+    for name, value, _ in _named(pairs, "--sort", "|".join(_SORTS)):
         try:
             out[name] = RelKind(value)
         except ValueError:
@@ -259,12 +264,7 @@ def _witness_relations(args, n, fixed, chain=False):
     is a usage error.
     """
     rels = {}
-    for pair in args.rel or ():
-        if "=" not in pair:
-            raise UsageError(f"bad --rel {pair!r}, expected NAME=LITERAL")
-        name, lit = pair.split("=", 1)
-        if name in rels:
-            raise UsageError(f"--rel {name} is given twice")
+    for name, lit, pair in _named(args.rel, "--rel", "LITERAL"):
         if name not in fixed and not (chain and re.fullmatch(r"S[1-9][0-9]*", name)):
             expected = ", ".join(fixed) + (", S1, S2, ..." if chain else "")
             raise UsageError(f"unknown --rel name {name!r}, expected {expected}")

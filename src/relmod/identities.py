@@ -60,9 +60,7 @@ class Node(Record):
     # op: the operator's spelling, its key in _OPS; args: the operands;
     # param: the m of ";^m" (an int >= 1 or INF) or the h of "pow", else None
     __slots__ = ("op", "args", "param")
-
-    def __init__(self, op, args, param=None):
-        super().__init__(op, args, param)
+    _defaults = {"param": None}
 
 
 class _Op(NamedTuple):
@@ -510,9 +508,9 @@ class _Program:
     S; S ;^inf T under R, S, T; conv(T), over d alone, under R, S).  A
     block of one member is keyed as its one assignment.  The cache holds
     at most `_CACHE_CAP` member values, a wide one counting each of its
-    block's members, and is emptied when full.  `violation` and
-    `_runner(slot)` run the loops on one assignment, a tuple of `BinRel`
-    in the order of `names`.
+    block's members, and is emptied when full.  `_runner(slot)` runs the
+    loops on one assignment, a tuple of `BinRel` in the order of `names`,
+    as `check_identity` runs `search` on each sampled draw.
     """
 
     def __init__(self, alg: FiniteAlgebra, names):
@@ -723,19 +721,6 @@ class _Program:
             lines += [f"    if b{t} >> i & M:", f"        {found}"] if t < len(checks) - 1 else [f"    {found}"]
         return lines
 
-    def violation(self, stmt: IdentityStatement):
-        """`search` run on one assignment: a function from a tuple of
-        `BinRel` to the least pair of lhs outside rhs (then, for "=", of
-        rhs outside lhs), or None if the statement holds there."""
-        loops = self.search(stmt)
-        n, d = self.alg.size, len(self.names) - 1
-
-        def violation(values):
-            found = loops(_assignment(values, d))
-            return None if found is None else _first_missing_pair(n, found[0], found[1])
-
-        return violation
-
     def _runner(self, slot):
         """A function from a tuple of `BinRel` to slot's `BinRel` there."""
         n = self.alg.size
@@ -839,30 +824,32 @@ def check_identity(
             raise CapExceeded("samples", cap, samples)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    program = _Program(alg, names)
+    loops = _Program(alg, names).search(stmt)
     if mode == "sample":
-        violation = program.violation(stmt)
+        d = len(names) - 1
         held = {}  # packed assignments that held, bounded like the program cache
         for checked, values in enumerate(_draws(alg, kinds, seed, samples), 1):
             key = tuple(v.bits for v in values)
-            if key in held:
-                continue
-            witness = violation(values)
-            if witness is not None:
-                return Verdict(False, checked, Counterexample(tuple(zip(names, values)), witness))
-            _put(held, _CACHE_CAP, key, None)
-        return Verdict(True, samples, None)
-    packed = [[r.bits for r in members] for members in lattices]
-    found = program.search(stmt)([*packed[:-1], _blocks(alg.size**2, packed[-1])])
-    if found is None:
-        return Verdict(True, total, None)
+            if key not in held:
+                found = loops(_assignment(values, d))
+                if found is not None:
+                    break
+                _put(held, _CACHE_CAP, key, None)
+        else:
+            return Verdict(True, samples, None)
+    else:
+        packed = [[r.bits for r in members] for members in lattices]
+        found = loops([*packed[:-1], _blocks(alg.size**2, packed[-1])])
+        if found is None:
+            return Verdict(True, total, None)
+        checked = 0  # the failing assignment's index in product order, then one past it
+        for bits, v in zip(packed, found[2:]):
+            checked = checked * len(bits) + bits.index(v)
+        checked += 1
     small, big, *values = found
-    index = [bits.index(v) for bits, v in zip(packed, values)]
-    checked = 0
-    for i, bits in zip(index, packed):
-        checked = checked * len(bits) + i
-    assignment = tuple(zip(names, (members[i] for members, i in zip(lattices, index))))
-    return Verdict(False, checked + 1, Counterexample(assignment, _first_missing_pair(alg.size, small, big)))
+    n = alg.size
+    assignment = tuple((name, BinRel._of(n, v)) for name, v in zip(names, values))
+    return Verdict(False, checked, Counterexample(assignment, _first_missing_pair(n, small, big)))
 
 
 def _draws(alg, kinds, seed, samples):

@@ -82,15 +82,7 @@ class SearchResult(Record):
     when the cap stopped it), and the cap's error when it did."""
 
     __slots__ = ("status", "system", "node_count", "cap_error")
-
-    def __init__(
-        self,
-        status: SearchStatus,
-        system: TermSystem | None,
-        node_count: int,
-        cap_error: CapExceeded | None = None,
-    ):
-        super().__init__(status, system, node_count, cap_error)
+    _defaults = {"cap_error": None}
 
     @property
     def found(self):
@@ -368,9 +360,7 @@ class WitnessChain(Record):
     membership in the right-hand side of an inclusion."""
 
     __slots__ = ("start", "end", "steps", "lam_blocks")
-
-    def __init__(self, start: int, end: int, steps: tuple, lam_blocks: int | None = None):
-        super().__init__(start, end, steps, lam_blocks)
+    _defaults = {"lam_blocks": None}
 
     def validate(self) -> bool:
         cur = self.start

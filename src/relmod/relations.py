@@ -11,8 +11,9 @@ with a leading underscore: ``_compose(n, r, s)``, ``_converse``,
 ``_m_compose`` (``power`` is ``m_compose`` of r with itself), ``_star``,
 ``_plus``, and the closures ``_refl_adm_closure(alg, r)``,
 ``_tolerance_of`` and ``_congruence_generated``.  Each public function is
-a one-line wrapper that checks sizes and wraps the kernel's int in a
-``BinRel``.  The identity checks and the lattice enumeration call the
+a short wrapper that checks its arguments (sizes, and the m of
+``m_compose``) and wraps the kernel's int in a ``BinRel``; a kernel trusts
+its caller.  The identity checks and the lattice enumeration call the
 kernels on ints; the witness replays call the wrappers.
 
 ``_compose``, ``_star``, ``_m_compose`` and ``_plus`` take ``width``, a
@@ -265,8 +266,6 @@ def _m_compose(n, r, s, m, width=1):
     the ones already taken."""
     if m == INF:
         return _plus(n, r, s, width)
-    if not _is_int(m) or m < 1:
-        raise ValueError(f"m must be an integer >= 1 or INF, got {m!r}")
     out = r if m % 2 else None
     k = m // 2
     base = _compose(n, r, s, width) if k else None
@@ -280,7 +279,10 @@ def _m_compose(n, r, s, m, width=1):
 
 
 def m_compose(r: BinRel, s: BinRel, m: int) -> BinRel:
-    return BinRel._of(r.n, _m_compose(_size(r, s), r.bits, s.bits, m))
+    n = _size(r, s)
+    if m != INF and not (_is_int(m) and m >= 1):
+        raise ValueError(f"m must be an integer >= 1 or INF, got {m!r}")
+    return BinRel._of(n, _m_compose(n, r.bits, s.bits, m))
 
 
 def power(r: BinRel, h: int) -> BinRel:

@@ -43,6 +43,27 @@ def patch_kernel(monkeypatch):
     return patch
 
 
+@pytest.fixture
+def violation_of():
+    """violation_of(program, stmt): the compiled statement run on one
+    assignment, as a sampled check runs each draw, as a function from a
+    tuple of BinRel in the order of program.names to the least pair of lhs
+    outside rhs (then, for "=", of rhs outside lhs), or None if the
+    statement holds there."""
+
+    def violation_of(program, stmt):
+        loops = program.search(stmt)
+        n, d = program.alg.size, len(program.names) - 1
+
+        def violation(values):
+            found = loops(identities._assignment(values, d))
+            return None if found is None else identities._first_missing_pair(n, found[0], found[1])
+
+        return violation
+
+    return violation_of
+
+
 @pytest.fixture(scope="session")
 def sl2():
     return corpus.builtin("sl2")

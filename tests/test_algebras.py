@@ -565,3 +565,51 @@ def test_value_class_defaults():
     assert maltsev.SearchResult(status, None, node_count=1).cap_error is None
     assert maltsev.WitnessChain(0, 1, ()).lam_blocks is None
     assert maltsev.WitnessChain(start=0, end=1, steps=()) == maltsev.WitnessChain(0, 1, (), None)
+    assert identities.Node("delta", ()).param is None
+    assert maltsev.SearchResult(maltsev.SearchStatus.NOT_UP_TO, None, 0).cap_error is None
+    assert maltsev.WitnessChain(0, 0, ()).lam_blocks is None
+    # a default fills only an omitted field: every other one is required,
+    # and a keyword that is no field is refused, each by name
+    with pytest.raises(TypeError, match=r"^Node\(\) missing argument 'args'$"):
+        identities.Node("delta")
+    with pytest.raises(TypeError, match=r"^SearchResult\(\) missing argument 'node_count'$"):
+        maltsev.SearchResult(status, None)
+    with pytest.raises(TypeError, match=r"^WitnessChain\(\) got an unexpected argument 'stop'$"):
+        maltsev.WitnessChain(0, 0, (), stop=1)
+    with pytest.raises(TypeError, match=r"^Variable\(\) missing argument 'index'$"):
+        Variable()
+
+
+def test_terms_compare_and_hash_structurally():
+    def build():
+        return Apply("f", (Variable(0), Apply("g", (Variable(1), Apply("c", ())))))
+
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert Variable(3) == Variable(3) and hash(Variable(3)) == hash(Variable(3))
+    assert a != Apply("f", (Variable(0), Apply("g", (Variable(2), Apply("c", ())))))
+    assert Variable(0) != Apply("f", ())
+    assert Variable(0) != 0 and Apply("c", ()) != ("c", ())
+    assert Apply(symbol="f", children=(Variable(index=0),)) == Apply("f", (Variable(0),))
+    for term, field in ((a, "symbol"), (Variable(0), "index")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(term, field, None)
+
+
+def _records(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+def test_records_take_their_methods_from_record():
+    # Record writes equality, hashing, printing and the constructor once;
+    # only Apply writes its own constructor, since term search builds one
+    # per element it discovers
+    import relmod.cli  # noqa: F401  every relmod module, so every Record subclass
+
+    records = [cls for cls in _records(algebras.Record) if cls.__module__.startswith("relmod.")]
+    assert {Variable, Apply, identities.Node, maltsev.SearchResult, maltsev.WitnessChain} <= set(records)
+    for cls in records:
+        assert not {"__eq__", "__hash__", "__repr__"} & set(vars(cls)), cls
+    assert [cls for cls in records if "__init__" in vars(cls)] == [Apply]

@@ -801,7 +801,7 @@ def test_fold_makes_one_star_of_each_chain():
     )
 
 
-def test_lower_bound_settles_most_of_D3_on_l3(patch_kernel):
+def test_lower_bound_settles_most_of_D3_on_l3(patch_kernel, violation_of):
     # the right side of (D3) folds its three saturating joins into one star
     # over R, S and T, which every assignment built before the lower-bound
     # test; now only an assignment whose left side escapes the bound builds
@@ -824,7 +824,7 @@ def test_lower_bound_settles_most_of_D3_on_l3(patch_kernel):
     calls = []
     kernel = relations._star
     patch_kernel("_star", lambda n, r, **kwargs: calls.append(r) or kernel(n, r, **kwargs))
-    violation = identities._Program(l3, ("R", "S", "T")).violation(stmt)
+    violation = violation_of(identities._Program(l3, ("R", "S", "T")), stmt)
     for values in assignments:
         assert violation(values) is None
     assert len(calls) == 25**2 + escapes
@@ -833,7 +833,7 @@ def test_lower_bound_settles_most_of_D3_on_l3(patch_kernel):
     assert len(calls) == 25 + escaping_blocks
 
 
-def test_cache_cap_keeps_verdicts(l2, sl3, monkeypatch):
+def test_cache_cap_keeps_verdicts(l2, sl3, monkeypatch, violation_of):
     stmts = [catalog_entry(label, m=m) for label in ("(B1)", "(D3)") for m in (2, INF)]
     runs = [(l2, "exhaustive"), (l2, "sample"), (sl3, "sample")]
 
@@ -850,7 +850,7 @@ def test_cache_cap_keeps_verdicts(l2, sl3, monkeypatch):
     assert verdicts() == normal
     # the cap bounds what a program holds
     program = identities._Program(l2, ("R", "S", "T"))
-    violation = program.violation(stmts[-1])
+    violation = violation_of(program, stmts[-1])
     lattice = enumerate_relations(l2, RelKind.REFL_ADM).members
     for values in itertools.product(lattice, repeat=3):
         assert violation(values) is None
